@@ -156,7 +156,7 @@ func benchmarkEvaluation(b *testing.B, name string) {
 	}
 	var score float64
 	for i := 0; i < b.N; i++ {
-		ev, err := core.Evaluate(spec, 1)
+		ev, err := core.EvaluateCtx(context.Background(), spec, 1, core.EvalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkTable6PPW4870(b *testing.B)    { benchmarkEvaluation(b, "Xeon-4870
 
 func BenchmarkOrderings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := core.Compare(server.All(), 42)
+		c, err := core.CompareCtx(context.Background(), server.All(), 42, core.EvalOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -100,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return nil, "", err
 		}
-		ev, err := core.EvaluateWithPool(spec, seed, o, pool)
+		ev, err := core.EvaluateCtx(context.Background(), spec, seed, core.EvalOptions{Obs: o, Pool: pool})
 		if err != nil {
 			return nil, "", err
 		}
@@ -153,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"table5", func(s float64) (fmt.Stringer, string, error) { return evalTable("Opteron-8347", "Table V", s) }},
 		{"table6", func(s float64) (fmt.Stringer, string, error) { return evalTable("Xeon-4870", "Table VI", s) }},
 		{"orderings", func(s float64) (fmt.Stringer, string, error) {
-			c, err := core.CompareWithPool(server.All(), s, o, pool)
+			c, err := core.CompareCtx(context.Background(), server.All(), s, core.EvalOptions{Obs: o, Pool: pool})
 			if err != nil {
 				return nil, "", err
 			}

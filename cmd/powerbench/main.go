@@ -47,6 +47,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -139,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"Xeon-E5462": "Table IV", "Opteron-8347": "Table V", "Xeon-4870": "Table VI",
 	}
 	for i, spec := range specs {
-		ev, err := core.EvaluateOpts(spec, *seed+float64(i), opts)
+		ev, err := core.EvaluateCtx(context.Background(), spec, *seed+float64(i), opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "evaluate:", err)
 			return 1
@@ -156,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		c, err := core.CompareOpts(specs, *seed+100, opts)
+		c, err := core.CompareCtx(context.Background(), specs, *seed+100, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "compare:", err)
 			return 1

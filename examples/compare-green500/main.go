@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ import (
 
 func main() {
 	specs := server.All()
-	c, err := core.Compare(specs, 42)
+	c, err := core.CompareCtx(context.Background(), specs, 42, core.EvalOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	}
 
 	// Option 1: no measurements — the generic coefficient prior is used.
-	ev, err := core.Evaluate(spec, 9)
+	ev, err := core.EvaluateCtx(context.Background(), spec, 9, core.EvalOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func main() {
 	}
 	fmt.Printf("calibration RMS error: %.2f W\n\n", server.CalibrationError(spec, refs))
 
-	ev, err = core.Evaluate(spec, 10)
+	ev, err = core.EvaluateCtx(context.Background(), spec, 10, core.EvalOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,10 +17,11 @@ func main() {
 	// against its published measurements.
 	spec := server.XeonE5462()
 
-	// Evaluate runs idle, NPB-EP class C and HPL (half/full memory) at
+	// EvaluateCtx runs idle, NPB-EP class C and HPL (half/full memory) at
 	// one/half/full cores on the simulated meter, then applies the paper's
 	// analysis pipeline (merge logs, window per program, trim 10%, average).
-	ev, err := core.Evaluate(spec, 1 /* simulation seed */)
+	// The zero EvalOptions is the pristine, sequential, untraced method.
+	ev, err := core.EvaluateCtx(context.Background(), spec, 1 /* simulation seed */, core.EvalOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

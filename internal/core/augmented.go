@@ -7,7 +7,6 @@ import (
 	"powerbench/internal/npb"
 	"powerbench/internal/pmu"
 	"powerbench/internal/regression"
-	"powerbench/internal/sched"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/stats"
@@ -20,16 +19,10 @@ import (
 // implements and evaluates that extension: the HPCC sweep is augmented
 // with runs of the named NPB programs (class A, so the training set stays
 // disjoint from the B/C verification sets) across their valid process
-// counts.
+// counts. The augmented sweep shares the plain sweep's per-run seeds for
+// the common HPCC prefix, so the two training sets differ only by the added
+// NPB runs.
 func TrainPowerModelAugmented(spec *server.Spec, seed float64, extra []npb.Program) (*TrainingResult, error) {
-	return TrainPowerModelAugmentedWithPool(spec, seed, extra, nil)
-}
-
-// TrainPowerModelAugmentedWithPool is TrainPowerModelAugmented on the
-// scheduler: the augmented sweep shares the plain sweep's fan-out (and,
-// for the common HPCC prefix, its per-run seeds, so the two training sets
-// differ only by the added NPB runs). A nil pool runs sequentially.
-func TrainPowerModelAugmentedWithPool(spec *server.Spec, seed float64, extra []npb.Program, p *sched.Pool) (*TrainingResult, error) {
 	models, err := hpcc.TrainingModels(spec)
 	if err != nil {
 		return nil, err
@@ -50,7 +43,7 @@ func TrainPowerModelAugmentedWithPool(spec *server.Spec, seed float64, extra []n
 	}
 
 	engine := sim.New(spec, seed)
-	xs, ys, err := collectTrainingRuns(engine, models, nil, p)
+	xs, ys, err := collectTrainingRuns(engine, models, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: augmented training: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func TestEvaluateReproducesTables(t *testing.T) {
 		"Xeon-E5462": 0.0639, "Opteron-8347": 0.0251, "Xeon-4870": 0.0975,
 	}
 	for i, spec := range server.All() {
-		ev, err := Evaluate(spec, float64(i)+1)
+		ev, err := EvaluateCtx(context.Background(), spec, float64(i)+1, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestGreen500ReproducesPaper(t *testing.T) {
 		"Xeon-E5462": 0.158, "Opteron-8347": 0.0618, "Xeon-4870": 0.307,
 	}
 	for i, spec := range server.All() {
-		g, err := Green500(spec, float64(i)+10)
+		g, err := Green500Ctx(context.Background(), spec, float64(i)+10, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestOrderings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full three-server comparison")
 	}
-	c, err := Compare(server.All(), 42)
+	c, err := CompareCtx(context.Background(), server.All(), 42, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestTablesRender(t *testing.T) {
 	if len(t3.Rows) != 3 {
 		t.Errorf("Table III rows = %d", len(t3.Rows))
 	}
-	ev, err := Evaluate(server.XeonE5462(), 2)
+	ev, err := EvaluateCtx(context.Background(), server.XeonE5462(), 2, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +627,7 @@ func TestParallelEvaluations(t *testing.T) {
 				done <- err
 				return
 			}
-			_, err = Evaluate(spec, seed)
+			_, err = EvaluateCtx(context.Background(), spec, seed, EvalOptions{})
 			done <- err
 		}(float64(i), name)
 	}

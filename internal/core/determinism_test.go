@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,13 +24,13 @@ var determinismJobCounts = []int{1, 2, 8}
 // TestEvaluateDeterministicAcrossJobs: five-state evaluations, per server.
 func TestEvaluateDeterministicAcrossJobs(t *testing.T) {
 	for _, spec := range server.All() {
-		baseline, err := EvaluateWithPool(spec, 1, nil, nil)
+		baseline, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", spec.Name, err)
 		}
 		baseTable := EvaluationTable(baseline, "golden").TSV()
 		for _, jobs := range determinismJobCounts {
-			got, err := EvaluateWithPool(spec, 1, nil, sched.New(jobs, nil))
+			got, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{Pool: sched.New(jobs, nil)})
 			if err != nil {
 				t.Fatalf("%s jobs=%d: %v", spec.Name, jobs, err)
 			}
@@ -50,12 +51,12 @@ func TestCompareDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full three-server comparison per job count")
 	}
-	baseline, err := CompareWithPool(server.All(), 42, nil, nil)
+	baseline, err := CompareCtx(context.Background(), server.All(), 42, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range determinismJobCounts {
-		got, err := CompareWithPool(server.All(), 42, nil, sched.New(jobs, nil))
+		got, err := CompareCtx(context.Background(), server.All(), 42, EvalOptions{Pool: sched.New(jobs, nil)})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -98,12 +99,12 @@ func TestTrainingDeterministicAcrossJobs(t *testing.T) {
 // scheduling-independent (it dispatches through the pool for telemetry).
 func TestGreen500DeterministicAcrossJobs(t *testing.T) {
 	spec := server.Xeon4870()
-	baseline, err := Green500WithPool(spec, 10, nil, nil)
+	baseline, err := Green500Ctx(context.Background(), spec, 10, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range determinismJobCounts {
-		got, err := Green500WithPool(spec, 10, nil, sched.New(jobs, nil))
+		got, err := Green500Ctx(context.Background(), spec, 10, EvalOptions{Pool: sched.New(jobs, nil)})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

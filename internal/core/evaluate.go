@@ -5,19 +5,25 @@
 // the PPW score, the Green500 and SPECpower comparison evaluators — and the
 // power-regression model of §VI (HPCC training, forward-stepwise fit, NPB
 // verification).
+//
+// Each evaluation method has one entry point and one body — EvaluateCtx,
+// Green500Ctx and CompareCtx — configured by EvalOptions: telemetry, a
+// scheduler pool, a flight recorder, and a fault profile whose activation
+// hardens the same pipeline (quality.go).
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
+	"powerbench/internal/fault"
 	"powerbench/internal/flight"
 	"powerbench/internal/hpl"
 	"powerbench/internal/meter"
 	"powerbench/internal/npb"
 	"powerbench/internal/obs"
-	"powerbench/internal/sched"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/ssj"
@@ -136,52 +142,49 @@ func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 	return models, nil
 }
 
-// Evaluate runs the complete method on a server: execute the plan on the
-// simulation engine (meter logging throughout), run the analysis pipeline
-// per program, and compute the PPW score.
-func Evaluate(spec *server.Spec, seed float64) (*Evaluation, error) {
-	return EvaluateWithObs(spec, seed, nil)
-}
-
 // trimmedCount returns how many samples the paper's 10% head/tail trim
 // drops from a window of n samples (both ends together).
 func trimmedCount(n int) int {
 	return 2 * stats.TrimCount(n, TrimFrac)
 }
 
-// EvaluateWithObs is Evaluate with telemetry: a span per evaluation and one
-// per Table III state window (on the virtual clock), plus counters for the
-// samples the analysis trim drops. A nil Obs makes it identical to Evaluate.
-func EvaluateWithObs(spec *server.Spec, seed float64, o *obs.Obs) (*Evaluation, error) {
-	return EvaluateWithPool(spec, seed, o, nil)
-}
-
-// EvaluateWithPool is the scheduled form of the method: the plan's states
-// are independent programs (Table III), so they fan out on the pool's
-// workers, each on an engine forked by state identity, and the merged log
-// is reassembled in canonical order — the evaluation is byte-identical at
-// every worker count (a nil pool runs sequentially). The analysis pipeline
-// over the merged log stays sequential; it is a trivial fraction of the
-// work.
-func EvaluateWithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*Evaluation, error) {
-	return evaluateCleanCtx(context.Background(), spec, seed, EvalOptions{Obs: o, Pool: p})
-}
-
-// evaluateCleanCtx is the clean-path evaluation body shared by
-// EvaluateWithPool and EvaluateCtx; ctx cancellation stops the dispatch of
-// pending plan states and fails the evaluation. Only opts.Obs, opts.Pool and
-// opts.Flight participate here — the fault machinery belongs to
-// evaluateFaultCtx.
-func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
+// EvaluateCtx runs the complete method on a server: execute the Table III
+// plan on the simulation engine (meter logging throughout), run the
+// analysis pipeline per program — window, trim, average — and compute the
+// PPW score, with optional telemetry, scheduling and fault injection.
+//
+// The plan's states are independent programs, so they fan out on the
+// pool's workers, each on an engine forked by state identity, and the
+// merged log is reassembled in canonical order: the evaluation is
+// byte-identical at every worker count (a nil pool runs sequentially). A
+// cancelled ctx stops the dispatch of pending states; runs already
+// executing finish, since the simulation kernels have no preemption points.
+//
+// With an inactive fault profile the run is pristine: one attempt per
+// state, no trace repair, and the first failed state fails the evaluation.
+// An active profile hardens the same pipeline (DESIGN.md §8):
+// identity-seeded fault injection, a bounded retry budget per state, a
+// meter.Repair pass per window, and graceful degradation — failed states
+// leave the table and are recorded on Quality, and the evaluation fails
+// only when every state fails.
+func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	o, p := opts.Obs, opts.Pool
+	hardened := opts.Fault.Active()
 	sp := o.Span("evaluate "+spec.Name, "evaluate").Arg("seed", seed).Arg("jobs", p.Workers())
 	defer sp.End()
 	// The request-trace span carries only identity attrs (never the worker
 	// count): its subtree must be byte-identical at any -jobs value.
-	tr := tracectx.FromContext(ctx).Child("evaluate "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "evaluate "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
-	o.Infof("evaluating %s (seed %g, %d jobs)", spec.Name, seed, p.Workers())
+	if hardened {
+		o.Infof("evaluating %s (seed %g, %d jobs, fault profile %s)", spec.Name, seed, p.Workers(), opts.Fault.Name)
+	} else {
+		o.Infof("evaluating %s (seed %g, %d jobs)", spec.Name, seed, p.Workers())
+	}
 
 	models, err := PlanStates(spec)
 	if err != nil {
@@ -189,25 +192,53 @@ func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
-	results, merged, err := engine.RunPlanCtx(ctx, models, 30, p)
-	if err != nil {
-		return nil, err
-	}
+	runLedger := opts.arm(engine, seed, "fault")
+	results, merged, reports := engine.RunPlan(ctx, models, 30, p)
+	opts.Ledger.AddAll(runLedger)
 
 	ev := &Evaluation{Server: spec.Name}
+	for i, rep := range reports {
+		// A pristine run fails fast on its first failed state.
+		if rep.Err != nil && !hardened {
+			return nil, fmt.Errorf("sim: running %s: %w", models[i].Name, rep.Err)
+		}
+		ev.Quality.addReport(models[i].Name, rep)
+	}
+
 	var sumG, sumW, sumPPW float64
 	var phases []flight.Phase
 	var runEnergy flight.Energy
 	analysis := sp.Child("analysis")
 	tanalysis := tr.Child("analysis")
-	for _, r := range results {
+	for i, r := range results {
+		if reports[i].Err != nil {
+			continue
+		}
 		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
 		tstate := tanalysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
 		window := meter.Window(merged, r.Start, r.End)
+		// Repair only runs hardened: it also clips the ramp transients of
+		// clean data, so a pristine window is analyzed as recorded.
+		var rep meter.RepairReport
+		if hardened {
+			window, rep = meter.Repair(window, meter.RepairOpts{
+				Start: r.Start, End: r.End, IntervalSec: engine.Meter.IntervalSec,
+			})
+			// The repair span exists for every state of a hardened run, even
+			// with zero actions: the trace shows the pass happened.
+			tstate.Child("repair").
+				Attr("invalid", rep.Invalid).Attr("duplicates", rep.Duplicates).
+				Attr("spikes_clipped", rep.SpikesClipped).Attr("gap_filled", rep.GapSamplesFilled).
+				End()
+			ev.Quality.addRepair(rep)
+		}
 		dropped := trimmedCount(len(window))
 		o.Counter("core_window_samples_total").Add(int64(len(window)))
+		if hardened {
+			o.Counter("core_repair_actions_total").Add(int64(rep.Total()))
+		}
 		o.Counter("core_trim_dropped_samples_total").Add(int64(dropped))
-		watts := AveragePower(merged, r.Start, r.End)
+		watts := meter.TrimmedMeanWatts(window, TrimFrac)
 		row := Row{
 			Program:     r.Model.Name,
 			GFLOPS:      r.Model.GFLOPS,
@@ -221,35 +252,40 @@ func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 		sumW += row.Watts
 		sumPPW += row.PPW
 		if opts.Flight != nil {
+			// Attribution runs on the analyzed (possibly repaired) window:
+			// the record describes the trace the analysis consumed.
 			ph := flightPhase(spec, r, window, watts, dropped)
 			emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
 			runEnergy.Add(ph.Energy)
 			phases = append(phases, ph)
 		}
-		state.Arg("watts", watts).Arg("samples", len(window)).Arg("trim_dropped", dropped).End()
-		tstate.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
-		o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
-			r.Model.Name, watts, len(window), dropped)
+		if hardened {
+			state.Arg("watts", watts).Arg("repairs", rep.Total()).End()
+			tstate.Attr("watts", watts).Attr("repairs", rep.Total()).End()
+		} else {
+			state.Arg("watts", watts).Arg("samples", len(window)).Arg("trim_dropped", dropped).End()
+			tstate.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
+			o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
+				r.Model.Name, watts, len(window), dropped)
+		}
 	}
 	analysis.End()
 	tanalysis.End()
+	if len(ev.Rows) == 0 {
+		return nil, fmt.Errorf("core: evaluating %s: all %d plan states failed", spec.Name, len(models))
+	}
 	n := float64(len(ev.Rows))
 	ev.AvgGFLOPS = sumG / n
 	ev.AvgWatts = sumW / n
 	ev.Score = sumPPW / n
-	if opts.Flight != nil {
-		opts.Flight.Add(flight.Record{
-			Method: "evaluate", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "evaluate"}),
-			FaultProfile: "none",
-			Score:        ev.Score,
-			Phases:       phases,
-			Energy:       runEnergy,
-			Sched:        flight.SchedStats{States: len(models), Completed: len(ev.Rows)},
-		})
-	}
+	opts.record("evaluate", spec, seed, ev.Score, len(models), phases, runEnergy, &ev.Quality, runLedger)
 	o.Gauge("core_score", obs.L("server", spec.Name)).Set(ev.Score)
-	o.Infof("evaluated %s: score %.4f over %d states", spec.Name, ev.Score, len(ev.Rows))
+	if hardened {
+		o.Infof("evaluated %s: score %.4f over %d/%d states (%s)",
+			spec.Name, ev.Score, len(ev.Rows), len(models), ev.Quality.Summary())
+	} else {
+		o.Infof("evaluated %s: score %.4f over %d states", spec.Name, ev.Score, len(ev.Rows))
+	}
 	return ev, nil
 }
 
@@ -273,70 +309,72 @@ type Green500Result struct {
 	Quality Quality
 }
 
-// Green500 runs the Green500 procedure on a server: launch the meter, run
-// HPL configured for peak performance (full cores, full memory), and
+// Green500Ctx runs the Green500 procedure on a server: launch the meter,
+// run HPL configured for peak performance (full cores, full memory), and
 // divide Rmax by the average power, ignoring the first and last samples.
-func Green500(spec *server.Spec, seed float64) (*Green500Result, error) {
-	return Green500WithObs(spec, seed, nil)
-}
-
-// Green500WithObs is Green500 with a span around the Rmax run.
-func Green500WithObs(spec *server.Spec, seed float64, o *obs.Obs) (*Green500Result, error) {
-	return Green500WithPool(spec, seed, o, nil)
-}
-
-// Green500WithPool runs the single Rmax measurement as a scheduler job, so
-// a comparison's Green500 legs queue alongside its evaluation states and
-// show up in the pool's telemetry. One run has nothing to parallelize; the
-// pool only provides dispatch and accounting.
-func Green500WithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*Green500Result, error) {
-	return green500CleanCtx(context.Background(), spec, seed, EvalOptions{Obs: o, Pool: p})
-}
-
-// green500CleanCtx is the clean-path Green500 body shared by
-// Green500WithPool and Green500Ctx.
-func green500CleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
+// The single Rmax run is a scheduler job, so a comparison's Green500 legs
+// queue alongside its evaluation states and show up in the pool's
+// telemetry. Under an active fault profile the run gets the retry budget
+// and its trace the repair pass, with the outcome recorded on Quality.
+func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	o, p := opts.Obs, opts.Pool
+	hardened := opts.Fault.Active()
 	sp := o.Span("green500 "+spec.Name, "evaluate")
 	defer sp.End()
-	tr := tracectx.FromContext(ctx).Child("green500 "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "green500 "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
-	m, err := hpl.NewModel(spec, hpl.Options{Procs: spec.Cores, MemFrac: 0.95})
+	m, err := hplPeak(spec)
 	if err != nil {
 		return nil, err
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
+	runLedger := opts.arm(engine, seed, "g500fault")
+
 	var run sim.RunResult
-	err = p.RunTracedCtx(ctx, "green500", 1, func(jctx context.Context, _ int) error {
-		var err error
-		run, err = engine.RunCtx(jctx, m, 0)
-		return err
+	reports := p.RunRetryAllTracedCtx(ctx, "green500", 1, engine.Retry, func(jctx context.Context, _, attempt int) error {
+		eng := engine
+		if hardened {
+			// Each attempt draws its own identity-seeded fault fate.
+			eng = engine.Fork("green500", strconv.Itoa(attempt))
+			if eng.Fault.RunFails(attempt) {
+				return fault.ErrTransient
+			}
+		}
+		r, err := eng.RunCtx(jctx, m, 0)
+		if err != nil {
+			return err
+		}
+		run = r
+		return nil
 	})
-	if err != nil {
-		return nil, err
+	opts.Ledger.AddAll(runLedger)
+	if err := reports[0].Err; err != nil {
+		if !hardened {
+			return nil, err
+		}
+		return nil, fmt.Errorf("core: green500 on %s: %w", spec.Name, err)
 	}
-	watts := AveragePower(run.PowerLog, run.Start, run.End)
-	res := &Green500Result{
-		Server:   spec.Name,
-		Rmax:     m.GFLOPS,
-		AvgWatts: watts,
-		PPW:      workload.PPW(m.GFLOPS, watts),
-	}
-	if opts.Flight != nil {
-		window := meter.Window(run.PowerLog, run.Start, run.End)
-		ph := flightPhase(spec, run, window, watts, trimmedCount(len(window)))
-		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
-		opts.Flight.Add(flight.Record{
-			Method: "green500", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "green500"}),
-			FaultProfile: "none",
-			Score:        res.PPW,
-			Phases:       []flight.Phase{ph},
-			Energy:       ph.Energy,
-			Sched:        flight.SchedStats{States: 1, Completed: 1},
+	res := &Green500Result{Server: spec.Name, Rmax: m.GFLOPS}
+	res.Quality.addReport("green500", reports[0])
+	window := meter.Window(run.PowerLog, run.Start, run.End)
+	if hardened {
+		var rep meter.RepairReport
+		window, rep = meter.Repair(run.PowerLog, meter.RepairOpts{
+			Start: run.Start, End: run.End, IntervalSec: engine.Meter.IntervalSec,
 		})
+		res.Quality.addRepair(rep)
+	}
+	res.AvgWatts = meter.TrimmedMeanWatts(window, TrimFrac)
+	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
+	if opts.Flight != nil {
+		ph := flightPhase(spec, run, window, res.AvgWatts, trimmedCount(len(window)))
+		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
+		opts.record("green500", spec, seed, res.PPW, 1, []flight.Phase{ph}, ph.Energy, &res.Quality, runLedger)
 	}
 	return res, nil
 }
@@ -353,37 +391,28 @@ type Comparison struct {
 	Quality []Quality
 }
 
-// Compare evaluates every server under all three methods.
-func Compare(specs []*server.Spec, seed float64) (*Comparison, error) {
-	return CompareWithObs(specs, seed, nil)
-}
-
-// CompareWithObs is Compare with a span per server and per method.
-func CompareWithObs(specs []*server.Spec, seed float64, o *obs.Obs) (*Comparison, error) {
-	return CompareWithPool(specs, seed, o, nil)
-}
-
-// CompareWithPool fans the comparison out across servers × states: each
-// server is one scheduler job whose evaluation leg nests a further
-// fan-out of its Table III states on the same pool. Per-server seeds
-// (seed+i, and +0.5 for the Green500 leg) are assigned by canonical
-// server index before dispatch, and the score columns are assembled in
-// input order after the barrier, so the comparison is byte-identical at
-// every worker count.
-func CompareWithPool(specs []*server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*Comparison, error) {
-	return compareCleanCtx(context.Background(), specs, seed, EvalOptions{Obs: o, Pool: p})
-}
-
-// compareCleanCtx is the clean-path comparison body shared by
-// CompareWithPool and CompareCtx. A comparison emits no record of its own:
-// its evaluate and Green500 legs each append theirs (per-leg seeds and
-// canonical keys), so a compare flight file reads as the set of runs it
-// actually performed.
-func compareCleanCtx(ctx context.Context, specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
+// CompareCtx evaluates every server under all three methods (§V-C3). The
+// comparison fans out across servers × states: each server is one
+// scheduler job whose evaluation leg nests a further fan-out of its Table
+// III states on the same pool. Per-server seeds (seed+i, and +0.5 for the
+// Green500 leg) are assigned by canonical server index before dispatch,
+// and the score columns are assembled in input order after the barrier, so
+// the comparison is byte-identical at every worker count. All legs share
+// ctx, so one cancellation drains the whole comparison. Under an active
+// fault profile each leg runs hardened and the per-server Quality records
+// are collected on the comparison (aligned with Servers).
+//
+// A comparison emits no flight record of its own: its evaluate and
+// Green500 legs each append theirs (per-leg seeds and canonical keys), so a
+// compare flight file reads as the set of runs it actually performed.
+func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	o, p := opts.Obs, opts.Pool
 	cmpSpan := o.Span("compare", "evaluate").Arg("servers", len(specs)).Arg("jobs", p.Workers())
 	defer cmpSpan.End()
-	tr := tracectx.FromContext(ctx).Child("compare").Attr("servers", len(specs)).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "compare").Attr("servers", len(specs)).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
 	type leg struct {
@@ -395,11 +424,11 @@ func compareCleanCtx(ctx context.Context, specs []*server.Spec, seed float64, op
 	err := p.RunTracedCtx(ctx, "compare", len(specs), func(jctx context.Context, i int) error {
 		spec := specs[i]
 		o.Infof("comparing methods on %s", spec.Name)
-		ev, err := evaluateCleanCtx(jctx, spec, seed+float64(i), opts)
+		ev, err := EvaluateCtx(jctx, spec, seed+float64(i), opts)
 		if err != nil {
 			return fmt.Errorf("core: evaluating %s: %w", spec.Name, err)
 		}
-		g, err := green500CleanCtx(jctx, spec, seed+float64(i)+0.5, opts)
+		g, err := Green500Ctx(jctx, spec, seed+float64(i)+0.5, opts)
 		if err != nil {
 			return err
 		}
@@ -423,6 +452,13 @@ func compareCleanCtx(ctx context.Context, specs []*server.Spec, seed float64, op
 		c.Ours = append(c.Ours, legs[i].ev.Score)
 		c.Green500 = append(c.Green500, legs[i].g.PPW)
 		c.SPECpower = append(c.SPECpower, legs[i].ssj)
+		if opts.Fault.Active() {
+			q := legs[i].ev.Quality
+			q.RunsRetried += legs[i].g.Quality.RunsRetried
+			q.RunsFailed += legs[i].g.Quality.RunsFailed
+			q.addRepairTotals(legs[i].g.Quality)
+			c.Quality = append(c.Quality, q)
+		}
 	}
 	return c, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -299,11 +300,11 @@ func TestSessionFrom(t *testing.T) {
 // full-memory HPL row (same workload, same pipeline).
 func TestGreen500MatchesEvaluationRow(t *testing.T) {
 	spec := server.XeonE5462()
-	ev, err := Evaluate(spec, 4)
+	ev, err := EvaluateCtx(context.Background(), spec, 4, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Green500(spec, 4)
+	g, err := Green500Ctx(context.Background(), spec, 4, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

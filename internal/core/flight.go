@@ -1,6 +1,7 @@
 package core
 
 import (
+	"powerbench/internal/fault"
 	"powerbench/internal/flight"
 	"powerbench/internal/meter"
 	"powerbench/internal/obs"
@@ -90,6 +91,31 @@ func (q *Quality) flightStats() flight.QualityStats {
 		RunsRetried:       q.RunsRetried,
 		RunsFailed:        q.RunsFailed,
 	}
+}
+
+// record appends one run's flight record to o.Flight, keyed by the run's
+// CanonicalHash: its phases and energy, the scheduler outcome (states
+// planned, one completed per phase), the quality annotations and the
+// injected-fault counts. Nil o.Flight skips it.
+func (o EvalOptions) record(method string, spec *server.Spec, seed, score float64, states int, phases []flight.Phase, energy flight.Energy, q *Quality, faults *fault.Ledger) {
+	if o.Flight == nil {
+		return
+	}
+	o.Flight.Add(flight.Record{
+		Method: method, Server: spec.Name, Seed: seed,
+		Key:          CanonicalHash(spec, seed, HashOpts{Method: method, FaultProfile: o.profileName()}),
+		FaultProfile: o.profileName(),
+		Score:        score,
+		Phases:       phases,
+		Energy:       energy,
+		Sched: flight.SchedStats{
+			States: states, Completed: len(phases),
+			Retried: q.RunsRetried, Failed: q.RunsFailed,
+		},
+		Faults:  faults.Map(),
+		Quality: q.flightStats(),
+		Notes:   q.Notes,
+	})
 }
 
 // profileName renders the fault-profile identity a record carries ("none"

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"powerbench/internal/fault"
@@ -19,7 +20,7 @@ func TestFlightDeterministicAcrossJobs(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		rec := flight.NewRecorder(0)
 		pool := sched.New(jobs, nil)
-		if _, err := CompareOpts(server.All(), 42, EvalOptions{Pool: pool, Flight: rec}); err != nil {
+		if _, err := CompareCtx(context.Background(), server.All(), 42, EvalOptions{Pool: pool, Flight: rec}); err != nil {
 			t.Fatalf("jobs %d: %v", jobs, err)
 		}
 		if rec.Dropped() != 0 {
@@ -67,7 +68,7 @@ func TestFlightFaultDeterministicAcrossJobs(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		rec := flight.NewRecorder(0)
 		ledger := fault.NewLedger()
-		_, err := EvaluateOpts(spec, 7, EvalOptions{
+		_, err := EvaluateCtx(context.Background(), spec, 7, EvalOptions{
 			Pool: sched.New(jobs, nil), Fault: fault.Heavy(), Ledger: ledger, Flight: rec,
 		})
 		if err != nil {
@@ -113,7 +114,7 @@ func TestFlightFaultDeterministicAcrossJobs(t *testing.T) {
 func TestFlightRecordContent(t *testing.T) {
 	spec := server.XeonE5462()
 	rec := flight.NewRecorder(0)
-	ev, err := EvaluateOpts(spec, 3, EvalOptions{Flight: rec})
+	ev, err := EvaluateCtx(context.Background(), spec, 3, EvalOptions{Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestFlightRecordContent(t *testing.T) {
 func TestFlightEnergyMetrics(t *testing.T) {
 	o := obs.New()
 	rec := flight.NewRecorder(0)
-	if _, err := EvaluateOpts(server.XeonE5462(), 3, EvalOptions{Obs: o, Flight: rec}); err != nil {
+	if _, err := EvaluateCtx(context.Background(), server.XeonE5462(), 3, EvalOptions{Obs: o, Flight: rec}); err != nil {
 		t.Fatal(err)
 	}
 	for _, component := range []string{"total", "idle", "cpu", "memory", "other"} {
@@ -180,7 +181,7 @@ func TestFlightDiffAcrossSeeds(t *testing.T) {
 	var sets [][]flight.Record
 	for _, seed := range []float64{1, 2} {
 		rec := flight.NewRecorder(0)
-		if _, err := EvaluateOpts(spec, seed, EvalOptions{Flight: rec}); err != nil {
+		if _, err := EvaluateCtx(context.Background(), spec, seed, EvalOptions{Flight: rec}); err != nil {
 			t.Fatal(err)
 		}
 		sets = append(sets, rec.Records())

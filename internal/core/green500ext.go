@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"powerbench/internal/hpl"
 	"powerbench/internal/meter"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
@@ -31,9 +30,9 @@ const (
 )
 
 // Green500AtLevel runs the Green500 procedure with the chosen measurement
-// level. Green500 (evaluate.go) is equivalent to Level2.
+// level. Green500Ctx (evaluate.go) is equivalent to Level2.
 func Green500AtLevel(spec *server.Spec, seed float64, level MeasurementLevel) (*Green500Result, error) {
-	m, err := hpl.NewModel(spec, hpl.Options{Procs: spec.Cores, MemFrac: 0.95})
+	m, err := hplPeak(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -118,14 +118,7 @@ func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, e
 // normalize to unify dimensions, and fit the power regression by forward
 // stepwise selection.
 func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
-	return TrainPowerModelWithObs(spec, seed, nil)
-}
-
-// TrainPowerModelWithObs is TrainPowerModel with telemetry: a span per
-// training program, an observation counter, and a span around the stepwise
-// fit. A nil Obs makes it identical to TrainPowerModel.
-func TrainPowerModelWithObs(spec *server.Spec, seed float64, o *obs.Obs) (*TrainingResult, error) {
-	return TrainPowerModelWithPool(spec, seed, o, nil)
+	return TrainPowerModelWithPool(spec, seed, nil, nil)
 }
 
 // TrainPowerModelWithPool is the scheduled form of the training sweep. The

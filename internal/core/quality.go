@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"powerbench/internal/fault"
@@ -14,23 +13,21 @@ import (
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
-	"powerbench/internal/ssj"
-	"powerbench/internal/stats"
 	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
 
 // This file is the graceful-degradation layer of the evaluation pipeline
-// (DESIGN.md §8): the *Opts entry points run the same method as their
-// unhardened counterparts, but when a fault profile is active they route
-// every program window through meter.Repair, give every run a bounded
-// retry budget, survive permanently failed states by reporting them, and
-// thread the resulting Quality annotations into the tables. With an
-// inactive (nil) profile every *Opts function delegates verbatim to the
-// clean path, so pristine runs remain byte-identical.
+// (DESIGN.md §8). EvaluateCtx, Green500Ctx and CompareCtx each run one
+// body; an active fault profile arms it — identity-seeded fault injection,
+// a bounded retry budget per run, a meter.Repair pass per program window,
+// and partial results that report failed states — and the Quality
+// annotations defined here carry the outcome into the tables. An inactive
+// profile arms nothing, so pristine runs stay byte-identical.
 
 // EvalOptions bundles the optional machinery of an evaluation: telemetry,
-// scheduling, and fault injection. The zero value reproduces Evaluate.
+// scheduling, and fault injection. The zero value is the pristine,
+// sequential, untraced method.
 type EvalOptions struct {
 	Obs  *obs.Obs
 	Pool *sched.Pool
@@ -41,9 +38,6 @@ type EvalOptions struct {
 	// one. Chaos tests pass a shared ledger and reconcile it against the
 	// Quality annotations.
 	Ledger *fault.Ledger
-	// Retry overrides the per-run attempt budget under an active profile.
-	// The zero value selects 3 attempts with 1 ms backoff.
-	Retry sched.Retry
 	// Flight, when non-nil, receives one flight record per evaluation run
 	// (and one per leg of a comparison): phase windows, energy attribution,
 	// PMU deltas, fault counts and quality annotations, keyed by the run's
@@ -51,11 +45,32 @@ type EvalOptions struct {
 	Flight *flight.Recorder
 }
 
-func (o EvalOptions) retry() sched.Retry {
-	if o.Retry.Attempts > 0 {
-		return o.Retry
+// hardenedRetry is the per-run attempt budget under an active profile.
+var hardenedRetry = sched.Retry{Attempts: 3, Backoff: time.Millisecond}
+
+// arm hardens engine for an active fault profile: an injector seeded by
+// (seed, server, stream) that counts into a private per-run ledger, and the
+// retry budget. The ledger's counts are a pure function of the run's
+// identity, so flight records stay deterministic; callers merge it into
+// o.Ledger. An inactive profile leaves the engine pristine and returns nil.
+func (o EvalOptions) arm(engine *sim.Engine, seed float64, stream string) *fault.Ledger {
+	if !o.Fault.Active() {
+		return nil
 	}
-	return sched.Retry{Attempts: 3, Backoff: time.Millisecond}
+	led := fault.NewLedger()
+	engine.Fault = fault.New(o.Fault, sched.DeriveSeed(seed, engine.Server.Name, stream), led)
+	engine.Retry = hardenedRetry
+	return led
+}
+
+// traceSpan opens a method's request-trace span under the span ctx
+// carries; a hardened run names its fault profile on it.
+func (o EvalOptions) traceSpan(ctx context.Context, name string) *tracectx.Span {
+	tr := tracectx.FromContext(ctx).Child(name)
+	if o.Fault.Active() {
+		tr.Attr("fault_profile", o.Fault.Name)
+	}
+	return tr
 }
 
 // Quality annotates an evaluation with the data repairs and degradations
@@ -106,21 +121,19 @@ func (q *Quality) addRepair(rep meter.RepairReport) {
 	q.GapSamplesFilled += rep.GapSamplesFilled
 }
 
-// addReports accounts every scheduler job report: extra attempts become
-// RunsRetried, exhausted budgets become RunsFailed with a named state and
-// a note. names[i] labels job i.
-func (q *Quality) addReports(names []string, reports []sched.JobReport) {
-	for i, rep := range reports {
-		if rep.Attempts > 1 {
-			q.RunsRetried += rep.Attempts - 1
-		}
-		if rep.Err != nil {
-			q.RunsFailed++
-			q.FailedStates = append(q.FailedStates, names[i])
-			q.Notes = append(q.Notes, fmt.Sprintf("state %s failed after %d attempts: %v", names[i], rep.Attempts, rep.Err))
-		} else if rep.Attempts > 1 {
-			q.Notes = append(q.Notes, fmt.Sprintf("state %s needed %d attempts", names[i], rep.Attempts))
-		}
+// addReport accounts one scheduler job report: extra attempts become
+// RunsRetried, an exhausted budget becomes RunsFailed with the named state
+// and a note.
+func (q *Quality) addReport(name string, rep sched.JobReport) {
+	if rep.Attempts > 1 {
+		q.RunsRetried += rep.Attempts - 1
+	}
+	if rep.Err != nil {
+		q.RunsFailed++
+		q.FailedStates = append(q.FailedStates, name)
+		q.Notes = append(q.Notes, fmt.Sprintf("state %s failed after %d attempts: %v", name, rep.Attempts, rep.Err))
+	} else if rep.Attempts > 1 {
+		q.Notes = append(q.Notes, fmt.Sprintf("state %s needed %d attempts", name, rep.Attempts))
 	}
 }
 
@@ -132,266 +145,6 @@ func (q *Quality) notes() []string {
 	out := []string{q.Summary()}
 	out = append(out, q.Notes...)
 	return out
-}
-
-// EvaluateOpts is Evaluate with optional telemetry, scheduling and fault
-// injection. With an inactive fault profile it is EvaluateWithPool — same
-// bytes, same errors. With an active profile it runs the hardened pipeline:
-// identity-seeded fault injection, bounded per-run retries, per-window
-// trace repair, and graceful degradation with Quality annotations. It
-// fails only when every plan state fails.
-func EvaluateOpts(spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
-	return EvaluateCtx(context.Background(), spec, seed, opts)
-}
-
-// evaluateFaultCtx is the hardened evaluation body shared by EvaluateOpts
-// and EvaluateCtx when a fault profile is active.
-func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
-	o, p := opts.Obs, opts.Pool
-	sp := o.Span("evaluate "+spec.Name, "evaluate").Arg("seed", seed).Arg("jobs", p.Workers())
-	defer sp.End()
-	tr := tracectx.FromContext(ctx).Child("evaluate "+spec.Name).
-		Attr("server", spec.Name).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
-	defer tr.End()
-	ctx = tracectx.ContextWith(ctx, tr)
-	o.Infof("evaluating %s (seed %g, %d jobs, fault profile %s)", spec.Name, seed, p.Workers(), opts.Fault.Name)
-
-	models, err := PlanStates(spec)
-	if err != nil {
-		return nil, err
-	}
-	engine := sim.New(spec, seed)
-	engine.Obs = o
-	// Injected faults land in a private per-run ledger first: its counts are
-	// a pure function of this evaluation's identity, so the flight record
-	// stays deterministic, and the caller's shared ledger receives the same
-	// totals by merge.
-	runLedger := fault.NewLedger()
-	engine.Fault = fault.New(opts.Fault, sched.DeriveSeed(seed, spec.Name, "fault"), runLedger)
-	engine.Retry = opts.retry()
-	results, merged, reports := engine.RunPlanPartialCtx(ctx, models, 30, p)
-	opts.Ledger.AddAll(runLedger)
-
-	ev := &Evaluation{Server: spec.Name}
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	ev.Quality.addReports(names, reports)
-
-	var sumG, sumW, sumPPW float64
-	var phases []flight.Phase
-	var runEnergy flight.Energy
-	analysis := sp.Child("analysis")
-	tanalysis := tr.Child("analysis")
-	for i, r := range results {
-		if reports[i].Err != nil {
-			continue
-		}
-		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		tstate := tanalysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		window := meter.Window(merged, r.Start, r.End)
-		repaired, rep := meter.Repair(window, meter.RepairOpts{
-			Start: r.Start, End: r.End, IntervalSec: engine.Meter.IntervalSec,
-		})
-		// The repair span exists for every state of a hardened run, even with
-		// zero actions: the trace shows the pass happened.
-		tstate.Child("repair").
-			Attr("invalid", rep.Invalid).Attr("duplicates", rep.Duplicates).
-			Attr("spikes_clipped", rep.SpikesClipped).Attr("gap_filled", rep.GapSamplesFilled).
-			End()
-		ev.Quality.addRepair(rep)
-		o.Counter("core_window_samples_total").Add(int64(len(repaired)))
-		o.Counter("core_repair_actions_total").Add(int64(rep.Total()))
-		o.Counter("core_trim_dropped_samples_total").Add(int64(trimmedCount(len(repaired))))
-		watts := stats.TrimmedMean(meter.Watts(repaired), TrimFrac)
-		row := Row{
-			Program:     r.Model.Name,
-			GFLOPS:      r.Model.GFLOPS,
-			Watts:       watts,
-			PPW:         workload.PPW(r.Model.GFLOPS, watts),
-			MemoryBytes: r.Model.MemoryBytes,
-			DurationSec: r.Model.DurationSec,
-		}
-		ev.Rows = append(ev.Rows, row)
-		sumG += row.GFLOPS
-		sumW += row.Watts
-		sumPPW += row.PPW
-		if opts.Flight != nil {
-			// Attribution runs on the repaired window: the record describes
-			// the trace the analysis actually consumed.
-			ph := flightPhase(spec, r, repaired, watts, trimmedCount(len(repaired)))
-			emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
-			runEnergy.Add(ph.Energy)
-			phases = append(phases, ph)
-		}
-		state.Arg("watts", watts).Arg("repairs", rep.Total()).End()
-		tstate.Attr("watts", watts).Attr("repairs", rep.Total()).End()
-	}
-	analysis.End()
-	tanalysis.End()
-	if len(ev.Rows) == 0 {
-		return nil, fmt.Errorf("core: evaluating %s: all %d plan states failed", spec.Name, len(models))
-	}
-	n := float64(len(ev.Rows))
-	ev.AvgGFLOPS = sumG / n
-	ev.AvgWatts = sumW / n
-	ev.Score = sumPPW / n
-	if opts.Flight != nil {
-		opts.Flight.Add(flight.Record{
-			Method: "evaluate", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "evaluate", FaultProfile: opts.Fault.Name}),
-			FaultProfile: opts.profileName(),
-			Score:        ev.Score,
-			Phases:       phases,
-			Energy:       runEnergy,
-			Sched: flight.SchedStats{
-				States: len(models), Completed: len(ev.Rows),
-				Retried: ev.Quality.RunsRetried, Failed: ev.Quality.RunsFailed,
-			},
-			Faults:  runLedger.Map(),
-			Quality: ev.Quality.flightStats(),
-			Notes:   ev.Quality.Notes,
-		})
-	}
-	o.Gauge("core_score", obs.L("server", spec.Name)).Set(ev.Score)
-	o.Infof("evaluated %s: score %.4f over %d/%d states (%s)",
-		spec.Name, ev.Score, len(ev.Rows), len(models), ev.Quality.Summary())
-	return ev, nil
-}
-
-// Green500Opts is Green500 with optional fault injection; under an active
-// profile the Rmax run gets the retry budget and its trace the repair pass,
-// with the outcome recorded on the result's Quality.
-func Green500Opts(spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
-	return Green500Ctx(context.Background(), spec, seed, opts)
-}
-
-// green500FaultCtx is the hardened Green500 body shared by Green500Opts and
-// Green500Ctx when a fault profile is active.
-func green500FaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
-	o, p := opts.Obs, opts.Pool
-	sp := o.Span("green500 "+spec.Name, "evaluate")
-	defer sp.End()
-	tr := tracectx.FromContext(ctx).Child("green500 "+spec.Name).
-		Attr("server", spec.Name).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
-	defer tr.End()
-	ctx = tracectx.ContextWith(ctx, tr)
-	m, err := hplPeak(spec)
-	if err != nil {
-		return nil, err
-	}
-	engine := sim.New(spec, seed)
-	engine.Obs = o
-	runLedger := fault.NewLedger()
-	engine.Fault = fault.New(opts.Fault, sched.DeriveSeed(seed, spec.Name, "g500fault"), runLedger)
-
-	var run sim.RunResult
-	reports := p.RunRetryAllTracedCtx(ctx, "green500", 1, opts.retry(), func(jctx context.Context, _, attempt int) error {
-		eng := engine.Fork("green500", strconv.Itoa(attempt))
-		if eng.Fault.RunFails(attempt) {
-			return fault.ErrTransient
-		}
-		r, err := eng.RunCtx(jctx, m, 0)
-		if err != nil {
-			return err
-		}
-		run = r
-		return nil
-	})
-	opts.Ledger.AddAll(runLedger)
-	res := &Green500Result{Server: spec.Name, Rmax: m.GFLOPS}
-	res.Quality.addReports([]string{"green500"}, reports)
-	if reports[0].Err != nil {
-		return nil, fmt.Errorf("core: green500 on %s: %w", spec.Name, reports[0].Err)
-	}
-	repaired, rep := meter.Repair(run.PowerLog, meter.RepairOpts{
-		Start: run.Start, End: run.End, IntervalSec: engine.Meter.IntervalSec,
-	})
-	res.Quality.addRepair(rep)
-	res.AvgWatts = stats.TrimmedMean(meter.Watts(repaired), TrimFrac)
-	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
-	if opts.Flight != nil {
-		ph := flightPhase(spec, run, repaired, res.AvgWatts, trimmedCount(len(repaired)))
-		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
-		opts.Flight.Add(flight.Record{
-			Method: "green500", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "green500", FaultProfile: opts.Fault.Name}),
-			FaultProfile: opts.profileName(),
-			Score:        res.PPW,
-			Phases:       []flight.Phase{ph},
-			Energy:       ph.Energy,
-			Sched: flight.SchedStats{
-				States: 1, Completed: 1,
-				Retried: res.Quality.RunsRetried, Failed: res.Quality.RunsFailed,
-			},
-			Faults:  runLedger.Map(),
-			Quality: res.Quality.flightStats(),
-			Notes:   res.Quality.Notes,
-		})
-	}
-	return res, nil
-}
-
-// CompareOpts is Compare with optional fault injection: each server's
-// evaluation and Green500 legs run hardened, and the per-server Quality
-// records are collected on the comparison (aligned with Servers).
-func CompareOpts(specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
-	return CompareCtx(context.Background(), specs, seed, opts)
-}
-
-// compareFaultCtx is the hardened comparison body shared by CompareOpts and
-// CompareCtx when a fault profile is active.
-func compareFaultCtx(ctx context.Context, specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
-	o, p := opts.Obs, opts.Pool
-	cmpSpan := o.Span("compare", "evaluate").Arg("servers", len(specs)).Arg("jobs", p.Workers())
-	defer cmpSpan.End()
-	tr := tracectx.FromContext(ctx).Child("compare").
-		Attr("servers", len(specs)).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
-	defer tr.End()
-	ctx = tracectx.ContextWith(ctx, tr)
-	type leg struct {
-		ev  *Evaluation
-		g   *Green500Result
-		ssj float64
-	}
-	legs := make([]leg, len(specs))
-	err := p.RunTracedCtx(ctx, "compare", len(specs), func(jctx context.Context, i int) error {
-		spec := specs[i]
-		o.Infof("comparing methods on %s", spec.Name)
-		ev, err := EvaluateCtx(jctx, spec, seed+float64(i), opts)
-		if err != nil {
-			return fmt.Errorf("core: evaluating %s: %w", spec.Name, err)
-		}
-		g, err := Green500Ctx(jctx, spec, seed+float64(i)+0.5, opts)
-		if err != nil {
-			return err
-		}
-		ssjSpan := o.Span("specpower "+spec.Name, "evaluate")
-		sp, err := ssj.Run(spec)
-		ssjSpan.End()
-		if err != nil {
-			return err
-		}
-		legs[i] = leg{ev: ev, g: g, ssj: sp.Score}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c := &Comparison{}
-	for i, spec := range specs {
-		c.Servers = append(c.Servers, spec.Name)
-		c.Ours = append(c.Ours, legs[i].ev.Score)
-		c.Green500 = append(c.Green500, legs[i].g.PPW)
-		c.SPECpower = append(c.SPECpower, legs[i].ssj)
-		q := legs[i].ev.Quality
-		q.RunsRetried += legs[i].g.Quality.RunsRetried
-		q.RunsFailed += legs[i].g.Quality.RunsFailed
-		q.addRepairTotals(legs[i].g.Quality)
-		c.Quality = append(c.Quality, q)
-	}
-	return c, nil
 }
 
 // hplPeak is the Green500 Rmax configuration: full cores, full memory.

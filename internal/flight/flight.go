@@ -1,11 +1,12 @@
 // Package flight is the pipeline's flight recorder: a durable, queryable
 // record of *where the watts went* in every evaluation run. Each
-// core.Evaluate/Green500 execution (and each leg of a Compare) appends one
-// structured record — run identity via the canonical request hash, phase
-// boundaries on the simulation clock, meter-trace summaries, PMU deltas,
-// per-phase energy attribution, fault-ledger counts, scheduler outcome
-// stats and quality annotations — into a bounded in-memory ring that can be
-// flushed to disk as JSONL and read back for inspection and diffing.
+// core.EvaluateCtx/Green500Ctx execution (and each leg of a CompareCtx)
+// appends one structured record — run identity via the canonical request
+// hash, phase boundaries on the simulation clock, meter-trace summaries,
+// PMU deltas, per-phase energy attribution, fault-ledger counts, scheduler
+// outcome stats and quality annotations — into a bounded in-memory ring
+// that can be flushed to disk as JSONL and read back for inspection and
+// diffing.
 //
 // The design follows the operational lesson of the Cray PM Database work
 // (durable, per-job power telemetry is what makes a power method usable in

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func BenchmarkColdEvaluation(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			resetColdCaches()
-			if _, err := core.Evaluate(spec, 1); err != nil {
+			if _, err := core.EvaluateCtx(context.Background(), spec, 1, core.EvalOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"powerbench/internal/fault"
@@ -33,51 +32,26 @@ func Timeline(models []workload.Model, gapSec float64) []float64 {
 }
 
 // RunPlan executes the models of a sequence on the pool's workers and
-// returns one result per model plus the merged power log of the whole
-// session, idle gaps included — the same artifacts as RunSequence, but
-// with the independent runs fanned out concurrently.
+// returns one result per model, the merged power log of the whole session
+// (idle gaps included) and one sched.JobReport per model — the artifacts of
+// RunSequence, with the independent runs fanned out concurrently.
+//
+// Runs execute with the engine's Retry budget. A run that exhausts it is
+// excluded from the merged log rather than aborting the session, and its
+// report carries the error; the idle gaps are always recorded, so the log
+// of a partial session stays on the canonical timeline. A cancelled ctx
+// stops the dispatch of pending runs (started runs finish), which report
+// sched.ErrCancelled give-ups.
 //
 // Determinism contract: every run executes on a Fork of e seeded by its
 // canonical identity (server, "run", plan index, model name) at the start
 // time Timeline assigns it, and every idle gap is recorded by a meter
-// seeded by its own identity (server, "gap", index). Results and log
+// seeded by its own identity (server, "gap", index). Per-attempt fault
+// decisions are pure functions of (identity, attempt), and results and log
 // segments are reassembled in plan order after the barrier. The output is
 // therefore byte-identical for any worker count, including a nil
 // (sequential) pool.
-func (e *Engine) RunPlan(models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, error) {
-	return e.RunPlanCtx(context.Background(), models, gapSec, pool)
-}
-
-// RunPlanCtx is RunPlan under a context: a cancelled ctx stops the
-// scheduler from dispatching the plan's pending runs (started runs finish;
-// see sched.RunRetryAllCtx) and surfaces the cancellation as the error of
-// the lowest undispatched index.
-func (e *Engine) RunPlanCtx(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, error) {
-	results, merged, reports := e.RunPlanPartialCtx(ctx, models, gapSec, pool)
-	for i, rep := range reports {
-		if rep.Err != nil {
-			return nil, nil, fmt.Errorf("sim: running %s: %w", models[i].Name, rep.Err)
-		}
-	}
-	return results, merged, nil
-}
-
-// RunPlanPartial is RunPlan's graceful-degradation form: runs execute with
-// the engine's Retry budget, failed runs are excluded from the merged log
-// instead of aborting the session, and the caller receives one
-// sched.JobReport per plan index to account for every retry and give-up.
-// The idle gaps are always recorded, so the merged log of a partial session
-// stays on the canonical timeline. Determinism is unchanged from RunPlan:
-// identity-seeded forks, canonical-order reassembly, and per-attempt fault
-// decisions that are pure functions of (identity, attempt).
-func (e *Engine) RunPlanPartial(models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
-	return e.RunPlanPartialCtx(context.Background(), models, gapSec, pool)
-}
-
-// RunPlanPartialCtx is RunPlanPartial under a context; cancellation stops
-// pending dispatch exactly as in RunPlanCtx, and undispatched runs appear
-// in the reports as sched.ErrCancelled give-ups.
-func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
+func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
 	starts := Timeline(models, gapSec)
 	sp := e.Obs.Span("plan", "run").Arg("models", len(models)).Arg("jobs", pool.Workers())
 	defer sp.End()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -69,16 +70,16 @@ func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
 	base := New(spec, 7)
-	wantResults, wantMerged, err := base.RunPlan(models, 30, nil)
-	if err != nil {
+	wantResults, wantMerged, reports := base.RunPlan(context.Background(), models, 30, nil)
+	if err := firstErr(reports); err != nil {
 		t.Fatal(err)
 	}
 	if len(wantResults) != len(models) || len(wantMerged) == 0 {
 		t.Fatalf("baseline shape: %d results, %d merged samples", len(wantResults), len(wantMerged))
 	}
 	for _, jobs := range []int{1, 2, 8} {
-		got, merged, err := New(spec, 7).RunPlan(models, 30, sched.New(jobs, nil))
-		if err != nil {
+		got, merged, reports := New(spec, 7).RunPlan(context.Background(), models, 30, sched.New(jobs, nil))
+		if err := firstErr(reports); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		if !reflect.DeepEqual(got, wantResults) {
@@ -100,8 +101,8 @@ func TestRunPlanLayoutMatchesRunSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planResults, planMerged, err := New(spec, 7).RunPlan(models, 30, nil)
-	if err != nil {
+	planResults, planMerged, reports := New(spec, 7).RunPlan(context.Background(), models, 30, nil)
+	if err := firstErr(reports); err != nil {
 		t.Fatal(err)
 	}
 	if len(planMerged) != len(seqMerged) {
@@ -120,18 +121,33 @@ func TestRunPlanLayoutMatchesRunSequence(t *testing.T) {
 	}
 }
 
-// TestRunPlanError: a failing model surfaces with its name, at every
-// worker count.
+// TestRunPlanError: a failing model is reported at its own plan index,
+// with its name, at every worker count; the other runs still succeed.
 func TestRunPlanError(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
 	models[2].DurationSec = 0 // invalid: no duration
 	for _, jobs := range []int{1, 4} {
-		_, _, err := New(spec, 1).RunPlan(models, 10, sched.New(jobs, nil))
-		if err == nil || !strings.Contains(err.Error(), models[2].Name) {
-			t.Errorf("jobs=%d: err = %v, want mention of %s", jobs, err, models[2].Name)
+		_, _, reports := New(spec, 1).RunPlan(context.Background(), models, 10, sched.New(jobs, nil))
+		for i, rep := range reports {
+			switch {
+			case i == 2 && (rep.Err == nil || !strings.Contains(rep.Err.Error(), models[2].Name)):
+				t.Errorf("jobs=%d: err = %v, want mention of %s", jobs, rep.Err, models[2].Name)
+			case i != 2 && rep.Err != nil:
+				t.Errorf("jobs=%d: run %d failed: %v", jobs, i, rep.Err)
+			}
 		}
 	}
+}
+
+// firstErr returns the lowest-index failure of a plan's reports.
+func firstErr(reports []sched.JobReport) error {
+	for _, rep := range reports {
+		if rep.Err != nil {
+			return rep.Err
+		}
+	}
+	return nil
 }
 
 // TestForkIndependence: forked engines share no RNG state — running one

@@ -46,9 +46,8 @@ type Engine struct {
 	// reseeds it by run identity like the meter and PMU streams. Nil — the
 	// default — leaves every byte of the clean pipeline untouched.
 	Fault *fault.Injector
-	// Retry is the per-run attempt budget RunPlanPartial hands the
-	// scheduler. The zero value (single attempt) preserves Run's historic
-	// fail-fast reporting.
+	// Retry is the per-run attempt budget RunPlan hands the scheduler. The
+	// zero value is a single attempt.
 	Retry sched.Retry
 
 	// seed is the base seed New was called with; Fork derives per-run
