@@ -195,7 +195,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 		flight bool
 		trace  bool
 	}{
-		{name: "sequential", pool: sched.Sequential()},
+		{name: "sequential", pool: sched.New(1, nil)},
 		{name: "jobs4", pool: sched.New(4, nil)},
 		{name: "jobs4-flight", pool: sched.New(4, nil), flight: true},
 		{name: "jobs4-trace", pool: sched.New(4, nil), trace: true},

@@ -336,7 +336,7 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	runLedger := opts.arm(engine, seed, "g500fault")
 
 	var run sim.RunResult
-	reports := p.RunRetryAllTracedCtx(ctx, "green500", 1, engine.Retry, func(jctx context.Context, _, attempt int) error {
+	reports := p.RunRetry(ctx, "green500", 1, engine.Retry, func(jctx context.Context, _, attempt int) error {
 		eng := engine
 		if hardened {
 			// Each attempt draws its own identity-seeded fault fate.
@@ -421,7 +421,7 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		ssj float64
 	}
 	legs := make([]leg, len(specs))
-	err := p.RunTracedCtx(ctx, "compare", len(specs), func(jctx context.Context, i int) error {
+	err := p.Run(ctx, "compare", len(specs), func(jctx context.Context, i int) error {
 		spec := specs[i]
 		o.Infof("comparing methods on %s", spec.Name)
 		ev, err := EvaluateCtx(jctx, spec, seed+float64(i), opts)

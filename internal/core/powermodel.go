@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -57,7 +58,7 @@ func collectTrainingRuns(engine *sim.Engine, models []workload.Model, o *obs.Obs
 		ys []float64
 	}
 	runs := make([]observations, len(models))
-	err := p.Run("train", len(models), func(i int) error {
+	err := p.Run(context.Background(), "train", len(models), func(_ context.Context, i int) error {
 		m := models[i]
 		// Root span per collect: the jobs run concurrently, so nesting
 		// them under the training span would interleave begin/end pairs

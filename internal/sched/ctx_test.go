@@ -19,7 +19,7 @@ func TestRunCtxStopsPendingJobs(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	reports := p.RunRetryAllCtx(ctx, "ctx", 3, Retry{}, func(i, _ int) error {
+	reports := p.RunRetry(ctx, "ctx", 3, Retry{}, func(_ context.Context, i, _ int) error {
 		ran.Add(1)
 		if i == 0 {
 			cancel() // cancel while job 0 is running
@@ -52,7 +52,7 @@ func TestRunRetryAllCtxCancelBetweenAttempts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	jobErr := fmt.Errorf("transient")
 	var attempts atomic.Int32
-	reports := New(1, nil).RunRetryAllCtx(ctx, "retry", 1, Retry{Attempts: 5}, func(_, a int) error {
+	reports := New(1, nil).RunRetry(ctx, "retry", 1, Retry{Attempts: 5}, func(_ context.Context, _, a int) error {
 		attempts.Add(1)
 		cancel()
 		return jobErr
@@ -69,7 +69,7 @@ func TestRunRetryAllCtxCancelBetweenAttempts(t *testing.T) {
 func TestRunCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err := New(2, nil).RunCtx(ctx, "dead", 4, func(int) error {
+	err := New(2, nil).Run(ctx, "dead", 4, func(context.Context, int) error {
 		t.Error("job dispatched under an expired deadline")
 		return nil
 	})
@@ -78,10 +78,11 @@ func TestRunCtxDeadline(t *testing.T) {
 	}
 }
 
-// A background context must leave RunRetryAll behavior untouched.
+// A nil context behaves as context.Background() and leaves RunRetry
+// behavior untouched.
 func TestRunRetryAllCtxNilContext(t *testing.T) {
 	var ran atomic.Int32
-	reports := New(4, nil).RunRetryAllCtx(nil, "nilctx", 8, Retry{}, func(int, int) error { //nolint:staticcheck
+	reports := New(4, nil).RunRetry(nil, "nilctx", 8, Retry{}, func(context.Context, int, int) error { //nolint:staticcheck
 		ran.Add(1)
 		return nil
 	})

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -15,7 +16,7 @@ func TestRunPermanentFailureSurfaces(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var executed int64
 		errBroken := errors.New("broken state")
-		err := New(workers, nil).Run("perm", 6, func(i int) error {
+		err := New(workers, nil).Run(context.Background(), "perm", 6, func(_ context.Context, i int) error {
 			atomic.AddInt64(&executed, 1)
 			if i == 3 {
 				return errBroken
@@ -33,7 +34,7 @@ func TestRunPermanentFailureSurfaces(t *testing.T) {
 
 func TestRunRetryAllRecovers(t *testing.T) {
 	var attempts [4]int64
-	reports := New(2, nil).RunRetryAll("flaky", 4, Retry{Attempts: 3}, func(i, attempt int) error {
+	reports := New(2, nil).RunRetry(context.Background(), "flaky", 4, Retry{Attempts: 3}, func(_ context.Context, i, attempt int) error {
 		atomic.AddInt64(&attempts[i], 1)
 		if i == 1 && attempt < 3 {
 			return fmt.Errorf("transient %d", attempt)
@@ -57,7 +58,7 @@ func TestRunRetryAllRecovers(t *testing.T) {
 
 func TestRunRetryAllGivesUp(t *testing.T) {
 	errAlways := errors.New("permanently down")
-	reports := Sequential().RunRetryAll("down", 2, Retry{Attempts: 3}, func(i, attempt int) error {
+	reports := New(1, nil).RunRetry(context.Background(), "down", 2, Retry{Attempts: 3}, func(_ context.Context, i, attempt int) error {
 		if i == 0 {
 			return errAlways
 		}
@@ -78,7 +79,7 @@ func TestRunRetryAllGivesUp(t *testing.T) {
 // attempts (doubling is covered by inspection; here we bound the floor).
 func TestRunRetryAllBackoff(t *testing.T) {
 	start := time.Now()
-	reports := Sequential().RunRetryAll("slow", 1, Retry{Attempts: 3, Backoff: 10 * time.Millisecond}, func(_, attempt int) error {
+	reports := New(1, nil).RunRetry(context.Background(), "slow", 1, Retry{Attempts: 3, Backoff: 10 * time.Millisecond}, func(_ context.Context, _, attempt int) error {
 		if attempt < 3 {
 			return errors.New("again")
 		}
@@ -94,7 +95,7 @@ func TestRunRetryAllBackoff(t *testing.T) {
 }
 
 func TestRunRetryAllZeroJobs(t *testing.T) {
-	if reports := Sequential().RunRetryAll("none", 0, Retry{}, nil); reports != nil {
+	if reports := New(1, nil).RunRetry(context.Background(), "none", 0, Retry{}, nil); reports != nil {
 		t.Errorf("zero jobs returned %v", reports)
 	}
 }
@@ -108,7 +109,7 @@ func TestRunRetryAllAttemptIdentity(t *testing.T) {
 	for i := range mu {
 		mu[i] = make(chan int, 8)
 	}
-	New(3, nil).RunRetryAll("id", 3, Retry{Attempts: 2}, func(i, attempt int) error {
+	New(3, nil).RunRetry(context.Background(), "id", 3, Retry{Attempts: 2}, func(_ context.Context, i, attempt int) error {
 		mu[i] <- attempt
 		if attempt == 1 {
 			return errors.New("first always fails")

@@ -32,7 +32,7 @@
 // A failing job is never silently dropped. Run executes every job to
 // completion even when some fail, and returns the error of the lowest
 // failing index — so a permanently failing run always surfaces to the
-// caller, deterministically, regardless of scheduling. RunRetryAll is the
+// caller, deterministically, regardless of scheduling. RunRetry is the
 // fault-tolerant form: each job gets up to Retry.Attempts attempts (with
 // optional capped exponential backoff between them), and the caller
 // receives one JobReport per index recording how many attempts were spent
@@ -73,9 +73,6 @@ func New(jobs int, o *obs.Obs) *Pool {
 	return &Pool{workers: jobs, obs: o}
 }
 
-// Sequential returns the one-worker pool used as the determinism baseline.
-func Sequential() *Pool { return New(1, nil) }
-
 // Workers returns the pool's concurrency bound. A nil pool reports 1.
 func (p *Pool) Workers() int {
 	if p == nil || p.workers < 1 {
@@ -98,32 +95,25 @@ func (p *Pool) Workers() int {
 // The concurrency bound applies per Run call: a job may itself fan out on
 // the same pool (Compare does, one nested fan-out per server) without
 // deadlock, because every call brings its own workers.
-func (p *Pool) Run(label string, n int, job func(i int) error) error {
-	return p.RunCtx(context.Background(), label, n, job)
-}
-
-// RunCtx is Run under a context: once ctx is cancelled no further job is
-// dispatched — every undispatched index reports a ErrCancelled-wrapped
-// ctx error — while jobs already started run to completion (the simulation
-// kernels have no preemption points, and a half-written indexed slot would
-// break the reassembly contract). The returned error is still the lowest
-// failing index's, so a cancelled fan-out deterministically surfaces the
-// first casualty even though *which* jobs were already running when the
-// cancellation landed is scheduling-dependent.
-func (p *Pool) RunCtx(ctx context.Context, label string, n int, job func(i int) error) error {
-	return p.RunTracedCtx(ctx, label, n, func(_ context.Context, i int) error { return job(i) })
-}
-
-// RunTracedCtx is RunCtx for jobs that participate in request tracing: each
-// job receives a context whose tracectx span is its own per-job span,
-// parented on the span ctx carried in. Span ids derive from the trace id
-// and the span's path ("<label> job <i>"), never from worker identity or
-// dispatch order, so the trace tree a fan-out produces is byte-identical
-// at any worker count — the tracing analogue of the seeding contract.
-// Without a span in ctx the job contexts carry none and tracing costs a
-// pointer check.
-func (p *Pool) RunTracedCtx(ctx context.Context, label string, n int, job func(ctx context.Context, i int) error) error {
-	reports := p.RunRetryAllTracedCtx(ctx, label, n, Retry{}, func(jctx context.Context, i, _ int) error { return job(jctx, i) })
+//
+// Once ctx is cancelled no further job is dispatched — every undispatched
+// index reports an ErrCancelled-wrapped ctx error — while jobs already
+// started run to completion (the simulation kernels have no preemption
+// points, and a half-written indexed slot would break the reassembly
+// contract). The returned error is still the lowest failing index's, so a
+// cancelled fan-out deterministically surfaces the first casualty even
+// though *which* jobs were already running when the cancellation landed
+// is scheduling-dependent.
+//
+// Jobs participate in request tracing: each receives a context whose
+// tracectx span is its own per-job span, parented on the span ctx carried
+// in. Span ids derive from the trace id and the span's path ("<label> job
+// <i>"), never from worker identity or dispatch order, so the trace tree a
+// fan-out produces is byte-identical at any worker count — the tracing
+// analogue of the seeding contract. Without a span in ctx the job
+// contexts carry none and tracing costs a pointer check.
+func (p *Pool) Run(ctx context.Context, label string, n int, job func(ctx context.Context, i int) error) error {
+	reports := p.RunRetry(ctx, label, n, Retry{}, func(jctx context.Context, i, _ int) error { return job(jctx, i) })
 	for _, rep := range reports {
 		if rep.Err != nil {
 			return rep.Err
@@ -132,7 +122,7 @@ func (p *Pool) RunTracedCtx(ctx context.Context, label string, n int, job func(c
 	return nil
 }
 
-// Retry bounds the per-job attempt budget of RunRetryAll. The zero value
+// Retry bounds the per-job attempt budget of RunRetry. The zero value
 // means a single attempt (no retries).
 type Retry struct {
 	// Attempts is the maximum number of attempts per job; values below 1
@@ -152,7 +142,7 @@ func (r Retry) attempts() int {
 	return r.Attempts
 }
 
-// JobReport records the outcome of one job of a RunRetryAll fan-out.
+// JobReport records the outcome of one job of a RunRetry fan-out.
 type JobReport struct {
 	// Attempts is how many attempts the job consumed (1 if it succeeded
 	// first try).
@@ -162,7 +152,12 @@ type JobReport struct {
 	Err error
 }
 
-// RunRetryAll is Run with a per-job retry budget and per-job outcome
+// ErrCancelled marks the reports of jobs a cancelled fan-out never
+// dispatched. It wraps the context's error, so errors.Is(err, ErrCancelled)
+// and errors.Is(err, context.Canceled/DeadlineExceeded) both hold.
+var ErrCancelled = fmt.Errorf("sched: job not dispatched")
+
+// RunRetry is Run with a per-job retry budget and per-job outcome
 // reporting: every job runs to a verdict (success or exhausted attempts),
 // and the returned slice holds one report per index — scheduling cannot
 // reorder or drop them. The job function receives its index and the
@@ -170,36 +165,25 @@ type JobReport struct {
 // randomness from (index, attempt) identity. Retries and give-ups are
 // counted on the sched_job_retries_total and sched_job_giveups_total
 // counters.
-func (p *Pool) RunRetryAll(label string, n int, r Retry, job func(i, attempt int) error) []JobReport {
-	return p.RunRetryAllCtx(context.Background(), label, n, r, job)
-}
-
-// ErrCancelled marks the reports of jobs a cancelled RunRetryAllCtx never
-// dispatched. It wraps the context's error, so errors.Is(err, ErrCancelled)
-// and errors.Is(err, context.Canceled/DeadlineExceeded) both hold.
-var ErrCancelled = fmt.Errorf("sched: job not dispatched")
-
-// RunRetryAllCtx is RunRetryAll under a context. Cancellation stops the
-// dispatch of jobs (and of retry attempts) that have not started; their
-// reports carry an ErrCancelled-wrapped context error and count on the
-// sched_jobs_cancelled_total counter. Jobs whose first attempt is already
-// executing run to completion — callers that need bounded latency should
-// size their jobs accordingly rather than expect preemption.
-func (p *Pool) RunRetryAllCtx(ctx context.Context, label string, n int, r Retry, job func(i, attempt int) error) []JobReport {
-	return p.RunRetryAllTracedCtx(ctx, label, n, r, func(_ context.Context, i, attempt int) error { return job(i, attempt) })
-}
-
-// RunRetryAllTracedCtx is RunRetryAllCtx with per-job trace propagation, as
-// in RunTracedCtx. When the retry budget allows more than one attempt, each
-// attempt additionally gets its own "attempt <n>" child span — its id is a
-// function of (trace, job path, attempt ordinal), so retried traces too are
-// identical across worker counts. Single-attempt fan-outs skip the attempt
-// layer to keep clean traces lean; the budget is known up front, so the
-// tree shape stays scheduling-independent either way. Failed attempts carry
-// the error text as an attr, and jobs a cancellation kept from dispatching
-// appear as spans with a cancelled attr (such traces belong to abandoned
-// requests and are outside the byte-identity guarantee).
-func (p *Pool) RunRetryAllTracedCtx(ctx context.Context, label string, n int, r Retry, job func(ctx context.Context, i, attempt int) error) []JobReport {
+//
+// Cancellation stops the dispatch of jobs (and of retry attempts) that
+// have not started; their reports carry an ErrCancelled-wrapped context
+// error and count on the sched_jobs_cancelled_total counter. Jobs whose
+// first attempt is already executing run to completion — callers that
+// need bounded latency should size their jobs accordingly rather than
+// expect preemption.
+//
+// Trace propagation is as in Run. When the retry budget allows more than
+// one attempt, each attempt additionally gets its own "attempt <n>" child
+// span — its id is a function of (trace, job path, attempt ordinal), so
+// retried traces too are identical across worker counts. Single-attempt
+// fan-outs skip the attempt layer to keep clean traces lean; the budget is
+// known up front, so the tree shape stays scheduling-independent either
+// way. Failed attempts carry the error text as an attr, and jobs a
+// cancellation kept from dispatching appear as spans with a cancelled attr
+// (such traces belong to abandoned requests and are outside the
+// byte-identity guarantee). A nil ctx behaves as context.Background().
+func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job func(ctx context.Context, i, attempt int) error) []JobReport {
 	if n <= 0 {
 		return nil
 	}

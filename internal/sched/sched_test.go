@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -22,8 +23,8 @@ func TestNewDefaults(t *testing.T) {
 	if got := New(7, nil).Workers(); got != 7 {
 		t.Errorf("New(7).Workers() = %d", got)
 	}
-	if got := Sequential().Workers(); got != 1 {
-		t.Errorf("Sequential().Workers() = %d", got)
+	if got := New(1, nil).Workers(); got != 1 {
+		t.Errorf("New(1, nil).Workers() = %d", got)
 	}
 	var nilPool *Pool
 	if got := nilPool.Workers(); got != 1 {
@@ -41,7 +42,7 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 		}
 		const n = 100
 		counts := make([]int64, n)
-		err := pool.Run("cover", n, func(i int) error {
+		err := pool.Run(context.Background(), "cover", n, func(_ context.Context, i int) error {
 			atomic.AddInt64(&counts[i], 1)
 			return nil
 		})
@@ -63,7 +64,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 	pool := New(workers, nil)
 	var inFlight, peak int64
 	var mu sync.Mutex
-	err := pool.Run("bound", 50, func(int) error {
+	err := pool.Run(context.Background(), "bound", 50, func(context.Context, int) error {
 		cur := atomic.AddInt64(&inFlight, 1)
 		mu.Lock()
 		if cur > peak {
@@ -89,7 +90,7 @@ func TestRunErrorIsLowestIndex(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		pool := New(jobs, nil)
 		var ran int64
-		err := pool.Run("errs", 20, func(i int) error {
+		err := pool.Run(context.Background(), "errs", 20, func(_ context.Context, i int) error {
 			atomic.AddInt64(&ran, 1)
 			if i == 17 || i == 5 || i == 11 {
 				return errAt(i)
@@ -110,8 +111,8 @@ func TestRunErrorIsLowestIndex(t *testing.T) {
 func TestRunNested(t *testing.T) {
 	pool := New(2, nil)
 	var total int64
-	err := pool.Run("outer", 4, func(int) error {
-		return pool.Run("inner", 8, func(int) error {
+	err := pool.Run(context.Background(), "outer", 4, func(context.Context, int) error {
+		return pool.Run(context.Background(), "inner", 8, func(context.Context, int) error {
 			atomic.AddInt64(&total, 1)
 			return nil
 		})
@@ -127,13 +128,13 @@ func TestRunNested(t *testing.T) {
 func TestRunEmpty(t *testing.T) {
 	pool := New(4, nil)
 	called := false
-	if err := pool.Run("empty", 0, func(int) error { called = true; return nil }); err != nil {
+	if err := pool.Run(context.Background(), "empty", 0, func(context.Context, int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
 		t.Error("Run(0) must not invoke the job")
 	}
-	if err := errors.Join(pool.Run("neg", -1, nil)); err != nil {
+	if err := errors.Join(pool.Run(context.Background(), "neg", -1, nil)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,7 +144,7 @@ func TestRunEmpty(t *testing.T) {
 func TestRunTelemetry(t *testing.T) {
 	o := obs.New()
 	pool := New(2, o)
-	if err := pool.Run("work", 10, func(int) error { return nil }); err != nil {
+	if err := pool.Run(context.Background(), "work", 10, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Counter("sched_jobs_total").Value(); got != 10 {
@@ -175,7 +176,7 @@ func TestRunTelemetry(t *testing.T) {
 	}
 
 	failing := New(1, o)
-	_ = failing.Run("fail", 3, func(i int) error {
+	_ = failing.Run(context.Background(), "fail", 3, func(_ context.Context, i int) error {
 		if i == 1 {
 			return errors.New("boom")
 		}

@@ -5,82 +5,113 @@ import (
 	"sync"
 )
 
-// resultCache is the content-addressed response cache: canonical request
-// hash → the exact marshaled response body served for it. Storing bytes,
-// not structs, is what makes a cache hit byte-identical to the miss that
-// populated it — the service's analogue of the pipeline's determinism
-// contract. Eviction is LRU with a fixed entry bound; the evaluation
-// results are small (a few KiB) and uniform, so an entry bound behaves
-// like a byte bound without the bookkeeping.
-type resultCache struct {
+// lru is the daemon's one bounded store, used three times: the result
+// cache (canonical request key → the exact marshaled response body), the
+// flight-record store (flight id → JSONL) and the trace store (trace id →
+// document plus listing metadata). Storing bytes, not structs, is what
+// makes a cache hit byte-identical to the miss that populated it — the
+// service's analogue of the pipeline's determinism contract. Eviction is
+// LRU with a fixed entry bound; the stored values are small (a few KiB)
+// and uniform, so an entry bound behaves like a byte bound, and the byte
+// total is kept only for the health surface.
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	bytes int64
-	order *list.List // front = most recently used; values are *cacheEntry
+	order *list.List // front = most recently used; values are *lruEntry[V]
 	items map[string]*list.Element
+	size  func(V) int
+	// replace reports whether a Put over a stored key swaps the new value
+	// in; nil keeps the stored value (same content address, same bytes).
+	replace func(old, v V) bool
 }
 
-type cacheEntry struct {
-	key  string
-	body []byte
+type lruEntry[V any] struct {
+	key string
+	v   V
 }
 
-// newResultCache returns a cache bounded to capacity entries (minimum 1).
-func newResultCache(capacity int) *resultCache {
+// newLRU returns a store bounded to capacity entries (minimum 1) whose
+// byte total sums size over the stored values.
+func newLRU[V any](capacity int, size func(V) int, replace func(old, v V) bool) *lru[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+	return &lru[V]{
+		cap:     capacity,
+		order:   list.New(),
+		items:   make(map[string]*list.Element, capacity),
+		size:    size,
+		replace: replace,
 	}
 }
 
-// Get returns the cached body for key and marks it most recently used.
-func (c *resultCache) Get(key string) ([]byte, bool) {
+// newResultCache returns a byte-body store bounded to capacity entries:
+// the result cache and the flight-record store.
+func newResultCache(capacity int) *lru[[]byte] {
+	return newLRU(capacity, func(b []byte) int { return len(b) }, nil)
+}
+
+// Get returns the stored value for key and marks it most recently used.
+func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*lruEntry[V]).v, true
 }
 
-// Put stores body under key, evicting the least recently used entry when
-// the bound is exceeded. It returns how many entries were evicted (0 or 1).
-func (c *resultCache) Put(key string, body []byte) int {
+// Put stores v under key, evicting the least recently used entry when the
+// bound is exceeded. It returns how many entries were evicted (0 or 1).
+func (c *lru[V]) Put(key string, v V) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		// Same canonical key => same deterministic body; just refresh.
+		e := el.Value.(*lruEntry[V])
+		if c.replace != nil && c.replace(e.v, v) {
+			c.bytes += int64(c.size(v) - c.size(e.v))
+			e.v = v
+		}
 		c.order.MoveToFront(el)
 		return 0
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
-	c.bytes += int64(len(body))
+	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, v: v})
+	c.bytes += int64(c.size(v))
 	if c.order.Len() <= c.cap {
 		return 0
 	}
 	oldest := c.order.Back()
 	c.order.Remove(oldest)
-	e := oldest.Value.(*cacheEntry)
+	e := oldest.Value.(*lruEntry[V])
 	delete(c.items, e.key)
-	c.bytes -= int64(len(e.body))
+	c.bytes -= int64(c.size(e.v))
 	return 1
 }
 
+// Values returns the stored values in no particular order.
+func (c *lru[V]) Values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]V, 0, len(c.items))
+	for _, el := range c.items {
+		out = append(out, el.Value.(*lruEntry[V]).v)
+	}
+	return out
+}
+
 // Len returns the current entry count.
-func (c *resultCache) Len() int {
+func (c *lru[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// Bytes returns the summed body sizes of the cached entries.
-func (c *resultCache) Bytes() int64 {
+// Bytes returns the summed sizes of the stored values.
+func (c *lru[V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes

@@ -32,7 +32,7 @@ func (s *Server) localListing() fleet.Listing {
 	return fleet.Listing{
 		Count:  s.traces.Len(),
 		Bytes:  s.traces.Bytes(),
-		Traces: s.traces.List(),
+		Traces: s.traceList(),
 	}
 }
 
@@ -105,7 +105,7 @@ func (s *Server) handlePeerTrace(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "trace id must be 32 lowercase hex characters")
 		return
 	}
-	doc, ok := s.traces.Get(id)
+	doc, ok := s.localTrace(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no trace retained on this shard")
 		return
@@ -157,17 +157,7 @@ func (s *Server) handlePeerFlightPut(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "replicated flight is empty")
 		return
 	}
-	evicted := s.flightRecs.Put(id, body)
-	s.obs.Counter("serve_flights_replicated_total").Inc()
-	s.obs.Counter("serve_flight_evictions_total").Add(int64(evicted))
-	s.obs.Gauge("serve_flight_entries").Set(float64(s.flightRecs.Len()))
-	if s.cfg.FlightDir != "" {
-		path := filepath.Join(s.cfg.FlightDir, id+".jsonl")
-		if werr := os.WriteFile(path, body, 0o644); werr != nil {
-			s.obs.Counter("serve_flight_write_errors_total").Inc()
-			s.obs.Infof("replicated flight %s not persisted: %v", id, werr)
-		}
-	}
+	s.putFlight(id, body, "serve_flights_replicated_total")
 	w.WriteHeader(http.StatusNoContent)
 }
 

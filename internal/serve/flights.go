@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-
-	"powerbench/internal/flight"
 )
 
 // This file is the service's flight-recorder surface (DESIGN.md §10): each
@@ -29,21 +27,15 @@ func flightID(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// storeFlight publishes a settled computation's flight records under id:
-// into the bounded in-memory store always, and as <id>.jsonl under
-// FlightDir when configured (post-mortem pickup across restarts).
-func (s *Server) storeFlight(id string, rec *flight.Recorder) {
-	if rec.Len() == 0 {
-		return
-	}
-	data := rec.Bytes()
+// putFlight publishes flight-record JSONL under id: into the bounded
+// in-memory store always, and as <id>.jsonl under FlightDir when
+// configured (post-mortem pickup across restarts). counter names where the
+// records came from — this shard's computation or a peer's replica.
+func (s *Server) putFlight(id string, data []byte, counter string) {
 	evicted := s.flightRecs.Put(id, data)
-	s.obs.Counter("serve_flights_recorded_total").Inc()
+	s.obs.Counter(counter).Inc()
 	s.obs.Counter("serve_flight_evictions_total").Add(int64(evicted))
 	s.obs.Gauge("serve_flight_entries").Set(float64(s.flightRecs.Len()))
-	if dropped := rec.Dropped(); dropped > 0 {
-		s.obs.Counter("serve_flight_records_dropped_total").Add(dropped)
-	}
 	if s.cfg.FlightDir != "" {
 		path := filepath.Join(s.cfg.FlightDir, id+".jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

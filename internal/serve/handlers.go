@@ -122,50 +122,42 @@ func (s *Server) opts(profile *fault.Profile, rec *flight.Recorder) core.EvalOpt
 	return core.EvalOptions{Obs: s.obs, Pool: s.pool, Fault: profile, Flight: rec}
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, req *http.Request) {
-	var er EvaluateRequest
-	if err := s.decode(w, req, &er); err != nil {
-		fail(w, err)
-		return
+// handleMethod serves one single-server method route (POST /v1/evaluate
+// and /v1/green500; method is the path's last element).
+func (s *Server) handleMethod(method string) http.HandlerFunc {
+	route := "/v1/" + method
+	return func(w http.ResponseWriter, req *http.Request) {
+		var er EvaluateRequest
+		if err := s.decode(w, req, &er); err != nil {
+			fail(w, err)
+			return
+		}
+		spec, err := resolveSpec(er.Server, er.Spec)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		profile, err := resolveProfile(er.FaultProfile)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		key := resultKey(method, er.Seed, er.FaultProfile, spec)
+		s.serveComputed(w, req, route, key, profile.Active(), er.TimeoutMS, s.methodFn(method, spec, er.Seed, profile))
 	}
-	spec, err := resolveSpec(er.Server, er.Spec)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	profile, err := resolveProfile(er.FaultProfile)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	key := "evaluate|" + core.CanonicalHash(spec, er.Seed,
-		core.HashOpts{Method: "evaluate", FaultProfile: er.FaultProfile})
-	s.serveComputed(w, req, "/v1/evaluate", key, profile.Active(), er.TimeoutMS, func(ctx context.Context, rec *flight.Recorder) (any, error) {
-		return s.evalFn(ctx, spec, er.Seed, s.opts(profile, rec))
-	})
 }
 
-func (s *Server) handleGreen500(w http.ResponseWriter, req *http.Request) {
-	var er EvaluateRequest
-	if err := s.decode(w, req, &er); err != nil {
-		fail(w, err)
-		return
+// methodFn returns the computation behind a single-server method: the one
+// closure both its HTTP route and a campaign point hand to joinOrBegin.
+func (s *Server) methodFn(method string, spec *server.Spec, seed float64, profile *fault.Profile) computeFn {
+	if method == "green500" {
+		return func(ctx context.Context, rec *flight.Recorder) (any, error) {
+			return s.g500Fn(ctx, spec, seed, s.opts(profile, rec))
+		}
 	}
-	spec, err := resolveSpec(er.Server, er.Spec)
-	if err != nil {
-		fail(w, err)
-		return
+	return func(ctx context.Context, rec *flight.Recorder) (any, error) {
+		return s.evalFn(ctx, spec, seed, s.opts(profile, rec))
 	}
-	profile, err := resolveProfile(er.FaultProfile)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	key := "green500|" + core.CanonicalHash(spec, er.Seed,
-		core.HashOpts{Method: "green500", FaultProfile: er.FaultProfile})
-	s.serveComputed(w, req, "/v1/green500", key, profile.Active(), er.TimeoutMS, func(ctx context.Context, rec *flight.Recorder) (any, error) {
-		return s.g500Fn(ctx, spec, er.Seed, s.opts(profile, rec))
-	})
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
@@ -184,18 +176,30 @@ func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
 		fail(w, err)
 		return
 	}
-	// The comparison key chains every spec's canonical hash in input
-	// order — the per-server seeds (seed+i) and the output columns both
-	// depend on that order.
-	hashes := make([]string, len(specs))
-	for i, sp := range specs {
-		hashes[i] = core.CanonicalHash(sp, cr.Seed,
-			core.HashOpts{Method: "compare", FaultProfile: cr.FaultProfile})
-	}
-	key := "compare|" + strings.Join(hashes, "+")
+	key := resultKey("compare", cr.Seed, cr.FaultProfile, specs...)
 	s.serveComputed(w, req, "/v1/compare", key, profile.Active(), cr.TimeoutMS, func(ctx context.Context, rec *flight.Recorder) (any, error) {
 		return s.cmpFn(ctx, specs, cr.Seed, s.opts(profile, rec))
 	})
+}
+
+// resultKey is the canonical cache key of one computation: the method, a
+// '|', then each spec's core.CanonicalHash. A comparison chains its specs'
+// hashes with '+' in input order — the per-server seeds (seed+i) and the
+// output columns both depend on that order. jobs.SweepSpec.Expand builds
+// the same keys for campaign points, and validPeerKey accepts exactly
+// this shape.
+func resultKey(method string, seed float64, profile string, specs ...*server.Spec) string {
+	var b strings.Builder
+	b.Grow(len(method) + 65*len(specs)) // a separator and 64 hex digits per spec
+	b.WriteString(method)
+	b.WriteByte('|')
+	for i, sp := range specs {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(core.CanonicalHash(sp, seed, core.HashOpts{Method: method, FaultProfile: profile}))
+	}
+	return b.String()
 }
 
 // resolveSpecs turns a CompareRequest's selection into validated Specs;

@@ -8,16 +8,16 @@ import (
 	"net/http"
 
 	"powerbench/internal/fault"
-	"powerbench/internal/flight"
 	"powerbench/internal/jobs"
 	"powerbench/internal/server"
 )
 
 // This file is the HTTP face of the durable campaign subsystem
 // (internal/jobs): sweep submission, status, cancellation and SSE
-// progress. The executor seam below is where a campaign point re-enters
-// the same cache → dedup → compute path interactive requests use, so a
-// point completed by either side is a cache hit for the other.
+// progress. The executor seam below is where a campaign point enters the
+// same cache → singleflight → compute path interactive requests use, so
+// a point completed by either side is a cache hit for the other, and one
+// in flight on either side is joined, not recomputed.
 
 // handleJobSubmit accepts a declarative sweep spec, expands and journals
 // it, and answers 202 with the campaign status. Submission is idempotent
@@ -152,42 +152,29 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// execPoint is the campaign executor: the cache → dedup → compute path of
-// serveComputed, minus the HTTP framing and the interactive admission
-// gate (campaign concurrency is bounded by the jobs worker pool instead,
-// so background sweeps cannot starve interactive traffic of its 429
-// budget, and vice versa).
+// execPoint is the campaign executor. A point is served from the result
+// cache, else routed to its owner shard when the ring assigns it to a
+// healthy peer, else it joins or begins the key's flight through the same
+// joinOrBegin → runFlight path /v1/evaluate takes — without an admission
+// slot: the jobs worker pool bounds campaign concurrency, so background
+// sweeps and interactive traffic cannot starve each other. cached reports
+// bytes this point did not compute: a cache hit, the owner's cached
+// result, a peer-served flight, or a joined one.
 func (s *Server) execPoint(ctx context.Context, pt jobs.Point) ([]byte, bool, error) {
 	if body, ok := s.cache.Get(pt.Key); ok {
 		s.obs.Counter("serve_cache_hits_total").Inc()
 		return body, true, nil
 	}
-	// Share any live interactive flight for the same key rather than
-	// computing beside it.
-	if f := s.flights.join(pt.Key); f != nil {
-		s.obs.Counter("serve_dedup_joined_total").Inc()
-		select {
-		case <-f.done:
-			if f.status == http.StatusOK {
-				return f.body, true, nil
-			}
-			return nil, false, fmt.Errorf("shared computation failed (status %d)", f.status)
-		case <-ctx.Done():
-			s.flights.leave(f)
-			return nil, false, ctx.Err()
-		}
-	}
 	// When the ring assigns this point to a healthy peer, run it where its
 	// cache entry belongs: first a cheap fetch (the owner may already have
 	// it), then a full dispatch through the owner's public endpoint and
 	// admission control. Any failure — owner down, saturated (429), slow —
-	// falls through to local compute, so a degraded cluster still finishes
-	// its campaigns at single-node speed.
+	// falls through to local compute, whose runFlight offers the bytes
+	// back to the owner, so a degraded cluster still finishes its
+	// campaigns at single-node speed.
 	if owner := s.cluster.Owner(pt.Key); owner != s.cluster.Self() && s.cluster.Healthy(owner) {
 		if body, ok := s.cluster.FetchResult(ctx, owner, pt.Key); ok {
-			evicted := s.cache.Put(pt.Key, body)
-			s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-			s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
+			s.putResult(pt.Key, body)
 			return body, true, nil
 		}
 		reqBody, err := json.Marshal(EvaluateRequest{
@@ -195,9 +182,7 @@ func (s *Server) execPoint(ctx context.Context, pt jobs.Point) ([]byte, bool, er
 		})
 		if err == nil {
 			if body, err := s.cluster.Dispatch(ctx, owner, "/v1/"+pt.Method, reqBody); err == nil {
-				evicted := s.cache.Put(pt.Key, body)
-				s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-				s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
+				s.putResult(pt.Key, body)
 				return body, false, nil
 			}
 		}
@@ -210,26 +195,17 @@ func (s *Server) execPoint(ctx context.Context, pt jobs.Point) ([]byte, bool, er
 	if err != nil {
 		return nil, false, err
 	}
-	rec := flight.NewRecorder(0)
-	var v any
-	switch pt.Method {
-	case "green500":
-		v, err = s.g500Fn(ctx, sp, pt.Seed, s.opts(profile, rec))
-	default:
-		v, err = s.evalFn(ctx, sp, pt.Seed, s.opts(profile, rec))
+	f, how := s.joinOrBegin(pt.Key, s.methodFn(pt.Method, sp, pt.Seed, profile), &flightTask{})
+	if !s.await(ctx, f) {
+		return nil, false, ctx.Err()
 	}
-	if err != nil {
-		return nil, false, err
+	switch {
+	case f.status == http.StatusOK:
+		return f.body, how == "dedup" || f.via == "peer", nil
+	case how == "dedup":
+		return nil, false, fmt.Errorf("shared computation failed (status %d)", f.status)
 	}
-	body, err := marshalBody(v)
-	if err != nil {
-		return nil, false, err
-	}
-	evicted := s.cache.Put(pt.Key, body)
-	s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-	s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
-	s.storeFlight(flightID(pt.Key), rec)
-	return body, false, nil
+	return nil, false, f.err
 }
 
 // jobsHealth returns the /healthz jobs block.

@@ -11,6 +11,7 @@ import (
 
 	"powerbench/internal/core"
 	"powerbench/internal/jobs"
+	"powerbench/internal/obs"
 	"powerbench/internal/server"
 )
 
@@ -251,13 +252,22 @@ func TestJobCrashResumeHTTP(t *testing.T) {
 
 	// Run 2: a fresh server on the same WAL dir resumes the campaign.
 	seedsComputed := map[float64]int{}
+	// Resumed points hold until the recovered cache is checked, so the
+	// cache gauges read what WAL recovery alone installed.
+	resume := make(chan struct{})
+	o2 := obs.New()
 	// The seam goes in before the workers start: the resumed campaign is
 	// dispatched the moment the server is built.
-	s2, err := newServer(Config{WALDir: dir, WALFsyncEvery: -1, CampaignWorkers: 1}, func(s *Server) {
+	s2, err := newServer(Config{Obs: o2, WALDir: dir, WALFsyncEvery: -1, CampaignWorkers: 1}, func(s *Server) {
 		s.evalFn = func(ctx context.Context, sp *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
 			mu.Lock()
 			seedsComputed[seed]++
 			mu.Unlock()
+			select {
+			case <-resume:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			return stubEval(ctx, sp, seed, opts)
 		}
 	})
@@ -270,6 +280,13 @@ func TestJobCrashResumeHTTP(t *testing.T) {
 		t.Fatalf("recovery %+v, want %d done points in 1 resumed campaign",
 			boot, run1.Counts.Done)
 	}
+	// The recovered bodies warmed the result cache through the same store
+	// path as every other fill, so its gauge is current before any compute.
+	if n, g := s2.cache.Len(), o2.Gauge("serve_cache_entries").Value(); n != boot.DonePoints || g != float64(n) {
+		t.Errorf("after recovery: cache holds %d entries, serve_cache_entries = %v, want both %d",
+			n, g, boot.DonePoints)
+	}
+	close(resume)
 
 	final := waitCampaign(t, s2, id, jobs.StateDone)
 	if final.Counts.Done != 3 || final.Counts.Computed != 3 || final.Counts.Cached != 0 {

@@ -33,7 +33,7 @@ const peerHeader = "X-Powerbench-Peer"
 
 // validPeerKey bounds what the peer routes accept: a known method prefix,
 // a '|' separator and a hex (or '+'-chained hex, for compare) suffix —
-// the exact shape of every key serveComputed builds. Anything else is a
+// the exact shape of every key resultKey builds. Anything else is a
 // confused or hostile caller, answered 400 without touching the cache.
 func validPeerKey(key string) bool {
 	if len(key) > 4096 {
@@ -78,17 +78,10 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, req *http.Request) {
 	// singleflight is the cluster-wide point of convergence): ride the
 	// flight rather than answering a miss that would trigger a duplicate
 	// computation one hop away.
-	if f := s.flights.join(key); f != nil {
-		select {
-		case <-f.done:
-			if f.status == http.StatusOK {
-				s.obs.Counter("serve_peer_served_total").Inc()
-				writeBody(w, http.StatusOK, "", f.body)
-				return
-			}
-		case <-req.Context().Done():
-			s.flights.leave(f)
-		}
+	if f := s.flights.join(key); f != nil && s.await(req.Context(), f) && f.status == http.StatusOK {
+		s.obs.Counter("serve_peer_served_total").Inc()
+		writeBody(w, http.StatusOK, "", f.body)
+		return
 	}
 	writeError(w, http.StatusNotFound, "result not cached on this shard")
 }
@@ -110,9 +103,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "forwarded result is empty")
 		return
 	}
-	evicted := s.cache.Put(key, body)
-	s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-	s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
+	s.putResult(key, body)
 	s.obs.Counter("serve_peer_accepted_total").Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

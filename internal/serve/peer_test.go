@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,21 +378,46 @@ func TestAbandonCancelsPeerFetch(t *testing.T) {
 
 // execPoint routes campaign points through the cluster: a point owned by a
 // healthy peer is fetched from (or dispatched to) the owner, and the bytes
-// land in the local cache either way.
+// land in the local cache either way. When the owner has no copy and the
+// dispatch fails, the point computes locally and the result is offered
+// back to the owner, the same write-back a request's flight does.
 func TestExecPointDispatchesToOwner(t *testing.T) {
 	spec, err := server.ByName("Xeon-E5462")
 	if err != nil {
 		t.Fatal(err)
 	}
 	canned := []byte(`{"canned":true}` + "\n")
-	var served int
+	var served atomic.Int32
+	// cold is the key the owner has no copy of; offered receives the
+	// bodies PUT back to the owner under it.
+	var cold atomic.Value
+	cold.Store("")
+	offered := make(chan []byte, 1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
-	mux.HandleFunc("GET /v1/peer/results/", func(w http.ResponseWriter, r *http.Request) {
-		served++
+	mux.HandleFunc("GET /v1/peer/results/{key}", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("key") == cold.Load() {
+			http.NotFound(w, r)
+			return
+		}
+		served.Add(1)
 		w.Write(canned)
+	})
+	mux.HandleFunc("POST /v1/evaluate", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "saturated", http.StatusTooManyRequests)
+	})
+	mux.HandleFunc("PUT /v1/peer/results/{key}", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if r.PathValue("key") == cold.Load() {
+			select {
+			case offered <- body:
+			default:
+				t.Error("cold key offered twice")
+			}
+		}
+		w.WriteHeader(http.StatusNoContent)
 	})
 	owner := httptest.NewServer(mux)
 	defer owner.Close()
@@ -407,6 +433,7 @@ func TestExecPointDispatchesToOwner(t *testing.T) {
 	}
 	cl.SetHealthy("s1", true)
 	s := newTestServer(t, Config{Cluster: cl})
+	s.evalFn = stubEval
 	seed, key := ownedSeed(t, cl, "s1")
 
 	pt := jobs.Point{Method: "evaluate", Server: spec.Name, Seed: seed, Key: key}
@@ -417,14 +444,41 @@ func TestExecPointDispatchesToOwner(t *testing.T) {
 	if !cached || string(body) != string(canned) {
 		t.Fatalf("peer-owned point: cached=%v body=%q", cached, body)
 	}
-	if served != 1 {
-		t.Fatalf("owner served %d fetches, want 1", served)
+	if n := served.Load(); n != 1 {
+		t.Fatalf("owner served %d fetches, want 1", n)
 	}
 	// The fetched bytes landed in the local cache: a rerun never dials out.
 	if _, _, err := s.execPoint(context.Background(), pt); err != nil {
 		t.Fatal(err)
 	}
-	if served != 1 {
-		t.Fatalf("second exec dialed the owner (%d fetches)", served)
+	if n := served.Load(); n != 1 {
+		t.Fatalf("second exec dialed the owner (%d fetches)", n)
+	}
+
+	// A second s1-owned key the owner has never seen, with the dispatch
+	// refused: local compute, then the bytes go back to the owner.
+	var coldPt jobs.Point
+	for next := seed + 1; coldPt.Key == ""; next++ {
+		k := "evaluate|" + core.CanonicalHash(spec, next, core.HashOpts{Method: "evaluate"})
+		if cl.Owner(k) == "s1" {
+			coldPt = jobs.Point{Method: "evaluate", Server: spec.Name, Seed: next, Key: k}
+		}
+	}
+	cold.Store(coldPt.Key)
+	cl.SetHealthy("s1", true)
+	body, cached, err = s.execPoint(context.Background(), coldPt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Error("locally computed point reported cached")
+	}
+	select {
+	case got := <-offered:
+		if string(got) != string(body) {
+			t.Errorf("owner was offered %q, want the computed %q", got, body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("locally computed off-owner point was never offered to its owner")
 	}
 }

@@ -14,7 +14,9 @@
 //
 //   - Request dedup (singleflight). Concurrent identical requests share
 //     one underlying computation; only the first runs the pipeline, the
-//     rest wait on its flight and serve the same bytes.
+//     rest wait on its flight and serve the same bytes. Campaign points
+//     (POST /v1/jobs) take the same path — joinOrBegin → runFlight — so
+//     a key computes once whether a request or a campaign asks first.
 //
 //   - Admission control. At most MaxInFlight computations run at once;
 //     beyond that the service answers 429 with Retry-After instead of
@@ -25,7 +27,7 @@
 //     deadline (service default, tightened per-request by timeout_ms); a
 //     deadline that expires answers 504 and, when the last waiter gives
 //     up, cancels the flight so the scheduler stops dispatching its
-//     pending simulation runs (sched.RunRetryAllCtx).
+//     pending simulation runs (sched.Pool.RunRetry).
 //
 //   - Graceful shutdown. Close/Shutdown drain in-flight flights before
 //     returning, so a SIGTERM never truncates a computation mid-write.
@@ -178,12 +180,12 @@ type Server struct {
 	cfg     Config
 	obs     *obs.Obs
 	pool    *sched.Pool
-	cache   *resultCache
+	cache   *lru[[]byte]
 	flights *flightGroup
 	// flightRecs stores flushed flight-record JSONL by flight id.
-	flightRecs *resultCache
+	flightRecs *lru[[]byte]
 	// traces is the tail-sampled trace store behind GET /v1/traces.
-	traces *traceStore
+	traces *lru[storedTrace]
 	// jobs is the durable campaign manager behind POST /v1/jobs.
 	jobs *jobs.Manager
 	// cluster is the sharding/peering layer; never nil (standalone when
@@ -258,7 +260,7 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 	s.fleet = fleet.New(fleet.Config{
 		Cluster:      s.cluster,
 		Obs:          cfg.Obs,
-		LocalTrace:   s.traces.Get,
+		LocalTrace:   s.localTrace,
 		LocalListing: s.localListing,
 		LocalFlight:  s.localFlight,
 		LocalStatus:  s.shardObs,
@@ -290,10 +292,12 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 	} {
 		s.obs.Counter(name)
 	}
-	// The campaign manager shares the service's cache and pipeline seams:
-	// its executor is the same cache → dedup → compute path interactive
-	// requests take, and WAL recovery pre-warms the result cache with the
-	// journaled bodies of every completed point.
+	// The campaign manager shares the service's cache, flights and
+	// pipeline seams: its executor (execPoint) checks the cache, routes
+	// off-owner points to their shard, then joins or begins the key's
+	// flight like any request — minus the admission slot — and WAL
+	// recovery pre-warms the result cache with the journaled bodies of
+	// every completed point through the same store helper.
 	mgr, rec, err := jobs.Open(jobs.Config{
 		Obs:             cfg.Obs,
 		Dir:             cfg.WALDir,
@@ -303,9 +307,7 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 		FsyncEvery:      cfg.WALFsyncEvery,
 		MaxPointTimeout: cfg.maxTimeout(),
 		Exec:            s.execPoint,
-		Warm: func(key string, body []byte) {
-			s.cache.Put(key, body)
-		},
+		Warm:            s.putResult,
 	})
 	if err != nil {
 		cancel()
@@ -316,8 +318,8 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 	mgr.Start()
 
 	s.mux = http.NewServeMux()
-	s.route("POST /v1/evaluate", "/v1/evaluate", s.handleEvaluate)
-	s.route("POST /v1/green500", "/v1/green500", s.handleGreen500)
+	s.route("POST /v1/evaluate", "/v1/evaluate", s.handleMethod("evaluate"))
+	s.route("POST /v1/green500", "/v1/green500", s.handleMethod("green500"))
 	s.route("POST /v1/compare", "/v1/compare", s.handleCompare)
 	s.route("GET /v1/servers", "/v1/servers", s.handleServers)
 	s.route("GET /v1/flights/{id}", "/v1/flights", s.handleFlight)
@@ -470,13 +472,16 @@ const retryAfterSec = "1"
 // rec (stored under the request's flight id once the computation settles).
 type computeFn func(ctx context.Context, rec *flight.Recorder) (any, error)
 
-// traceTask bundles the trace a flight reports into with the request
-// identity the tail sampler needs once it settles.
-type traceTask struct {
+// flightTask is what a flight's beginner hands its runner: the trace the
+// flight reports into, the request identity the tail sampler needs once it
+// settles, and whether the flight holds an admission slot. A request
+// flight carries both; a campaign flight carries neither — it records no
+// spans, and the jobs worker pool bounds campaign concurrency instead.
+type flightTask struct {
 	tr      *tracectx.Trace
 	route   string
-	key     string
 	faulted bool
+	admit   bool
 }
 
 // serveComputed answers one compute request: serve from cache, else join
@@ -516,7 +521,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	f, how := s.joinOrBegin(key, fn, &traceTask{tr: tr, route: route, key: key, faulted: faulted})
+	f, how := s.joinOrBegin(key, fn, &flightTask{tr: tr, route: route, faulted: faulted, admit: true})
 	if f == nil {
 		// Saturated: reject now rather than queue unboundedly. The rejection
 		// trace (root + cache miss + admission verdict) is always retained —
@@ -531,22 +536,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 		return
 	}
 
-	select {
-	case <-f.done:
-		// A flight served by cache peering advertises its origin shard;
-		// the beginner's "miss" upgrades to "peer" (a joiner still joined
-		// a flight, so it stays "dedup").
-		if f.peer != "" {
-			w.Header().Set(peerHeader, f.peer)
-		}
-		if how == "miss" && f.via == "peer" {
-			how = "peer"
-		}
-		writeBody(w, f.status, how, f.body)
-	case <-ctx.Done():
-		if s.flights.leave(f) {
-			s.obs.Counter("serve_flight_abandoned_total").Inc()
-		}
+	if !s.await(ctx, f) {
 		if ctx.Err() == context.DeadlineExceeded {
 			s.obs.Counter("serve_deadline_expired_total").Inc()
 			writeError(w, http.StatusGatewayTimeout,
@@ -555,32 +545,64 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 		}
 		// Client went away; nothing to write.
 		s.obs.Counter("serve_client_gone_total").Inc()
+		return
+	}
+	// A flight served by cache peering advertises its origin shard; the
+	// beginner's "miss" upgrades to "peer" (a joiner still joined a
+	// flight, so it stays "dedup").
+	if f.peer != "" {
+		w.Header().Set(peerHeader, f.peer)
+	}
+	if how == "miss" && f.via == "peer" {
+		how = "peer"
+	}
+	writeBody(w, f.status, how, f.body)
+}
+
+// await waits for f to settle or ctx to end, whichever comes first, and
+// reports whether f settled. A waiter whose ctx ends leaves the flight,
+// abandoning it when it was the last one.
+func (s *Server) await(ctx context.Context, f *serveFlight) bool {
+	select {
+	case <-f.done:
+		return true
+	case <-ctx.Done():
+		if s.flights.leave(f) {
+			s.obs.Counter("serve_flight_abandoned_total").Inc()
+		}
+		return false
 	}
 }
 
-// joinOrBegin attaches the request to key's flight, starting one (under
-// admission control) if none is live. It returns a nil flight when
-// admission is saturated; how reports "dedup" for a join and "miss" for a
-// fresh flight. Only the flight's beginner donates its trace — trace ids
-// are content addresses, so a joiner's trace would be the same trace, and
-// the beginner's records the actual computation.
-func (s *Server) joinOrBegin(key string, fn computeFn, t *traceTask) (f *serveFlight, how string) {
+// joinOrBegin attaches the caller to key's flight, starting one if none is
+// live — the one entry to computation for requests and campaign points
+// alike, so each key computes once whichever caller arrives first. A
+// request flight (t.admit) begins only under admission control: it returns
+// a nil flight when admission is saturated. how reports "dedup" for a join
+// and "miss" for a fresh flight. Only the flight's beginner donates its
+// trace — trace ids are content addresses, so a joiner's trace would be
+// the same trace, and the beginner's records the actual computation.
+func (s *Server) joinOrBegin(key string, fn computeFn, t *flightTask) (f *serveFlight, how string) {
 	if f := s.flights.join(key); f != nil {
 		s.obs.Counter("serve_dedup_joined_total").Inc()
 		return f, "dedup"
 	}
-	// No live flight: this request must compute, which needs a slot.
-	select {
-	case s.admit <- struct{}{}:
-	default:
-		return nil, ""
+	// No live flight: a request must compute, which needs a slot.
+	if t.admit {
+		select {
+		case s.admit <- struct{}{}:
+		default:
+			return nil, ""
+		}
 	}
 	fctx, fcancel := context.WithCancel(s.baseCtx)
 	f, created := s.flights.begin(key, fcancel)
 	if !created {
 		// Raced with another beginner; ride along and return the slot.
 		fcancel()
-		<-s.admit
+		if t.admit {
+			<-s.admit
+		}
 		s.obs.Counter("serve_dedup_joined_total").Inc()
 		return f, "dedup"
 	}
@@ -593,15 +615,12 @@ func (s *Server) joinOrBegin(key string, fn computeFn, t *traceTask) (f *serveFl
 }
 
 // runFlight executes the computation, publishes the marshaled response,
-// fills the cache and flight store on success, releases the admission
-// slot, and hands the settled trace to the tail sampler. The trace is
-// stored on the flight's outcome, not the waiter's — an abandoned request
-// whose computation completed still leaves a full trace behind.
-//
-// The slot is released before settle wakes the waiters: a closed-loop
-// caller sends its next request as soon as its response lands, and must
-// find its slot free again rather than race this goroutine's exit.
-func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t *traceTask) {
+// fills the cache and flight store on success, releases a request
+// flight's admission slot, and hands the settled trace to the tail
+// sampler. The trace is stored on the flight's outcome, not the waiter's
+// — an abandoned request whose computation completed still leaves a full
+// trace behind.
+func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t *flightTask) {
 	defer s.wg.Done()
 	inflight := s.obs.Gauge("serve_compute_inflight")
 	inflight.Add(1)
@@ -625,13 +644,10 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 		if body, ok := s.cluster.FetchResult(ctx, owner, f.key); ok {
 			ps.Attr("result", "hit").End()
 			t.tr.Root().End()
-			evicted := s.cache.Put(f.key, body)
-			s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-			s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
+			s.putResult(f.key, body)
 			f.via, f.peer = "peer", owner
-			s.storeTrace(t.tr, t.route, t.key, http.StatusOK, t.faulted, "peer", time.Since(fetchStart))
-			<-s.admit
-			s.flights.settle(f, http.StatusOK, body)
+			s.storeTrace(t.tr, t.route, f.key, http.StatusOK, t.faulted, "peer", time.Since(fetchStart))
+			s.settle(f, t, http.StatusOK, body, nil)
 			return
 		}
 		ps.Attr("result", "miss").End()
@@ -646,8 +662,13 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	dur := time.Since(start)
 	// The exemplar cross-links this latency observation to its trace, the
 	// metrics-to-forensics hop (histogram bucket → exact request).
-	s.obs.Histogram("serve_compute_seconds", nil).
-		ObserveExemplar(dur.Seconds(), "trace:"+t.tr.ID().String())
+	// Campaign flights have no trace to link.
+	hist := s.obs.Histogram("serve_compute_seconds", nil)
+	if t.tr != nil {
+		hist.ObserveExemplar(dur.Seconds(), "trace:"+t.tr.ID().String())
+	} else {
+		hist.Observe(dur.Seconds())
+	}
 
 	status := http.StatusOK
 	var body []byte
@@ -667,10 +688,16 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	compute.End()
 	t.tr.Root().End()
 	if status == http.StatusOK {
-		evicted := s.cache.Put(f.key, body)
-		s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
-		s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
-		s.storeFlight(flightID(f.key), rec)
+		s.putResult(f.key, body)
+		fid := flightID(f.key)
+		var frec []byte
+		if rec.Len() > 0 {
+			frec = rec.Bytes()
+			if dropped := rec.Dropped(); dropped > 0 {
+				s.obs.Counter("serve_flight_records_dropped_total").Add(dropped)
+			}
+			s.putFlight(fid, frec, "serve_flights_recorded_total")
+		}
 		if owner != s.cluster.Self() {
 			// Ownership-violating write: this shard computed a key the
 			// ring assigns elsewhere (owner was down or its cache cold).
@@ -678,16 +705,13 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 			// ring sends them; best-effort and off the request path. The
 			// flight record rides along so forensics follow the result —
 			// a reader the ring routes to the owner finds both.
-			fwd := body
-			var frec []byte
-			if rec.Len() > 0 && !s.noFlightReplication {
-				frec = rec.Bytes()
+			if s.noFlightReplication {
+				frec = nil
 			}
-			fid := flightID(f.key)
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.cluster.OfferResult(owner, f.key, fwd)
+				s.cluster.OfferResult(owner, f.key, body)
 				if len(frec) > 0 {
 					s.cluster.OfferFlight(owner, fid, frec)
 				}
@@ -697,9 +721,29 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	// Store the trace before waking the waiters: a client that reads the
 	// X-Powerbench-Trace header off its response can fetch the trace
 	// immediately, no settle/store race.
-	s.storeTrace(t.tr, t.route, t.key, status, t.faulted, "miss", dur)
-	<-s.admit
-	s.flights.settle(f, status, body)
+	s.storeTrace(t.tr, t.route, f.key, status, t.faulted, "miss", dur)
+	s.settle(f, t, status, body, err)
+}
+
+// settle frees a request flight's admission slot, then publishes the
+// flight's outcome and wakes its waiters. The slot goes first: a
+// closed-loop caller sends its next request as soon as its response
+// lands, and must find its slot free again rather than race this
+// goroutine's exit.
+func (s *Server) settle(f *serveFlight, t *flightTask, status int, body []byte, err error) {
+	if t.admit {
+		<-s.admit
+	}
+	s.flights.settle(f, status, body, err)
+}
+
+// putResult installs a response body in the result cache — every path
+// that fills it (compute, peer fetch, campaign dispatch, peer write-back,
+// WAL recovery) goes through here, so the cache gauges never go stale.
+func (s *Server) putResult(key string, body []byte) {
+	evicted := s.cache.Put(key, body)
+	s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
+	s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
 }
 
 // --- response helpers ---

@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// flightGroup deduplicates concurrent identical requests: all waiters for
-// one canonical key share a single in-flight computation ("flight") and
-// receive the same response bytes. The group also owns the abandonment
-// contract — when the last waiter gives up (deadline, disconnect) the
+// flightGroup deduplicates concurrent identical computations: all waiters
+// for one canonical key — requests, campaign points and peer fetches alike
+// — share a single in-flight computation ("flight") and receive the same
+// response bytes. The group also owns the abandonment contract — when the
+// last waiter gives up (deadline, disconnect, cancelled campaign) the
 // flight's context is cancelled so the scheduler stops dispatching its
 // pending simulation runs.
 type flightGroup struct {
@@ -19,13 +20,16 @@ type flightGroup struct {
 // serveFlight is one shared computation.
 type serveFlight struct {
 	key string
-	// done closes when the flight settles; body/status are valid after.
+	// done closes when the flight settles; body/status/err are valid
+	// after. err is the computation's own error on a failed flight, which
+	// the campaign executor journals verbatim.
 	done   chan struct{}
 	body   []byte
 	status int
+	err    error
 	// cancel aborts the flight's compute context.
 	cancel context.CancelFunc
-	// waiters counts requests currently waiting on done (guarded by the
+	// waiters counts callers currently waiting on done (guarded by the
 	// group mutex).
 	waiters int
 	settled bool
@@ -90,10 +94,11 @@ func (g *flightGroup) leave(f *serveFlight) bool {
 
 // settle publishes the flight's result, detaches it from the group and
 // wakes every waiter. Exactly one settle per flight.
-func (g *flightGroup) settle(f *serveFlight, status int, body []byte) {
+func (g *flightGroup) settle(f *serveFlight, status int, body []byte, err error) {
 	g.mu.Lock()
 	f.status = status
 	f.body = body
+	f.err = err
 	f.settled = true
 	if g.flights[f.key] == f {
 		delete(g.flights, f.key)

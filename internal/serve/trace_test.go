@@ -157,7 +157,7 @@ func itoa(i int) string {
 func TestTraceStoreBounds(t *testing.T) {
 	ts := newTraceStore(2)
 	put := func(id, doc string, spans int) int {
-		return ts.Put(id, []byte(doc), fleet.TraceSummary{Trace: id, Spans: spans})
+		return ts.Put(id, storedTrace{doc: []byte(doc), meta: fleet.TraceSummary{Trace: id, Spans: spans}})
 	}
 	if put("a", "aaaa", 5) != 0 || put("b", "bb", 1) != 0 {
 		t.Fatalf("unexpected eviction while under bound")
@@ -169,12 +169,12 @@ func TestTraceStoreBounds(t *testing.T) {
 	if put("a", "x", 2) != 0 {
 		t.Fatalf("same-id put evicted")
 	}
-	if got, _ := ts.Get("a"); string(got) != "aaaa" {
+	if got, _ := ts.Get("a"); string(got.doc) != "aaaa" {
 		t.Fatalf("richer doc clobbered: %q", got)
 	}
 	// A richer doc replaces, adjusting bytes.
 	put("a", "aaaaaaaa", 9)
-	if got, _ := ts.Get("a"); string(got) != "aaaaaaaa" {
+	if got, _ := ts.Get("a"); string(got.doc) != "aaaaaaaa" {
 		t.Fatalf("richer doc not stored: %q", got)
 	}
 	if ts.Bytes() != 10 {

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"powerbench/internal/fleet"
@@ -62,100 +60,38 @@ func keyFraction(key string) float64 {
 	return float64(binary.BigEndian.Uint64(sum[:8])) / float64(1<<63) / 2
 }
 
-// traceStore is the bounded trace repository: trace id → exported document
-// bytes, LRU-evicted by entry count with byte accounting for the health
-// surface. Because trace ids are content addresses, a hit and a later miss
-// of the same request share an id; Put keeps whichever document carries
-// more spans, so a full compute trace is never clobbered by the stub trace
-// of a subsequent cache hit.
-type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	bytes int64
-	order *list.List // front = most recently used; values are *traceEntry
-	items map[string]*list.Element
-}
-
-type traceEntry struct {
-	id   string
+// storedTrace is one trace-store entry: the exported document and its
+// listing row.
+type storedTrace struct {
 	doc  []byte
 	meta fleet.TraceSummary
 }
 
-func newTraceStore(capacity int) *traceStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &traceStore{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
+// newTraceStore returns the bounded trace repository, LRU-evicted by entry
+// count with byte accounting for the health surface. Because trace ids are
+// content addresses, a hit and a later miss of the same request share an
+// id; a richer document (more spans) replaces a poorer one, so a full
+// compute trace is never clobbered by the stub trace of a later cache hit.
+func newTraceStore(capacity int) *lru[storedTrace] {
+	return newLRU(capacity, func(t storedTrace) int { return len(t.doc) },
+		func(old, t storedTrace) bool { return t.meta.Spans > old.meta.Spans })
 }
 
-// Put stores doc under id and returns how many entries were evicted. An
-// existing entry is replaced only by a richer document (more spans).
-func (t *traceStore) Put(id string, doc []byte, meta fleet.TraceSummary) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.items[id]; ok {
-		e := el.Value.(*traceEntry)
-		if meta.Spans > e.meta.Spans {
-			t.bytes += int64(len(doc)) - int64(len(e.doc))
-			e.doc, e.meta = doc, meta
-		}
-		t.order.MoveToFront(el)
-		return 0
-	}
-	t.items[id] = t.order.PushFront(&traceEntry{id: id, doc: doc, meta: meta})
-	t.bytes += int64(len(doc))
-	if t.order.Len() <= t.cap {
-		return 0
-	}
-	oldest := t.order.Back()
-	e := oldest.Value.(*traceEntry)
-	t.order.Remove(oldest)
-	delete(t.items, e.id)
-	t.bytes -= int64(len(e.doc))
-	return 1
+// localTrace returns the trace document this shard stored under id.
+func (s *Server) localTrace(id string) ([]byte, bool) {
+	t, ok := s.traces.Get(id)
+	return t.doc, ok
 }
 
-// Get returns the stored document for id and marks it most recently used.
-func (t *traceStore) Get(id string) ([]byte, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.items[id]
-	if !ok {
-		return nil, false
-	}
-	t.order.MoveToFront(el)
-	return el.Value.(*traceEntry).doc, true
-}
-
-// List returns the stored traces' metadata sorted by trace id.
-func (t *traceStore) List() []fleet.TraceSummary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]fleet.TraceSummary, 0, len(t.items))
-	for _, el := range t.items {
-		out = append(out, el.Value.(*traceEntry).meta)
+// traceList returns the stored traces' listing rows sorted by trace id.
+func (s *Server) traceList() []fleet.TraceSummary {
+	stored := s.traces.Values()
+	out := make([]fleet.TraceSummary, len(stored))
+	for i, t := range stored {
+		out[i] = t.meta
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Trace < out[j].Trace })
 	return out
-}
-
-// Len returns the current entry count.
-func (t *traceStore) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.order.Len()
-}
-
-// Bytes returns the summed document sizes.
-func (t *traceStore) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bytes
 }
 
 // newRequestTrace opens the trace for one compute request: id derived from
@@ -196,11 +132,11 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, f
 		s.obs.Infof("trace %s not stored: %v", doc.Trace, err)
 		return
 	}
-	evicted := s.traces.Put(doc.Trace, body, fleet.TraceSummary{
+	evicted := s.traces.Put(doc.Trace, storedTrace{doc: body, meta: fleet.TraceSummary{
 		Trace: doc.Trace, Root: route, Status: status, Reason: reason,
 		DurationUS: doc.DurationUS, Flight: doc.Flight, Spans: len(doc.Spans),
 		Shard: s.cluster.Self(),
-	})
+	}})
 	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()
 	s.obs.Counter("serve_trace_evictions_total").Add(int64(evicted))
 	s.obs.Gauge("serve_trace_entries").Set(float64(s.traces.Len()))
@@ -248,7 +184,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 		writeBody(w, http.StatusOK, "", body)
 		return
 	}
-	doc, ok := s.traces.Get(id)
+	doc, ok := s.localTrace(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no trace retained under "+id+" (tail sampling keeps error/faulted/slow/cache-miss traces)")
 		return

@@ -71,7 +71,7 @@ func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec fl
 	// request span in ctx) into the run, so sim phases land in the request's
 	// trace tree keyed by plan index — identical at any worker count.
 	results := make([]RunResult, len(models))
-	reports := pool.RunRetryAllTracedCtx(ctx, "sim", len(models), e.Retry, func(jctx context.Context, i, attempt int) error {
+	reports := pool.RunRetry(ctx, "sim", len(models), e.Retry, func(jctx context.Context, i, attempt int) error {
 		eng := e.Fork("run", strconv.Itoa(i), models[i].Name)
 		if eng.Fault.RunFails(attempt) {
 			return fault.ErrTransient
