@@ -15,7 +15,9 @@
 // per CPU) without changing any artifact byte.
 //
 // -v narrates progress on stderr; -metrics-out and -trace-out export the
-// run's telemetry (JSON metrics snapshot and Chrome trace_event file).
+// run's telemetry: a JSON metrics snapshot, and the run's span tree (one
+// span per artifact, its stages beneath) as a Chrome trace_event file whose
+// tree_hash is the same at every -jobs count.
 package main
 
 import (
@@ -32,11 +34,12 @@ import (
 	"powerbench/internal/report"
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
 type artifact struct {
 	id  string
-	run func(seed float64) (fmt.Stringer, string, error) // artifact, TSV
+	run func(ctx context.Context, seed float64) (fmt.Stringer, string, error) // artifact, TSV
 }
 
 func seriesArtifact(s *report.Series, err error) (fmt.Stringer, string, error) {
@@ -63,6 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chart := fs.Bool("chart", false, "render single-series figures as ASCII bar charts")
 	var cli obs.CLI
 	cli.Register(fs)
+	cli.RegisterTraceOut(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -74,19 +78,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// verifications; train lazily.
 	var trained *core.TrainingResult
 	verified := map[npb.Class]*core.VerificationResult{}
-	train := func(seed float64) (*core.TrainingResult, error) {
+	train := func(ctx context.Context, seed float64) (*core.TrainingResult, error) {
 		if trained != nil {
 			return trained, nil
 		}
 		var err error
-		trained, err = core.TrainPowerModelWithPool(server.Xeon4870(), seed, o, pool)
+		trained, err = core.TrainPowerModelWithPool(ctx, server.Xeon4870(), seed, o, pool)
 		return trained, err
 	}
-	verify := func(seed float64, class npb.Class) (*core.VerificationResult, error) {
+	verify := func(ctx context.Context, seed float64, class npb.Class) (*core.VerificationResult, error) {
 		if v, ok := verified[class]; ok {
 			return v, nil
 		}
-		tr, err := train(seed)
+		tr, err := train(ctx, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -96,12 +100,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return v, err
 	}
-	evalTable := func(name, tableName string, seed float64) (fmt.Stringer, string, error) {
+	evalTable := func(ctx context.Context, name, tableName string, seed float64) (fmt.Stringer, string, error) {
 		spec, err := server.ByName(name)
 		if err != nil {
 			return nil, "", err
 		}
-		ev, err := core.EvaluateCtx(context.Background(), spec, seed, core.EvalOptions{Obs: o, Pool: pool})
+		ev, err := core.EvaluateCtx(ctx, spec, seed, core.EvalOptions{Obs: o, Pool: pool})
 		if err != nil {
 			return nil, "", err
 		}
@@ -110,19 +114,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	artifacts := []artifact{
-		{"table1", func(float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table1(), nil) }},
-		{"chars", func(float64) (fmt.Stringer, string, error) { return tableArtifact(core.CharacterizationTable(), nil) }},
-		{"fig1", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig1(server.XeonE5462())) }},
-		{"fig2", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig2(server.XeonE5462())) }},
-		{"fig3", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig3(s)) }},
-		{"fig4", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig4(s)) }},
-		{"table2", func(s float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table2(s)) }},
-		{"fig5", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig5(s)) }},
-		{"fig6", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig6(s)) }},
-		{"fig7", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig7(s)) }},
-		{"fig8", func(float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig8()) }},
-		{"fig9", func(s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig9(s)) }},
-		{"fig10", func(s float64) (fmt.Stringer, string, error) {
+		{"table1", func(context.Context, float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table1(), nil) }},
+		{"chars", func(context.Context, float64) (fmt.Stringer, string, error) {
+			return tableArtifact(core.CharacterizationTable(), nil)
+		}},
+		{"fig1", func(_ context.Context, s float64) (fmt.Stringer, string, error) {
+			return seriesArtifact(core.Fig1(server.XeonE5462()))
+		}},
+		{"fig2", func(_ context.Context, s float64) (fmt.Stringer, string, error) {
+			return seriesArtifact(core.Fig2(server.XeonE5462()))
+		}},
+		{"fig3", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig3(s)) }},
+		{"fig4", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig4(s)) }},
+		{"table2", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table2(s)) }},
+		{"fig5", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig5(s)) }},
+		{"fig6", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig6(s)) }},
+		{"fig7", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig7(s)) }},
+		{"fig8", func(context.Context, float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig8()) }},
+		{"fig9", func(_ context.Context, s float64) (fmt.Stringer, string, error) { return seriesArtifact(core.Fig9(s)) }},
+		{"fig10", func(_ context.Context, s float64) (fmt.Stringer, string, error) {
 			p, err := core.Fig10and11(s)
 			if err != nil {
 				return nil, "", err
@@ -137,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return sr, sr.TSV(), nil
 		}},
-		{"fig11", func(s float64) (fmt.Stringer, string, error) {
+		{"fig11", func(_ context.Context, s float64) (fmt.Stringer, string, error) {
 			p, err := core.Fig10and11(s)
 			if err != nil {
 				return nil, "", err
@@ -149,12 +159,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return sr, sr.TSV(), nil
 		}},
-		{"table3", func(float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table3(), nil) }},
-		{"table4", func(s float64) (fmt.Stringer, string, error) { return evalTable("Xeon-E5462", "Table IV", s) }},
-		{"table5", func(s float64) (fmt.Stringer, string, error) { return evalTable("Opteron-8347", "Table V", s) }},
-		{"table6", func(s float64) (fmt.Stringer, string, error) { return evalTable("Xeon-4870", "Table VI", s) }},
-		{"orderings", func(s float64) (fmt.Stringer, string, error) {
-			c, err := core.CompareCtx(context.Background(), server.All(), s, core.EvalOptions{Obs: o, Pool: pool})
+		{"table3", func(context.Context, float64) (fmt.Stringer, string, error) { return tableArtifact(core.Table3(), nil) }},
+		{"table4", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			return evalTable(ctx, "Xeon-E5462", "Table IV", s)
+		}},
+		{"table5", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			return evalTable(ctx, "Opteron-8347", "Table V", s)
+		}},
+		{"table6", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			return evalTable(ctx, "Xeon-4870", "Table VI", s)
+		}},
+		{"orderings", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			c, err := core.CompareCtx(ctx, server.All(), s, core.EvalOptions{Obs: o, Pool: pool})
 			if err != nil {
 				return nil, "", err
 			}
@@ -171,42 +187,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 			add("SPECpower", c.SPECpower)
 			return t, t.TSV(), nil
 		}},
-		{"table7", func(s float64) (fmt.Stringer, string, error) {
-			tr, err := train(s)
+		{"table7", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			tr, err := train(ctx, s)
 			if err != nil {
 				return nil, "", err
 			}
 			return tableArtifact(core.Table7(tr), nil)
 		}},
-		{"table8", func(s float64) (fmt.Stringer, string, error) {
-			tr, err := train(s)
+		{"table8", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			tr, err := train(ctx, s)
 			if err != nil {
 				return nil, "", err
 			}
 			return tableArtifact(core.Table8(tr), nil)
 		}},
-		{"fig12", func(s float64) (fmt.Stringer, string, error) {
-			v, err := verify(s, npb.ClassB)
+		{"fig12", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			v, err := verify(ctx, s, npb.ClassB)
 			if err != nil {
 				return nil, "", err
 			}
 			return seriesArtifact(core.Fig12(v))
 		}},
-		{"fig13", func(s float64) (fmt.Stringer, string, error) {
-			v, err := verify(s, npb.ClassB)
+		{"fig13", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
+			v, err := verify(ctx, s, npb.ClassB)
 			if err != nil {
 				return nil, "", err
 			}
 			return seriesArtifact(core.Fig13(v))
 		}},
-		{"r2", func(s float64) (fmt.Stringer, string, error) {
+		{"r2", func(ctx context.Context, s float64) (fmt.Stringer, string, error) {
 			t := &report.Table{
 				Title:   "Verification R² (§VI-C)",
 				Columns: []string{"Class", "R²", "Paper"},
 			}
 			paper := map[npb.Class]string{npb.ClassB: "0.634", npb.ClassC: "0.543"}
 			for _, class := range []npb.Class{npb.ClassB, npb.ClassC} {
-				v, err := verify(s, class)
+				v, err := verify(ctx, s, class)
 				if err != nil {
 					return nil, "", err
 				}
@@ -222,6 +238,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	// Each artifact traces under a span named for it, so every stage is
+	// attributed to the artifact that ran it, and two artifacts running the
+	// same pipeline call never open same-named sibling spans.
+	ctx := cli.Trace(context.Background(), "figures", fmt.Sprintf("figures only=%s seed=%g", *only, *seed))
+	root := tracectx.FromContext(ctx)
 	ran := false
 	for _, a := range artifacts {
 		if *only != "" && a.id != *only {
@@ -229,7 +250,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ran = true
 		o.Infof("generating %s", a.id)
-		art, tsv, err := a.run(*seed)
+		sp := root.Child(a.id)
+		art, tsv, err := a.run(tracectx.ContextWith(ctx, sp), *seed)
+		sp.End()
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", a.id, err)
 			return 1

@@ -21,8 +21,11 @@
 // and a chaos run is itself bit-reproducible at any -jobs count.
 // -v enables progress diagnostics on stderr (-v -v for debug detail) and
 // -q silences the report itself. -metrics-out writes a JSON snapshot of
-// every pipeline metric; -trace-out writes a Chrome trace_event file that
-// opens in chrome://tracing or https://ui.perfetto.dev.
+// every pipeline metric; -trace-out writes the run's span tree (the same
+// tracectx tree powerbenchd serves per request, DESIGN.md §11) as a Chrome
+// trace_event file that opens in chrome://tracing or
+// https://ui.perfetto.dev. Its trace id and tree_hash derive from the run's
+// identity, so they are the same at every -jobs count.
 //
 // -flight-out records every run into a flight-recorder file (JSONL, one
 // record per evaluation with phase boundaries and per-phase idle/CPU/memory
@@ -76,6 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	var cli obs.CLI
 	cli.Register(fs)
+	cli.RegisterTraceOut(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -136,11 +140,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specs = []*server.Spec{s}
 	}
 
+	ctx := cli.Trace(context.Background(), "powerbench",
+		fmt.Sprintf("powerbench server=%s seed=%g compare=%t fault-profile=%s", *serverName, *seed, *compare, *faultProfile))
 	tableNames := map[string]string{
 		"Xeon-E5462": "Table IV", "Opteron-8347": "Table V", "Xeon-4870": "Table VI",
 	}
 	for i, spec := range specs {
-		ev, err := core.EvaluateCtx(context.Background(), spec, *seed+float64(i), opts)
+		ev, err := core.EvaluateCtx(ctx, spec, *seed+float64(i), opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "evaluate:", err)
 			return 1
@@ -157,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		c, err := core.CompareCtx(context.Background(), specs, *seed+100, opts)
+		c, err := core.CompareCtx(ctx, specs, *seed+100, opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "compare:", err)
 			return 1

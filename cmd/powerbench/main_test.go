@@ -50,73 +50,67 @@ func TestRunQuietAndVerbose(t *testing.T) {
 	}
 }
 
-// chromeEvent mirrors the trace_event fields the validation needs.
-type chromeEvent struct {
-	Name  string  `json:"name"`
-	Phase string  `json:"ph"`
-	TS    float64 `json:"ts"`
-	Tid   int64   `json:"tid"`
+// chromeTrace mirrors the fields of a -trace-out file the checks need.
+type chromeTrace struct {
+	TraceEvents []struct {
+		Name  string `json:"name"`
+		Phase string `json:"ph"`
+		TS    int64  `json:"ts"`
+		Dur   int64  `json:"dur"`
+		Args  struct {
+			Span string `json:"span"`
+		} `json:"args"`
+	} `json:"traceEvents"`
+	Metadata struct {
+		Trace    string `json:"trace"`
+		TreeHash string `json:"tree_hash"`
+	} `json:"metadata"`
 }
 
-// TestRunTraceOut is the acceptance check for the trace exporter: the
-// emitted Chrome trace has at least one span per evaluation state and per
-// program run, strictly matched B/E pairs, and non-decreasing timestamps.
-func TestRunTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
+// traceOut runs powerbench with -trace-out and parses the file it wrote.
+func traceOut(t *testing.T, args ...string) chromeTrace {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
-	rc := run([]string{"-server", "Xeon-E5462", "-q", "-trace-out", tracePath}, &stdout, &stderr)
-	if rc != 0 {
+	if rc := run(append(args, "-q", "-trace-out", path), &stdout, &stderr); rc != 0 {
 		t.Fatalf("rc=%d: %s", rc, stderr.String())
 	}
-	data, err := os.ReadFile(tracePath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
+	var trace chromeTrace
 	if err := json.Unmarshal(data, &trace); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
+	return trace
+}
+
+// TestRunTraceOut is the acceptance check for the trace exporter: the
+// emitted Chrome trace is the run's tracectx tree as complete ("X") events,
+// with at least one span per evaluation state and per program run, and its
+// tree_hash is the same at -jobs 1 and -jobs 8.
+func TestRunTraceOut(t *testing.T) {
+	trace := traceOut(t, "-server", "Xeon-E5462")
 	events := trace.TraceEvents
 	if len(events) == 0 {
 		t.Fatal("empty trace")
 	}
-
 	states, runs := 0, 0
-	stacks := map[int64][]string{}
-	lastTS := events[0].TS
+	spans := map[string]bool{}
 	for i, e := range events {
-		if e.TS < lastTS {
-			t.Fatalf("event %d: ts %v decreases below %v", i, e.TS, lastTS)
+		if e.Phase != "X" || e.TS < 0 || e.Dur < 0 {
+			t.Fatalf("event %d: %+v, want a complete event with ts, dur >= 0", i, e)
 		}
-		lastTS = e.TS
-		switch e.Phase {
-		case "B":
-			stacks[e.Tid] = append(stacks[e.Tid], e.Name)
-			if strings.HasPrefix(e.Name, "state ") {
-				states++
-			}
-			if strings.HasPrefix(e.Name, "run ") {
-				runs++
-			}
-		case "E":
-			st := stacks[e.Tid]
-			if len(st) == 0 {
-				t.Fatalf("event %d: E %q with no open span on tid %d", i, e.Name, e.Tid)
-			}
-			if top := st[len(st)-1]; top != e.Name {
-				t.Fatalf("event %d: E %q does not match open span %q", i, e.Name, top)
-			}
-			stacks[e.Tid] = st[:len(st)-1]
-		default:
-			t.Fatalf("event %d: unexpected phase %q", i, e.Phase)
+		if spans[e.Args.Span] {
+			t.Fatalf("event %d: span id %q repeats", i, e.Args.Span)
 		}
-	}
-	for tid, st := range stacks {
-		if len(st) != 0 {
-			t.Errorf("tid %d: unclosed spans %v", tid, st)
+		spans[e.Args.Span] = true
+		if strings.HasPrefix(e.Name, "state ") {
+			states++
+		}
+		if strings.HasPrefix(e.Name, "run ") {
+			runs++
 		}
 	}
 	// The Xeon-E5462 plan is idle + 9 reference states: well past the
@@ -126,6 +120,18 @@ func TestRunTraceOut(t *testing.T) {
 	}
 	if runs < states {
 		t.Errorf("every state executes as a program run: want >=%d run spans, got %d", states, runs)
+	}
+	if trace.Metadata.Trace == "" || trace.Metadata.TreeHash == "" {
+		t.Errorf("metadata lacks the trace id or tree hash: %+v", trace.Metadata)
+	}
+
+	seq := traceOut(t, "-server", "Xeon-E5462", "-compare", "-jobs", "1")
+	par := traceOut(t, "-server", "Xeon-E5462", "-compare", "-jobs", "8")
+	if seq.Metadata != par.Metadata {
+		t.Errorf("-compare trace differs across -jobs: %+v at 1, %+v at 8", seq.Metadata, par.Metadata)
+	}
+	if seq.Metadata.Trace == trace.Metadata.Trace {
+		t.Error("-compare and plain runs share a trace id")
 	}
 }
 

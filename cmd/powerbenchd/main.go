@@ -8,7 +8,7 @@
 //	            [-flight-dir dir] [-pprof]
 //	            [-wal-dir dir] [-max-campaign-points n] [-campaign-workers n]
 //	            [-shard-id id -peers id=url,... ] [-peer-timeout d] [-ring-vnodes n]
-//	            [-v] [-q] [-metrics-out file] [-trace-out file]
+//	            [-v] [-q] [-metrics-out file]
 //
 // Endpoints:
 //
@@ -57,8 +57,10 @@
 // Identical requests are deduplicated and cached (content-addressed on the
 // canonical spec/seed/options hash), admission control answers 429 +
 // Retry-After beyond -max-inflight concurrent computations, and SIGINT/
-// SIGTERM drain in-flight work before exit. -metrics-out/-trace-out write
-// their exporter files after the drain, capturing the daemon's whole life.
+// SIGTERM drain in-flight work before exit. -metrics-out writes its
+// snapshot after the drain, capturing the daemon's whole life. Traces are
+// per request: GET /v1/traces/{id} serves one, and `powerbench trace
+// export` renders it as Chrome trace_event JSON.
 //
 // Every computed request records a flight (DESIGN.md §10): structured
 // per-run records with phase boundaries and energy attribution, retrievable

@@ -119,9 +119,13 @@ func TestDaemonListenFailure(t *testing.T) {
 }
 
 func TestDaemonBadFlags(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if rc := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); rc != 2 {
-		t.Fatalf("exit code %d, want 2", rc)
+	// -trace-out is a one-shot tool's flag: daemon traces leave through
+	// GET /v1/traces/{id}.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-trace-out", "t.json"}} {
+		var stdout, stderr syncBuffer
+		if rc := run(context.Background(), args, &stdout, &stderr); rc != 2 {
+			t.Fatalf("%v: exit code %d, want 2", args, rc)
+		}
 	}
 }
 

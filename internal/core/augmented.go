@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"powerbench/internal/hpcc"
@@ -43,7 +44,7 @@ func TrainPowerModelAugmented(spec *server.Spec, seed float64, extra []npb.Progr
 	}
 
 	engine := sim.New(spec, seed)
-	xs, ys, err := collectTrainingRuns(engine, models, nil, nil)
+	xs, ys, err := collectTrainingRuns(context.Background(), engine, models, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: augmented training: %w", err)
 	}

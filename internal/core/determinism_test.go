@@ -74,12 +74,12 @@ func TestTrainingDeterministicAcrossJobs(t *testing.T) {
 		t.Skip("full HPCC training sweep per job count")
 	}
 	spec := server.XeonE5462()
-	baseline, err := TrainPowerModelWithPool(spec, 3, nil, nil)
+	baseline, err := TrainPowerModelWithPool(context.Background(), spec, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range determinismJobCounts {
-		got, err := TrainPowerModelWithPool(spec, 3, nil, sched.New(jobs, nil))
+		got, err := TrainPowerModelWithPool(context.Background(), spec, 3, nil, sched.New(jobs, nil))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -173,7 +173,11 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	}
 	o, p := opts.Obs, opts.Pool
 	hardened := opts.Fault.Active()
-	sp := o.Span("evaluate "+spec.Name, "evaluate").Arg("seed", seed).Arg("jobs", p.Workers())
+	// Deliberate exception to "stages trace through tracectx": this obs
+	// root and green500's are the last o.Span call sites, kept because
+	// perfbench's campaign workload reads their tracer events for
+	// jobs.worker_busy_ratio. They go when that harness reads tracectx.
+	sp := o.Span("evaluate "+spec.Name, "evaluate")
 	defer sp.End()
 	// The request-trace span carries only identity attrs (never the worker
 	// count): its subtree must be byte-identical at any -jobs value.
@@ -208,14 +212,12 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	var sumG, sumW, sumPPW float64
 	var phases []flight.Phase
 	var runEnergy flight.Energy
-	analysis := sp.Child("analysis")
-	tanalysis := tr.Child("analysis")
+	analysis := tr.Child("analysis")
 	for i, r := range results {
 		if reports[i].Err != nil {
 			continue
 		}
 		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		tstate := tanalysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
 		window := meter.Window(merged, r.Start, r.End)
 		// Repair only runs hardened: it also clips the ramp transients of
 		// clean data, so a pristine window is analyzed as recorded.
@@ -226,7 +228,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			})
 			// The repair span exists for every state of a hardened run, even
 			// with zero actions: the trace shows the pass happened.
-			tstate.Child("repair").
+			state.Child("repair").
 				Attr("invalid", rep.Invalid).Attr("duplicates", rep.Duplicates).
 				Attr("spikes_clipped", rep.SpikesClipped).Attr("gap_filled", rep.GapSamplesFilled).
 				End()
@@ -260,17 +262,14 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			phases = append(phases, ph)
 		}
 		if hardened {
-			state.Arg("watts", watts).Arg("repairs", rep.Total()).End()
-			tstate.Attr("watts", watts).Attr("repairs", rep.Total()).End()
+			state.Attr("watts", watts).Attr("repairs", rep.Total()).End()
 		} else {
-			state.Arg("watts", watts).Arg("samples", len(window)).Arg("trim_dropped", dropped).End()
-			tstate.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
+			state.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
 			o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
 				r.Model.Name, watts, len(window), dropped)
 		}
 	}
 	analysis.End()
-	tanalysis.End()
 	if len(ev.Rows) == 0 {
 		return nil, fmt.Errorf("core: evaluating %s: all %d plan states failed", spec.Name, len(models))
 	}
@@ -322,6 +321,8 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	}
 	o, p := opts.Obs, opts.Pool
 	hardened := opts.Fault.Active()
+	// The other obs root perfbench reads for jobs.worker_busy_ratio (see
+	// EvaluateCtx).
 	sp := o.Span("green500 "+spec.Name, "evaluate")
 	defer sp.End()
 	tr := opts.traceSpan(ctx, "green500 "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
@@ -373,7 +374,7 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
 	if opts.Flight != nil {
 		ph := flightPhase(spec, run, window, res.AvgWatts, trimmedCount(len(window)))
-		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
+		emitEnergyMetrics(o, tr.Ref(), spec.Name, ph.Energy)
 		opts.record("green500", spec, seed, res.PPW, 1, []flight.Phase{ph}, ph.Energy, &res.Quality, runLedger)
 	}
 	return res, nil
@@ -410,8 +411,6 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		return nil, err
 	}
 	o, p := opts.Obs, opts.Pool
-	cmpSpan := o.Span("compare", "evaluate").Arg("servers", len(specs)).Arg("jobs", p.Workers())
-	defer cmpSpan.End()
 	tr := opts.traceSpan(ctx, "compare").Attr("servers", len(specs)).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
@@ -432,11 +431,7 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		if err != nil {
 			return err
 		}
-		// Root span, not a child of cmpSpan: concurrent children on one
-		// trace track would break its begin/end nesting.
-		ssjSpan := o.Span("specpower "+spec.Name, "evaluate")
 		sp, err := ssj.Run(spec)
-		ssjSpan.End()
 		if err != nil {
 			return err
 		}

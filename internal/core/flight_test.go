@@ -10,6 +10,7 @@ import (
 	"powerbench/internal/obs"
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
 // TestFlightDeterministicAcrossJobs is the recorder's half of the
@@ -150,13 +151,17 @@ func TestFlightRecordContent(t *testing.T) {
 }
 
 // TestFlightEnergyMetrics checks the obs half of the attribution pass:
-// per-component energy histograms with span exemplars.
+// per-component energy histograms whose exemplar names a span of the run's
+// trace, and no exemplar when the run is untraced.
 func TestFlightEnergyMetrics(t *testing.T) {
 	o := obs.New()
 	rec := flight.NewRecorder(0)
-	if _, err := EvaluateCtx(context.Background(), server.XeonE5462(), 3, EvalOptions{Obs: o, Flight: rec}); err != nil {
+	tr := tracectx.New(tracectx.DeriveID("energy"), "root", "test")
+	ctx := tracectx.ContextWith(context.Background(), tr.Root())
+	if _, err := EvaluateCtx(ctx, server.XeonE5462(), 3, EvalOptions{Obs: o, Flight: rec}); err != nil {
 		t.Fatal(err)
 	}
+	doc := tr.Export()
 	for _, component := range []string{"total", "idle", "cpu", "memory", "other"} {
 		h := o.Metrics.Histogram("core_phase_energy_joules", nil, obs.L("component", component))
 		if h.Count() == 0 {
@@ -167,11 +172,34 @@ func TestFlightEnergyMetrics(t *testing.T) {
 			if ex == nil || ex.Ref == "" {
 				t.Fatal("cpu energy histogram has no span exemplar")
 			}
+			if !exemplarNamesSpan(ex.Ref, doc) {
+				t.Fatalf("exemplar %q names no span of trace %s", ex.Ref, doc.Trace)
+			}
 		}
 	}
 	if g := o.Metrics.Gauge("core_run_energy_joules", obs.L("server", "Xeon-E5462")).Value(); g <= 0 {
 		t.Fatalf("run energy gauge %g", g)
 	}
+
+	untraced := obs.New()
+	if _, err := EvaluateCtx(context.Background(), server.XeonE5462(), 3, EvalOptions{Obs: untraced, Flight: flight.NewRecorder(0)}); err != nil {
+		t.Fatal(err)
+	}
+	h := untraced.Metrics.Histogram("core_phase_energy_joules", nil, obs.L("component", "cpu"))
+	if h.Count() == 0 || h.Exemplar() != nil {
+		t.Fatalf("untraced run: %d observations, exemplar %+v (want observations, no exemplar)", h.Count(), h.Exemplar())
+	}
+}
+
+// exemplarNamesSpan reports whether ref, in the "trace:<trace>/<span>"
+// form, names a span of doc.
+func exemplarNamesSpan(ref string, doc *tracectx.Doc) bool {
+	for _, s := range doc.Spans {
+		if ref == "trace:"+doc.Trace+"/"+s.ID {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFlightDiffAcrossSeeds is the acceptance check: diffing two

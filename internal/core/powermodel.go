@@ -17,6 +17,7 @@ import (
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/stats"
+	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
 
@@ -51,26 +52,24 @@ const robustZThreshold = 10.0
 // pool's workers — each on an engine forked by ("train", script index,
 // model name) identity — and concatenates the per-window observations in
 // script order, so the training matrix is byte-identical at every worker
-// count.
-func collectTrainingRuns(engine *sim.Engine, models []workload.Model, o *obs.Obs, p *sched.Pool) ([][]float64, []float64, error) {
+// count. Each job traces a "collect <model>" span under its "train job i"
+// span, with the run's spans beneath it.
+func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workload.Model, o *obs.Obs, p *sched.Pool) ([][]float64, []float64, error) {
 	type observations struct {
 		xs [][]float64
 		ys []float64
 	}
 	runs := make([]observations, len(models))
-	err := p.Run(context.Background(), "train", len(models), func(_ context.Context, i int) error {
+	err := p.Run(ctx, "train", len(models), func(jctx context.Context, i int) error {
 		m := models[i]
-		// Root span per collect: the jobs run concurrently, so nesting
-		// them under the training span would interleave begin/end pairs
-		// on its track.
-		runSpan := o.Span("collect "+m.Name, "regression")
-		defer runSpan.End()
+		sp := tracectx.FromContext(jctx).Child("collect " + m.Name)
+		defer sp.End()
 		eng := engine.Fork("train", strconv.Itoa(i), m.Name)
-		x, y, err := collectRun(eng, m)
+		x, y, err := collectRun(tracectx.ContextWith(jctx, sp), eng, m)
 		if err != nil {
 			return fmt.Errorf("core: training on %s: %w", m.Name, err)
 		}
-		runSpan.Arg("observations", len(x))
+		sp.Attr("observations", len(x))
 		o.Counter("core_training_observations_total").Add(int64(len(x)))
 		runs[i] = observations{xs: x, ys: y}
 		return nil
@@ -92,8 +91,8 @@ func collectTrainingRuns(engine *sim.Engine, models []workload.Model, o *obs.Obs
 // injector the observables are hardened first: counter wrap is corrected
 // across the run's windows and the power trace repaired onto its grid —
 // the clean path takes neither branch and keeps its historic bytes.
-func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
-	run, err := engine.Run(m, 0)
+func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
+	run, err := engine.RunCtx(ctx, m, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,7 +118,7 @@ func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, e
 // normalize to unify dimensions, and fit the power regression by forward
 // stepwise selection.
 func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
-	return TrainPowerModelWithPool(spec, seed, nil, nil)
+	return TrainPowerModelWithPool(context.Background(), spec, seed, nil, nil)
 }
 
 // TrainPowerModelWithPool is the scheduled form of the training sweep. The
@@ -128,17 +127,20 @@ func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
 // one physical server — so each (component, core-count) run is a scheduler
 // job on an engine forked by training identity, and the observation matrix
 // is concatenated in script order after the barrier. Training output is
-// byte-identical at every worker count; a nil pool runs sequentially.
-func TrainPowerModelWithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*TrainingResult, error) {
-	sp := o.Span("train "+spec.Name, "regression").Arg("seed", seed).Arg("jobs", p.Workers())
+// byte-identical at every worker count; a nil pool runs sequentially. When
+// ctx carries a tracectx span, the sweep traces under it as a "train
+// <server>" span with one "train job i" per run and a "stepwise fit".
+func TrainPowerModelWithPool(ctx context.Context, spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*TrainingResult, error) {
+	sp := tracectx.FromContext(ctx).Child("train "+spec.Name).Attr("seed", seed)
 	defer sp.End()
+	ctx = tracectx.ContextWith(ctx, sp)
 	models, err := hpcc.TrainingModels(spec)
 	if err != nil {
 		return nil, err
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
-	xs, ys, err := collectTrainingRuns(engine, models, o, p)
+	xs, ys, err := collectTrainingRuns(ctx, engine, models, o, p)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +311,7 @@ func VerifyPowerModel(spec *server.Spec, t *TrainingResult, class npb.Class, see
 			if err != nil {
 				continue
 			}
-			xs, ys, err := collectRun(engine, m)
+			xs, ys, err := collectRun(context.Background(), engine, m)
 			if err != nil {
 				return nil, fmt.Errorf("core: verifying %s: %w", m.Name, err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"powerbench/internal/comm"
 	"powerbench/internal/linalg"
-	"powerbench/internal/obs"
 	"powerbench/internal/rng"
 )
 
@@ -99,11 +98,6 @@ func (g *gridRank) ownedRows(lo, hi int) []int {
 
 // RunGrid2D factorizes and solves a random N×N system on a P×Q grid.
 func RunGrid2D(n, nb, p, q int) (Grid2DResult, error) {
-	return RunGrid2DObs(n, nb, p, q, nil)
-}
-
-// RunGrid2DObs is RunGrid2D with telemetry (see SolveGrid2DObs).
-func RunGrid2DObs(n, nb, p, q int, o *obs.Obs) (Grid2DResult, error) {
 	if n <= 0 || nb <= 0 || nb > n || p <= 0 || q <= 0 {
 		return Grid2DResult{}, fmt.Errorf("hpl: invalid grid parameters N=%d NB=%d P=%d Q=%d", n, nb, p, q)
 	}
@@ -121,20 +115,12 @@ func RunGrid2DObs(n, nb, p, q int, o *obs.Obs) (Grid2DResult, error) {
 	for i := range b {
 		b[i] = s.Next() - 0.5
 	}
-	return SolveGrid2DObs(a, b, nb, p, q, o)
+	return SolveGrid2D(a, b, nb, p, q)
 }
 
 // SolveGrid2D factorizes and solves a caller-supplied system A·x = b on a
 // P×Q block-cyclic grid; A and b are not modified.
 func SolveGrid2D(a *linalg.Matrix, b []float64, nb, p, q int) (Grid2DResult, error) {
-	return SolveGrid2DObs(a, b, nb, p, q, nil)
-}
-
-// SolveGrid2DObs is SolveGrid2D with telemetry: a span per block step's
-// panel factorization, pivot application and trailing update (traced from
-// rank 0's perspective, which participates in every step), and the world's
-// per-collective traffic published as metrics after the run.
-func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Grid2DResult, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n {
 		return Grid2DResult{}, fmt.Errorf("hpl: grid solve needs a square system, got %dx%d with b of %d", a.Rows, a.Cols, len(b))
@@ -168,16 +154,9 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 
 	globalPivots := make([]int, n)
 	start := time.Now()
-	solveSpan := o.Span(fmt.Sprintf("hpl grid2d N=%d NB=%d %dx%d", n, nb, p, q), "hpl")
 	w := comm.NewWorld(p * q)
 	w.Run(func(cm *comm.Comm) {
 		me := ranks[cm.Rank()]
-		// Only rank 0 traces the block steps: every rank walks the same
-		// loop, so one rank's timeline is the algorithm's timeline.
-		var trace *obs.Span
-		if cm.Rank() == 0 {
-			trace = solveSpan
-		}
 		rowComm := cm.Split(me.p, me.q)      // same process row; sub-rank = q
 		colComm := cm.Split(1000+me.q, me.p) // same process column; sub-rank = p
 
@@ -192,7 +171,6 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 			pivots := make([]int, width)
 
 			// --- Panel factorization on process column qOwner.
-			panelSpan := trace.Child("panel").Arg("kb", kb)
 			if me.q == qOwner {
 				for j := 0; j < width; j++ {
 					g := col0 + j
@@ -237,10 +215,7 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 				}
 			}
 
-			panelSpan.End()
-
 			// --- Broadcast pivots along process rows.
-			pivotSpan := trace.Child("pivot").Arg("kb", kb)
 			fp := make([]float64, width)
 			if me.q == qOwner {
 				for j, v := range pivots {
@@ -261,11 +236,9 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 				piv := pivots[j]
 				me.exchangeRowsOutsidePanel(colComm, g, piv, col0, col1, 500+j)
 			}
-			pivotSpan.End()
 
 			// --- Broadcast the factored panel along process rows: each
 			// rank needs the L values for its own global rows.
-			updateSpan := trace.Child("update").Arg("kb", kb)
 			panel := localPanel{}
 			myPanelRows := me.ownedRows(col0, n)
 			buf := make([]float64, len(myPanelRows)*width)
@@ -282,7 +255,6 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 			}
 
 			if col1 == n {
-				updateSpan.End()
 				cm.Barrier()
 				continue
 			}
@@ -332,11 +304,9 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 					}
 				}
 			}
-			updateSpan.End()
 			cm.Barrier()
 		}
 	})
-	solveSpan.End()
 	elapsed := time.Since(start).Seconds()
 
 	// Assemble and validate at the front end.
@@ -360,7 +330,6 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 	}
 	res := linalg.ScaledResidual(a, x, b)
 	st := w.Stats()
-	publishCommStats(o, st)
 	return Grid2DResult{
 		N: n, NB: nb, P: p, Q: q,
 		Seconds:  elapsed,
@@ -371,29 +340,6 @@ func SolveGrid2DObs(a *linalg.Matrix, b []float64, nb, p, q int, o *obs.Obs) (Gr
 		Bytes:    w.Bytes(),
 		Stats:    st,
 	}, nil
-}
-
-// publishCommStats mirrors a run's per-collective traffic into the metrics
-// registry, one labelled series per operation class.
-func publishCommStats(o *obs.Obs, st comm.Stats) {
-	if o == nil {
-		return
-	}
-	record := func(op string, s comm.OpStats) {
-		l := obs.L("op", op)
-		o.Counter("comm_calls_total", l).Add(s.Calls)
-		o.Counter("comm_messages_total", l).Add(s.Messages)
-		o.Counter("comm_bytes_total", l).Add(s.Bytes)
-		o.Counter("comm_nanos_total", l).Add(s.Nanos)
-	}
-	record("barrier", st.Barrier)
-	record("bcast", st.Bcast)
-	record("reduce", st.Reduce)
-	record("allreduce", st.Allreduce)
-	record("gather", st.Gather)
-	record("scatter", st.Scatter)
-	record("alltoall", st.Alltoall)
-	record("p2p", st.PointToPoint)
 }
 
 // subBcastFrom broadcasts buf from the given sub-rank (Bcast's root is a

@@ -221,37 +221,3 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	}
 	return nil
 }
-
-// --- Chrome trace_event ---
-
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// WriteChromeTrace renders the tracer's spans as Chrome trace_event JSON
-// (duration events: matched B/E pairs in non-decreasing ts order), loadable
-// in chrome://tracing and Perfetto. Virtual-clock intervals appear as
-// sim_t0/sim_t1 args on each span.
-func WriteChromeTrace(w io.Writer, t *Tracer) error {
-	events := t.Events()
-	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events)), DisplayTimeUnit: "ms"}
-	for _, e := range events {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: e.Name, Cat: e.Cat, Ph: string(e.Phase), TS: e.TS,
-			Pid: 1, Tid: e.Tid, Args: e.Args,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}

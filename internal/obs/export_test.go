@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,75 +78,5 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSnapshot([]byte(`{"metrics":[{"name":"bad name","type":"counter"}]}`)); err == nil {
 		t.Error("invalid metric name should fail to parse")
-	}
-}
-
-// ValidateChromeTrace checks the trace_event invariants the acceptance
-// criteria require: parseable JSON, non-decreasing ts, and per-track
-// stack-matched B/E pairs. Shared with the integration tests.
-func ValidateChromeTrace(t *testing.T, data []byte) []chromeEvent {
-	t.Helper()
-	var trace chromeTrace
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	stacks := map[int64][]string{}
-	var last int64
-	for i, e := range trace.TraceEvents {
-		if e.TS < last {
-			t.Fatalf("event %d: ts %d regresses below %d", i, e.TS, last)
-		}
-		last = e.TS
-		switch e.Ph {
-		case "B":
-			stacks[e.Tid] = append(stacks[e.Tid], e.Name)
-		case "E":
-			st := stacks[e.Tid]
-			if len(st) == 0 {
-				t.Fatalf("event %d: E %q with no open B on tid %d", i, e.Name, e.Tid)
-			}
-			if st[len(st)-1] != e.Name {
-				t.Fatalf("event %d: E %q does not match open span %q", i, e.Name, st[len(st)-1])
-			}
-			stacks[e.Tid] = st[:len(st)-1]
-		default:
-			t.Fatalf("event %d: unexpected phase %q", i, e.Ph)
-		}
-	}
-	for tid, st := range stacks {
-		if len(st) != 0 {
-			t.Fatalf("tid %d has unterminated spans %v", tid, st)
-		}
-	}
-	return trace.TraceEvents
-}
-
-func TestChromeTraceValid(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("evaluate", "evaluate")
-	root.Child("run idle").SetVirtual(0, 120).End()
-	run := root.Child("run HPL Mf")
-	run.Child("steady").SetVirtual(8, 852).End()
-	run.End()
-	root.End()
-	tr.Start("train", "regression").End()
-
-	var b bytes.Buffer
-	if err := WriteChromeTrace(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	events := ValidateChromeTrace(t, b.Bytes())
-	if len(events) != 10 {
-		t.Errorf("got %d events, want 10", len(events))
-	}
-	// The virtual clock must survive export.
-	found := false
-	for _, e := range events {
-		if e.Ph == "E" && e.Name == "steady" {
-			found = e.Args["sim_t0"] == 8.0 && e.Args["sim_t1"] == 852.0
-		}
-	}
-	if !found {
-		t.Error("steady span lost its sim_t0/sim_t1 args")
 	}
 }

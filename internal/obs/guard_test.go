@@ -88,16 +88,12 @@ func TestWithAttrs(t *testing.T) {
 
 func TestExemplarExport(t *testing.T) {
 	o := New()
-	sp := o.Span("evaluate X", "evaluate")
+	const ref = "trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"
 	h := o.Histogram("core_phase_energy_joules", []float64{10, 100}, L("component", "cpu"))
-	h.ObserveExemplar(42.5, sp.Ref())
-	sp.End()
+	h.ObserveExemplar(42.5, ref)
 
-	if ref := sp.Ref(); !strings.Contains(ref, "evaluate X#") {
-		t.Fatalf("span ref %q", ref)
-	}
 	ex := h.Exemplar()
-	if ex == nil || ex.Value != 42.5 || ex.Ref != sp.Ref() {
+	if ex == nil || ex.Value != 42.5 || ex.Ref != ref {
 		t.Fatalf("exemplar %+v", ex)
 	}
 	snap := o.Metrics.Snapshot()
@@ -105,7 +101,7 @@ func TestExemplarExport(t *testing.T) {
 	for _, m := range snap.Metrics {
 		if m.Name == "core_phase_energy_joules" && m.Exemplar != nil {
 			found = true
-			if m.Exemplar.Ref != sp.Ref() {
+			if m.Exemplar.Ref != ref {
 				t.Fatalf("snapshot exemplar ref %q", m.Exemplar.Ref)
 			}
 		}
@@ -117,22 +113,15 @@ func TestExemplarExport(t *testing.T) {
 	if err := WritePrometheus(&b, o.Metrics); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `# {span="`+sp.Ref()+`"} 42.5`) {
+	if !strings.Contains(b.String(), `# {span="`+ref+`"} 42.5`) {
 		t.Fatalf("prometheus output lacks exemplar:\n%s", b.String())
 	}
-}
 
-func TestSpanRefsAreUnique(t *testing.T) {
-	o := New()
-	a := o.Span("run", "x")
-	b := a.Child("run")
-	c := o.Span("run", "x")
-	if a.Ref() == b.Ref() || a.Ref() == c.Ref() || b.Ref() == c.Ref() {
-		t.Fatalf("span refs collide: %q %q %q", a.Ref(), b.Ref(), c.Ref())
-	}
-	var nilSpan *Span
-	if nilSpan.Ref() != "" {
-		t.Fatal("nil span ref must be empty")
+	// An empty ref (an untraced run) observes without an exemplar.
+	u := o.Histogram("untraced", []float64{1})
+	u.ObserveExemplar(0.5, "")
+	if u.Count() != 1 || u.Exemplar() != nil {
+		t.Fatalf("untraced observation: count %d, exemplar %+v", u.Count(), u.Exemplar())
 	}
 }
 

@@ -45,9 +45,7 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("x").Add(1)
 	o.Gauge("x").Set(1)
 	o.Histogram("x", nil).Observe(1)
-	sp := o.Span("s", "c")
-	sp.Child("child").SetVirtual(0, 1).Arg("k", "v").End()
-	sp.End()
+	o.Span("s", "c").End()
 	o.Infof("hello %d", 1)
 	o.Debugf("debug")
 

@@ -1,17 +1,17 @@
 // Package obs is the repository's observability substrate: a dependency-free
 // telemetry layer with a concurrency-safe metrics registry (counters, gauges,
-// histograms with labels), a span tracer that records both wall-clock time and
-// the simulation's virtual clock, and a leveled structured event log that
-// replaces ad-hoc fmt.Printf progress output.
+// histograms with labels) and a leveled structured event log that replaces
+// ad-hoc fmt.Printf progress output. Spans are not this package's job: the
+// pipeline traces through internal/tracectx (see Tracer for the one
+// remaining exception).
 //
 // The paper's method is itself an instrumentation pipeline — meter samples,
 // PMU windows, per-program time windows — and production power-telemetry
 // systems (the Cray PMDB validation experience, EfiMon's collection loop; see
 // PAPERS.md) show that the measurement infrastructure needs its own counters,
 // timestamps and exportable traces to be trustworthy. This package gives the
-// evaluation pipeline that layer. Three exporters are provided: Prometheus
-// text exposition format, a JSON snapshot, and Chrome trace_event JSON that
-// opens directly in chrome://tracing or Perfetto.
+// evaluation pipeline its metrics and event half. Two exporters are
+// provided: Prometheus text exposition format and a JSON snapshot.
 //
 // Every entry point is nil-safe: a nil *Obs (or nil *Registry/*Tracer/*Logger,
 // or the nil metric handles they return) turns the whole layer into a no-op
@@ -106,7 +106,8 @@ func (o *Obs) Histogram(name string, buckets []float64, labels ...Label) *Histog
 	return o.Metrics.Histogram(name, buckets, o.mergeAttrs(labels)...)
 }
 
-// Span starts a root span on the tracer, or returns a no-op nil span.
+// Span starts a root span on the tracer, or returns a no-op nil span. Only
+// core's evaluate and green500 roots call it (see Tracer).
 func (o *Obs) Span(name, cat string) *Span {
 	if o == nil || o.Tracer == nil {
 		return nil

@@ -1,28 +1,27 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
 
-// Tracer records spans. Each root span opens a new track (Chrome-trace tid);
-// child spans share their parent's track, so the exported trace nests the way
-// the pipeline actually nests (evaluate → state run → ramp/steady phases).
+// Tracer records root spans, each on its own track, as begin/end events
+// stamped on the wall clock (microseconds since the tracer's epoch). It is
+// not the pipeline's span model: stages trace through internal/tracectx,
+// whose identity-derived trees are what -trace-out and /v1/traces render.
+// The tracer survives only for the two method roots core opens ("evaluate
+// X", "green500 X"), whose events the benchmark harness reads to measure
+// campaign worker busy time; the next benchmark change moves that reading
+// onto tracectx and deletes this file.
 //
-// Spans carry two clocks: the wall clock (when the instrumented code actually
-// ran, microseconds since the tracer's epoch) and, optionally, the
-// simulation's virtual clock (server-clock seconds — "HPL steady phase,
-// simulated t=120..980 s" — set with SetVirtual). Begin/end events are
-// appended under one mutex with the timestamp taken inside the critical
-// section, so the event list is ordered by non-decreasing timestamp by
-// construction and exports sorted without a sort pass.
+// Begin/end events are appended under one mutex with the timestamp taken
+// inside the critical section, so the event list is ordered by
+// non-decreasing timestamp by construction.
 type Tracer struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	events  []TraceEvent
 	nextTid int64
-	nextSid int64
 }
 
 // TraceEvent is one begin ('B') or end ('E') record.
@@ -32,17 +31,14 @@ type TraceEvent struct {
 	Phase byte  // 'B' or 'E'
 	TS    int64 // microseconds since the tracer epoch
 	Tid   int64
-	Args  map[string]any // only on 'E' events, merged by trace viewers
 }
 
-// Span is an open interval of work. A nil span is a no-op.
+// Span is an open root span. A nil span is a no-op.
 type Span struct {
 	t     *Tracer
 	name  string
 	cat   string
 	tid   int64
-	sid   int64
-	args  map[string]any
 	ended bool
 }
 
@@ -51,10 +47,10 @@ func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now()}
 }
 
-func (t *Tracer) begin(name, cat string, tid int64) {
+func (t *Tracer) record(name, cat string, phase byte, tid int64) {
 	t.mu.Lock()
 	t.events = append(t.events, TraceEvent{
-		Name: name, Cat: cat, Phase: 'B',
+		Name: name, Cat: cat, Phase: phase,
 		TS:  time.Since(t.epoch).Microseconds(),
 		Tid: tid,
 	})
@@ -69,60 +65,9 @@ func (t *Tracer) Start(name, cat string) *Span {
 	t.mu.Lock()
 	t.nextTid++
 	tid := t.nextTid
-	t.nextSid++
-	sid := t.nextSid
 	t.mu.Unlock()
-	t.begin(name, cat, tid)
-	return &Span{t: t, name: name, cat: cat, tid: tid, sid: sid}
-}
-
-// Child opens a sub-span on the parent's track. The child must End before
-// the parent for the B/E pairs to nest; the instrumented pipeline is
-// strictly call-structured, so this holds naturally.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.t.begin(name, s.cat, s.tid)
-	s.t.mu.Lock()
-	s.t.nextSid++
-	sid := s.t.nextSid
-	s.t.mu.Unlock()
-	return &Span{t: s.t, name: name, cat: s.cat, tid: s.tid, sid: sid}
-}
-
-// Ref returns a stable reference to the span ("name#id") suitable as a
-// metric exemplar link: the id is the span's creation ordinal on its
-// tracer, and the same name#id appears nowhere else in the trace. A nil
-// span returns "".
-func (s *Span) Ref() string {
-	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s#%d", s.name, s.sid)
-}
-
-// SetVirtual records the span's interval on the simulation's virtual clock
-// (server-clock seconds), exported as sim_t0/sim_t1 args.
-func (s *Span) SetVirtual(t0, t1 float64) *Span {
-	if s == nil {
-		return nil
-	}
-	s.Arg("sim_t0", t0)
-	s.Arg("sim_t1", t1)
-	return s
-}
-
-// Arg attaches a key/value pair to the span, emitted with its end event.
-func (s *Span) Arg(key string, value any) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.args == nil {
-		s.args = map[string]any{}
-	}
-	s.args[key] = value
-	return s
+	t.record(name, cat, 'B', tid)
+	return &Span{t: t, name: name, cat: cat, tid: tid}
 }
 
 // End closes the span. Ending twice is a no-op, so defer sp.End() composes
@@ -132,15 +77,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	t := s.t
-	t.mu.Lock()
-	t.events = append(t.events, TraceEvent{
-		Name: s.name, Cat: s.cat, Phase: 'E',
-		TS:   time.Since(t.epoch).Microseconds(),
-		Tid:  s.tid,
-		Args: s.args,
-	})
-	t.mu.Unlock()
+	s.t.record(s.name, s.cat, 'E', s.tid)
 }
 
 // Events returns a snapshot of the recorded events in timestamp order.

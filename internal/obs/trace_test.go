@@ -5,42 +5,37 @@ import (
 	"testing"
 )
 
-func TestSpanNestingAndVirtualClock(t *testing.T) {
+// TestTracerRootTracks: every root span opens its own track with one begin
+// and one end event, in timestamp order, and a double End emits nothing.
+func TestTracerRootTracks(t *testing.T) {
 	tr := NewTracer()
-	root := tr.Start("evaluate Xeon-E5462", "evaluate")
-	run := root.Child("run HPL Mf").SetVirtual(120, 980)
-	run.Arg("samples", 860)
-	run.End()
-	run.End() // double End must be a no-op
-	root.End()
+	a := tr.Start("evaluate Xeon-E5462", "evaluate")
+	a.End()
+	a.End() // double End must be a no-op
+	b := tr.Start("green500 Xeon-E5462", "evaluate")
+	b.End()
 
 	evs := tr.Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4 (double End must not emit)", len(evs))
 	}
-	// Nesting: root B, child B, child E, root E — all on one track.
-	wantPhases := []byte{'B', 'B', 'E', 'E'}
+	wantPhases := []byte{'B', 'E', 'B', 'E'}
 	for i, e := range evs {
 		if e.Phase != wantPhases[i] {
 			t.Errorf("event %d phase %c, want %c", i, e.Phase, wantPhases[i])
-		}
-		if e.Tid != evs[0].Tid {
-			t.Errorf("event %d on track %d, want parent's track %d", i, e.Tid, evs[0].Tid)
 		}
 		if i > 0 && e.TS < evs[i-1].TS {
 			t.Errorf("timestamps out of order: %d after %d", e.TS, evs[i-1].TS)
 		}
 	}
-	if evs[2].Args["sim_t0"] != 120.0 || evs[2].Args["sim_t1"] != 980.0 {
-		t.Errorf("virtual clock args = %v", evs[2].Args)
+	if evs[0].Tid != evs[1].Tid || evs[2].Tid != evs[3].Tid {
+		t.Error("a span's begin and end must share its track")
 	}
-
-	// A second root span opens a new track.
-	other := tr.Start("other", "misc")
-	other.End()
-	evs = tr.Events()
-	if evs[4].Tid == evs[0].Tid {
+	if evs[0].Tid == evs[2].Tid {
 		t.Error("second root span should get its own track")
+	}
+	if evs[1].Name != "evaluate Xeon-E5462" || evs[1].Cat != "evaluate" {
+		t.Errorf("end event %+v lost the span's name or category", evs[1])
 	}
 }
 
@@ -52,16 +47,14 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sp := tr.Start("work", "bench")
-				sp.Child("inner").End()
-				sp.End()
+				tr.Start("work", "bench").End()
 			}
 		}(w)
 	}
 	wg.Wait()
 	evs := tr.Events()
-	if len(evs) != 8*200*4 {
-		t.Fatalf("got %d events, want %d", len(evs), 8*200*4)
+	if len(evs) != 8*200*2 {
+		t.Fatalf("got %d events, want %d", len(evs), 8*200*2)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].TS < evs[i-1].TS {

@@ -21,11 +21,12 @@
 //     are reported by the lowest failing index, so even failure output is
 //     scheduling-independent.
 //
-// The pool is instrumented through internal/obs: a queue-depth gauge, a
-// span per worker (with one child span per executed job), and counters
-// for dispatched, failed, retried, given-up and "stolen" jobs (jobs
-// executed by a worker other than their round-robin home — a measure of
-// how unevenly the work divided).
+// The pool is instrumented through internal/obs — a queue-depth gauge and
+// counters for dispatched, failed, retried, given-up and "stolen" jobs
+// (jobs executed by a worker other than their round-robin home — a
+// measure of how unevenly the work divided) — and traces one tracectx span
+// per job (see Run). Spans are keyed by job, never by worker, so no span
+// depends on the worker count.
 //
 // # Failure contract
 //
@@ -211,16 +212,11 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			sp := o.Span(fmt.Sprintf("%s worker %d", label, w), "sched")
-			defer sp.End()
-			jobs := 0
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
-					sp.Arg("jobs", jobs)
 					return
 				}
-				jobs++
 				queue.Add(-1)
 				// The trace span is keyed by job index, never by worker: the
 				// tree must come out identical at any worker count.
@@ -235,7 +231,6 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 				if i%workers != w {
 					o.Counter("sched_jobs_stolen_total").Inc()
 				}
-				js := sp.Child(fmt.Sprintf("%s job %d", label, i))
 				var err error
 				for a := 1; a <= attempts; a++ {
 					if a > 1 {
@@ -277,7 +272,6 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 					}
 				}
 				ts.End()
-				js.End()
 			}
 		}(w)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"powerbench/internal/obs"
+	"powerbench/internal/tracectx"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -140,11 +141,13 @@ func TestRunEmpty(t *testing.T) {
 }
 
 // TestRunTelemetry: the pool reports dispatch counters, a drained queue
-// gauge, and one worker span per worker with one child per job.
+// gauge, and one trace span per job in the tracectx tree.
 func TestRunTelemetry(t *testing.T) {
 	o := obs.New()
 	pool := New(2, o)
-	if err := pool.Run(context.Background(), "work", 10, func(context.Context, int) error { return nil }); err != nil {
+	tr := tracectx.New(tracectx.DeriveID("telemetry"), "root", "test")
+	ctx := tracectx.ContextWith(context.Background(), tr.Root())
+	if err := pool.Run(ctx, "work", 10, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Counter("sched_jobs_total").Value(); got != 10 {
@@ -156,23 +159,21 @@ func TestRunTelemetry(t *testing.T) {
 	if got := o.Gauge("sched_queue_depth").Value(); got != 0 {
 		t.Errorf("queue depth after drain = %v, want 0", got)
 	}
-	var workerSpans, jobSpans int
-	for _, e := range o.Tracer.Events() {
-		if e.Phase != 'B' {
-			continue
-		}
-		if strings.HasPrefix(e.Name, "work worker") {
-			workerSpans++
-		}
-		if strings.HasPrefix(e.Name, "work job") {
+	jobSpans := 0
+	names := map[string]bool{}
+	for _, s := range tr.Export().Spans {
+		if strings.HasPrefix(s.Name, "work job") {
 			jobSpans++
+			names[s.Name] = true
 		}
-	}
-	if workerSpans != 2 {
-		t.Errorf("worker spans = %d, want 2", workerSpans)
 	}
 	if jobSpans != 10 {
 		t.Errorf("job spans = %d, want one per job (10)", jobSpans)
+	}
+	for i := 0; i < 10; i++ {
+		if !names[fmt.Sprintf("work job %d", i)] {
+			t.Errorf("no span for job %d", i)
+		}
 	}
 
 	failing := New(1, o)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"powerbench/internal/fleet"
+	"powerbench/internal/obs"
 	"powerbench/internal/tracectx"
 )
 
@@ -73,6 +74,24 @@ func TestTraceTreeCoversPipeline(t *testing.T) {
 			t.Errorf("trace tree missing a %q span; got paths:\n  %s", want, strings.Join(paths, "\n  "))
 		}
 	}
+}
+
+// A computed request's energy exemplar resolves: it names a span of the
+// trace document /v1/traces serves for that request.
+func TestEnergyExemplarNamesTracedSpan(t *testing.T) {
+	o := obs.New()
+	s := newTestServer(t, Config{Obs: o})
+	doc, _ := fetchTrace(t, s, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":42}`)
+	ex := o.Metrics.Histogram("core_phase_energy_joules", nil, obs.L("component", "cpu")).Exemplar()
+	if ex == nil {
+		t.Fatal("computed request left no energy exemplar")
+	}
+	for _, sp := range doc.Spans {
+		if ex.Ref == "trace:"+doc.Trace+"/"+sp.ID {
+			return
+		}
+	}
+	t.Fatalf("exemplar %q names no span of the served trace %s", ex.Ref, doc.Trace)
 }
 
 // The same request produces a byte-identical canonical trace tree whether

@@ -53,8 +53,6 @@ func Timeline(models []workload.Model, gapSec float64) []float64 {
 // (sequential) pool.
 func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
 	starts := Timeline(models, gapSec)
-	sp := e.Obs.Span("plan", "run").Arg("models", len(models)).Arg("jobs", pool.Workers())
-	defer sp.End()
 
 	// The gaps only depend on the timeline; record them up front, each
 	// from its own identity-seeded meter.
@@ -76,7 +74,7 @@ func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec fl
 		if eng.Fault.RunFails(attempt) {
 			return fault.ErrTransient
 		}
-		r, err := eng.run(jctx, models[i], starts[i], nil)
+		r, err := eng.RunCtx(jctx, models[i], starts[i])
 		if err != nil {
 			return err
 		}
@@ -85,7 +83,6 @@ func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec fl
 	})
 
 	logs := make([][]meter.Sample, 0, 2*len(models))
-	end := 0.0
 	for i, r := range results {
 		if gaps[i] != nil {
 			logs = append(logs, gaps[i])
@@ -94,8 +91,6 @@ func (e *Engine) RunPlan(ctx context.Context, models []workload.Model, gapSec fl
 			continue
 		}
 		logs = append(logs, r.PowerLog)
-		end = r.End
 	}
-	sp.SetVirtual(0, end)
 	return results, meter.Merge(logs...), reports
 }

@@ -5,16 +5,19 @@
 // a canonical JSON document format served by powerbenchd's /v1/traces and
 // consumed by `powerbench trace`.
 //
-// The layer differs from internal/obs's span tracer in one decisive way:
-// identity-derived span ids. An obs span id is its creation ordinal, which
-// depends on scheduling; a tracectx span id is a pure function of the trace
+// It is the pipeline's only span model: every stage (evaluate, analysis,
+// state, sched job, sim run and its phases, meter record, PMU collect,
+// training) opens its span here, and the one-shot tools' -trace-out renders
+// the same trees as Chrome trace-event JSON with WriteChrome.
+//
+// Span ids are identity-derived: a span id is a pure function of the trace
 // id and the span's path (the /-joined chain of span names from the root),
-// so the same request produces the same span ids at any `-jobs` count — the
-// tracing analogue of the scheduler's seed-by-identity contract. Likewise
-// the canonical rendering orders spans by path, never by completion order,
-// and excludes wall-clock timings, so a trace tree is byte-identical across
-// worker counts and the tree hash is a content address for "what this
-// request did".
+// never a creation ordinal, so the same request produces the same span ids
+// at any `-jobs` count — the tracing analogue of the scheduler's
+// seed-by-identity contract. Likewise the canonical rendering orders spans
+// by path, never by completion order, and excludes wall-clock timings, so a
+// trace tree is byte-identical across worker counts and the tree hash is a
+// content address for "what this request did".
 //
 // Wall-clock timings are still recorded per span (that is the forensic
 // payload: where did the time go), they are just quarantined to the
@@ -239,6 +242,16 @@ func (s *Span) ID() SpanID {
 		return SpanID{}
 	}
 	return s.id
+}
+
+// Ref returns the span's exemplar reference, "trace:<trace id>/<span id>",
+// which names the span inside the document served by /v1/traces/<trace
+// id>. A nil span returns "", so an untraced run records no exemplar.
+func (s *Span) Ref() string {
+	if s == nil {
+		return ""
+	}
+	return "trace:" + s.t.id.String() + "/" + s.id.String()
 }
 
 // --- context plumbing ---
