@@ -171,6 +171,11 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Checked up front, not left to the runs: without a counter reader no
+	// run profiles the cache hierarchy, so none would notice a bad one.
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	o, p := opts.Obs, opts.Pool
 	hardened := opts.Fault.Active()
 	// Deliberate exception to "stages trace through tracectx": this obs
@@ -317,6 +322,9 @@ type Green500Result struct {
 // and its trace the repair pass, with the outcome recorded on Quality.
 func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	o, p := opts.Obs, opts.Pool

@@ -7,6 +7,7 @@ import (
 
 	"powerbench/internal/cache"
 	"powerbench/internal/core"
+	"powerbench/internal/flight"
 	"powerbench/internal/meter"
 	"powerbench/internal/pmu"
 	"powerbench/internal/rng"
@@ -23,17 +24,21 @@ func resetColdCaches() {
 }
 
 // BenchmarkColdEvaluation times one full paper evaluation with every memo
-// cleared per iteration — the daemon's cache-miss path. The fast variant is
-// the shipped configuration; the reference variant switches the batched
-// profiler and the integer LCG off, reproducing the seed revision's hot
-// path in the same binary. CI's bench-hotpath job gates fast ≤ reference/3.
+// cleared per iteration and a flight recorder attached — the daemon's
+// cache-miss path. The recorder reads the PMU deltas, so every run collects
+// counters and pays the cold cache profiler; an unrecorded evaluation
+// skips both. The fast variant is the shipped configuration; the reference
+// variant switches the batched profiler and the integer LCG off,
+// reproducing the seed revision's hot path in the same binary. CI's
+// bench-hotpath job gates fast ≤ reference/3.
 func BenchmarkColdEvaluation(b *testing.B) {
 	spec := server.XeonE5462()
 	bench := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			resetColdCaches()
-			if _, err := core.EvaluateCtx(context.Background(), spec, 1, core.EvalOptions{}); err != nil {
+			opts := core.EvalOptions{Flight: flight.NewRecorder(0)}
+			if _, err := core.EvaluateCtx(context.Background(), spec, 1, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,10 +29,13 @@ func fitLogLogSlope(sizes []int, costs []float64) float64 {
 }
 
 // measure times fn at every ladder rung, interleaving rounds (rung 1..k,
-// then again) and keeping each rung's minimum, so a transient slowdown of
-// the host skews at most one round instead of one end of the ladder. fn
-// must perform work proportional to its rung's size exactly once per call.
-func measure(t *testing.T, sizes []int, rounds, reps int, fn func(rung int)) []float64 {
+// then again) and keeping each rung's fastest single call. A call that a
+// GC cycle, another process or a descheduling slowed down only ever raises
+// a time, so the minimum over rounds converges on the rung's undisturbed
+// cost, and interleaving spreads a transient slowdown of the host across
+// every rung instead of one end of the ladder. fn must perform work
+// proportional to its rung's size exactly once per call.
+func measure(t *testing.T, sizes []int, rounds int, fn func(rung int)) []float64 {
 	t.Helper()
 	best := make([]float64, len(sizes))
 	for i := range best {
@@ -41,10 +44,8 @@ func measure(t *testing.T, sizes []int, rounds, reps int, fn func(rung int)) []f
 	for r := 0; r < rounds; r++ {
 		for i := range sizes {
 			startT := time.Now()
-			for k := 0; k < reps; k++ {
-				fn(i)
-			}
-			if d := float64(time.Since(startT)) / float64(reps); d < best[i] {
+			fn(i)
+			if d := float64(time.Since(startT)); d < best[i] {
 				best[i] = d
 			}
 		}
@@ -89,7 +90,7 @@ func TestScalingSlopes(t *testing.T) {
 			c.first, c.second, c.start, c.end = traceHalves(n)
 			cases[i] = c
 		}
-		costs := measure(t, scalingTraceSizes, 5, 10, func(i int) {
+		costs := measure(t, scalingTraceSizes, 60, func(i int) {
 			c := cases[i]
 			if w := analysisPipeline(c.first, c.second, c.start, c.end); w <= 0 {
 				t.Fatal("degenerate window")
@@ -100,7 +101,7 @@ func TestScalingSlopes(t *testing.T) {
 
 	t.Run("run-count", func(t *testing.T) {
 		spec := server.XeonE5462()
-		costs := measure(t, scalingRunSizes, 5, 3, func(i int) {
+		costs := measure(t, scalingRunSizes, 15, func(i int) {
 			e := sim.New(spec, 5)
 			if _, _, err := e.RunSequence(idleSession(scalingRunSizes[i]), 0); err != nil {
 				t.Fatal(err)
@@ -113,7 +114,7 @@ func TestScalingSlopes(t *testing.T) {
 		spec := server.XeonE5462()
 		cfgs := spec.CacheHierarchy()
 		p := cache.Pattern{WorkingSetBytes: 64 << 20, SequentialFrac: 0.5, StrideBytes: 8, WriteFrac: 0.3}
-		costs := measure(t, scalingAccessSizes, 3, 1, func(i int) {
+		costs := measure(t, scalingAccessSizes, 3, func(i int) {
 			if _, err := cache.ProfileUncached(p, scalingAccessSizes[i], rng.DefaultSeed, cfgs...); err != nil {
 				t.Fatal(err)
 			}
