@@ -35,7 +35,7 @@ func flightPhase(spec *server.Spec, r sim.RunResult, window []meter.Sample, watt
 		GFLOPS:      r.Model.GFLOPS,
 		PPW:         workload.PPW(r.Model.GFLOPS, watts),
 		Energy:      flight.Attribute(spec, r.Model, window, r.Start, r.End),
-		PMU:         pmuDelta(r.PMUSamples),
+		PMU:         pmuDelta(r.PMUTotals),
 	}
 	if len(window) > 0 {
 		p.MinWatts, p.MaxWatts = window[0].Watts, window[0].Watts
@@ -51,17 +51,16 @@ func flightPhase(spec *server.Spec, r sim.RunResult, window []meter.Sample, watt
 	return p
 }
 
-// pmuDelta sums a run's counter windows.
-func pmuDelta(samples []pmu.Sample) flight.PMUDelta {
-	d := flight.PMUDelta{Windows: len(samples)}
-	for _, s := range samples {
-		d.Instructions += s.Counts.Instructions
-		d.L2Hits += s.Counts.L2Hits
-		d.L3Hits += s.Counts.L3Hits
-		d.MemReads += s.Counts.MemReads
-		d.MemWrites += s.Counts.MemWrites
+// pmuDelta carries a run's counter totals into the record schema.
+func pmuDelta(t pmu.Totals) flight.PMUDelta {
+	return flight.PMUDelta{
+		Windows:      t.Windows,
+		Instructions: t.Instructions,
+		L2Hits:       t.L2Hits,
+		L3Hits:       t.L3Hits,
+		MemReads:     t.MemReads,
+		MemWrites:    t.MemWrites,
 	}
-	return d
 }
 
 // emitEnergyMetrics publishes a phase's attribution to the metrics registry,
