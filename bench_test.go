@@ -243,7 +243,7 @@ var trainedModel *core.TrainingResult
 func trainOnce(b *testing.B) *core.TrainingResult {
 	b.Helper()
 	if trainedModel == nil {
-		tr, err := core.TrainPowerModel(server.Xeon4870(), 3)
+		tr, err := core.TrainCtx(context.Background(), server.Xeon4870(), 3, core.TrainOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func trainOnce(b *testing.B) *core.TrainingResult {
 func BenchmarkTable7Regression(b *testing.B) {
 	var r2 float64
 	for i := 0; i < b.N; i++ {
-		tr, err := core.TrainPowerModel(server.Xeon4870(), 3)
+		tr, err := core.TrainCtx(context.Background(), server.Xeon4870(), 3, core.TrainOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +384,7 @@ type trainingSample struct {
 // hpclTrainingSample builds a compact training matrix (a subset of the
 // full sweep) for the stepwise ablation.
 func hpclTrainingSample(spec *server.Spec) (*trainingSample, error) {
-	tr, err := core.TrainPowerModel(spec, 3)
+	tr, err := core.TrainCtx(context.Background(), spec, 3, core.TrainOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +490,7 @@ func BenchmarkExtensionAugmentedTraining(b *testing.B) {
 	var baseR2, augR2 float64
 	for i := 0; i < b.N; i++ {
 		base := trainOnce(b)
-		aug, err := core.TrainPowerModelAugmented(spec, 3, []npb.Program{npb.EP, npb.SP})
+		aug, err := core.TrainCtx(context.Background(), spec, 3, core.TrainOptions{Augment: []npb.Program{npb.EP, npb.SP}})
 		if err != nil {
 			b.Fatal(err)
 		}

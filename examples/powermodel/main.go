@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	fmt.Printf("Training the power model on %s (7 HPCC programs x %d core counts)...\n\n",
 		spec.Name, spec.Cores)
 
-	tr, err := core.TrainPowerModel(spec, 3)
+	tr, err := core.TrainCtx(context.Background(), spec, 3, core.TrainOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,29 +1,27 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"powerbench/internal/hpcc"
 	"powerbench/internal/npb"
 	"powerbench/internal/pmu"
-	"powerbench/internal/regression"
 	"powerbench/internal/server"
-	"powerbench/internal/sim"
-	"powerbench/internal/stats"
 	"powerbench/internal/workload"
 )
 
+// trainingModels lists the runs of a training sweep: the HPCC script of
+// §VI-A2, extended by the NPB programs in extra.
+//
 // The paper closes §VI-C with a proposed improvement it does not evaluate:
 // "We can combine EP and SP into the training set to reinforce the load
-// forecast for the regression equation." TrainPowerModelAugmented
-// implements and evaluates that extension: the HPCC sweep is augmented
-// with runs of the named NPB programs (class A, so the training set stays
+// forecast for the regression equation." extra implements that extension:
+// runs of the named NPB programs (class A, so the training set stays
 // disjoint from the B/C verification sets) across their valid process
-// counts. The augmented sweep shares the plain sweep's per-run seeds for
-// the common HPCC prefix, so the two training sets differ only by the added
-// NPB runs.
-func TrainPowerModelAugmented(spec *server.Spec, seed float64, extra []npb.Program) (*TrainingResult, error) {
+// counts. The extra runs follow the HPCC script, so an augmented sweep
+// shares the plain sweep's per-run seeds for the common HPCC prefix and the
+// two training sets differ only by the added NPB runs.
+func trainingModels(spec *server.Spec, extra []npb.Program) ([]workload.Model, error) {
 	models, err := hpcc.TrainingModels(spec)
 	if err != nil {
 		return nil, err
@@ -42,38 +40,12 @@ func TrainPowerModelAugmented(spec *server.Spec, seed float64, extra []npb.Progr
 			models = append(models, m)
 		}
 	}
-
-	engine := sim.New(spec, seed)
-	xs, ys, err := collectTrainingRuns(context.Background(), engine, models, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: augmented training: %w", err)
-	}
-	norms, err := stats.NormalizeColumns(xs)
-	if err != nil {
-		return nil, err
-	}
-	pNorm := stats.FitNormalization(ys)
-	zy := pNorm.ApplySlice(ys)
-	sw, err := regression.ForwardStepwise(xs, zy, regression.StepwiseOptions{
-		MinImprovement: 1e-4,
-		RidgeLambda:    0.01 * float64(len(xs)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &TrainingResult{
-		Server:       spec.Name,
-		Summary:      sw.Model.Summary,
-		Coefficients: sw.FullCoefficients(len(pmu.FeatureNames)),
-		Intercept:    sw.Model.Intercept,
-		Stepwise:     sw,
-		FeatureNorms: norms,
-		PowerNorm:    pNorm,
-	}, nil
+	return models, nil
 }
 
-// Interpolate a thin wrapper so external callers can sanity-check custom
-// workloads against a trained model.
+// PredictModel predicts the z-scored power of a workload from its
+// analytic PMU rates, so callers can sanity-check custom workloads against
+// a trained model without running them.
 func (t *TrainingResult) PredictModel(spec *server.Spec, m workload.Model) (float64, error) {
 	rates, err := pmu.Rates(spec, m)
 	if err != nil {

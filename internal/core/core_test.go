@@ -519,7 +519,7 @@ func TestPowerModelExperiment(t *testing.T) {
 		t.Skip("trains on the full HPCC sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
+	tr, err := TrainCtx(context.Background(), spec, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestTable7Table8Render(t *testing.T) {
 		t.Skip("trains on the full HPCC sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 4)
+	tr, err := TrainCtx(context.Background(), spec, 4, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@ func TestAugmentedTrainingImprovesVerification(t *testing.T) {
 		t.Skip("two full training sweeps")
 	}
 	spec := server.Xeon4870()
-	base, err := TrainPowerModel(spec, 3)
+	base, err := TrainCtx(context.Background(), spec, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := TrainPowerModelAugmented(spec, 3, []npb.Program{npb.EP, npb.SP})
+	aug, err := TrainCtx(context.Background(), spec, 3, TrainOptions{Augment: []npb.Program{npb.EP, npb.SP}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAugmentedTrainingErrors(t *testing.T) {
 	spec := server.XeonE5462()
 	// CG class A fits this server, so augmenting with a bad program name
 	// is the error path to cover via npb.NewModel.
-	if _, err := TrainPowerModelAugmented(spec, 1, []npb.Program{npb.Program("nope")}); err == nil {
+	if _, err := TrainCtx(context.Background(), spec, 1, TrainOptions{Augment: []npb.Program{npb.Program("nope")}}); err == nil {
 		t.Error("unknown augmentation program should error")
 	}
 }
@@ -59,7 +59,7 @@ func TestPredictModel(t *testing.T) {
 		t.Skip("training sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
+	tr, err := TrainCtx(context.Background(), spec, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRegressionPerServer(t *testing.T) {
 		t.Skip("three training sweeps")
 	}
 	for i, spec := range server.All() {
-		tr, err := TrainPowerModel(spec, float64(i)+3)
+		tr, err := TrainCtx(context.Background(), spec, float64(i)+3, TrainOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -121,11 +121,11 @@ func TestCrossServerTransfer(t *testing.T) {
 	}
 	source := server.Xeon4870()
 	target := server.XeonE5462()
-	trSource, err := TrainPowerModel(source, 3)
+	trSource, err := TrainCtx(context.Background(), source, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trTarget, err := TrainPowerModel(target, 3)
+	trTarget, err := TrainCtx(context.Background(), target, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestByProgramWorstFits(t *testing.T) {
 		t.Skip("training sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
+	tr, err := TrainCtx(context.Background(), spec, 3, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

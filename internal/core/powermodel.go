@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"powerbench/internal/hpcc"
 	"powerbench/internal/meter"
 	"powerbench/internal/npb"
 	"powerbench/internal/obs"
@@ -35,15 +34,15 @@ type TrainingResult struct {
 	PowerNorm    stats.Normalization
 	// Robust reports that residual diagnostics flagged gross outliers and
 	// the model was refit with the Huber M-estimator. Clean training data
-	// never triggers it (its max |z| sits near 7, under the threshold of
-	// robustZThreshold).
+	// never triggers it (its max |z| stays under robustZThreshold).
 	Robust bool
 }
 
 // robustZThreshold is the MaxAbsStandardized residual above which the
 // training fit falls back to robust regression. The clean pipeline's
 // residuals are not Gaussian — the linear model has systematic lack of fit
-// across HPCC programs — and top out near 7σ, independent of seed; data
+// across HPCC programs — and reach 5σ–7σ: 5.1–7.0 over the three servers
+// at seeds 1 and 3, 5.9–6.0 for the EP+SP augmented Xeon-4870 sweep. Data
 // corruption that survives trace repair and counter unwrapping (a window
 // whose features or power are simply wrong) lands far beyond 10.
 const robustZThreshold = 10.0
@@ -112,42 +111,50 @@ func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]
 	return xs, ys, nil
 }
 
-// TrainPowerModel runs the §VI-A2 procedure on a server: execute the seven
-// HPCC programs from one core to full cores while sampling the PMU every
-// 10 s and the meter every 1 s, integrate the two streams by timestamp,
-// normalize to unify dimensions, and fit the power regression by forward
-// stepwise selection.
-func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
-	return TrainPowerModelWithPool(context.Background(), spec, seed, nil, nil)
+// TrainOptions configures a training sweep. The zero value trains the
+// paper's model sequentially with no telemetry.
+type TrainOptions struct {
+	Obs  *obs.Obs
+	Pool *sched.Pool
+	// Augment adds class-A runs of these NPB programs to the HPCC sweep:
+	// the paper's proposed §VI-C improvement (trainingModels).
+	Augment []npb.Program
 }
 
-// TrainPowerModelWithPool is the scheduled form of the training sweep. The
-// HPCC runs behind the regression are mutually independent — "test scripts
-// sequentially start the seven HPCC programs" only because the paper had
-// one physical server — so each (component, core-count) run is a scheduler
-// job on an engine forked by training identity, and the observation matrix
-// is concatenated in script order after the barrier. Training output is
-// byte-identical at every worker count; a nil pool runs sequentially. When
-// ctx carries a tracectx span, the sweep traces under it as a "train
-// <server>" span with one "train job i" per run and a "stepwise fit".
-func TrainPowerModelWithPool(ctx context.Context, spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*TrainingResult, error) {
+// TrainCtx runs the §VI-A2 procedure on a server: execute the seven HPCC
+// programs from one core to full cores while sampling the PMU every 10 s
+// and the meter every 1 s, integrate the two streams by timestamp,
+// normalize to unify dimensions, and fit the power regression by forward
+// stepwise selection.
+//
+// The HPCC runs behind the regression are mutually independent — "test
+// scripts sequentially start the seven HPCC programs" only because the
+// paper had one physical server — so each (component, core-count) run is
+// a job on opts.Pool, on an engine forked by training identity, and the
+// observation matrix is concatenated in script order after the barrier.
+// Training output is byte-identical at every worker count; a nil pool runs
+// sequentially. When ctx carries a tracectx span, the sweep traces under
+// it as a "train <server>" span with one "train job i" per run and a
+// "stepwise fit".
+func TrainCtx(ctx context.Context, spec *server.Spec, seed float64, opts TrainOptions) (*TrainingResult, error) {
+	o := opts.Obs
 	sp := tracectx.FromContext(ctx).Child("train "+spec.Name).Attr("seed", seed)
 	defer sp.End()
 	ctx = tracectx.ContextWith(ctx, sp)
-	models, err := hpcc.TrainingModels(spec)
+	models, err := trainingModels(spec, opts.Augment)
 	if err != nil {
 		return nil, err
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
-	xs, ys, err := collectTrainingRuns(ctx, engine, models, o, p)
+	xs, ys, err := collectTrainingRuns(ctx, engine, models, o, opts.Pool)
 	if err != nil {
 		return nil, err
 	}
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: training produced no observations")
 	}
-	o.Infof("training %s: %d observations from %d HPCC training runs", spec.Name, len(xs), len(models))
+	o.Infof("training %s: %d observations from %d training runs", spec.Name, len(xs), len(models))
 
 	norms, err := stats.NormalizeColumns(xs)
 	if err != nil {
