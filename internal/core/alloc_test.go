@@ -1,0 +1,52 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"powerbench/internal/obs"
+	"powerbench/internal/server"
+)
+
+// maxBytesPerMeterSample bounds what a pristine evaluation allocates per
+// recorded meter sample. Recording one sample costs 16 B (its slot in the
+// run's log); everything else an evaluation allocates is per run or per
+// state. A second full copy of the log — a merged session log, say — adds
+// another 16 B per sample and fails here.
+const maxBytesPerMeterSample = 20
+
+// TestEvaluateBytesPerMeterSample: a pristine Xeon-4870 evaluation with a
+// metrics-only Obs allocates at most maxBytesPerMeterSample bytes per
+// sim_meter_samples_total sample, measured as the runtime.MemStats
+// TotalAlloc delta. The test is not parallel, so no other test allocates
+// inside the measured span.
+func TestEvaluateBytesPerMeterSample(t *testing.T) {
+	spec := server.Xeon4870()
+	o := &obs.Obs{Metrics: obs.NewRegistry()}
+	evaluate := func() {
+		if _, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first evaluation registers every metric; measure the ones after.
+	evaluate()
+	const runs = 3
+	samples := o.Counter("sim_meter_samples_total")
+	before := samples.Value()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		evaluate()
+	}
+	runtime.ReadMemStats(&m1)
+	n := samples.Value() - before
+	if n <= 0 {
+		t.Fatal("evaluations recorded no meter samples")
+	}
+	perSample := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	t.Logf("%.1f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
+	if perSample > maxBytesPerMeterSample {
+		t.Errorf("evaluation allocates %.1f B per meter sample, want ≤ %d", perSample, maxBytesPerMeterSample)
+	}
+}

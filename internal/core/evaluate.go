@@ -154,11 +154,13 @@ func trimmedCount(n int) int {
 // PPW score, with optional telemetry, scheduling and fault injection.
 //
 // The plan's states are independent programs, so they fan out on the
-// pool's workers, each on an engine forked by state identity, and the
-// merged log is reassembled in canonical order: the evaluation is
-// byte-identical at every worker count (a nil pool runs sequentially). A
-// cancelled ctx stops the dispatch of pending states; runs already
-// executing finish, since the simulation kernels have no preemption points.
+// pool's workers, each on an engine forked by state identity, and each
+// state's window is cut from its own run's log in canonical order — the
+// samples a window over the merged session log would hold (sim.RunPlan).
+// The evaluation is byte-identical at every worker count (a nil pool runs
+// sequentially). A cancelled ctx stops the dispatch of pending states;
+// runs already executing finish, since the simulation kernels have no
+// preemption points.
 //
 // With an inactive fault profile the run is pristine: one attempt per
 // state, no trace repair, and the first failed state fails the evaluation.
@@ -202,7 +204,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	engine := sim.New(spec, seed)
 	engine.Obs = o
 	runLedger := opts.arm(engine, seed, "fault")
-	results, merged, reports := engine.RunPlan(ctx, models, 30, p)
+	results, reports := engine.RunPlan(ctx, models, 30, p)
 	opts.Ledger.AddAll(runLedger)
 
 	ev := &Evaluation{Server: spec.Name}
@@ -223,7 +225,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			continue
 		}
 		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		window := meter.Window(merged, r.Start, r.End)
+		window := meter.Window(r.PowerLog, r.Start, r.End)
 		// Repair only runs hardened: it also clips the ramp transients of
 		// clean data, so a pristine window is analyzed as recorded.
 		var rep meter.RepairReport

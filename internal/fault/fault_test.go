@@ -200,6 +200,44 @@ func TestCorruptTraceAccounting(t *testing.T) {
 	}
 }
 
+// TestCorruptTraceKeepsTimestamps: corruption drops, duplicates and
+// rewrites readings, but never creates or moves a timestamp. The output's
+// timestamps are the input's in the same order, each kept at most twice
+// (a duplicated sample repeats its own). So a run's corrupted log still
+// lies inside the run's recorded window, which is what lets the analysis
+// window each run's own log instead of a merged session log.
+func TestCorruptTraceKeepsTimestamps(t *testing.T) {
+	log := make([]meter.Sample, 1500)
+	for i := range log {
+		log[i] = meter.Sample{T: 4321.25 + float64(i), Watts: 180}
+	}
+	for _, p := range []*Profile{Light(), Heavy()} {
+		changed := 0
+		for seed := 0; seed < 250; seed++ {
+			out := New(p, sched.DeriveSeed(9, p.Name, strconv.Itoa(seed)), nil).CorruptTrace(log)
+			if len(out) != len(log) {
+				changed++
+			}
+			j, uses := 0, 0
+			for k, s := range out {
+				for j < len(log) && log[j].T != s.T {
+					j, uses = j+1, 0
+				}
+				if j == len(log) {
+					t.Fatalf("%s seed %d: output sample %d at t=%v is not an in-order input timestamp",
+						p.Name, seed, k, s.T)
+				}
+				if uses++; uses > 2 {
+					t.Fatalf("%s seed %d: timestamp %v kept %d times", p.Name, seed, s.T, uses)
+				}
+			}
+		}
+		if changed == 0 {
+			t.Errorf("%s: no seed dropped, duplicated or truncated a sample", p.Name)
+		}
+	}
+}
+
 func TestRunFailsRateAndDeterminism(t *testing.T) {
 	p := Heavy() // RunFail = 0.02
 	fails := 0

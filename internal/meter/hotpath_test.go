@@ -1,10 +1,36 @@
 package meter
 
 import (
+	"math"
 	"testing"
 
+	"powerbench/internal/rng"
 	"powerbench/internal/stats"
 )
+
+// TestGaussSincosMatchesSinCos pins the Box-Muller fold: one math.Sincos
+// per pair must yield the bits the separate r*Sin and r*Cos formula did,
+// for every deviate of several noise streams (2·10⁶ draws in all), so no
+// recorded sample moves.
+func TestGaussSincosMatchesSinCos(t *testing.T) {
+	const draws = 400_000
+	for _, seed := range []float64{1, 41.5, 271828183, 314159265, 70368744177663} {
+		g := newGaussSource(seed)
+		ref := rng.NewStream(seed, rng.A)
+		for i := 0; i < draws; i += 2 {
+			u1, u2 := ref.Next(), ref.Next()
+			r := math.Sqrt(-2 * math.Log(u1))
+			wantCos := r * math.Cos(2*math.Pi*u2)
+			wantSin := r * math.Sin(2*math.Pi*u2)
+			if got := g.next(); math.Float64bits(got) != math.Float64bits(wantCos) {
+				t.Fatalf("seed %g draw %d: %v, Sin/Cos formula %v", seed, i, got, wantCos)
+			}
+			if got := g.next(); math.Float64bits(got) != math.Float64bits(wantSin) {
+				t.Fatalf("seed %g draw %d: %v, Sin/Cos formula %v", seed, i+1, got, wantSin)
+			}
+		}
+	}
+}
 
 // TestRecordConstMatchesRecord pins RecordConst to Record with a constant
 // closure: same RNG draw order, same samples, bit for bit — under every

@@ -89,13 +89,15 @@ func (g *gaussSource) next() float64 {
 		g.has = false
 		return g.cache
 	}
-	// Box-Muller transform.
+	// Box-Muller transform. Sincos shares one argument reduction between
+	// the pair and returns the same bits as separate Sin and Cos calls.
 	u1 := g.s.Next()
 	u2 := g.s.Next()
 	r := math.Sqrt(-2 * math.Log(u1))
-	g.cache = r * math.Sin(2*math.Pi*u2)
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	g.cache = r * sin
 	g.has = true
-	return r * math.Cos(2*math.Pi*u2)
+	return r * cos
 }
 
 // Record samples the power function p(t) (server-clock seconds) from start

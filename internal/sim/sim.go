@@ -2,10 +2,12 @@
 // program on the server while the WT210 logs power": it takes a workload
 // model, evaluates the server's calibrated power response over the run's
 // timeline (ramp-up transient, steady phase with small phase wiggle,
-// ramp-down), drives the simulated meter at 1 Hz and the PMU sampler at
-// 10 s, and records the 1 s memory samples the paper's procedure collects.
-// The downstream analysis pipeline (internal/core) consumes its RunResults
-// exactly as the paper's scripts consume merged WTViewer CSV files.
+// ramp-down), and drives the simulated meter at 1 Hz and the PMU sampler at
+// 10 s. The 1 s memory readings the paper's procedure collects are a pure
+// function of the run, so a RunResult computes them on demand
+// (MemoryBytesAt) instead of storing a trace. The downstream analysis
+// pipeline (internal/core) consumes its RunResults exactly as the paper's
+// scripts consume WTViewer CSV files.
 //
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
@@ -116,8 +118,9 @@ type RunResult struct {
 	// PMUTotals sums the counter windows, as Fault left them; zero when the
 	// engine has no PMU sampler.
 	PMUTotals pmu.Totals
-	// MemorySamples are 1 s resident-memory readings in bytes.
-	MemorySamples []float64
+	// RampSec is the start-up transient the run's memory ramps over (the
+	// engine's RampSec, capped at 5% of the run).
+	RampSec float64
 	// SteadyWatts is the model's noiseless steady-state power (for tests;
 	// the analysis pipeline must not use it).
 	SteadyWatts float64
@@ -125,6 +128,17 @@ type RunResult struct {
 
 // Duration returns the run length in seconds.
 func (r RunResult) Duration() float64 { return r.End - r.Start }
+
+// MemoryBytesAt returns the resident memory in bytes sec seconds into the
+// run: the footprint grows linearly over the start-up ramp, then holds.
+// It is the reading the paper's 1 s memory samples take at that second.
+func (r RunResult) MemoryBytesAt(sec float64) float64 {
+	frac := 1.0
+	if r.RampSec > 0 && sec < r.RampSec {
+		frac = sec / r.RampSec
+	}
+	return frac * float64(r.Model.MemoryBytes)
+}
 
 // Run executes m starting at server-clock time start, untraced.
 func (e *Engine) Run(m workload.Model, start float64) (RunResult, error) {
@@ -205,30 +219,20 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		pmuSpan.Attr("windows", totals.Windows).End()
 	}
 
-	mem := make([]float64, 0, int(m.DurationSec)+1)
-	for t := 0.0; t <= m.DurationSec; t++ {
-		frac := 1.0
-		if ramp > 0 && t < ramp {
-			frac = t / ramp
-		}
-		mem = append(mem, frac*float64(m.MemoryBytes))
-	}
-
 	e.Obs.Counter("sim_runs_total").Inc()
 	e.Obs.Counter("sim_meter_samples_total").Add(int64(len(log)))
 	e.Obs.Counter("sim_pmu_windows_total").Add(int64(totals.Windows))
-	e.Obs.Counter("sim_memory_samples_total").Add(int64(len(mem)))
 	e.Obs.Gauge("sim_last_run_steady_watts", obs.L("program", m.Name)).Set(steady)
 
 	return RunResult{
-		Model:         m,
-		Start:         start,
-		End:           end,
-		PowerLog:      log,
-		PMUSamples:    samples,
-		PMUTotals:     totals,
-		MemorySamples: mem,
-		SteadyWatts:   steady,
+		Model:       m,
+		Start:       start,
+		End:         end,
+		PowerLog:    log,
+		PMUSamples:  samples,
+		PMUTotals:   totals,
+		RampSec:     ramp,
+		SteadyWatts: steady,
 	}, nil
 }
 

@@ -30,8 +30,8 @@ func TestRunProducesTrace(t *testing.T) {
 	if len(r.PowerLog) != 201 {
 		t.Errorf("power samples = %d, want 201", len(r.PowerLog))
 	}
-	if len(r.MemorySamples) != 201 {
-		t.Errorf("memory samples = %d", len(r.MemorySamples))
+	if got, want := r.MemoryBytesAt(200), float64(30<<20); got != want {
+		t.Errorf("memory at end = %v, want %v", got, want)
 	}
 	if len(r.PMUSamples) != 20 {
 		t.Errorf("PMU windows = %d, want 20", len(r.PMUSamples))
@@ -98,12 +98,24 @@ func TestMemoryRampsToFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MemorySamples[0] != 0 {
-		t.Errorf("memory starts at %v", r.MemorySamples[0])
+	if got := r.MemoryBytesAt(0); got != 0 {
+		t.Errorf("memory starts at %v", got)
 	}
 	want := float64(m.MemoryBytes)
-	if got := r.MemorySamples[50]; got != want {
+	if got := r.MemoryBytesAt(50); got != want {
 		t.Errorf("steady memory %v, want %v", got, want)
+	}
+	// Every 1 s reading equals the ramp the engine used to store as a
+	// trace: the capped start-up ramp, then the full footprint.
+	ramp := math.Min(e.RampSec, 0.05*m.DurationSec)
+	for sec := 0.0; sec <= m.DurationSec; sec++ {
+		frac := 1.0
+		if sec < ramp {
+			frac = sec / ramp
+		}
+		if got, want := r.MemoryBytesAt(sec), frac*float64(m.MemoryBytes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("memory at %v s = %v, want %v", sec, got, want)
+		}
 	}
 }
 
@@ -238,9 +250,9 @@ func TestNilPMUKeepsMeterLog(t *testing.T) {
 				t.Fatalf("meter sample %d: %+v with sampler, %+v otherwise", i, s, u)
 			}
 		}
-		for i, v := range with.MemorySamples {
-			if math.Float64bits(v) != math.Float64bits(other.MemorySamples[i]) {
-				t.Fatalf("memory sample %d: %v vs %v", i, v, other.MemorySamples[i])
+		for sec := 0.0; sec <= with.Duration(); sec++ {
+			if v, u := with.MemoryBytesAt(sec), other.MemoryBytesAt(sec); math.Float64bits(v) != math.Float64bits(u) {
+				t.Fatalf("memory at %v s: %v vs %v", sec, v, u)
 			}
 		}
 		if with.SteadyWatts != other.SteadyWatts || with.End != other.End {

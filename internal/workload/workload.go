@@ -107,8 +107,10 @@ type Phase struct {
 }
 
 // PhaseIntensityAt returns the dynamic-power scale at the relative
-// position rel ∈ [0,1] of the run (1 when the model has no phases).
-func (m Model) PhaseIntensityAt(rel float64) float64 {
+// position rel ∈ [0,1] of the run (1 when the model has no phases). The
+// pointer receiver keeps the meter's per-sample power function from
+// copying the whole Model on every call.
+func (m *Model) PhaseIntensityAt(rel float64) float64 {
 	if len(m.Phases) == 0 {
 		return 1
 	}
