@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"powerbench/internal/flight"
 	"powerbench/internal/obs"
 	"powerbench/internal/server"
 )
@@ -48,5 +49,57 @@ func TestEvaluateBytesPerMeterSample(t *testing.T) {
 	t.Logf("%.1f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
 	if perSample > maxBytesPerMeterSample {
 		t.Errorf("evaluation allocates %.1f B per meter sample, want ≤ %d", perSample, maxBytesPerMeterSample)
+	}
+}
+
+// maxFoldedBytesPerMeterSample bounds the same ratio for the evaluations
+// that fold each reading into the run's summary as the meter takes it and
+// keep no log: everything left is per run or per state, so a kept log
+// (16 B per sample) fails here.
+const maxFoldedBytesPerMeterSample = 1
+
+// TestEvaluateFoldsMeterSamples: a pristine Xeon-4870 evaluation, both
+// unrecorded and with a flight recorder, allocates at most
+// maxFoldedBytesPerMeterSample bytes per sim_meter_samples_total sample.
+// Not parallel, for the reason TestEvaluateBytesPerMeterSample gives.
+func TestEvaluateFoldsMeterSamples(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		flight bool
+	}{{"unrecorded", false}, {"recorded", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := server.Xeon4870()
+			o := &obs.Obs{Metrics: obs.NewRegistry()}
+			evaluate := func() {
+				opts := EvalOptions{Obs: o}
+				if tc.flight {
+					opts.Flight = flight.NewRecorder(0)
+				}
+				if _, err := EvaluateCtx(context.Background(), spec, 1, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The first evaluation registers every metric and warms the
+			// profile memos; measure the ones after.
+			evaluate()
+			const runs = 3
+			samples := o.Counter("sim_meter_samples_total")
+			before := samples.Value()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				evaluate()
+			}
+			runtime.ReadMemStats(&m1)
+			n := samples.Value() - before
+			if n <= 0 {
+				t.Fatal("evaluations recorded no meter samples")
+			}
+			perSample := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+			t.Logf("%.2f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
+			if perSample > maxFoldedBytesPerMeterSample {
+				t.Errorf("evaluation allocates %.2f B per meter sample, want ≤ %d", perSample, maxFoldedBytesPerMeterSample)
+			}
+		})
 	}
 }

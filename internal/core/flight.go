@@ -12,7 +12,8 @@ import (
 )
 
 // This file builds the flight records the evaluation bodies append to
-// EvalOptions.Flight (DESIGN.md §10). Record assembly — trace integration,
+// EvalOptions.Flight (DESIGN.md §10). The trace figures a phase reports
+// come from the window fold the analysis runs anyway; record assembly —
 // energy attribution, PMU aggregation — runs only when a recorder is
 // present, so the unrecorded pipeline pays one nil check per run; the CI
 // overhead gate holds the recorded path to ≤3% on top of that.
@@ -21,34 +22,25 @@ import (
 // to a full-memory HPL run (~1 MJ), in joules.
 var energyBuckets = []float64{1e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6}
 
-// flightPhase summarizes one analyzed state window as a flight-record phase:
-// trace bounds and extrema, the row figures, the PMU window aggregate, and
-// the energy attribution over the (possibly repaired) window.
-func flightPhase(spec *server.Spec, r sim.RunResult, window []meter.Sample, watts float64, trimDropped int) flight.Phase {
-	p := flight.Phase{
+// flightPhase builds one analyzed state's flight-record phase from its
+// window summary: trace bounds and extrema, the row figures, the PMU window
+// aggregate, and the energy attribution of the (possibly repaired) window's
+// integral.
+func flightPhase(spec *server.Spec, r sim.RunResult, power meter.Summary) flight.Phase {
+	return flight.Phase{
 		Name:        r.Model.Name,
 		Start:       r.Start,
 		End:         r.End,
-		Samples:     len(window),
-		TrimDropped: trimDropped,
-		AvgWatts:    watts,
+		Samples:     power.Samples,
+		TrimDropped: power.TrimDropped,
+		MinWatts:    power.MinWatts,
+		MaxWatts:    power.MaxWatts,
+		AvgWatts:    power.MeanWatts,
 		GFLOPS:      r.Model.GFLOPS,
-		PPW:         workload.PPW(r.Model.GFLOPS, watts),
-		Energy:      flight.Attribute(spec, r.Model, window, r.Start, r.End),
+		PPW:         workload.PPW(r.Model.GFLOPS, power.MeanWatts),
+		Energy:      flight.Attribute(spec, r.Model, power.EnergyJ, r.Start, r.End),
 		PMU:         pmuDelta(r.PMUTotals),
 	}
-	if len(window) > 0 {
-		p.MinWatts, p.MaxWatts = window[0].Watts, window[0].Watts
-		for _, s := range window[1:] {
-			if s.Watts < p.MinWatts {
-				p.MinWatts = s.Watts
-			}
-			if s.Watts > p.MaxWatts {
-				p.MaxWatts = s.Watts
-			}
-		}
-	}
-	return p
 }
 
 // pmuDelta carries a run's counter totals into the record schema.

@@ -3,7 +3,6 @@ package flight
 import (
 	"math"
 
-	"powerbench/internal/meter"
 	"powerbench/internal/server"
 	"powerbench/internal/workload"
 )
@@ -57,47 +56,16 @@ func (e Energy) Conserves(tol float64) bool {
 	return math.Abs(e.ComponentSum()-e.TotalJ) <= tol*scale
 }
 
-// Integrate returns the trapezoidal integral of a trace window in joules.
-// Windows with fewer than two samples fall back to mean power times the
-// window length (zero when the window is empty).
-func Integrate(window []meter.Sample, start, end float64) float64 {
-	if end < start {
-		start, end = end, start
-	}
-	if len(window) == 0 {
-		return 0
-	}
-	if len(window) == 1 {
-		return window[0].Watts * (end - start)
-	}
-	var e float64
-	// Extend the first and last samples to the window edges so the integral
-	// covers the full [start, end] interval the analysis attributes.
-	if window[0].T > start {
-		e += window[0].Watts * (window[0].T - start)
-	}
-	for i := 1; i < len(window); i++ {
-		dt := window[i].T - window[i-1].T
-		if dt <= 0 {
-			continue
-		}
-		e += 0.5 * (window[i].Watts + window[i-1].Watts) * dt
-	}
-	if last := window[len(window)-1]; last.T < end {
-		e += last.Watts * (end - last.T)
-	}
-	return e
-}
-
-// Attribute decomposes a window's measured energy into idle-baseline, CPU-
-// dynamic and memory-dynamic components using the spec's calibrated power
-// model (DESIGN.md §10). The measured trace integral is the ground truth;
+// Attribute decomposes a window's measured energy — totalJ, the trace's
+// trapezoidal integral over [start, end] (meter.Summary.EnergyJ) — into
+// idle-baseline, CPU-dynamic and memory-dynamic components using the spec's
+// calibrated power model (DESIGN.md §10). The measured integral is the ground truth;
 // the model only supplies the *proportions* in which the dynamic share
 // (total − idle baseline) is split between core and memory activity, and
 // OtherJ absorbs whatever the steady-state model does not explain, so the
 // components always sum to the integral exactly.
-func Attribute(spec *server.Spec, m workload.Model, window []meter.Sample, start, end float64) Energy {
-	e := Energy{TotalJ: Integrate(window, start, end)}
+func Attribute(spec *server.Spec, m workload.Model, totalJ, start, end float64) Energy {
+	e := Energy{TotalJ: totalJ}
 	dur := end - start
 	if dur < 0 {
 		dur = -dur

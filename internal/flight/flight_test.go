@@ -135,26 +135,31 @@ func TestDecodeRejectsBadRecords(t *testing.T) {
 	}
 }
 
+// TestIntegrate pins the window fold's energy integral (meter.Summary.
+// EnergyJ), which Attribute takes as its total.
 func TestIntegrate(t *testing.T) {
+	integrate := func(w []meter.Sample, start, end float64) float64 {
+		return meter.Summarize(w, start, end, 0).EnergyJ
+	}
 	// A constant 100 W trace over 10 s integrates to 1000 J regardless of
 	// edge extension.
 	var w []meter.Sample
 	for t := 0.0; t <= 10; t++ {
 		w = append(w, meter.Sample{T: t, Watts: 100})
 	}
-	if e := Integrate(w, 0, 10); math.Abs(e-1000) > 1e-9 {
+	if e := integrate(w, 0, 10); math.Abs(e-1000) > 1e-9 {
 		t.Fatalf("constant integral %g, want 1000", e)
 	}
 	// A single sample falls back to mean × duration.
-	if e := Integrate(w[:1], 0, 10); math.Abs(e-1000) > 1e-9 {
+	if e := integrate(w[:1], 0, 10); math.Abs(e-1000) > 1e-9 {
 		t.Fatalf("single-sample integral %g, want 1000", e)
 	}
-	if e := Integrate(nil, 0, 10); e != 0 {
+	if e := integrate(nil, 0, 10); e != 0 {
 		t.Fatalf("empty integral %g, want 0", e)
 	}
 	// Edge extension: samples covering [2,8] of a [0,10] window extend
 	// their boundary values outward.
-	if e := Integrate(w[2:9], 0, 10); math.Abs(e-1000) > 1e-9 {
+	if e := integrate(w[2:9], 0, 10); math.Abs(e-1000) > 1e-9 {
 		t.Fatalf("extended integral %g, want 1000", e)
 	}
 }
@@ -173,7 +178,7 @@ func TestAttributeConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Attribute(spec, m, run.PowerLog, run.Start, run.End)
+	e := Attribute(spec, m, meter.Summarize(run.PowerLog, run.Start, run.End, 0).EnergyJ, run.Start, run.End)
 	if !e.Conserves(0.001) {
 		t.Fatalf("components %g do not sum to total %g", e.ComponentSum(), e.TotalJ)
 	}
@@ -200,7 +205,7 @@ func TestAttributeIdleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Attribute(spec, workload.Idle(120), run.PowerLog, run.Start, run.End)
+	e := Attribute(spec, workload.Idle(120), meter.Summarize(run.PowerLog, run.Start, run.End, 0).EnergyJ, run.Start, run.End)
 	if !e.Conserves(0.001) {
 		t.Fatalf("idle window does not conserve: %+v", e)
 	}

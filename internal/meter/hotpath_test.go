@@ -150,9 +150,9 @@ func TestMergeEdgeCases(t *testing.T) {
 	})
 }
 
-// TestTrimmedMeanWattsMatchesUnfused pins the fused one-pass trim+mean to
-// the composition it replaces, bit for bit, across lengths that exercise
-// every TrimCount edge (empty, shorter than the trim, the cap).
+// TestTrimmedMeanWattsMatchesUnfused pins the window fold's trimmed mean to
+// the unfused composition, bit for bit, across lengths that exercise every
+// TrimCount edge (empty, shorter than the trim, the cap).
 func TestTrimmedMeanWattsMatchesUnfused(t *testing.T) {
 	m := New(7)
 	long := m.Record(0, 400, func(t float64) float64 { return 200 + 50*t/400 })
@@ -170,7 +170,7 @@ func TestTrimmedMeanWattsMatchesUnfused(t *testing.T) {
 	for _, frac := range []float64{0, 0.10, 0.25, 0.5, 0.9} {
 		for i, log := range logs {
 			want := stats.TrimmedMean(Watts(log), frac)
-			got := TrimmedMeanWatts(log, frac)
+			got := Summarize(log, 0, 400, frac).MeanWatts
 			if got != want {
 				t.Errorf("log %d frac %g: fused %v != unfused %v", i, frac, got, want)
 			}

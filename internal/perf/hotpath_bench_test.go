@@ -60,7 +60,7 @@ var scalingTraceSizes = []int{2000, 4000, 8000, 16000, 32000}
 // merge the session segments, extract the window, trim 10% and average.
 func analysisPipeline(first, second []meter.Sample, start, end float64) float64 {
 	merged := meter.Merge(first, second)
-	return meter.TrimmedMeanWatts(meter.Window(merged, start, end), core.TrimFrac)
+	return meter.Summarize(meter.Window(merged, start, end), start, end, core.TrimFrac).MeanWatts
 }
 
 func traceHalves(n int) (first, second []meter.Sample, start, end float64) {
