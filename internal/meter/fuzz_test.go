@@ -141,3 +141,68 @@ func integrate(window []Sample, start, end float64) float64 {
 	}
 	return e
 }
+
+// FuzzRepair pins Repair to refRepair, the sort-median, binary-search,
+// append-grown form it replaced: every output sample has the same bits and
+// the reports are equal. The window is damagedWindow's (NaN and ±Inf
+// readings, NaN timestamps, duplicates, jittered T, spikes, zeros, stuck
+// readings, dropped runs and a truncated tail) at length 0–3000, repaired
+// onto [start, end] or, with both zero, onto the survivors' span.
+func FuzzRepair(f *testing.F) {
+	// seed, n, interval, start, end, jitter, rate, truncate
+	f.Add(int64(1), uint16(0), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0))
+	f.Add(int64(2), uint16(1), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0))
+	f.Add(int64(3), uint16(2), 0.5, 10.0, 11.0, 0.0, uint8(0), uint8(0))
+	f.Add(int64(4), uint16(100), 1.0, 0.0, 99.0, 0.0, uint8(20), uint8(0))
+	f.Add(int64(5), uint16(600), 1.0, 0.0, 599.0, 0.1, uint8(40), uint8(30))
+	f.Add(int64(6), uint16(3000), 0.25, -20.0, 730.0, 0.3, uint8(10), uint8(10))
+	f.Add(int64(7), uint16(250), 0.0, 0.0, 0.0, 0.4, uint8(60), uint8(0))
+	f.Add(int64(8), uint16(400), 2.0, 5.0, 3.0, 0.0, uint8(5), uint8(0)) // end < start
+	f.Add(int64(9), uint16(500), 1.0, 0.0, 0.0, 0.0, uint8(255), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, interval, start, end, jitter float64, rate, truncate uint8) {
+		for _, v := range []float64{interval, start, end, jitter} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		step := interval
+		if step <= 0 {
+			step = 1 // Repair's default grid
+		}
+		// Keep the grid finite and every t += interval step able to
+		// advance: |start|, |end| ≤ 1e6, a step of at least 1 ms and at
+		// most 20,000 grid points.
+		if math.Abs(start) > 1e6 || math.Abs(end) > 1e6 || step < 1e-3 || step > 1e3 ||
+			(end-start)/step > 20000 || math.Abs(jitter) > 2 {
+			t.Skip()
+		}
+		p := float64(rate) / 255 / 9 // up to 1/9 per kind; zeros up to 5/9, so a median can be 0
+		d := damage{nan: p, inf: p / 4, badT: p / 4, dup: p, spike: p, zero: 5 * p, stuck: p,
+			dropRun: p / 8, truncate: float64(truncate%50) / 100, jitter: jitter, quantize: float64(seed&3) * 0.25}
+		log := damagedWindow(seed, int(n)%3001, start, step, d)
+		in := append([]Sample(nil), log...)
+		opts := RepairOpts{Start: start, End: end, IntervalSec: interval}
+
+		got, rep := Repair(log, opts)
+		want, wantRep := refRepair(log, opts)
+		for i := range log {
+			if math.Float64bits(log[i].T) != math.Float64bits(in[i].T) ||
+				math.Float64bits(log[i].Watts) != math.Float64bits(in[i].Watts) {
+				t.Fatalf("Repair modified its input at %d", i)
+			}
+		}
+		if rep != wantRep {
+			t.Fatalf("report %+v, reference %+v", rep, wantRep)
+		}
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("repaired to %d samples (nil %v), reference %d (nil %v)",
+				len(got), got == nil, len(want), want == nil)
+		}
+		for i := range got {
+			if math.Float64bits(got[i].T) != math.Float64bits(want[i].T) ||
+				math.Float64bits(got[i].Watts) != math.Float64bits(want[i].Watts) {
+				t.Fatalf("sample %d = %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+	})
+}

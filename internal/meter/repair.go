@@ -2,67 +2,18 @@ package meter
 
 import (
 	"math"
-	"sort"
+
+	"powerbench/internal/stats"
 )
 
-// This file is the trace-hardening half of the meter: Validate inspects a
-// log for the artifacts real acquisition chains produce (non-finite
-// readings, duplicated timestamps, sampling gaps), and Repair rebuilds a
-// clean uniform trace from a damaged one — drop invalid readings, collapse
-// duplicates, clip spikes against a median/MAD band, and close gaps by
-// linear interpolation onto the expected sampling grid. The analysis
-// pipeline applies Repair per program window before the paper's
-// trim-10%-and-average step, so corrupted sessions degrade gracefully
-// instead of poisoning the tables.
-
-// Validation summarizes the health of a trace.
-type Validation struct {
-	// Samples is the trace length inspected.
-	Samples int
-	// Invalid counts samples with NaN/Inf timestamp or reading.
-	Invalid int
-	// Duplicates counts samples closer than half the expected interval to
-	// their predecessor (retransmitted or double-logged rows).
-	Duplicates int
-	// Gaps counts sample spacings wider than 1.5x the expected interval.
-	Gaps int
-	// Negative counts readings below zero (a WT210 never reports them).
-	Negative int
-}
-
-// Clean reports whether the trace shows none of the artifacts.
-func (v Validation) Clean() bool {
-	return v.Invalid == 0 && v.Duplicates == 0 && v.Gaps == 0 && v.Negative == 0
-}
-
-// Validate inspects a time-ordered log against the expected sampling
-// interval (≤ 0 selects the 1 Hz paper default).
-func Validate(log []Sample, intervalSec float64) Validation {
-	if intervalSec <= 0 {
-		intervalSec = 1
-	}
-	v := Validation{Samples: len(log)}
-	lastValid := math.Inf(-1)
-	for _, s := range log {
-		if !finite(s.T) || !finite(s.Watts) {
-			v.Invalid++
-			continue
-		}
-		if s.Watts < 0 {
-			v.Negative++
-		}
-		if !math.IsInf(lastValid, -1) {
-			switch dt := s.T - lastValid; {
-			case dt < intervalSec/2:
-				v.Duplicates++
-			case dt > 1.5*intervalSec:
-				v.Gaps++
-			}
-		}
-		lastValid = s.T
-	}
-	return v
-}
+// This file is the trace-hardening half of the meter: Repair rebuilds a
+// clean uniform trace from one carrying the artifacts real acquisition
+// chains produce — drop non-finite readings, collapse duplicated
+// timestamps, clip spikes against a median/MAD band, and close sampling
+// gaps by linear interpolation onto the expected grid. The analysis
+// pipeline applies Repair per program window of a hardened run, before the
+// paper's trim-10%-and-average step, so corrupted sessions degrade
+// gracefully instead of poisoning the tables.
 
 // RepairOpts configures Repair.
 type RepairOpts struct {
@@ -104,8 +55,12 @@ func (r RepairReport) Total() int {
 // Window produce); it is not modified. An empty input repairs to nil.
 //
 // Repair is NOT applied on the clean path: the evaluation pipeline invokes
-// it only when fault injection is active or validation finds artifacts, so
-// pristine runs remain byte-identical to the unhardened pipeline.
+// it only on hardened runs (an active fault profile), so pristine runs
+// remain byte-identical to the unhardened pipeline.
+//
+// A repair runs in linear time and allocates three buffers: the clean copy,
+// one float64 scratch buffer that holds first the readings for the median
+// and then their absolute deviations for the MAD, and the grid output.
 func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	var rep RepairReport
 	interval := opts.IntervalSec
@@ -142,16 +97,15 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	// the ramp transients positionally, so clipping a ramp sample to the
 	// median never reaches the reported average; what matters is that
 	// mid-trace excursions cannot.
-	watts := make([]float64, len(clean))
+	scratch := make([]float64, len(clean))
 	for i, s := range clean {
-		watts[i] = s.Watts
+		scratch[i] = s.Watts
 	}
-	med := medianOf(watts)
-	dev := make([]float64, len(watts))
-	for i, w := range watts {
-		dev[i] = math.Abs(w - med)
+	med := stats.MedianInPlace(scratch)
+	for i, s := range clean {
+		scratch[i] = math.Abs(s.Watts - med)
 	}
-	sigma := 1.4826 * medianOf(dev)
+	sigma := 1.4826 * stats.MedianInPlace(scratch)
 	if sigma < minSigma {
 		sigma = minSigma
 	}
@@ -168,7 +122,7 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	if start == 0 && end == 0 {
 		start, end = clean[0].T, clean[len(clean)-1].T
 	}
-	out := Resample(clean, start, end, interval)
+	out := resample(clean, start, end, interval)
 	if filled := len(out) - len(clean); filled > 0 {
 		rep.GapSamplesFilled = filled
 	}
@@ -176,17 +130,3 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// medianOf returns the median of vs without modifying it.
-func medianOf(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), vs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}

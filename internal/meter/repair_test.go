@@ -2,7 +2,10 @@ package meter
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -12,46 +15,6 @@ func uniformTrace(n int, watts float64) []Sample {
 		log[i] = Sample{T: float64(i), Watts: watts}
 	}
 	return log
-}
-
-func TestValidateClean(t *testing.T) {
-	v := Validate(uniformTrace(100, 200), 1)
-	if !v.Clean() {
-		t.Errorf("clean trace validated dirty: %+v", v)
-	}
-	if v.Samples != 100 {
-		t.Errorf("Samples = %d", v.Samples)
-	}
-}
-
-func TestValidateArtifacts(t *testing.T) {
-	log := []Sample{
-		{T: 0, Watts: 200},
-		{T: 1, Watts: 200},
-		{T: 2, Watts: math.NaN()}, // invalid
-		{T: 3, Watts: 200},
-		{T: 3, Watts: 200}, // duplicate timestamp
-		{T: 4, Watts: 200},
-		{T: 8, Watts: 200}, // 4 s gap
-		{T: 9, Watts: -2},  // negative reading
-		{T: 10, Watts: 200},
-	}
-	v := Validate(log, 1)
-	if v.Clean() {
-		t.Fatal("damaged trace validated clean")
-	}
-	if v.Invalid != 1 {
-		t.Errorf("Invalid = %d, want 1", v.Invalid)
-	}
-	if v.Duplicates != 1 {
-		t.Errorf("Duplicates = %d, want 1", v.Duplicates)
-	}
-	if v.Gaps == 0 {
-		t.Error("gap not detected")
-	}
-	if v.Negative != 1 {
-		t.Errorf("Negative = %d, want 1", v.Negative)
-	}
 }
 
 func TestRepairDamage(t *testing.T) {
@@ -152,5 +115,179 @@ func TestMeterCloneIndependence(t *testing.T) {
 	c2 := New(9).Clone(42).Record(0, 100, func(float64) float64 { return 150 })
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatal("clones with equal seeds produced different traces")
+	}
+}
+
+// refRepair is Repair as it was before the selection median and the
+// preallocated resample: sort-based medians over fresh copies, a binary
+// search per grid point and an append-grown output. FuzzRepair holds
+// Repair to it bit for bit.
+func refRepair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
+	var rep RepairReport
+	interval := opts.IntervalSec
+	if interval <= 0 {
+		interval = 1
+	}
+	madk := opts.MADK
+	if madk <= 0 {
+		madk = 8
+	}
+	minSigma := opts.MinSigma
+	if minSigma <= 0 {
+		minSigma = 0.5
+	}
+	clean := make([]Sample, 0, len(log))
+	for _, s := range log {
+		if !finite(s.T) || !finite(s.Watts) {
+			rep.Invalid++
+			continue
+		}
+		if len(clean) > 0 && s.T-clean[len(clean)-1].T < interval/2 {
+			rep.Duplicates++
+			continue
+		}
+		clean = append(clean, s)
+	}
+	if len(clean) == 0 {
+		return nil, rep
+	}
+	watts := make([]float64, len(clean))
+	for i, s := range clean {
+		watts[i] = s.Watts
+	}
+	med := refMedian(watts)
+	dev := make([]float64, len(watts))
+	for i, w := range watts {
+		dev[i] = math.Abs(w - med)
+	}
+	sigma := 1.4826 * refMedian(dev)
+	if sigma < minSigma {
+		sigma = minSigma
+	}
+	for i := range clean {
+		if math.Abs(clean[i].Watts-med) > madk*sigma {
+			clean[i].Watts = med
+			rep.SpikesClipped++
+		}
+	}
+	start, end := opts.Start, opts.End
+	if start == 0 && end == 0 {
+		start, end = clean[0].T, clean[len(clean)-1].T
+	}
+	out := refResample(clean, start, end, interval)
+	if filled := len(out) - len(clean); filled > 0 {
+		rep.GapSamplesFilled = filled
+	}
+	return out, rep
+}
+
+func refMedian(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	cp := append([]float64(nil), vs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+func refResample(log []Sample, start, end, interval float64) []Sample {
+	if len(log) == 0 || interval <= 0 || end < start {
+		return nil
+	}
+	var out []Sample
+	for t := start; t <= end+1e-9; t += interval {
+		i := sort.Search(len(log), func(i int) bool { return log[i].T >= t })
+		out = append(out, Sample{T: t, Watts: interpolate(log, i, t)})
+	}
+	return out
+}
+
+// damage describes the artifacts damagedWindow writes into a trace, each
+// as a per-sample probability, plus the fraction of the tail cut off.
+type damage struct {
+	nan, inf, badT, dup, spike, zero, stuck, dropRun, truncate float64
+	jitter                                                     float64 // ± fraction of the interval
+	quantize                                                   float64 // reading resolution in W; 0 keeps full precision
+}
+
+// damagedWindow returns an n-sample trace on the given interval from
+// start, around 250 W with 1.5 W noise, damaged as d describes. Zeros are
+// +0, as the fault injector writes them: a zero median with readings of
+// both signs is the one case where the selection median may pick the
+// other zero than the sort (see stats.MedianInPlace), and the meter's
+// clamp at zero never emits −0 at server power levels.
+func damagedWindow(seed int64, n int, start, interval float64, d damage) []Sample {
+	r := rand.New(rand.NewSource(seed))
+	log := make([]Sample, 0, n+n/8)
+	for i := 0; i < n; i++ {
+		u := r.Float64()
+		if u < d.dropRun {
+			i += r.Intn(20) // lose a run of samples
+			continue
+		}
+		w := 250 + 1.5*r.NormFloat64()
+		if d.quantize > 0 {
+			w = math.Round(w/d.quantize) * d.quantize
+		}
+		s := Sample{T: start + float64(i)*interval + d.jitter*interval*(2*r.Float64()-1), Watts: w}
+		switch u = r.Float64(); {
+		case u < d.nan:
+			s.Watts = math.NaN()
+		case u < d.nan+d.inf:
+			s.Watts = math.Inf(1 - 2*r.Intn(2))
+		case u < d.nan+d.inf+d.badT:
+			s.T = math.NaN()
+		case u < d.nan+d.inf+d.badT+d.spike:
+			s.Watts *= 3 + 10*r.Float64()
+		case u < d.nan+d.inf+d.badT+d.spike+d.zero:
+			s.Watts = 0
+		case u < d.nan+d.inf+d.badT+d.spike+d.zero+d.stuck && len(log) > 0:
+			s.Watts = log[len(log)-1].Watts
+		}
+		log = append(log, s)
+		if r.Float64() < d.dup {
+			log = append(log, s)
+		}
+	}
+	if cut := int(float64(len(log)) * d.truncate); cut > 0 {
+		log = log[:len(log)-cut]
+	}
+	return log
+}
+
+// heavyDamage is a window under the heavy fault profile's kinds of damage.
+var heavyDamage = damage{nan: 0.01, inf: 0.002, dup: 0.01, spike: 0.01, zero: 0.01, stuck: 0.01,
+	dropRun: 0.002, truncate: 0.05, jitter: 0.1}
+
+// TestRepairAllocs gates the cost of one repair: the clean copy, one
+// scratch buffer for the median and the MAD, and the grid output — three
+// allocations and at most 48 B per input sample. A sort copy of the
+// readings, or append growth of the output, breaks either bound.
+func TestRepairAllocs(t *testing.T) {
+	const n = 22000
+	log := damagedWindow(7, n, 100, 1, heavyDamage)
+	opts := RepairOpts{Start: 100, End: 100 + n - 1, IntervalSec: 1}
+	if out, rep := Repair(log, opts); len(out) != n || rep.Total() == 0 {
+		t.Fatalf("repair of the damaged window: %d samples, %+v", len(out), rep)
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { Repair(log, opts) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Repair(log, opts)
+	}
+	runtime.ReadMemStats(&after)
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(log))
+	t.Logf("Repair over %d samples: %.0f allocs, %.1f B per input sample", len(log), allocs, perSample)
+	if allocs > 3 {
+		t.Errorf("Repair allocates %.0f times per call, want ≤ 3", allocs)
+	}
+	if perSample > 48 {
+		t.Errorf("Repair allocates %.1f B per input sample, want ≤ 48", perSample)
 	}
 }

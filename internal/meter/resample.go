@@ -1,26 +1,41 @@
 package meter
 
-import "sort"
-
-// Resample reconstructs a uniformly spaced log from one with gaps (sample
+// resample reconstructs a uniformly spaced log from one with gaps (sample
 // dropout) or jitter: for each grid point t = start + k·interval it
 // linearly interpolates between the nearest surrounding samples. Points
 // outside the source log's span take the nearest edge value. The input
 // must be time-ordered (as Merge produces).
-func Resample(log []Sample, start, end, interval float64) []Sample {
+//
+// The grid is counted first with the same t += interval steps that then
+// stamp it, so the output is allocated once at its exact length. The
+// first sample with T ≥ t only moves forward as t grows, so one cursor
+// walks the log instead of a binary search per grid point.
+func resample(log []Sample, start, end, interval float64) []Sample {
 	if len(log) == 0 || interval <= 0 || end < start {
 		return nil
 	}
-	var out []Sample
+	n := 0
 	for t := start; t <= end+1e-9; t += interval {
-		out = append(out, Sample{T: t, Watts: interpolate(log, t)})
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Sample, n)
+	i, t := 0, start
+	for k := range out {
+		for i < len(log) && log[i].T < t {
+			i++
+		}
+		out[k] = Sample{T: t, Watts: interpolate(log, i, t)}
+		t += interval
 	}
 	return out
 }
 
-// interpolate returns the linearly interpolated power at time t.
-func interpolate(log []Sample, t float64) float64 {
-	i := sort.Search(len(log), func(i int) bool { return log[i].T >= t })
+// interpolate returns the linearly interpolated power at time t, where i
+// is the first index with log[i].T ≥ t (len(log) when there is none).
+func interpolate(log []Sample, i int, t float64) float64 {
 	switch {
 	case i == 0:
 		return log[0].Watts
@@ -33,17 +48,4 @@ func interpolate(log []Sample, t float64) float64 {
 	}
 	frac := (t - a.T) / (b.T - a.T)
 	return a.Watts + frac*(b.Watts-a.Watts)
-}
-
-// Gaps returns the [start, end] spans where consecutive samples are more
-// than maxGap apart — the dropout report an operator would check before
-// trusting a session log.
-func Gaps(log []Sample, maxGap float64) [][2]float64 {
-	var out [][2]float64
-	for i := 1; i < len(log); i++ {
-		if log[i].T-log[i-1].T > maxGap {
-			out = append(out, [2]float64{log[i-1].T, log[i].T})
-		}
-	}
-	return out
 }

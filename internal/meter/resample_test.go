@@ -8,7 +8,7 @@ import (
 func TestResampleFillsGaps(t *testing.T) {
 	// Samples at 0, 1, 4 (a 3-second gap), linear power ramp.
 	log := []Sample{{0, 100}, {1, 110}, {4, 140}}
-	got := Resample(log, 0, 4, 1)
+	got := resample(log, 0, 4, 1)
 	if len(got) != 5 {
 		t.Fatalf("resampled %d points", len(got))
 	}
@@ -22,7 +22,7 @@ func TestResampleFillsGaps(t *testing.T) {
 
 func TestResampleEdges(t *testing.T) {
 	log := []Sample{{10, 200}, {11, 210}}
-	got := Resample(log, 8, 13, 1)
+	got := resample(log, 8, 13, 1)
 	if got[0].Watts != 200 {
 		t.Errorf("before-span value %v, want clamped 200", got[0].Watts)
 	}
@@ -32,37 +32,20 @@ func TestResampleEdges(t *testing.T) {
 }
 
 func TestResampleDegenerate(t *testing.T) {
-	if got := Resample(nil, 0, 10, 1); got != nil {
+	if got := resample(nil, 0, 10, 1); got != nil {
 		t.Error("empty log should resample to nil")
 	}
-	if got := Resample([]Sample{{0, 1}}, 0, 10, 0); got != nil {
+	if got := resample([]Sample{{0, 1}}, 0, 10, 0); got != nil {
 		t.Error("zero interval should return nil")
 	}
-	if got := Resample([]Sample{{0, 1}}, 10, 0, 1); got != nil {
+	if got := resample([]Sample{{0, 1}}, 10, 0, 1); got != nil {
 		t.Error("inverted range should return nil")
 	}
 	// Duplicate timestamps must not divide by zero.
 	log := []Sample{{1, 100}, {1, 120}}
-	got := Resample(log, 1, 1, 1)
+	got := resample(log, 1, 1, 1)
 	if len(got) != 1 || math.IsNaN(got[0].Watts) {
 		t.Errorf("duplicate timestamps: %v", got)
-	}
-}
-
-func TestGaps(t *testing.T) {
-	log := []Sample{{0, 1}, {1, 1}, {5, 1}, {6, 1}, {20, 1}}
-	gaps := Gaps(log, 1.5)
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if gaps[0] != [2]float64{1, 5} || gaps[1] != [2]float64{6, 20} {
-		t.Errorf("gaps = %v", gaps)
-	}
-	if Gaps(log, 100) != nil {
-		t.Error("no gaps expected with a large threshold")
-	}
-	if Gaps(nil, 1) != nil {
-		t.Error("empty log has no gaps")
 	}
 }
 
@@ -76,7 +59,7 @@ func TestResampleRecoversDroppedLog(t *testing.T) {
 	if len(log) >= 500 {
 		t.Fatalf("dropout did not drop: %d samples", len(log))
 	}
-	re := Resample(log, 0, 500, 1)
+	re := resample(log, 0, 500, 1)
 	if len(re) != 501 {
 		t.Fatalf("resampled %d", len(re))
 	}

@@ -1,6 +1,6 @@
 package pmu
 
-import "sort"
+import "powerbench/internal/stats"
 
 // CounterModulus is the wrap modulus of a 32-bit performance-counter
 // register. Hardware PMCs are fixed-width accumulators; when acquisition
@@ -58,7 +58,7 @@ func Unwrap(samples []Sample, modulus float64) int {
 		for i := range samples {
 			vals[i] = *counterFields(&samples[i].Counts)[ch]
 		}
-		med := median(vals)
+		med := stats.MedianInPlace(vals) // vals is refilled per channel
 		for i := range samples {
 			p := counterFields(&samples[i].Counts)[ch]
 			if med-*p > modulus/2 {
@@ -70,18 +70,4 @@ func Unwrap(samples []Sample, modulus float64) int {
 		}
 	}
 	return corrected
-}
-
-// median returns the median of vs without modifying it.
-func median(vs []float64) float64 {
-	cp := append([]float64(nil), vs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

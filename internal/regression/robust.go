@@ -2,7 +2,8 @@ package regression
 
 import (
 	"math"
-	"sort"
+
+	"powerbench/internal/stats"
 )
 
 // This file adds the robust-regression fallback of the hardened pipeline:
@@ -57,6 +58,7 @@ func FitHuber(x [][]float64, y []float64, opts HuberOptions) (*Model, error) {
 	n := len(y)
 	res := make([]float64, n)
 	w := make([]float64, n)
+	scratch := make([]float64, n) // the median permutes it; res stays in order
 	prev := append([]float64(nil), m.Coefficients...)
 	prev = append(prev, m.Intercept)
 
@@ -67,7 +69,8 @@ func FitHuber(x [][]float64, y []float64, opts HuberOptions) (*Model, error) {
 		// Robust scale from the median absolute residual. A degenerate
 		// scale (perfect fit or quantized residuals) means there is
 		// nothing left to downweight.
-		s := 1.4826 * medianFloats(res)
+		copy(scratch, res)
+		s := 1.4826 * stats.MedianInPlace(scratch)
 		if s <= 0 || math.IsNaN(s) {
 			break
 		}
@@ -96,18 +99,4 @@ func FitHuber(x [][]float64, y []float64, opts HuberOptions) (*Model, error) {
 		}
 	}
 	return m, nil
-}
-
-// medianFloats returns the median of vs without modifying it.
-func medianFloats(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), vs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

@@ -1,0 +1,159 @@
+package stats
+
+import (
+	"encoding/binary"
+	"math"
+	"sort"
+	"testing"
+)
+
+// sortMedian is the reference median: sort a copy, then index the middle.
+// MedianInPlace must return the same float64.
+func sortMedian(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// sameMedian reports whether got equals the reference want bit for bit,
+// allowing only a zero of the other sign (−0 == +0 under the sort's <).
+func sameMedian(got, want float64) bool {
+	if got == 0 && want == 0 {
+		return true
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// checkMedian runs MedianInPlace on a copy of xs against the reference
+// and checks that it only permuted the copy.
+func checkMedian(t *testing.T, xs []float64) {
+	t.Helper()
+	want := sortMedian(xs)
+	buf := append([]float64(nil), xs...)
+	got := MedianInPlace(buf)
+	if !sameMedian(got, want) {
+		t.Fatalf("MedianInPlace(%v) = %v (%#x), want %v (%#x)",
+			xs, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	a := append([]float64(nil), xs...)
+	sort.Float64s(a)
+	sort.Float64s(buf)
+	for i := range a {
+		if a[i] != buf[i] && !(math.IsNaN(a[i]) && math.IsNaN(buf[i])) {
+			t.Fatalf("MedianInPlace changed the multiset: %v -> %v", xs, buf)
+		}
+	}
+}
+
+func TestMedianInPlaceMatchesSort(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := [][]float64{
+		nil,
+		{7},
+		{2, 1},
+		{1, 1, 1, 1},
+		{3, 1, 4, 1, 5, 9, 2, 6},
+		{0, negZero, 0, negZero, 1},
+		{negZero, negZero},
+		{nan},
+		{nan, 1},
+		{1, nan, 2},
+		{nan, nan, 3, 1},
+		{nan, 2, nan, 1, 4},
+		{math.Inf(1), math.Inf(-1), 0},
+	}
+	for _, xs := range cases {
+		checkMedian(t, xs)
+	}
+	// Long inputs in the shapes traces take: sorted, reversed, constant,
+	// few distinct levels, and a pseudo-random walk; both parities.
+	for _, n := range []int{101, 22000, 22001} {
+		asc := make([]float64, n)
+		desc := make([]float64, n)
+		flat := make([]float64, n)
+		levels := make([]float64, n)
+		walk := make([]float64, n)
+		x := uint64(n)
+		for i := range asc {
+			asc[i] = float64(i)
+			desc[i] = float64(n - i)
+			flat[i] = 250
+			levels[i] = float64(i%3) * 0.5
+			x = x*6364136223846793005 + 1442695040888963407
+			walk[i] = 200 + float64(x>>40)/float64(1<<24)
+		}
+		for _, xs := range [][]float64{asc, desc, flat, levels, walk} {
+			checkMedian(t, xs)
+		}
+	}
+}
+
+func TestMedianInPlaceAllocs(t *testing.T) {
+	buf := make([]float64, 1001)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range buf {
+			buf[i] = float64((i * 7919) % 1001)
+		}
+		MedianInPlace(buf)
+	})
+	if allocs != 0 {
+		t.Errorf("MedianInPlace allocated %v times, want 0", allocs)
+	}
+}
+
+// FuzzMedian checks the selection median against the sort reference.
+// small draws each byte from a 16-level alphabet with ±0, NaN and ±Inf
+// (so duplicates and ties are common); raw adds arbitrary float64s, 8
+// bytes each. NaN payloads are canonicalised: the sort does not keep NaNs
+// in order, so which NaN a median returns is not defined by either form.
+func FuzzMedian(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{3}, []byte{})
+	f.Add([]byte{3, 9}, []byte{})
+	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{})
+	f.Add([]byte{1, 2, 2, 3, 3, 3, 1, 0}, []byte{})
+	f.Add([]byte{0, 240, 0, 240, 240}, []byte{})
+	f.Add([]byte{241, 4, 241, 2}, []byte{})
+	f.Add([]byte{242, 243, 241, 7, 240}, []byte{})
+	f.Add([]byte{}, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, small, raw []byte) {
+		if len(small) > 4096 || len(raw) > 8*4096 {
+			return
+		}
+		xs := make([]float64, 0, len(small)+len(raw)/8)
+		for _, b := range small {
+			var v float64
+			switch b {
+			case 240:
+				v = math.Copysign(0, -1)
+			case 241:
+				v = math.NaN()
+			case 242:
+				v = math.Inf(1)
+			case 243:
+				v = math.Inf(-1)
+			default:
+				v = float64(b%16) * 0.5
+				if b >= 244 {
+					v = -v
+				}
+			}
+			xs = append(xs, v)
+		}
+		for i := 0; i+8 <= len(raw); i += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+			if math.IsNaN(v) {
+				v = math.NaN()
+			}
+			xs = append(xs, v)
+		}
+		checkMedian(t, xs)
+	})
+}
