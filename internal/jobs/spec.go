@@ -139,11 +139,7 @@ func (s *SweepSpec) methods() []string {
 // servers returns the effective server-name list.
 func (s *SweepSpec) servers() []string {
 	if len(s.Servers) == 0 {
-		names := make([]string, 0, len(server.All()))
-		for _, sp := range server.All() {
-			names = append(names, sp.Name)
-		}
-		return names
+		return server.Names()
 	}
 	return s.Servers
 }

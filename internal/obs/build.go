@@ -3,18 +3,23 @@ package obs
 import (
 	"runtime"
 	"runtime/debug"
+	"sync"
 )
 
 // BuildVersion reports the module version stamped into the binary, or
 // "devel" for unstamped builds (go run, plain go build of a work tree).
-func BuildVersion() string {
+// The build info is read once per process: it cannot change, and parsing
+// it on every PublishBuildInfo would cost each CLI evaluation.
+func BuildVersion() string { return buildVersion() }
+
+var buildVersion = sync.OnceValue(func() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		if v := bi.Main.Version; v != "" && v != "(devel)" {
 			return v
 		}
 	}
 	return "devel"
-}
+})
 
 // PublishBuildInfo registers the standard build-identity gauge,
 //

@@ -22,8 +22,9 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := ByName("PDP-11"); err == nil {
-		t.Error("unknown server should error")
+	const want = `server: unknown server "PDP-11" (want Xeon-E5462, Opteron-8347 or Xeon-4870)`
+	if _, err := ByName("PDP-11"); err == nil || err.Error() != want {
+		t.Errorf("unknown server error = %v, want %s", err, want)
 	}
 }
 

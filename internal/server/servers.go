@@ -2,13 +2,21 @@ package server
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"powerbench/internal/cache"
 )
 
-// The three servers of the paper's Table I. Each constructor returns a
-// fresh, calibrated Spec; mutations by the caller do not affect later
+// The three servers of the paper's Table I. Each is built and calibrated
+// once per process, on first use; every constructor call returns a fresh
+// copy of that Spec, so mutations by the caller do not affect later
 // constructions.
+var (
+	xeonE5462   = sync.OnceValue(newXeonE5462)
+	opteron8347 = sync.OnceValue(newOpteron8347)
+	xeon4870    = sync.OnceValue(newXeon4870)
+)
 
 // Reference measurement tables transcribed from the paper.
 var (
@@ -74,6 +82,16 @@ func anchorsOf(refs []ReferencePoint, program string) AnchorCurve {
 	return c
 }
 
+// clone returns a copy of s that shares no memory with it: the struct and
+// its three anchor curves.
+func (s *Spec) clone() *Spec {
+	c := *s
+	c.HPLFull = append(AnchorCurve(nil), s.HPLFull...)
+	c.HPLHalf = append(AnchorCurve(nil), s.HPLHalf...)
+	c.EP = append(AnchorCurve(nil), s.EP...)
+	return &c
+}
+
 func mustCalibrate(s *Spec, refs []ReferencePoint) *Spec {
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -86,7 +104,9 @@ func mustCalibrate(s *Spec, refs []ReferencePoint) *Spec {
 
 // XeonE5462 returns the calibrated single-chip quad-core Xeon E5462 server
 // (§II-A): 4 × 11.2 GFLOPS cores at 2.8 GHz, 8 GB DDR2 on a front-side bus.
-func XeonE5462() *Spec {
+func XeonE5462() *Spec { return xeonE5462().clone() }
+
+func newXeonE5462() *Spec {
 	s := &Spec{
 		Name:             "Xeon-E5462",
 		ProcessorType:    "Xeon E5462",
@@ -118,7 +138,9 @@ func XeonE5462() *Spec {
 
 // Opteron8347 returns the calibrated four-chip, 16-core Opteron 8347 server
 // (§II-B): 16 × 7.6 GFLOPS cores at 1.9 GHz, 32 GB DDR2, NUMA.
-func Opteron8347() *Spec {
+func Opteron8347() *Spec { return opteron8347().clone() }
+
+func newOpteron8347() *Spec {
 	s := &Spec{
 		Name:             "Opteron-8347",
 		ProcessorType:    "Opteron 8347",
@@ -151,7 +173,9 @@ func Opteron8347() *Spec {
 
 // Xeon4870 returns the calibrated four-chip, 40-core Xeon E7-4870 server
 // (§II-C): 40 × 9.6 GFLOPS cores at 2.4 GHz, 128 GB DDR2.
-func Xeon4870() *Spec {
+func Xeon4870() *Spec { return xeon4870().clone() }
+
+func newXeon4870() *Spec {
 	s := &Spec{
 		Name:             "Xeon-4870",
 		ProcessorType:    "Xeon E7-4870",
@@ -182,6 +206,9 @@ func Xeon4870() *Spec {
 	return mustCalibrate(s, ref4870)
 }
 
+// Names returns the Table I server names in the paper's order.
+func Names() []string { return []string{"Xeon-E5462", "Opteron-8347", "Xeon-4870"} }
+
 // All returns the three paper servers, calibrated, in the paper's order.
 func All() []*Spec {
 	return []*Spec{XeonE5462(), Opteron8347(), Xeon4870()}
@@ -197,5 +224,7 @@ func ByName(name string) (*Spec, error) {
 	case "Xeon-4870":
 		return Xeon4870(), nil
 	}
-	return nil, fmt.Errorf("server: unknown server %q (want Xeon-E5462, Opteron-8347 or Xeon-4870)", name)
+	names := Names()
+	last := len(names) - 1
+	return nil, fmt.Errorf("server: unknown server %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
 }
