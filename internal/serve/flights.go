@@ -23,8 +23,10 @@ const flightHeader = "X-Powerbench-Flight"
 // SHA-256 of the canonical request key. Identical requests share a flight
 // id exactly as they share cached response bytes.
 func flightID(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
+	sum := sumKey("", key)
+	var id [2 * sha256.Size]byte
+	hex.Encode(id[:], sum[:])
+	return string(id[:])
 }
 
 // putFlight publishes flight-record JSONL under id: into the bounded

@@ -221,6 +221,9 @@ type Server struct {
 	evalFn func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error)
 	g500Fn func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Green500Result, error)
 	cmpFn  func(ctx context.Context, specs []*server.Spec, seed float64, opts core.EvalOptions) (*core.Comparison, error)
+	// traceStored, when set, sees every trace the store keeps with the
+	// metadata and body it was stored with.
+	traceStored func(tr *tracectx.Trace, m tracectx.Meta, body []byte)
 }
 
 // New builds the service. The only failure mode is a WAL directory
@@ -474,12 +477,14 @@ type computeFn func(ctx context.Context, rec *flight.Recorder) (any, error)
 
 // flightTask is what a flight's beginner hands its runner: the trace the
 // flight reports into, the request identity the tail sampler needs once it
-// settles, and whether the flight holds an admission slot. A request
-// flight carries both; a campaign flight carries neither — it records no
-// spans, and the jobs worker pool bounds campaign concurrency instead.
+// settles (with the flight id the request already derived), and whether
+// the flight holds an admission slot. A request flight carries both; a
+// campaign flight carries neither — it records no spans, and the jobs
+// worker pool bounds campaign concurrency instead.
 type flightTask struct {
 	tr      *tracectx.Trace
 	route   string
+	flight  string
 	faulted bool
 	admit   bool
 }
@@ -495,19 +500,19 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	// forensics live — and the response traceparent (trace id + root span
 	// id, both identity-derived) lets a caller chain its own spans under
 	// this request before the computation has even finished.
-	tid := tracectx.DeriveID(key)
-	w.Header().Set(flightHeader, flightID(key))
-	w.Header().Set(traceHeader, tid.String())
-	w.Header().Set("Traceparent", tracectx.Format(tid, tracectx.DeriveSpanID(tid, route), true))
 	tr := newRequestTrace(req, route, key)
 	root := tr.Root()
+	fid := flightID(key)
+	w.Header().Set(flightHeader, fid)
+	w.Header().Set(traceHeader, tr.ID().String())
+	w.Header().Set("Traceparent", tracectx.Format(tr.ID(), root.ID(), true))
 	cacheSpan := root.Child("cache")
 	if body, ok := s.cache.Get(key); ok {
 		s.obs.Counter("serve_cache_hits_total").Inc()
 		cacheSpan.Attr("result", "hit").End()
 		root.End()
 		writeBody(w, http.StatusOK, "hit", body)
-		s.storeTrace(tr, route, key, http.StatusOK, faulted, "hit", 0)
+		s.storeTrace(tr, route, key, fid, http.StatusOK, faulted, "hit", 0)
 		return
 	}
 	s.obs.Counter("serve_cache_misses_total").Inc()
@@ -521,7 +526,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	f, how := s.joinOrBegin(key, fn, &flightTask{tr: tr, route: route, faulted: faulted, admit: true})
+	f, how := s.joinOrBegin(key, fn, &flightTask{tr: tr, route: route, flight: fid, faulted: faulted, admit: true})
 	if f == nil {
 		// Saturated: reject now rather than queue unboundedly. The rejection
 		// trace (root + cache miss + admission verdict) is always retained —
@@ -532,7 +537,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 		w.Header().Set("Retry-After", retryAfterSec)
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("service saturated: %d computations in flight", cap(s.admit)))
-		s.storeTrace(tr, route, key, http.StatusTooManyRequests, faulted, how, 0)
+		s.storeTrace(tr, route, key, fid, http.StatusTooManyRequests, faulted, how, 0)
 		return
 	}
 
@@ -646,7 +651,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 			t.tr.Root().End()
 			s.putResult(f.key, body)
 			f.via, f.peer = "peer", owner
-			s.storeTrace(t.tr, t.route, f.key, http.StatusOK, t.faulted, "peer", time.Since(fetchStart))
+			s.storeTrace(t.tr, t.route, f.key, t.flight, http.StatusOK, t.faulted, "peer", time.Since(fetchStart))
 			s.settle(f, t, http.StatusOK, body, nil)
 			return
 		}
@@ -689,7 +694,12 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	t.tr.Root().End()
 	if status == http.StatusOK {
 		s.putResult(f.key, body)
-		fid := flightID(f.key)
+		// A request flight's id came with its task; a campaign flight
+		// derives it here.
+		fid := t.flight
+		if fid == "" {
+			fid = flightID(f.key)
+		}
 		var frec []byte
 		if rec.Len() > 0 {
 			frec = rec.Bytes()
@@ -721,7 +731,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	// Store the trace before waking the waiters: a client that reads the
 	// X-Powerbench-Trace header off its response can fetch the trace
 	// immediately, no settle/store race.
-	s.storeTrace(t.tr, t.route, f.key, status, t.faulted, "miss", dur)
+	s.storeTrace(t.tr, t.route, f.key, t.flight, status, t.faulted, "miss", dur)
 	s.settle(f, t, status, body, err)
 }
 

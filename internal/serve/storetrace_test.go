@@ -1,0 +1,263 @@
+package serve
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"powerbench/internal/cluster"
+	"powerbench/internal/core"
+	"powerbench/internal/obs"
+	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
+)
+
+// exportBody is the stored trace body as the daemon rendered it through
+// reflection: Export, the request metadata, tree and pipeline hashes over
+// an encoding/json canonical rendering, and json.MarshalIndent plus '\n'.
+func exportBody(tr *tracectx.Trace, m tracectx.Meta) ([]byte, error) {
+	doc := tr.Export()
+	doc.Key, doc.Status, doc.Reason, doc.Flight = m.Key, m.Status, m.Reason, m.Flight
+	var err error
+	if doc.TreeHash, err = reflectTreeHash(doc.Spans); err != nil {
+		return nil, err
+	}
+	doc.PipelineHash = doc.TreeHash
+	var pipeline []tracectx.SpanDoc
+	for _, sp := range doc.Spans {
+		if sp.Cat != tracectx.CatCluster {
+			pipeline = append(pipeline, sp)
+		}
+	}
+	if len(pipeline) != len(doc.Spans) {
+		if doc.PipelineHash, err = reflectTreeHash(pipeline); err != nil {
+			return nil, err
+		}
+	}
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+func reflectTreeHash(spans []tracectx.SpanDoc) (string, error) {
+	type canonicalSpan struct {
+		ID     string         `json:"id"`
+		Parent string         `json:"parent,omitempty"`
+		Path   string         `json:"path"`
+		Name   string         `json:"name"`
+		Cat    string         `json:"cat,omitempty"`
+		Attrs  map[string]any `json:"attrs,omitempty"`
+	}
+	cs := make([]canonicalSpan, len(spans))
+	for i, s := range spans {
+		cs[i] = canonicalSpan{ID: s.ID, Parent: s.Parent, Path: s.Path, Name: s.Name, Cat: s.Cat, Attrs: s.Attrs}
+	}
+	b, err := json.Marshal(struct {
+		Schema string          `json:"schema"`
+		Trace  string          `json:"trace"`
+		Spans  []canonicalSpan `json:"spans"`
+	}{tracectx.Schema, "", cs})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// storedTraces records every trace s keeps, with the body it stored.
+type storedTraces struct {
+	mu   sync.Mutex
+	seen []storedCall
+}
+
+type storedCall struct {
+	tr   *tracectx.Trace
+	m    tracectx.Meta
+	body []byte
+}
+
+func recordStored(s *Server) *storedTraces {
+	rec := &storedTraces{}
+	s.traceStored = func(tr *tracectx.Trace, m tracectx.Meta, body []byte) {
+		rec.mu.Lock()
+		rec.seen = append(rec.seen, storedCall{tr, m, body})
+		rec.mu.Unlock()
+	}
+	return rec
+}
+
+// check compares every recorded body against exportBody and returns the
+// calls it checked.
+func (r *storedTraces) check(t *testing.T) []storedCall {
+	t.Helper()
+	r.mu.Lock()
+	seen := append([]storedCall(nil), r.seen...)
+	r.seen = nil
+	r.mu.Unlock()
+	for _, c := range seen {
+		want, err := exportBody(c.tr, c.m)
+		if err != nil {
+			t.Fatalf("trace %s: reflection path failed: %v", c.tr.ID(), err)
+		}
+		if string(c.body) != string(want) {
+			t.Errorf("trace %s (%s): stored body differs from Export + MarshalIndent:\n got %s\nwant %s",
+				c.tr.ID(), c.m.Reason, c.body, want)
+		}
+	}
+	return seen
+}
+
+// The stored trace document is byte-identical to the Export +
+// MarshalIndent path it replaces: for every method under both an inactive
+// and a light fault profile, for a 429 rejection, and for a request with a
+// client traceparent whose key a peer owns (a cluster-category span).
+func TestStoredTraceMatchesExport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline")
+	}
+	s := newTestServer(t, Config{})
+	rec := recordStored(s)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"server":"Xeon-E5462","seed":3}`},
+		{"/v1/evaluate", `{"server":"Opteron-8347","seed":3,"fault_profile":"light"}`},
+		{"/v1/green500", `{"server":"Xeon-4870","seed":3}`},
+		{"/v1/green500", `{"server":"Xeon-E5462","seed":3,"fault_profile":"light"}`},
+		{"/v1/compare", `{"seed":3}`},
+		{"/v1/compare", `{"servers":["Xeon-E5462","Opteron-8347"],"seed":3,"fault_profile":"light"}`},
+	} {
+		if r := do(s, "POST", tc.path, tc.body); r.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", tc.path, tc.body, r.Code, r.Body.String())
+		}
+		if got := rec.check(t); len(got) != 1 || got[0].m.Reason == "" || len(got[0].body) == 0 {
+			t.Fatalf("%s %s: %d traces stored, want 1", tc.path, tc.body, len(got))
+		}
+	}
+
+	// A 429: the rejection trace is stored from the handler, not a flight.
+	gated := newTestServer(t, Config{MaxInFlight: 1})
+	rec = recordStored(gated)
+	release := make(chan struct{})
+	gated.evalFn = func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
+		<-release
+		return stubEval(ctx, spec, seed, opts)
+	}
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- do(gated, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":1}`) }()
+	waitCounter(t, gated.obs, "serve_compute_total", 1)
+	if r := do(gated, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":2}`); r.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated request: status %d, want 429", r.Code)
+	}
+	if got := rec.check(t); len(got) != 1 || got[0].m.Status != http.StatusTooManyRequests {
+		t.Fatalf("429 stored %d traces, want its rejection trace", len(got))
+	}
+	close(release)
+	<-first
+	rec.check(t)
+
+	// Peer-owned keys with a client traceparent: a fetch the owner answers
+	// and one it cannot, which then computes locally under the peer span.
+	var fetches atomic.Int32
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			w.Write([]byte(`{"status":"ok"}`))
+		case r.Method == http.MethodGet && fetches.Add(1) == 1:
+			w.Write([]byte("{\"canned\":true}\n"))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer owner.Close()
+	cl, err := cluster.New(cluster.Config{
+		Self:          "s0",
+		Peers:         []cluster.Peer{{ID: "s0"}, {ID: "s1", URL: owner.URL}},
+		Obs:           obs.New(),
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peered := newTestServer(t, Config{Cluster: cl})
+	rec = recordStored(peered)
+	spec, err := server.ByName("Xeon-E5462")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	var reasons []string
+	for seed := 1; len(reasons) < 2 && seed <= 200; seed++ {
+		key := "evaluate|" + core.CanonicalHash(spec, float64(seed), core.HashOpts{Method: "evaluate"})
+		if cl.Owner(key) != "s1" {
+			continue
+		}
+		cl.SetHealthy("s1", true)
+		req := httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(`{"server":"Xeon-E5462","seed":`+strconv.Itoa(seed)+`}`))
+		req.Header.Set(tracectx.TraceparentHeader, traceparent)
+		w := httptest.NewRecorder()
+		peered.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("peer-owned request: status %d: %s", w.Code, w.Body.String())
+		}
+		for _, c := range rec.check(t) {
+			if !strings.Contains(string(c.body), `"origin": "`+traceparent+`"`) ||
+				!strings.Contains(string(c.body), `"cat": "cluster"`) {
+				t.Errorf("peer trace lacks its origin or cluster span:\n%s", c.body)
+			}
+			reasons = append(reasons, c.m.Reason)
+		}
+	}
+	if strings.Join(reasons, ",") != "peer,cache-miss" {
+		t.Fatalf("peer-owned requests stored traces kept as %v, want a peer fetch then a local compute", reasons)
+	}
+}
+
+// Storing a kept trace renders it straight from the spans: a fixed handful
+// of allocations (the snapshot, its sort, the body, the id string), the
+// same for a 3-server compare trace as for a single evaluate.
+func TestStoreTraceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	s := newTestServer(t, Config{})
+	var counts []float64
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"server":"Xeon-E5462","seed":3}`},
+		{"/v1/compare", `{"seed":3}`},
+	} {
+		rec := recordStored(s)
+		if r := do(s, "POST", tc.path, tc.body); r.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, r.Code, r.Body.String())
+		}
+		got := rec.check(t)
+		if len(got) != 1 {
+			t.Fatalf("%s: %d traces stored, want 1", tc.path, len(got))
+		}
+		c := got[0]
+		s.traceStored = nil
+		allocs := testing.AllocsPerRun(50, func() {
+			s.storeTrace(c.tr, tc.path, c.m.Key, c.m.Flight, c.m.Status, false, "miss", 0)
+		})
+		t.Logf("%s: %d spans, %.1f allocs per store", tc.path, strings.Count(string(c.body), `"path"`), allocs)
+		if allocs > 16 {
+			t.Errorf("%s: %.1f allocs per stored trace, want <= 16", tc.path, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[1] > counts[0]+1 {
+		t.Errorf("storing grows with span count: %.1f allocs for compare, %.1f for evaluate", counts[1], counts[0])
+	}
+}

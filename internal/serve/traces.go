@@ -56,8 +56,16 @@ func (s *Server) sampleReason(status int, faulted bool, how string, dur time.Dur
 // keyFraction maps a request key to a uniform [0,1) fraction via a
 // domain-separated hash, the deterministic stand-in for a sampling coin.
 func keyFraction(key string) float64 {
-	sum := sha256.Sum256([]byte("powerbench-trace-sample|" + key))
+	sum := sumKey("powerbench-trace-sample|", key)
 	return float64(binary.BigEndian.Uint64(sum[:8])) / float64(1<<63) / 2
+}
+
+// sumKey is the SHA-256 of prefix+key, hashed from a stack buffer that
+// holds a compare key over three servers; a longer key grows it on the
+// heap.
+func sumKey(prefix, key string) [sha256.Size]byte {
+	var buf [256]byte
+	return sha256.Sum256(append(append(buf[:0], prefix...), key...))
 }
 
 // storedTrace is one trace-store entry: the exported document and its
@@ -110,10 +118,12 @@ func newRequestTrace(req *http.Request, route, key string) *tracectx.Trace {
 	return tr
 }
 
-// storeTrace exports a settled request's trace, applies the tail-sampling
-// policy, and publishes the kept document. Drops are counted, keeps are
-// labeled by rule, so the sampler's behavior is observable.
-func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, faulted bool, how string, dur time.Duration) {
+// storeTrace applies the tail-sampling policy to a settled request's
+// trace and publishes the kept document, rendered straight from the spans
+// with the request's key, status, retention reason and flight id. Drops
+// are counted, keeps are labeled by rule, so the sampler's behavior is
+// observable.
+func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, status int, faulted bool, how string, dur time.Duration) {
 	if tr == nil {
 		return
 	}
@@ -122,19 +132,18 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, f
 		s.obs.Counter("serve_traces_dropped_total").Inc()
 		return
 	}
-	doc := tr.Export()
-	doc.Key = key
-	doc.Status = status
-	doc.Reason = reason
-	doc.Flight = flightID(key)
-	body, err := marshalBody(doc)
+	m := tracectx.Meta{Key: key, Status: status, Reason: reason, Flight: flight}
+	st, err := tr.Render(m)
 	if err != nil {
-		s.obs.Infof("trace %s not stored: %v", doc.Trace, err)
+		s.obs.Infof("trace %s not stored: %v", tr.ID(), err)
 		return
 	}
-	evicted := s.traces.Put(doc.Trace, storedTrace{doc: body, meta: fleet.TraceSummary{
-		Trace: doc.Trace, Root: route, Status: status, Reason: reason,
-		DurationUS: doc.DurationUS, Flight: doc.Flight, Spans: len(doc.Spans),
+	if s.traceStored != nil {
+		s.traceStored(tr, m, st.Body)
+	}
+	evicted := s.traces.Put(st.Trace, storedTrace{doc: st.Body, meta: fleet.TraceSummary{
+		Trace: st.Trace, Root: route, Status: status, Reason: reason,
+		DurationUS: st.DurationUS, Flight: flight, Spans: st.Spans,
 		Shard: s.cluster.Self(),
 	}})
 	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()

@@ -1,11 +1,14 @@
 package tracectx
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 )
 
@@ -67,6 +70,21 @@ type Doc struct {
 	Spans  []SpanDoc `json:"spans"`
 }
 
+// snapshot copies the trace's span list under t.mu, together with the
+// instant un-ended spans close at and the origin header, and orders the
+// copy by path. Export and Render both read spans through it, so they list
+// them in the same order, ties included.
+func (t *Trace) snapshot() (spans []*Span, now int64, origin string) {
+	t.mu.Lock()
+	spans = make([]*Span, len(t.spans))
+	copy(spans, t.spans)
+	now = int64(time.Since(t.epoch))
+	origin = t.origin
+	t.mu.Unlock()
+	sort.Slice(spans, func(i, j int) bool { return spans[i].path < spans[j].path })
+	return spans, now, origin
+}
+
 // Export snapshots the trace into its document form: spans sorted by path,
 // un-ended spans closed at the snapshot instant, and the tree hash computed
 // over the canonical rendering. A nil trace exports a nil doc.
@@ -74,13 +92,7 @@ func (t *Trace) Export() *Doc {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
-	now := int64(time.Since(t.epoch))
-	origin := t.origin
-	t.mu.Unlock()
-
+	spans, now, origin := t.snapshot()
 	docs := make([]SpanDoc, 0, len(spans))
 	for _, s := range spans {
 		s.mu.Lock()
@@ -110,7 +122,6 @@ func (t *Trace) Export() *Doc {
 		s.mu.Unlock()
 		docs = append(docs, d)
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Path < docs[j].Path })
 
 	doc := &Doc{
 		Schema: Schema,
@@ -128,6 +139,157 @@ func (t *Trace) Export() *Doc {
 	return doc
 }
 
+// Meta is the request metadata a stored trace document carries beside its
+// spans (the Doc fields of the same names).
+type Meta struct {
+	Key    string
+	Status int
+	Reason string
+	Flight string
+}
+
+// Stored is a trace rendered for a trace store: the document and the
+// listing fields read off the same snapshot.
+type Stored struct {
+	// Body is the document as json.MarshalIndent(doc, "", "  ") renders
+	// Export's doc with the Meta fields set, plus a trailing newline.
+	Body       []byte
+	Trace      string
+	DurationUS int64
+	Spans      int
+}
+
+// renderScratch holds Render's working buffers between calls.
+type renderScratch struct {
+	canon, pipe, spans, doc []byte
+	indent                  bytes.Buffer
+}
+
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// Render snapshots the trace and renders its stored document with m's
+// metadata in one pass over the spans, without building a Doc. Each span
+// is read once under its own lock, and in that visit its canonical form is
+// appended to the tree-hash rendering and its full form to the document,
+// so a span still being written cannot make the hashes disagree with the
+// body. A span attr encoding/json cannot render (NaN, ±Inf) is an error,
+// as it is for json.MarshalIndent. A nil trace renders nothing.
+func (t *Trace) Render(m Meta) (Stored, error) {
+	if t == nil {
+		return Stored{}, nil
+	}
+	spans, now, origin := t.snapshot()
+	sc := renderPool.Get().(*renderScratch)
+	defer renderPool.Put(sc)
+
+	// canon is the tree-hash rendering; pipe, started at the first cluster
+	// span, is the same rendering without cluster spans.
+	canon := appendCanonicalHead(sc.canon[:0], "")
+	var pipe []byte
+	pipeSpans := 0
+	body := sc.spans[:0]
+	var durUS int64
+	rooted := false
+	var idHex, parentHex [2 * len(SpanID{})]byte
+	for i, s := range spans {
+		hex.Encode(idHex[:], s.id[:])
+		parent := parentHex[:0]
+		if !s.parent.IsZero() {
+			hex.Encode(parentHex[:], s.parent[:])
+			parent = parentHex[:]
+		}
+		mark := len(canon)
+		if i > 0 {
+			canon = append(canon, ',')
+			body = append(body, ',')
+		}
+		at := len(canon)
+
+		s.mu.Lock()
+		end := s.endNS
+		if !s.ended {
+			end = now
+		}
+		cat := s.cat
+		canon = appendSpanHead(canon, idHex[:], parent, s.path, s.name, cat)
+		head := len(canon)
+		var err error
+		canon, err = appendSpanAttrs(canon, s.attrs)
+		startUS, spanUS := s.startNS/1e3, (end-s.startNS)/1e3
+		s.mu.Unlock()
+		if err != nil {
+			return Stored{}, err
+		}
+
+		body = append(body, canon[at:head]...)
+		body = appendSpanTimes(body, startUS, spanUS)
+		body = append(body, canon[head:]...)
+		if !rooted && len(parent) == 0 {
+			durUS, rooted = spanUS, true
+		}
+		switch {
+		case cat == CatCluster:
+			if pipe == nil {
+				pipe = append(sc.pipe[:0], canon[:mark]...)
+				pipeSpans = i
+			}
+		case pipe != nil:
+			if pipeSpans > 0 {
+				pipe = append(pipe, ',')
+			}
+			pipe = append(pipe, canon[at:]...)
+			pipeSpans++
+		}
+	}
+	canon = append(canon, "]}"...)
+	tree := sha256.Sum256(canon)
+	pipeline := tree
+	if pipe != nil {
+		pipe = append(pipe, "]}"...)
+		pipeline = sha256.Sum256(pipe)
+	}
+
+	doc := append(sc.doc[:0], `{"schema":"`+Schema+`","trace":"`...)
+	doc = hex.AppendEncode(doc, t.id[:])
+	doc = append(doc, '"')
+	doc = appendMember(doc, `,"key":`, m.Key)
+	if m.Status != 0 {
+		doc = append(doc, `,"status":`...)
+		doc = strconv.AppendInt(doc, int64(m.Status), 10)
+	}
+	doc = appendMember(doc, `,"reason":`, m.Reason)
+	doc = appendMember(doc, `,"flight":`, m.Flight)
+	doc = appendMember(doc, `,"origin":`, origin)
+	doc = append(doc, `,"duration_us":`...)
+	doc = strconv.AppendInt(doc, durUS, 10)
+	doc = append(doc, `,"tree_hash":"`...)
+	doc = hex.AppendEncode(doc, tree[:])
+	doc = append(doc, `","pipeline_hash":"`...)
+	doc = hex.AppendEncode(doc, pipeline[:])
+	doc = append(doc, `","spans":[`...)
+	doc = append(doc, body...)
+	doc = append(doc, "]}"...)
+
+	sc.canon, sc.pipe, sc.spans, sc.doc = canon, pipe, body, doc
+	sc.indent.Reset()
+	if err := json.Indent(&sc.indent, doc, "", "  "); err != nil {
+		return Stored{}, err
+	}
+	out := make([]byte, sc.indent.Len()+1)
+	copy(out, sc.indent.Bytes())
+	out[len(out)-1] = '\n'
+	return Stored{Body: out, Trace: t.id.String(), DurationUS: durUS, Spans: len(spans)}, nil
+}
+
+// appendMember appends an omitempty string member: name (with its leading
+// comma and colon) and v, or nothing when v is empty.
+func appendMember(b []byte, name, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendString(append(b, name...), v)
+}
+
 // Rehash recomputes TreeHash and PipelineHash from the document's current
 // span set. Export calls it; the fleet layer calls it again after stitching
 // spans from several shards into one document.
@@ -135,34 +297,15 @@ func (d *Doc) Rehash() {
 	if d == nil {
 		return
 	}
-	d.TreeHash = treeHash(d.Spans)
-	pipeline := d.Spans
+	b := mustCanonical(nil, "", d.Spans, "")
+	d.TreeHash = hashHex(b)
+	d.PipelineHash = d.TreeHash
 	for _, s := range d.Spans {
 		if s.Cat == CatCluster {
-			pipeline = make([]SpanDoc, 0, len(d.Spans))
-			for _, p := range d.Spans {
-				if p.Cat != CatCluster {
-					pipeline = append(pipeline, p)
-				}
-			}
+			d.PipelineHash = hashHex(mustCanonical(b[:0], "", d.Spans, CatCluster))
 			break
 		}
 	}
-	if len(pipeline) == len(d.Spans) {
-		d.PipelineHash = d.TreeHash
-	} else {
-		d.PipelineHash = treeHash(pipeline)
-	}
-}
-
-// canonicalSpan is a SpanDoc stripped to its scheduling-independent fields.
-type canonicalSpan struct {
-	ID     string         `json:"id"`
-	Parent string         `json:"parent,omitempty"`
-	Path   string         `json:"path"`
-	Name   string         `json:"name"`
-	Cat    string         `json:"cat,omitempty"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
 // CanonicalJSON renders the document's canonical form: the path-ordered
@@ -170,26 +313,45 @@ type canonicalSpan struct {
 // the same pipeline work render byte-identically, whatever the `-jobs`
 // count or how slow the machine was.
 func (d *Doc) CanonicalJSON() []byte {
-	spans := make([]canonicalSpan, len(d.Spans))
-	for i, s := range d.Spans {
-		spans[i] = canonicalSpan{ID: s.ID, Parent: s.Parent, Path: s.Path, Name: s.Name, Cat: s.Cat, Attrs: s.Attrs}
-	}
-	// encoding/json sorts map keys, so attrs render deterministically.
-	b, err := json.Marshal(struct {
-		Schema string          `json:"schema"`
-		Trace  string          `json:"trace"`
-		Spans  []canonicalSpan `json:"spans"`
-	}{Schema, d.Trace, spans})
-	if err != nil {
-		panic(fmt.Sprintf("tracectx: canonical marshal: %v", err))
-	}
-	return b
+	return mustCanonical(nil, d.Trace, d.Spans, "")
 }
 
-func treeHash(spans []SpanDoc) string {
-	d := Doc{Spans: spans}
-	sum := sha256.Sum256(d.CanonicalJSON())
-	return hex.EncodeToString(sum[:])
+// appendCanonicalHead opens the canonical rendering of trace's span list.
+func appendCanonicalHead(b []byte, trace string) []byte {
+	b = append(b, `{"schema":"`+Schema+`","trace":`...)
+	b = appendString(b, trace)
+	return append(b, `,"spans":[`...)
+}
+
+// mustCanonical appends the canonical rendering of spans under trace id
+// trace, leaving out spans of category drop when drop is non-empty. The
+// tree hash is the SHA-256 of this rendering with an empty trace id.
+func mustCanonical(b []byte, trace string, spans []SpanDoc, drop string) []byte {
+	b = appendCanonicalHead(b, trace)
+	first := true
+	for i := range spans {
+		s := &spans[i]
+		if drop != "" && s.Cat == drop {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		var err error
+		b = appendSpanHead(b, s.ID, s.Parent, s.Path, s.Name, s.Cat)
+		if b, err = appendSpanAttrs(b, s.Attrs); err != nil {
+			panic(fmt.Sprintf("tracectx: canonical marshal: %v", err))
+		}
+	}
+	return append(b, "]}"...)
+}
+
+func hashHex(b []byte) string {
+	sum := sha256.Sum256(b)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }
 
 // ParseDoc decodes a trace document, checking the schema marker.

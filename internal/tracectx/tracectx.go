@@ -41,7 +41,11 @@ import (
 type ID [16]byte
 
 // String renders the id as 32 lowercase hex characters.
-func (id ID) String() string { return hex.EncodeToString(id[:]) }
+func (id ID) String() string {
+	var b [2 * len(ID{})]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the id is the invalid all-zero id.
 func (id ID) IsZero() bool { return id == ID{} }
@@ -50,7 +54,11 @@ func (id ID) IsZero() bool { return id == ID{} }
 type SpanID [8]byte
 
 // String renders the span id as 16 lowercase hex characters.
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [2 * len(SpanID{})]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the span id is the invalid all-zero id.
 func (id SpanID) IsZero() bool { return id == SpanID{} }
@@ -61,7 +69,8 @@ func (id SpanID) IsZero() bool { return id == SpanID{} }
 // exactly as they share cached response bytes and flight ids — the trace id
 // is a content address, not a random sample.
 func DeriveID(key string) ID {
-	sum := sha256.Sum256([]byte("powerbench-trace-v1|" + key))
+	var buf [derivBuf]byte
+	sum := sha256.Sum256(append(append(buf[:0], "powerbench-trace-v1|"...), key...))
 	var id ID
 	copy(id[:], sum[:len(id)])
 	return id
@@ -72,13 +81,16 @@ func DeriveID(key string) ID {
 // sibling names are distinct, which the pipeline guarantees by construction
 // (state names, job indices and attempt ordinals are all part of the name).
 func DeriveSpanID(trace ID, path string) SpanID {
-	h := sha256.New()
-	h.Write(trace[:])
-	h.Write([]byte(path))
+	var buf [derivBuf]byte
+	sum := sha256.Sum256(append(append(buf[:0], trace[:]...), path...))
 	var id SpanID
-	copy(id[:], h.Sum(nil)[:len(id)])
+	copy(id[:], sum[:len(id)])
 	return id
 }
+
+// derivBuf sizes the stack buffer DeriveID and DeriveSpanID hash from; a
+// longer key or path grows it on the heap.
+const derivBuf = 256
 
 // CatCluster marks spans that describe cross-shard transport (peer fetches,
 // federation fan-out). The fleet layer's pipeline hash excludes this
@@ -251,7 +263,12 @@ func (s *Span) Ref() string {
 	if s == nil {
 		return ""
 	}
-	return "trace:" + s.t.id.String() + "/" + s.id.String()
+	var b [len("trace:") + 2*len(ID{}) + 1 + 2*len(SpanID{})]byte
+	n := copy(b[:], "trace:")
+	n += hex.Encode(b[n:], s.t.id[:])
+	b[n] = '/'
+	hex.Encode(b[n+1:], s.id[:])
+	return string(b[:])
 }
 
 // --- context plumbing ---

@@ -66,11 +66,17 @@ func Parse(value string) (Parent, error) {
 // Format renders a version-00 traceparent header value for the given trace
 // and span id.
 func Format(trace ID, span SpanID, sampled bool) string {
-	flags := "00"
+	var b [len("00-") + 2*len(ID{}) + 1 + 2*len(SpanID{}) + len("-00")]byte
+	n := copy(b[:], "00-")
+	n += hex.Encode(b[n:], trace[:])
+	b[n] = '-'
+	n++
+	n += hex.Encode(b[n:], span[:])
+	n += copy(b[n:], "-00")
 	if sampled {
-		flags = "01"
+		b[n-1] = '1'
 	}
-	return "00-" + trace.String() + "-" + span.String() + "-" + flags
+	return string(b[:])
 }
 
 func isHex(s string) bool {
