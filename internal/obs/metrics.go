@@ -66,34 +66,46 @@ func ValidateLabel(l Label) error {
 	return nil
 }
 
-// metricKey builds the registry key: name plus sorted label pairs. labels is
-// sorted in place by the caller-owned copy made in normalize.
+// metricKey builds the registry key: name plus sorted label pairs.
 func metricKey(name string, labels []Label) string {
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte(0)
-		b.WriteString(l.Key)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
-	}
-	return b.String()
+	return string(appendMetricKey(nil, name, labels))
 }
 
-// normalize validates and sorts a label set, returning a private copy.
+// appendMetricKey appends the registry key of (name, labels) to dst; the
+// lookups render it into a stack buffer so that finding an existing series
+// allocates nothing.
+func appendMetricKey(dst []byte, name string, labels []Label) []byte {
+	dst = append(dst, name...)
+	for _, l := range labels {
+		dst = append(dst, 0)
+		dst = append(dst, l.Key...)
+		dst = append(dst, 1)
+		dst = append(dst, l.Value...)
+	}
+	return dst
+}
+
+// normalize validates a label set and returns it sorted by key, copied
+// into dst's storage (a caller's stack array, or nil for a fresh slice).
 // Invalid names and labels panic: they are programmer errors at the
 // instrumentation site, exactly as in the Prometheus client library.
-func normalize(name string, labels []Label) []Label {
+func normalize(dst []Label, name string, labels []Label) []Label {
 	if err := ValidateMetricName(name); err != nil {
 		panic(err)
 	}
-	ls := append([]Label(nil), labels...)
+	ls := append(dst[:0], labels...)
 	for _, l := range ls {
 		if err := ValidateLabel(l); err != nil {
 			panic(err)
 		}
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	// Insertion sort: label sets are a few pairs long, and it needs no
+	// heap-allocated swapper.
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
 	for i := 1; i < len(ls); i++ {
 		if ls[i].Key == ls[i-1].Key {
 			panic(fmt.Errorf("obs: duplicate label key %q on metric %s", ls[i].Key, name))
@@ -101,6 +113,13 @@ func normalize(name string, labels []Label) []Label {
 	}
 	return ls
 }
+
+// lookupLabels and lookupKey size the stack buffers a registry lookup
+// sorts labels and renders its key into; larger ones grow on the heap.
+const (
+	lookupLabels = 8
+	lookupKey    = 256
+)
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
@@ -344,12 +363,15 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	ls := normalize(name, labels)
-	key := metricKey(name, ls)
+	var lbuf [lookupLabels]Label
+	var kbuf [lookupKey]byte
+	sorted := normalize(lbuf[:0], name, labels)
+	kb := appendMetricKey(kbuf[:0], name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[key]
+	c, ok := r.counters[string(kb)]
 	if !ok {
+		ls, key := append([]Label(nil), sorted...), string(kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if c, ok = r.counters[key]; ok {
@@ -368,12 +390,15 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	ls := normalize(name, labels)
-	key := metricKey(name, ls)
+	var lbuf [lookupLabels]Label
+	var kbuf [lookupKey]byte
+	sorted := normalize(lbuf[:0], name, labels)
+	kb := appendMetricKey(kbuf[:0], name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
+	g, ok := r.gauges[string(kb)]
 	if !ok {
+		ls, key := append([]Label(nil), sorted...), string(kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if g, ok = r.gauges[key]; ok {
@@ -393,12 +418,15 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	if r == nil {
 		return nil
 	}
-	ls := normalize(name, labels)
-	key := metricKey(name, ls)
+	var lbuf [lookupLabels]Label
+	var kbuf [lookupKey]byte
+	sorted := normalize(lbuf[:0], name, labels)
+	kb := appendMetricKey(kbuf[:0], name, sorted)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[key]
+	h, ok := r.histograms[string(kb)]
 	if !ok {
+		ls, key := append([]Label(nil), sorted...), string(kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if h, ok = r.histograms[key]; ok {

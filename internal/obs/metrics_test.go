@@ -113,3 +113,62 @@ func TestValidation(t *testing.T) {
 		NewRegistry().Counter("bad name")
 	}()
 }
+
+// Looking up a series that already exists allocates nothing: the labels
+// sort in a stack array and the key renders into a stack buffer.
+func TestLookupExistingSeriesAllocs(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{L("state", "Idle"), L("component", "cpu")}
+	r.Counter("c_total", labels...)
+	r.Gauge("g", labels...)
+	r.Histogram("h", nil, labels...)
+	r.Counter("plain_total")
+	for name, lookup := range map[string]func(){
+		"counter":   func() { r.Counter("c_total", L("state", "Idle"), L("component", "cpu")).Inc() },
+		"gauge":     func() { r.Gauge("g", labels...).Set(1) },
+		"histogram": func() { r.Histogram("h", nil, labels...).Observe(1) },
+		"unlabeled": func() { r.Counter("plain_total").Inc() },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s lookup of an existing series: %.0f allocs, want 0", name, n)
+		}
+	}
+	if got := r.Counter("c_total", labels[1], labels[0]).Value(); got != 101 {
+		t.Errorf("label order split the series: count %d, want 101", got)
+	}
+}
+
+// Every label set the registry refuses is refused on the lookup path too,
+// with a series of that name already present — including a duplicate key
+// whose rendered key collides with an existing series' key.
+func TestLookupPanicsWithSeriesPresent(t *testing.T) {
+	r := NewRegistry()
+	collide := L("k", "v\x00k\x01v")
+	for _, ls := range [][]Label{{L("k", "v")}, {collide}} {
+		r.Counter("m", ls...)
+		r.Gauge("m", ls...)
+		r.Histogram("m", nil, ls...)
+	}
+	lookups := map[string]func(name string, ls ...Label){
+		"counter":   func(name string, ls ...Label) { r.Counter(name, ls...) },
+		"gauge":     func(name string, ls ...Label) { r.Gauge(name, ls...) },
+		"histogram": func(name string, ls ...Label) { r.Histogram(name, nil, ls...) },
+	}
+	for kind, lookup := range lookups {
+		for what, call := range map[string]func(){
+			"an invalid name":  func() { lookup("bad name", L("k", "v")) },
+			"an invalid value": func() { lookup("m", L("k", "a\nb")) },
+			"an invalid key":   func() { lookup("m", L("9k", "v")) },
+			"a duplicate key":  func() { lookup("m", L("k", "v"), L("k", "v")) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s lookup with %s did not panic", kind, what)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // A cache hit runs only the request path: decode, key, LRU read, trace
 // sampling and the middleware. Measured per hit, request and recorder
-// construction included: 76 allocations for one evaluate key and 87 for a
+// construction included: 56 allocations for one evaluate key and 67 for a
 // two-server compare key. The bounds leave about ten allocations of
 // margin, so a per-request calibration of a built-in server or a
 // fmt-based canonical hash (each costs dozens per spec) fails them.
@@ -26,8 +26,8 @@ func TestCacheHitAllocs(t *testing.T) {
 		path, body string
 		max        float64
 	}{
-		{"/v1/evaluate", `{"server":"Opteron-8347","seed":3}`, 86},
-		{"/v1/compare", `{"servers":["Xeon-E5462","Xeon-4870"],"seed":3}`, 97},
+		{"/v1/evaluate", `{"server":"Opteron-8347","seed":3}`, 66},
+		{"/v1/compare", `{"servers":["Xeon-E5462","Xeon-4870"],"seed":3}`, 77},
 	} {
 		hit := func() *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
