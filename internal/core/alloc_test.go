@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"powerbench/internal/fault"
 	"powerbench/internal/flight"
 	"powerbench/internal/obs"
 	"powerbench/internal/server"
@@ -99,6 +100,55 @@ func TestEvaluateFoldsMeterSamples(t *testing.T) {
 			t.Logf("%.2f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
 			if perSample > maxFoldedBytesPerMeterSample {
 				t.Errorf("evaluation allocates %.2f B per meter sample, want ≤ %d", perSample, maxFoldedBytesPerMeterSample)
+			}
+		})
+	}
+}
+
+// maxHardenedBytesPerMeterSample bounds the same ratio for hardened
+// evaluations. A hardened window takes two buffers: the log the meter
+// records through the fault injector (16 B per sample) and the repair's
+// float64 scratch for the median and the MAD (8 B); the repair compacts
+// the window in place and folds its grid. A clean copy of the window, or a
+// stored repaired grid, adds another 16 B per sample and fails here.
+const maxHardenedBytesPerMeterSample = 36
+
+// TestHardenedEvaluateBytesPerMeterSample: a Xeon-4870 evaluation under
+// the light and the heavy fault profile, with a metrics-only Obs,
+// allocates at most maxHardenedBytesPerMeterSample bytes per
+// sim_meter_samples_total sample. Not parallel, for the reason
+// TestEvaluateBytesPerMeterSample gives.
+func TestHardenedEvaluateBytesPerMeterSample(t *testing.T) {
+	for _, prof := range []*fault.Profile{fault.Light(), fault.Heavy()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			spec := server.Xeon4870()
+			o := &obs.Obs{Metrics: obs.NewRegistry()}
+			evaluate := func() {
+				if _, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{Obs: o, Fault: prof}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The first evaluation registers every metric and warms the
+			// profile memos; measure the ones after.
+			evaluate()
+			const runs = 3
+			samples := o.Counter("sim_meter_samples_total")
+			before := samples.Value()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				evaluate()
+			}
+			runtime.ReadMemStats(&m1)
+			n := samples.Value() - before
+			if n <= 0 {
+				t.Fatal("evaluations recorded no meter samples")
+			}
+			perSample := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+			t.Logf("%.1f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
+			if perSample > maxHardenedBytesPerMeterSample {
+				t.Errorf("hardened evaluation allocates %.1f B per meter sample, want ≤ %d",
+					perSample, maxHardenedBytesPerMeterSample)
 			}
 		})
 	}

@@ -74,15 +74,17 @@ func AveragePower(log []meter.Sample, start, end float64) float64 {
 // analyzeRun returns the summary of run r's [Start, End] window under the
 // paper's trim, and the repairs it took. A pristine run's engine folded
 // the summary into r.Power while the meter sampled (arm); a hardened run's
-// window is cut from r.PowerLog, repaired and summarized.
+// window is cut from r.PowerLog, repaired and summarized in one pass that
+// compacts the window in place and folds the repaired grid
+// (meter.RepairSummary). The hardened branch therefore consumes
+// r.PowerLog: the caller must not read it afterwards.
 func analyzeRun(r sim.RunResult, hardened bool, intervalSec float64) (meter.Summary, meter.RepairReport) {
 	if !hardened {
 		return r.Power, meter.RepairReport{}
 	}
-	window, rep := meter.Repair(meter.Window(r.PowerLog, r.Start, r.End), meter.RepairOpts{
+	return meter.RepairSummary(meter.Window(r.PowerLog, r.Start, r.End), meter.RepairOpts{
 		Start: r.Start, End: r.End, IntervalSec: intervalSec,
-	})
-	return meter.Summarize(window, r.Start, r.End, TrimFrac), rep
+	}, TrimFrac)
 }
 
 // AverageMemory applies the same trim/average to 1 s memory samples.
@@ -167,10 +169,11 @@ func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 // samples a window over the merged session log would hold (sim.RunPlan).
 // A pristine run keeps no meter log: it folds its window's summary (the
 // trimmed mean, and for a flight record the energy integral and extrema)
-// while the meter samples. A hardened run keeps its log for the fault
-// injector and the repair pass, and its window is summarized after
-// repair (analyzeRun). The evaluation is byte-identical at every worker
-// count (a nil pool runs sequentially). A cancelled ctx stops the
+// while the meter samples. A hardened run keeps the log the fault
+// injector writes as the meter samples, and the analysis repairs its
+// window in place and folds the repaired grid (analyzeRun). The
+// evaluation is byte-identical at every worker count (a nil pool runs
+// sequentially). A cancelled ctx stops the
 // dispatch of pending states; runs already executing finish, since the
 // simulation kernels have no preemption points.
 //

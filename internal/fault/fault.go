@@ -8,6 +8,10 @@
 // watt readings, NaN and zero readings, truncated traces, PMU counter wrap,
 // and transient run failures.
 //
+// A run corrupts its meter trace a reading at a time, as the meter takes
+// it (TraceCorruptor), and keeps only the corrupted trace; CorruptTrace is
+// the same body over a recorded log.
+//
 // Determinism contract: every Injector is seeded through sched.DeriveSeed
 // from the run's canonical identity, exactly like the meter and PMU RNG
 // streams, so a chaos run is bit-reproducible — the same profile and seed

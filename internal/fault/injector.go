@@ -90,50 +90,82 @@ func (in *Injector) RunFails(attempt int) bool {
 
 // CorruptTrace applies the profile's per-sample fates and tail truncation
 // to a meter trace, returning the corrupted copy (the input is not
-// modified). A nil injector returns the input unchanged.
+// modified). A nil injector returns the input unchanged. It is the slice
+// form of TraceCorruptor: a run corrupts each reading as the meter takes
+// it instead, into one buffer.
 func (in *Injector) CorruptTrace(log []meter.Sample) []meter.Sample {
 	if in == nil || len(log) == 0 {
 		return log
 	}
-	p := in.prof
-	s := in.stream("trace")
-	out := make([]meter.Sample, 0, len(log)+4)
+	c := in.TraceCorruptor(len(log))
 	for _, smp := range log {
-		switch p.fate(s.Next()) {
-		case fateDrop:
-			in.led.add(KindDropped, 1)
-			continue
-		case fateDup:
-			in.led.add(KindDuplicated, 1)
-			out = append(out, smp, smp)
-			continue
-		case fateSpike:
-			// A 3-13x excursion: far outside any plausible reading, the way
-			// electrical transients register on a watt meter.
-			smp.Watts *= 3 + 10*s.Next()
-			in.led.add(KindSpiked, 1)
-		case fateStuck:
-			if len(out) > 0 {
-				smp.Watts = out[len(out)-1].Watts
-			}
-			in.led.add(KindStuck, 1)
-		case fateNaN:
-			smp.Watts = math.NaN()
-			in.led.add(KindNaN, 1)
-		case fateZero:
-			smp.Watts = 0
-			in.led.add(KindZeroed, 1)
-		}
-		out = append(out, smp)
+		c.Add(smp)
 	}
-	if p.Truncate > 0 && s.Next() < p.Truncate {
-		frac := 0.1 + 0.2*s.Next()
-		if cut := int(float64(len(out)) * frac); cut > 0 {
-			in.led.add(KindTruncated, int64(cut))
-			out = out[:len(out)-cut]
+	return c.Trace()
+}
+
+// TraceCorruptor corrupts one meter trace a sample at a time, so a run can
+// feed it from the meter's sampling loop (meter.Meter.Take) and keep only
+// the corrupted trace. Its draws come from the injector's "trace" stream,
+// which no other surface reads, so interleaving them with the meter's own
+// draws changes no value.
+type TraceCorruptor struct {
+	in  *Injector
+	s   *rng.Stream
+	out []meter.Sample
+}
+
+// TraceCorruptor returns a corruptor for one trace of about n samples; its
+// buffer holds n+4 before it grows. The receiver must not be nil.
+func (in *Injector) TraceCorruptor(n int) TraceCorruptor {
+	return TraceCorruptor{in: in, s: in.stream("trace"), out: make([]meter.Sample, 0, n+4)}
+}
+
+// Add draws the next sample's fate and appends what survives of it: drop
+// appends nothing, dup appends it twice, and spike, stuck (the previous
+// output's reading), NaN and zero rewrite its reading.
+func (c *TraceCorruptor) Add(smp meter.Sample) {
+	p, led := c.in.prof, c.in.led
+	switch p.fate(c.s.Next()) {
+	case fateDrop:
+		led.add(KindDropped, 1)
+		return
+	case fateDup:
+		led.add(KindDuplicated, 1)
+		c.out = append(c.out, smp, smp)
+		return
+	case fateSpike:
+		// A 3-13x excursion: far outside any plausible reading, the way
+		// electrical transients register on a watt meter.
+		smp.Watts *= 3 + 10*c.s.Next()
+		led.add(KindSpiked, 1)
+	case fateStuck:
+		if len(c.out) > 0 {
+			smp.Watts = c.out[len(c.out)-1].Watts
+		}
+		led.add(KindStuck, 1)
+	case fateNaN:
+		smp.Watts = math.NaN()
+		led.add(KindNaN, 1)
+	case fateZero:
+		smp.Watts = 0
+		led.add(KindZeroed, 1)
+	}
+	c.out = append(c.out, smp)
+}
+
+// Trace finishes the trace and returns it, after drawing its tail
+// truncation, which cuts 10–30% of its end (nothing from an empty trace).
+// Call it once, after the last Add.
+func (c *TraceCorruptor) Trace() []meter.Sample {
+	if p := c.in.prof; p.Truncate > 0 && c.s.Next() < p.Truncate {
+		frac := 0.1 + 0.2*c.s.Next()
+		if cut := int(float64(len(c.out)) * frac); cut > 0 {
+			c.in.led.add(KindTruncated, int64(cut))
+			c.out = c.out[:len(c.out)-cut]
 		}
 	}
-	return out
+	return c.out
 }
 
 // CorruptPMU wraps the counters of randomly chosen windows modulo

@@ -206,3 +206,60 @@ func FuzzRepair(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFoldRepair pins RepairSummary to the composed form it folds,
+// Summarize(refRepair(log, opts), opts.Start, opts.End, frac): every
+// Summary field has the same bits and the reports are equal, under each
+// trim fraction. The windows are FuzzRepair's (damagedWindow at length
+// 0–3000, Start == End == 0 included), plus windows whose every reading
+// is NaN. RepairSummary consumes its input, so it gets a copy.
+func FuzzFoldRepair(f *testing.F) {
+	// seed, n, interval, start, end, jitter, rate, truncate, allNaN
+	f.Add(int64(1), uint16(0), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0), false)
+	f.Add(int64(2), uint16(1), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0), false)
+	f.Add(int64(3), uint16(2), 0.5, 10.0, 11.0, 0.0, uint8(0), uint8(0), false)
+	f.Add(int64(4), uint16(3), 1.0, 0.0, 2.0, 0.0, uint8(120), uint8(0), false)
+	f.Add(int64(5), uint16(3), 1.0, 0.0, 2.0, 0.0, uint8(0), uint8(0), true)
+	f.Add(int64(6), uint16(400), 1.0, 0.0, 399.0, 0.0, uint8(0), uint8(0), true)
+	f.Add(int64(7), uint16(600), 1.0, 0.0, 599.0, 0.1, uint8(40), uint8(30), false)
+	f.Add(int64(8), uint16(3000), 0.25, -20.0, 730.0, 0.3, uint8(10), uint8(10), false)
+	f.Add(int64(9), uint16(250), 0.0, 0.0, 0.0, 0.4, uint8(60), uint8(0), false)
+	f.Add(int64(10), uint16(400), 2.0, 5.0, 3.0, 0.0, uint8(5), uint8(0), false) // end < start
+	f.Add(int64(11), uint16(500), 1.0, 0.0, 499.0, 0.0, uint8(255), uint8(45), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, interval, start, end, jitter float64, rate, truncate uint8, allNaN bool) {
+		for _, v := range []float64{interval, start, end, jitter} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		step := interval
+		if step <= 0 {
+			step = 1
+		}
+		if math.Abs(start) > 1e6 || math.Abs(end) > 1e6 || step < 1e-3 || step > 1e3 ||
+			(end-start)/step > 20000 || math.Abs(jitter) > 2 {
+			t.Skip()
+		}
+		p := float64(rate) / 255 / 9
+		d := damage{nan: p, inf: p / 4, badT: p / 4, dup: p, spike: p, zero: 5 * p, stuck: p,
+			dropRun: p / 8, truncate: float64(truncate%50) / 100, jitter: jitter, quantize: float64(seed&3) * 0.25}
+		log := damagedWindow(seed, int(n)%3001, start, step, d)
+		if allNaN {
+			for i := range log {
+				log[i].Watts = math.NaN()
+			}
+		}
+		opts := RepairOpts{Start: start, End: end, IntervalSec: interval}
+		grid, wantRep := refRepair(log, opts)
+		for _, frac := range []float64{0, 0.10, 0.5} {
+			want := Summarize(grid, start, end, frac)
+			got, rep := RepairSummary(append([]Sample(nil), log...), opts, frac)
+			if rep != wantRep {
+				t.Fatalf("frac %g: report %+v, reference %+v", frac, rep, wantRep)
+			}
+			if !sameSummary(got, want) {
+				t.Fatalf("frac %g: RepairSummary %+v, Summarize(refRepair) %+v", frac, got, want)
+			}
+		}
+	})
+}

@@ -10,7 +10,10 @@
 // A log is kept only where something reads it. The per-program analysis
 // is one forward pass (Summarize: trim, average, energy integral,
 // extrema), so a caller that reads nothing else folds the readings as the
-// meter takes them (RecordSummary) and never stores the log.
+// meter takes them (RecordSummary) and never stores the log. A hardened
+// run keeps one log, written as the meter hands each reading to the fault
+// injector (Take), and RepairSummary repairs each program window of it in
+// place and folds the repaired grid instead of storing it.
 package meter
 
 import (
@@ -107,17 +110,34 @@ func (g *gaussSource) next() float64 {
 
 // Record samples the power function p(t) (server-clock seconds) from start
 // to end and returns the log with timestamps in the logging PC's clock
-// (server time + skew), noise and quantization applied.
+// (server time + skew), noise and quantization applied. It is Take
+// appending each reading to a log of SampleCap(start, end) capacity.
 func (m *Meter) Record(start, end float64, p func(t float64) float64) []Sample {
+	out := make([]Sample, 0, m.SampleCap(start, end))
+	m.Take(start, end, p, func(s Sample) { out = append(out, s) })
+	return out
+}
+
+// SampleCap returns the capacity Record gives its log: a recording from
+// start to end takes at most this many readings.
+func (m *Meter) SampleCap(start, end float64) int {
 	lo, hi, interval := m.span(start, end)
-	out := make([]Sample, 0, int((hi-lo)/interval)+2)
+	return int((hi-lo)/interval) + 2
+}
+
+// Take is the meter's sampling loop: it samples p(t) from start to end,
+// as Record does, and hands each reading that survives dropout to each, in
+// time order, instead of keeping a log. A consumer that transforms the
+// readings (the fault layer's trace corruptor) keeps one buffer this way,
+// not a recorded log plus its transformed copy.
+func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(Sample)) {
+	lo, hi, interval := m.span(start, end)
 	for t := lo; t <= hi+1e-9; t += interval {
 		if m.DropoutFrac > 0 && m.drop != nil && m.drop.Next() < m.DropoutFrac {
 			continue
 		}
-		out = append(out, m.read(t, p(t)))
+		each(m.read(t, p(t)))
 	}
-	return out
 }
 
 // RecordConst is Record for a constant power level — the idle-gap case
@@ -170,7 +190,7 @@ func (m *Meter) span(start, end float64) (lo, hi, interval float64) {
 	return start, end, interval
 }
 
-// read is the per-sample step of every recording loop: the true power w at
+// read is the per-sample step of every sampling loop: the true power w at
 // server time t becomes the logged reading — sensor noise, quantization,
 // the clamp at zero, and the logging PC's clock skew.
 func (m *Meter) read(t, w float64) Sample {

@@ -61,12 +61,46 @@ func (r RepairReport) Total() int {
 // A repair runs in linear time and allocates three buffers: the clean copy,
 // one float64 scratch buffer that holds first the readings for the median
 // and then their absolute deviations for the MAD, and the grid output.
+// Training reads the grid; a caller that only summarizes the repaired
+// window uses RepairSummary, which keeps neither the copy nor the grid.
 func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
-	var rep RepairReport
-	interval := opts.IntervalSec
-	if interval <= 0 {
-		interval = 1
+	clean, start, end, rep := opts.clean(make([]Sample, 0, len(log)), log)
+	out := resample(clean, start, end, opts.interval())
+	rep.GapSamplesFilled = filled(len(out), len(clean))
+	return out, rep
+}
+
+// RepairSummary returns Summarize(Repair(log, opts), opts.Start, opts.End,
+// frac) and Repair's report, bit for bit, from one scratch allocation. It
+// takes ownership of log: the clean pass compacts the surviving samples
+// into log's own array (the write index never passes the read index), and
+// the repaired grid is folded as it is walked, never stored. The caller
+// must not read log afterwards.
+func RepairSummary(log []Sample, opts RepairOpts, frac float64) (Summary, RepairReport) {
+	clean, start, end, rep := opts.clean(log[:0], log)
+	interval := opts.interval()
+	n := gridLen(clean, start, end, interval)
+	f := newFold(opts.Start, opts.End, n, frac)
+	walkGrid(clean, start, interval, n, f.add)
+	rep.GapSamplesFilled = filled(n, len(clean))
+	return f.summary(), rep
+}
+
+// interval resolves the expected sampling grid (≤ 0 selects 1 Hz).
+func (opts RepairOpts) interval() float64 {
+	if opts.IntervalSec <= 0 {
+		return 1
 	}
+	return opts.IntervalSec
+}
+
+// clean is the first half of every repair: it appends log's finite,
+// non-duplicate samples to dst, clips spikes among them against the
+// median/MAD band, and returns them with the grid bounds to rebuild them
+// on. dst may share log's array from its start (log[:0]): a sample is
+// read before its slot can be written.
+func (opts RepairOpts) clean(dst, log []Sample) (clean []Sample, start, end float64, rep RepairReport) {
+	interval := opts.interval()
 	madk := opts.MADK
 	if madk <= 0 {
 		madk = 8
@@ -77,7 +111,7 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	}
 
 	// Pass 1: drop non-finite samples and duplicate timestamps.
-	clean := make([]Sample, 0, len(log))
+	clean = dst
 	for _, s := range log {
 		if !finite(s.T) || !finite(s.Watts) {
 			rep.Invalid++
@@ -90,7 +124,7 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 		clean = append(clean, s)
 	}
 	if len(clean) == 0 {
-		return nil, rep
+		return nil, 0, 0, rep
 	}
 
 	// Pass 2: clip spikes against the median/MAD band. The trim step drops
@@ -116,17 +150,22 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 		}
 	}
 
-	// Pass 3: reconstruct the expected uniform grid, interpolating across
-	// gaps and extending truncated edges with the nearest reading.
-	start, end := opts.Start, opts.End
+	// The grid the second half rebuilds, interpolating across gaps and
+	// extending truncated edges with the nearest reading (walkGrid).
+	start, end = opts.Start, opts.End
 	if start == 0 && end == 0 {
 		start, end = clean[0].T, clean[len(clean)-1].T
 	}
-	out := resample(clean, start, end, interval)
-	if filled := len(out) - len(clean); filled > 0 {
-		rep.GapSamplesFilled = filled
+	return clean, start, end, rep
+}
+
+// filled counts the grid points a repair reconstructed: the grid's length
+// beyond the clean samples it was built from.
+func filled(grid, clean int) int {
+	if grid > clean {
+		return grid - clean
 	}
-	return out, rep
+	return 0
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -291,3 +291,40 @@ func TestRepairAllocs(t *testing.T) {
 		t.Errorf("Repair allocates %.1f B per input sample, want ≤ 48", perSample)
 	}
 }
+
+// TestRepairSummaryAllocs gates the folded repair on TestRepairAllocs'
+// window: it compacts the window in place and folds the grid, so the one
+// allocation left is the float64 scratch for the median and the MAD — at
+// most 9 B per input sample. A clean copy or a stored grid breaks both
+// bounds.
+func TestRepairSummaryAllocs(t *testing.T) {
+	const n = 22000
+	log := damagedWindow(7, n, 100, 1, heavyDamage)
+	opts := RepairOpts{Start: 100, End: 100 + n - 1, IntervalSec: 1}
+	// RepairSummary consumes its input; each call gets a fresh copy in a
+	// buffer allocated here, outside the measured calls.
+	buf := make([]Sample, len(log))
+	summarize := func() (Summary, RepairReport) {
+		copy(buf, log)
+		return RepairSummary(buf, opts, 0.10)
+	}
+	if sum, rep := summarize(); sum.Samples != n || rep.Total() == 0 {
+		t.Fatalf("folded repair of the damaged window: %d samples, %+v", sum.Samples, rep)
+	}
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { summarize() })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		summarize()
+	}
+	runtime.ReadMemStats(&after)
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(log))
+	t.Logf("RepairSummary over %d samples: %.0f allocs, %.1f B per input sample", len(log), allocs, perSample)
+	if allocs > 1 {
+		t.Errorf("RepairSummary allocates %.0f times per call, want ≤ 1", allocs)
+	}
+	if perSample > 9 {
+		t.Errorf("RepairSummary allocates %.1f B per input sample, want ≤ 9", perSample)
+	}
+}

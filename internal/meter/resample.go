@@ -6,31 +6,46 @@ package meter
 // outside the source log's span take the nearest edge value. The input
 // must be time-ordered (as Merge produces).
 //
-// The grid is counted first with the same t += interval steps that then
-// stamp it, so the output is allocated once at its exact length. The
-// first sample with T ≥ t only moves forward as t grows, so one cursor
-// walks the log instead of a binary search per grid point.
+// The grid is counted first (gridLen) with the same t += interval steps
+// that then stamp it (walkGrid), so the output is allocated once at its
+// exact length.
 func resample(log []Sample, start, end, interval float64) []Sample {
-	if len(log) == 0 || interval <= 0 || end < start {
+	n := gridLen(log, start, end, interval)
+	if n == 0 {
 		return nil
+	}
+	out := make([]Sample, 0, n)
+	walkGrid(log, start, interval, n, func(s Sample) { out = append(out, s) })
+	return out
+}
+
+// gridLen counts the points of the grid start, start+interval, … up to
+// end that resample rebuilds log onto: 0 for an empty log or a degenerate
+// grid.
+func gridLen(log []Sample, start, end, interval float64) int {
+	if len(log) == 0 || interval <= 0 || end < start {
+		return 0
 	}
 	n := 0
 	for t := start; t <= end+1e-9; t += interval {
 		n++
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Sample, n)
+	return n
+}
+
+// walkGrid hands the n grid points from start to visit in time order, each
+// with its reading interpolated from log. The first sample with T ≥ t only
+// moves forward as t grows, so one cursor walks the log instead of a
+// binary search per grid point.
+func walkGrid(log []Sample, start, interval float64, n int, visit func(Sample)) {
 	i, t := 0, start
-	for k := range out {
+	for k := 0; k < n; k++ {
 		for i < len(log) && log[i].T < t {
 			i++
 		}
-		out[k] = Sample{T: t, Watts: interpolate(log, i, t)}
+		visit(Sample{T: t, Watts: interpolate(log, i, t)})
 		t += interval
 	}
-	return out
 }
 
 // interpolate returns the linearly interpolated power at time t, where i

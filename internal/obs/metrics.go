@@ -201,8 +201,11 @@ type Histogram struct {
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 
+	// The latest exemplar, by value so recording one allocates nothing.
+	// ObserveExemplar never records an empty Ref, so an empty Ref means
+	// none was recorded.
 	exmu     sync.Mutex
-	exemplar *Exemplar
+	exemplar Exemplar
 }
 
 // DefaultLatencyBuckets suit sub-millisecond to multi-second spans (seconds).
@@ -241,7 +244,7 @@ func (h *Histogram) ObserveExemplar(v float64, ref string) {
 		return
 	}
 	h.exmu.Lock()
-	h.exemplar = &Exemplar{Ref: ref, Value: v}
+	h.exemplar = Exemplar{Ref: ref, Value: v}
 	h.exmu.Unlock()
 }
 
@@ -252,10 +255,10 @@ func (h *Histogram) Exemplar() *Exemplar {
 	}
 	h.exmu.Lock()
 	defer h.exmu.Unlock()
-	if h.exemplar == nil {
+	if h.exemplar.Ref == "" {
 		return nil
 	}
-	e := *h.exemplar
+	e := h.exemplar
 	return &e
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -170,5 +171,56 @@ func TestLookupPanicsWithSeriesPresent(t *testing.T) {
 				call()
 			}()
 		}
+	}
+}
+
+// Recording an exemplar on a series that already exists allocates
+// nothing: the lookup renders on the stack and the exemplar is stored by
+// value. The exposition carries the latest exemplar only, on the +Inf
+// bucket line, with the bytes the exporters have always written.
+func TestObserveExemplarAllocs(t *testing.T) {
+	r := NewRegistry()
+	const ref = "trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"
+	buckets := []float64{1e3, 1e4}
+	r.Histogram("core_phase_energy_joules", buckets, L("component", "cpu"))
+	r.Histogram("untraced_seconds", nil)
+	v := 0.0
+	n := testing.AllocsPerRun(100, func() {
+		v += 250
+		r.Histogram("core_phase_energy_joules", buckets, L("component", "cpu")).ObserveExemplar(v, ref)
+	})
+	if n != 0 {
+		t.Errorf("ObserveExemplar on an existing series: %.0f allocs, want 0", n)
+	}
+	r.Histogram("untraced_seconds", nil).Observe(0.25)
+
+	var b strings.Builder
+	if err := WritePrometheus(&b, r); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE core_phase_energy_joules histogram
+core_phase_energy_joules_bucket{component="cpu",le="1000"} 4
+core_phase_energy_joules_bucket{component="cpu",le="10000"} 40
+core_phase_energy_joules_bucket{component="cpu",le="+Inf"} 101 # {span="trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"} 25250
+core_phase_energy_joules_sum{component="cpu"} 1.28775e+06
+core_phase_energy_joules_count{component="cpu"} 101
+# TYPE untraced_seconds histogram
+untraced_seconds_bucket{le="0.0001"} 0
+untraced_seconds_bucket{le="0.001"} 0
+untraced_seconds_bucket{le="0.01"} 0
+untraced_seconds_bucket{le="0.1"} 0
+untraced_seconds_bucket{le="0.5"} 1
+untraced_seconds_bucket{le="1"} 1
+untraced_seconds_bucket{le="5"} 1
+untraced_seconds_bucket{le="30"} 1
+untraced_seconds_bucket{le="+Inf"} 1
+untraced_seconds_sum 0.25
+untraced_seconds_count 1
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if ex := r.Histogram("untraced_seconds", nil).Exemplar(); ex != nil {
+		t.Errorf("untraced series has exemplar %+v", ex)
 	}
 }

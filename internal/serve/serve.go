@@ -667,13 +667,9 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	dur := time.Since(start)
 	// The exemplar cross-links this latency observation to its trace, the
 	// metrics-to-forensics hop (histogram bucket → exact request).
-	// Campaign flights have no trace to link.
-	hist := s.obs.Histogram("serve_compute_seconds", nil)
-	if t.tr != nil {
-		hist.ObserveExemplar(dur.Seconds(), "trace:"+t.tr.ID().String())
-	} else {
-		hist.Observe(dur.Seconds())
-	}
+	// Campaign flights have no trace to link: a nil trace's empty ref
+	// observes without an exemplar.
+	s.obs.Histogram("serve_compute_seconds", nil).ObserveExemplar(dur.Seconds(), t.tr.Ref())
 
 	status := http.StatusOK
 	var body []byte

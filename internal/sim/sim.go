@@ -11,8 +11,9 @@
 //
 // The meter log is kept only where something reads it. A caller that
 // reads only each run's window summary sets FoldTrim, and the run folds
-// the readings into RunResult.Power as the meter takes them (a fault
-// injector, which corrupts the log, keeps it regardless).
+// the readings into RunResult.Power as the meter takes them. A fault
+// injector corrupts each reading as the meter takes it and keeps the
+// corrupted log, the run's one copy, for the caller's repair pass.
 //
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
@@ -50,9 +51,10 @@ type Engine struct {
 	// FoldTrim, when positive, folds each run's meter readings into its
 	// Power summary as the meter takes them, trimming that fraction at each
 	// end of the [Start, End] window, and keeps no PowerLog — for callers
-	// that read only the window summary. An engine with a Fault injector
-	// keeps its log whatever FoldTrim says, since CorruptTrace and the
-	// caller's repair pass read it.
+	// that read only the window summary (a pristine evaluation, the figure
+	// series). An engine with a Fault injector keeps its log whatever
+	// FoldTrim says: the caller's repair pass reads the corrupted log,
+	// which the injector writes as the meter samples.
 	FoldTrim float64
 
 	// RampSec is the start-up/shut-down transient length (allocation,
@@ -68,9 +70,10 @@ type Engine struct {
 	Obs *obs.Obs
 
 	// Fault optionally corrupts the run's observables (meter trace, PMU
-	// windows, run execution) after recording, for chaos testing. Fork
-	// reseeds it by run identity like the meter and PMU streams. Nil — the
-	// default — leaves every byte of the clean pipeline untouched.
+	// windows, run execution), for chaos testing: each meter reading as it
+	// is taken, the PMU windows after collection. Fork reseeds it by run
+	// identity like the meter and PMU streams. Nil — the default — leaves
+	// every byte of the clean pipeline untouched.
 	Fault *fault.Injector
 	// Retry is the per-run attempt budget RunPlan hands the scheduler. The
 	// zero value is a single attempt.
@@ -122,8 +125,9 @@ type RunResult struct {
 	Model workload.Model
 	// Start and End are the server-clock timestamps of the run.
 	Start, End float64
-	// PowerLog is the meter trace covering the run; nil when the engine
-	// folded it into Power instead (FoldTrim).
+	// PowerLog is the meter trace covering the run, as the engine's Fault
+	// injector left it; nil when the engine folded it into Power instead
+	// (FoldTrim).
 	PowerLog []meter.Sample
 	// Power summarizes the run's [Start, End] window — trimmed mean,
 	// energy, extrema — folded while the meter sampled; set only when
@@ -214,10 +218,19 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	var log []meter.Sample
 	var power meter.Summary
 	var logged int
-	if e.FoldTrim > 0 && e.Fault == nil {
+	switch {
+	case e.Fault != nil:
+		// Each reading is corrupted as the meter takes it, into the one
+		// buffer the run keeps: the corruptor's draws come from a stream
+		// of their own, so the log equals CorruptTrace(Record(...)).
+		c := e.Fault.TraceCorruptor(e.Meter.SampleCap(start, end))
+		e.Meter.Take(start, end, powerAt, c.Add)
+		log = c.Trace()
+		logged = len(log)
+	case e.FoldTrim > 0:
 		power, logged = e.Meter.RecordSummary(start, end, powerAt, e.FoldTrim)
-	} else {
-		log = e.Fault.CorruptTrace(e.Meter.Record(start, end, powerAt))
+	default:
+		log = e.Meter.Record(start, end, powerAt)
 		logged = len(log)
 	}
 	meterSpan.Attr("samples", logged).End()

@@ -320,3 +320,49 @@ func TestFoldTrimSummarizesRunWindow(t *testing.T) {
 		t.Fatalf("faulted run folded: %d-sample log, Power %+v", len(r.PowerLog), r.Power)
 	}
 }
+
+// TestFaultedRunCorruptsAsTheMeterSamples: a faulted run corrupts each
+// reading as the meter takes it, and its log equals CorruptTrace over the
+// log a pristine twin records, bit for bit, with the same ledger. The
+// meter's draws and the injector's come from separate streams, so
+// interleaving them changes no value; FuzzCorruptTrace pins CorruptTrace
+// to the reference loop it replaced.
+func TestFaultedRunCorruptsAsTheMeterSamples(t *testing.T) {
+	spec := server.XeonE5462()
+	prof := &fault.Profile{Name: "trace", Drop: 0.03, Dup: 0.03, Spike: 0.02, Stuck: 0.02,
+		NaN: 0.02, Zero: 0.02, Truncate: 1}
+	for _, tc := range []struct{ interval, dropout float64 }{{1, 0}, {1, 0.05}, {0.3, 0}, {0.3, 0.05}} {
+		runLed, refLed := fault.NewLedger(), fault.NewLedger()
+		faulted := New(spec, 9)
+		faulted.Meter.IntervalSec, faulted.Meter.DropoutFrac = tc.interval, tc.dropout
+		faulted.Fault = fault.New(prof, 3, runLed)
+		pristine := New(spec, 9)
+		pristine.Meter.IntervalSec, pristine.Meter.DropoutFrac = tc.interval, tc.dropout
+		got, err := faulted.Run(epModel(4, 300), 12.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := pristine.Run(epModel(4, 300), 12.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fault.New(prof, 3, refLed).CorruptTrace(rec.PowerLog)
+		if len(got.PowerLog) != len(want) {
+			t.Fatalf("%+v: faulted run logged %d samples, CorruptTrace(Record) %d", tc, len(got.PowerLog), len(want))
+		}
+		for i, s := range want {
+			g := got.PowerLog[i]
+			if math.Float64bits(g.T) != math.Float64bits(s.T) || math.Float64bits(g.Watts) != math.Float64bits(s.Watts) {
+				t.Fatalf("%+v: sample %d = %+v, CorruptTrace(Record) %+v", tc, i, g, s)
+			}
+		}
+		for k := fault.Kind(0); k < fault.NumKinds; k++ {
+			if runLed.Count(k) != refLed.Count(k) {
+				t.Fatalf("%+v: run ledger has %d %s, CorruptTrace(Record) %d", tc, runLed.Count(k), k, refLed.Count(k))
+			}
+		}
+		if refLed.Count(fault.KindTruncated) == 0 || len(rec.PowerLog) == len(want) {
+			t.Fatalf("%+v: corruption left the trace's length as recorded (%d)", tc, len(want))
+		}
+	}
+}

@@ -136,6 +136,19 @@ func (t *Trace) ID() ID {
 	return t.id
 }
 
+// Ref returns the trace's exemplar reference, "trace:<trace id>", which
+// names the document served by /v1/traces/<trace id>; it renders in one
+// stack buffer, as Span.Ref does. A nil trace returns "".
+func (t *Trace) Ref() string {
+	if t == nil {
+		return ""
+	}
+	var b [len("trace:") + 2*len(ID{})]byte
+	n := copy(b[:], "trace:")
+	hex.Encode(b[n:], t.id[:])
+	return string(b[:])
+}
+
 // Root returns the root span; a nil trace returns a nil (no-op) span.
 func (t *Trace) Root() *Span {
 	if t == nil {
