@@ -203,7 +203,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	defer sp.End()
 	// The request-trace span carries only identity attrs (never the worker
 	// count): its subtree must be byte-identical at any -jobs value.
-	tr := opts.traceSpan(ctx, "evaluate "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "evaluate ", spec.Name).Str("server", spec.Name).Float("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
 	if hardened {
@@ -239,14 +239,14 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 		if reports[i].Err != nil {
 			continue
 		}
-		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
+		state := analysis.ChildJoin("state ", r.Model.Name).SetVirtual(r.Start, r.End)
 		power, rep := analyzeRun(r, hardened, engine.Meter.IntervalSec)
 		if hardened {
 			// The repair span exists for every state of a hardened run, even
 			// with zero actions: the trace shows the pass happened.
 			state.Child("repair").
-				Attr("invalid", rep.Invalid).Attr("duplicates", rep.Duplicates).
-				Attr("spikes_clipped", rep.SpikesClipped).Attr("gap_filled", rep.GapSamplesFilled).
+				Int("invalid", rep.Invalid).Int("duplicates", rep.Duplicates).
+				Int("spikes_clipped", rep.SpikesClipped).Int("gap_filled", rep.GapSamplesFilled).
 				End()
 			ev.Quality.addRepair(rep)
 		}
@@ -277,9 +277,9 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			phases = append(phases, ph)
 		}
 		if hardened {
-			state.Attr("watts", watts).Attr("repairs", rep.Total()).End()
+			state.Float("watts", watts).Int("repairs", rep.Total()).End()
 		} else {
-			state.Attr("watts", watts).Attr("samples", power.Samples).Attr("trim_dropped", power.TrimDropped).End()
+			state.Float("watts", watts).Int("samples", power.Samples).Int("trim_dropped", power.TrimDropped).End()
 			o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
 				r.Model.Name, watts, power.Samples, power.TrimDropped)
 		}
@@ -343,7 +343,7 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	// EvaluateCtx).
 	sp := o.Span("green500 "+spec.Name, "evaluate")
 	defer sp.End()
-	tr := opts.traceSpan(ctx, "green500 "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "green500 ", spec.Name).Str("server", spec.Name).Float("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
 	m, err := hplPeak(spec)
@@ -425,7 +425,7 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		return nil, err
 	}
 	o, p := opts.Obs, opts.Pool
-	tr := opts.traceSpan(ctx, "compare").Attr("servers", len(specs)).Attr("seed", seed)
+	tr := opts.traceSpan(ctx, "compare", "").Int("servers", len(specs)).Float("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
 	type leg struct {

@@ -61,14 +61,14 @@ func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workl
 	runs := make([]observations, len(models))
 	err := p.Run(ctx, "train", len(models), func(jctx context.Context, i int) error {
 		m := models[i]
-		sp := tracectx.FromContext(jctx).Child("collect " + m.Name)
+		sp := tracectx.FromContext(jctx).ChildJoin("collect ", m.Name)
 		defer sp.End()
 		eng := engine.Fork("train", strconv.Itoa(i), m.Name)
 		x, y, err := collectRun(tracectx.ContextWith(jctx, sp), eng, m)
 		if err != nil {
 			return fmt.Errorf("core: training on %s: %w", m.Name, err)
 		}
-		sp.Attr("observations", len(x))
+		sp.Int("observations", len(x))
 		o.Counter("core_training_observations_total").Add(int64(len(x)))
 		runs[i] = observations{xs: x, ys: y}
 		return nil
@@ -138,7 +138,7 @@ type TrainOptions struct {
 // "stepwise fit".
 func TrainCtx(ctx context.Context, spec *server.Spec, seed float64, opts TrainOptions) (*TrainingResult, error) {
 	o := opts.Obs
-	sp := tracectx.FromContext(ctx).Child("train "+spec.Name).Attr("seed", seed)
+	sp := tracectx.FromContext(ctx).ChildJoin("train ", spec.Name).Float("seed", seed)
 	defer sp.End()
 	ctx = tracectx.ContextWith(ctx, sp)
 	models, err := trainingModels(spec, opts.Augment)

@@ -80,12 +80,12 @@ func (o EvalOptions) arm(engine *sim.Engine, seed float64, stream string) *fault
 	return led
 }
 
-// traceSpan opens a method's request-trace span under the span ctx
-// carries; a hardened run names its fault profile on it.
-func (o EvalOptions) traceSpan(ctx context.Context, name string) *tracectx.Span {
-	tr := tracectx.FromContext(ctx).Child(name)
+// traceSpan opens a method's request-trace span, named prefix+name, under
+// the span ctx carries; a hardened run names its fault profile on it.
+func (o EvalOptions) traceSpan(ctx context.Context, prefix, name string) *tracectx.Span {
+	tr := tracectx.FromContext(ctx).ChildJoin(prefix, name)
 	if o.Fault.Active() {
-		tr.Attr("fault_profile", o.Fault.Name)
+		tr.Str("fault_profile", o.Fault.Name)
 	}
 	return tr
 }

@@ -88,29 +88,51 @@ func (l *Logger) record(level Level, msg string) {
 // out exactly as fmt.Printf would have written it (call sites keep their own
 // newlines), unless the logger is quiet.
 func (l *Logger) Reportf(format string, args ...any) {
-	if l == nil {
+	if !l.wants(LevelReport) {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.record(LevelReport, msg)
-	if !l.quiet && l.out != nil {
+	if l.writes(LevelReport) {
 		io.WriteString(l.out, msg)
 	}
 }
 
 func (l *Logger) diagf(level Level, format string, args ...any) {
-	if l == nil {
+	if !l.wants(level) {
 		return
 	}
 	msg := fmt.Sprintf(format, args...)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.record(level, msg)
-	if int(level) <= l.verbosity && l.diag != nil {
+	if l.writes(level) {
 		fmt.Fprintf(l.diag, "%s: %s\n", level, msg)
 	}
+}
+
+// wants reports whether an event at level would be retained or written.
+// An event that would be neither is not formatted: once the history is
+// full, a daemon's unwritten info and debug events cost nothing. A nil
+// logger wants nothing.
+func (l *Logger) wants(level Level) bool {
+	if l == nil {
+		return false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events) < maxRetainedEvents || l.writes(level)
+}
+
+// writes reports whether an event at level is written; the caller holds
+// l.mu.
+func (l *Logger) writes(level Level) bool {
+	if level == LevelReport {
+		return !l.quiet && l.out != nil
+	}
+	return int(level) <= l.verbosity && l.diag != nil
 }
 
 // Infof emits a progress event (written with -v and above).

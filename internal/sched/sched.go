@@ -220,11 +220,11 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 				queue.Add(-1)
 				// The trace span is keyed by job index, never by worker: the
 				// tree must come out identical at any worker count.
-				ts := parent.Child(fmt.Sprintf("%s job %d", label, i))
+				ts := parent.ChildIndex(label, " job ", i)
 				if cerr := ctx.Err(); cerr != nil {
 					reports[i].Err = fmt.Errorf("%w: %w", ErrCancelled, cerr)
 					o.Counter("sched_jobs_cancelled_total").Inc()
-					ts.Attr("cancelled", true).End()
+					ts.Bool("cancelled", true).End()
 					continue
 				}
 				o.Counter("sched_jobs_total").Inc()
@@ -250,12 +250,12 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 					}
 					as := ts
 					if attempts > 1 {
-						as = ts.Child(fmt.Sprintf("attempt %d", a))
+						as = ts.ChildIndex("attempt ", "", a)
 					}
 					err = job(tracectx.ContextWith(ctx, as), i, a)
 					reports[i].Attempts = a
 					if err != nil {
-						as.Attr("error", err.Error())
+						as.Str("error", err.Error())
 					}
 					if attempts > 1 {
 						as.End()

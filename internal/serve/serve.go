@@ -509,14 +509,14 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	cacheSpan := root.Child("cache")
 	if body, ok := s.cache.Get(key); ok {
 		s.obs.Counter("serve_cache_hits_total").Inc()
-		cacheSpan.Attr("result", "hit").End()
+		cacheSpan.Str("result", "hit").End()
 		root.End()
 		writeBody(w, http.StatusOK, "hit", body)
 		s.storeTrace(tr, route, key, fid, http.StatusOK, faulted, "hit", 0)
 		return
 	}
 	s.obs.Counter("serve_cache_misses_total").Inc()
-	cacheSpan.Attr("result", "miss").End()
+	cacheSpan.Str("result", "miss").End()
 
 	// Request deadline: the service ceiling, tightened by timeout_ms.
 	timeout := s.cfg.maxTimeout()
@@ -532,7 +532,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 		// trace (root + cache miss + admission verdict) is always retained —
 		// a 429 is an error outcome.
 		s.obs.Counter("serve_admission_rejected_total").Inc()
-		root.Child("admission").Attr("result", "rejected").Attr("capacity", cap(s.admit)).End()
+		root.Child("admission").Str("result", "rejected").Int("capacity", cap(s.admit)).End()
 		root.End()
 		w.Header().Set("Retry-After", retryAfterSec)
 		writeError(w, http.StatusTooManyRequests,
@@ -612,8 +612,8 @@ func (s *Server) joinOrBegin(key string, fn computeFn, t *flightTask) (f *serveF
 		return f, "dedup"
 	}
 	root := t.tr.Root()
-	root.Child("admission").Attr("result", "admitted").Attr("capacity", cap(s.admit)).End()
-	root.Child("singleflight").Attr("result", "begin").End()
+	root.Child("admission").Str("result", "admitted").Int("capacity", cap(s.admit)).End()
+	root.Child("singleflight").Str("result", "begin").End()
 	s.wg.Add(1)
 	go s.runFlight(fctx, f, fn, t)
 	return f, "miss"
@@ -644,10 +644,10 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 		// The peer span is categorized "cluster" so the pipeline hash — the
 		// identity of the computation itself — excludes it: a stitched
 		// cross-shard tree and a standalone compute hash the same pipeline.
-		ps := t.tr.Root().ChildCat("peer", tracectx.CatCluster).Attr("owner", owner)
+		ps := t.tr.Root().ChildCat("peer", tracectx.CatCluster).Str("owner", owner)
 		fetchStart := time.Now()
 		if body, ok := s.cluster.FetchResult(ctx, owner, f.key); ok {
-			ps.Attr("result", "hit").End()
+			ps.Str("result", "hit").End()
 			t.tr.Root().End()
 			s.putResult(f.key, body)
 			f.via, f.peer = "peer", owner
@@ -655,7 +655,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 			s.settle(f, t, http.StatusOK, body, nil)
 			return
 		}
-		ps.Attr("result", "miss").End()
+		ps.Str("result", "miss").End()
 	}
 
 	s.obs.Counter("serve_compute_total").Inc()
@@ -678,7 +678,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 		s.obs.Counter("serve_compute_errors_total").Inc()
 		status = http.StatusInternalServerError
 		body = errorBody(fmt.Sprintf("evaluation failed: %v", err))
-		compute.Attr("error", err.Error())
+		compute.Str("error", err.Error())
 	default:
 		body, err = marshalBody(v)
 		if err != nil {

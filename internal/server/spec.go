@@ -111,7 +111,9 @@ type AnchorPoint struct {
 	Value float64
 }
 
-// Interp evaluates the curve at n.
+// Interp evaluates the curve at n. Anchors are read in increasing N; a
+// curve not already strictly increasing (every built-in is) is sorted into
+// a copy first.
 func (c AnchorCurve) Interp(n float64) float64 {
 	if len(c) == 0 {
 		return 0
@@ -119,8 +121,11 @@ func (c AnchorCurve) Interp(n float64) float64 {
 	if n < 1 {
 		n = 1
 	}
-	pts := append(AnchorCurve(nil), c...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
+	pts := c
+	if !c.increasing() {
+		pts = append(AnchorCurve(nil), c...)
+		sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
+	}
 	if len(pts) == 1 {
 		// Single anchor: assume linear scaling in n.
 		return pts[0].Value * n / pts[0].N
@@ -140,4 +145,15 @@ func (c AnchorCurve) Interp(n float64) float64 {
 	}
 	t := (math.Log(n) - x0) / (x1 - x0)
 	return math.Exp(y0 + t*(y1-y0))
+}
+
+// increasing reports whether the anchors are strictly increasing in N, so
+// that sorting them would leave them as they are. A NaN N is not ordered.
+func (c AnchorCurve) increasing() bool {
+	for i := 1; i < len(c); i++ {
+		if !(c[i-1].N < c[i].N) {
+			return false
+		}
+	}
+	return true
 }

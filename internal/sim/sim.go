@@ -179,7 +179,7 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	if m.DurationSec <= 0 {
 		return RunResult{}, fmt.Errorf("sim: %s has no duration", m.Name)
 	}
-	sp := tracectx.FromContext(ctx).Child("run " + m.Name)
+	sp := tracectx.FromContext(ctx).ChildJoin("run ", m.Name)
 	defer sp.End()
 	steady := e.Server.PowerOf(m)
 	idle := e.Server.IdleWatts
@@ -233,7 +233,7 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		log = e.Meter.Record(start, end, powerAt)
 		logged = len(log)
 	}
-	meterSpan.Attr("samples", logged).End()
+	meterSpan.Int("samples", logged).End()
 
 	var samples []pmu.Sample
 	var totals pmu.Totals
@@ -250,10 +250,10 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 			totals = pmu.Sum(samples)
 		}
 		if err != nil {
-			pmuSpan.Attr("error", err.Error()).End()
+			pmuSpan.Str("error", err.Error()).End()
 			return RunResult{}, err
 		}
-		pmuSpan.Attr("windows", totals.Windows).End()
+		pmuSpan.Int("windows", totals.Windows).End()
 	}
 
 	e.Obs.Counter("sim_runs_total").Inc()

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -100,13 +102,6 @@ func (t *Trace) Export() *Doc {
 		if !s.ended {
 			end = now
 		}
-		var attrs map[string]any
-		if len(s.attrs) > 0 {
-			attrs = make(map[string]any, len(s.attrs))
-			for k, v := range s.attrs {
-				attrs[k] = v
-			}
-		}
 		d := SpanDoc{
 			ID:      s.id.String(),
 			Path:    s.path,
@@ -114,7 +109,7 @@ func (t *Trace) Export() *Doc {
 			Cat:     s.cat,
 			StartUS: s.startNS / 1e3,
 			DurUS:   (end - s.startNS) / 1e3,
-			Attrs:   attrs,
+			Attrs:   s.exportAttrs(),
 		}
 		if !s.parent.IsZero() {
 			d.Parent = s.parent.String()
@@ -137,6 +132,51 @@ func (t *Trace) Export() *Doc {
 	}
 	doc.Rehash()
 	return doc
+}
+
+// exportAttrs returns the span's attrs as a SpanDoc carries them, nil when
+// it has none. The caller holds s.mu.
+func (s *Span) exportAttrs() map[string]any {
+	n := len(s.attrs) + bits.OnesCount8(s.virt)
+	if n == 0 {
+		return nil
+	}
+	attrs := make(map[string]any, n)
+	for i := range s.attrs {
+		attrs[s.attrs[i].key] = s.attrs[i].exported()
+	}
+	if s.virt&virtT0 != 0 {
+		attrs[keyT0] = typedFloat(s.t0)
+	}
+	if s.virt&virtT1 != 0 {
+		attrs[keyT1] = typedFloat(s.t1)
+	}
+	return attrs
+}
+
+// exported is an attr's value as Export puts it in a SpanDoc: the value
+// Attr was given, or the typed value in its Go type (a non-finite float as
+// its string).
+func (a *attr) exported() any {
+	switch a.kind {
+	case kindString:
+		return a.str
+	case kindInt:
+		return int(int64(a.num))
+	case kindFloat:
+		return typedFloat(math.Float64frombits(a.num))
+	case kindBool:
+		return a.num != 0
+	}
+	return a.val
+}
+
+// typedFloat is a typed float as Export puts it in a SpanDoc.
+func typedFloat(f float64) any {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nonFinite(f)
+	}
+	return f
 }
 
 // Meta is the request metadata a stored trace document carries beside its
@@ -172,8 +212,9 @@ var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
 // is read once under its own lock, and in that visit its canonical form is
 // appended to the tree-hash rendering and its full form to the document,
 // so a span still being written cannot make the hashes disagree with the
-// body. A span attr encoding/json cannot render (NaN, ±Inf) is an error,
-// as it is for json.MarshalIndent. A nil trace renders nothing.
+// body. A value passed through Attr that encoding/json cannot render (NaN,
+// ±Inf) is an error, as it is for json.MarshalIndent; typed attrs always
+// render. A nil trace renders nothing.
 func (t *Trace) Render(m Meta) (Stored, error) {
 	if t == nil {
 		return Stored{}, nil
@@ -214,7 +255,7 @@ func (t *Trace) Render(m Meta) (Stored, error) {
 		canon = appendSpanHead(canon, idHex[:], parent, s.path, s.name, cat)
 		head := len(canon)
 		var err error
-		canon, err = appendSpanAttrs(canon, s.attrs)
+		canon, err = appendAttrs(canon, s.attrs, s.virt, s.t0, s.t1)
 		startUS, spanUS := s.startNS/1e3, (end-s.startNS)/1e3
 		s.mu.Unlock()
 		if err != nil {

@@ -5,14 +5,15 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // This file is the span appender: the one writer of span JSON, shared by
 // Render (the daemon's stored documents and their hashes) and by
 // Doc.CanonicalJSON/Rehash (exports and stitched fleet documents). It
-// writes exactly the bytes encoding/json writes for a SpanDoc, handling the
-// attr types the pipeline records (string, int, int64, float64, bool) by
-// hand and handing anything else to json.Marshal.
+// writes exactly the bytes encoding/json writes for a SpanDoc, handling
+// typed attrs and Attr values of type string, int, int64, float64 and bool
+// by hand and handing any other value to json.Marshal.
 
 // appendSpanHead opens a span object and appends its identity fields: id,
 // parent (omitted when empty), path, name and cat (omitted when empty). The
@@ -45,32 +46,106 @@ func appendSpanTimes(b []byte, startUS, durUS int64) []byte {
 	return b
 }
 
-// appendSpanAttrs appends the attrs member (omitted when empty), its keys
-// in bytewise order as encoding/json sorts them, and closes the span
-// object. A value json.Marshal rejects (NaN, ±Inf, a channel) is an error.
+// appendSpanAttrs appends a document span's attrs member and closes the
+// span object, as appendAttrs does for a recorded span.
 func appendSpanAttrs(b []byte, attrs map[string]any) ([]byte, error) {
-	if len(attrs) == 0 {
+	var abuf [16]attr
+	list := abuf[:0]
+	for k, v := range attrs {
+		list = append(list, attr{key: k, kind: kindAny, val: v})
+	}
+	return appendAttrs(b, list, 0, 0, 0)
+}
+
+// attrRef names one attr to render: attrs[i], or for i < 0 the virtual
+// clock value t0 (refT0) or t1 (refT1).
+type attrRef struct {
+	key string
+	i   int
+}
+
+const (
+	refT0 = -1 - iota
+	refT1
+)
+
+// appendAttrs appends the attrs member (omitted when empty) of attrs and
+// the virtual-clock values virt marks, its keys in bytewise order as
+// encoding/json sorts them, and closes the span object. A value json.Marshal
+// rejects (NaN, ±Inf or a channel passed through Attr) is an error.
+func appendAttrs(b []byte, attrs []attr, virt uint8, t0, t1 float64) ([]byte, error) {
+	var rbuf [16]attrRef
+	refs := rbuf[:0]
+	for i := range attrs {
+		refs = append(refs, attrRef{attrs[i].key, i})
+	}
+	if virt&virtT0 != 0 {
+		refs = append(refs, attrRef{keyT0, refT0})
+	}
+	if virt&virtT1 != 0 {
+		refs = append(refs, attrRef{keyT1, refT1})
+	}
+	if len(refs) == 0 {
 		return append(b, '}'), nil
 	}
-	var kbuf [16]string
-	keys := kbuf[:0]
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	slices.SortFunc(refs, func(x, y attrRef) int { return strings.Compare(x.key, y.key) })
 	b = append(b, `,"attrs":{`...)
-	for i, k := range keys {
-		if i > 0 {
+	for n, r := range refs {
+		if n > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, k)
+		b = appendString(b, r.key)
 		b = append(b, ':')
-		var err error
-		if b, err = appendValue(b, attrs[k]); err != nil {
-			return nil, err
+		switch r.i {
+		case refT0:
+			b = appendTypedFloat(b, t0)
+		case refT1:
+			b = appendTypedFloat(b, t1)
+		default:
+			var err error
+			if b, err = appendAttr(b, &attrs[r.i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return append(b, "}}"...), nil
+}
+
+// appendAttr appends one recorded attr's value.
+func appendAttr(b []byte, a *attr) ([]byte, error) {
+	switch a.kind {
+	case kindString:
+		return appendString(b, a.str), nil
+	case kindInt:
+		return strconv.AppendInt(b, int64(a.num), 10), nil
+	case kindFloat:
+		return appendTypedFloat(b, math.Float64frombits(a.num)), nil
+	case kindBool:
+		return strconv.AppendBool(b, a.num != 0), nil
+	}
+	return appendValue(b, a.val)
+}
+
+// appendTypedFloat appends a float recorded through Float or SetVirtual:
+// a finite value as encoding/json writes it, NaN and ±Inf as the strings
+// nonFinite names them by.
+func appendTypedFloat(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return appendString(b, nonFinite(f))
+	}
+	return appendFloat(b, f)
+}
+
+// nonFinite names a NaN or infinite float as strconv formats it: "NaN",
+// "+Inf" or "-Inf".
+func nonFinite(f float64) string {
+	switch {
+	case math.IsNaN(f):
+		return "NaN"
+	case f > 0:
+		return "+Inf"
+	}
+	return "-Inf"
 }
 
 // appendValue appends one attr value as encoding/json renders it.

@@ -86,13 +86,7 @@ func oracleExport(t *Trace) (*Doc, error) {
 		if !s.ended {
 			end = now
 		}
-		var attrs map[string]any
-		if len(s.attrs) > 0 {
-			attrs = make(map[string]any, len(s.attrs))
-			for k, v := range s.attrs {
-				attrs[k] = v
-			}
-		}
+		attrs := s.exportAttrs()
 		d := SpanDoc{
 			ID:      hex.EncodeToString(s.id[:]),
 			Path:    s.path,

@@ -25,16 +25,21 @@
 //
 // Every entry point is nil-safe the way internal/obs is: a nil *Trace or
 // nil *Span turns the layer into a no-op costing one pointer comparison, so
-// instrumented pipeline code needs no conditional wiring and requests
-// without tracing pay (almost) nothing.
+// instrumented pipeline code needs no conditional wiring. For an untraced
+// request to allocate nothing, callers pass span names in parts (ChildJoin,
+// ChildIndex) rather than concatenated, and attr values through the typed
+// setters (Str, Int, Float, Bool) rather than boxed into Attr's any.
 package tracectx
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // ID is a 16-byte W3C trace id.
@@ -100,16 +105,47 @@ const CatCluster = "cluster"
 
 // Trace collects the spans of one request. Spans may be created and ended
 // from any goroutine; the trace serializes its span list under a mutex.
+//
+// A trace owns the storage of its spans. Spans live in per-trace chunks
+// that grow geometrically, their paths in a per-trace byte arena, and attrs
+// past a span's inline one in per-trace attr chunks. The root, the first
+// span chunk and the first arena chunk are inline, so a short trace (a
+// cache hit: the root and one child) is one allocation.
 type Trace struct {
-	mu    sync.Mutex
-	id    ID
-	epoch time.Time
+	mu     sync.Mutex
+	id     ID
+	epoch  time.Time
+	origin string // the incoming W3C traceparent, non-canonical metadata
+	// spans indexes every span, the root first. It grows with the span
+	// chunks, so it reallocates at most when a chunk is added.
 	spans []*Span
-	root  *Span
-	// origin is the incoming W3C traceparent header, recorded verbatim as
-	// non-canonical metadata (the upstream hop that caused this request).
-	origin string
+	// free, arena and attrFree are the unused tails of the current span
+	// chunk, path arena chunk and attr chunk; chunk is the size of the
+	// last span chunk.
+	free     []Span
+	chunk    int
+	arena    []byte
+	attrFree []attr
+	root     Span
+	first    [firstSpans]Span
+	index    [1 + firstSpans]*Span
+	pathBuf  [firstArena]byte
 }
+
+// Chunk sizes. The inline first chunk and arena fit a cache-hit trace;
+// later span chunks double from 8 up to maxSpans spans, arena chunks from
+// minArena up to maxArena bytes, and attr chunks hold attrChunk attrs.
+const (
+	firstSpans = 1
+	firstArena = 32
+	maxSpans   = 32
+	minArena   = 1024
+	maxArena   = 8192
+	attrChunk  = 32
+	// spillAttrs is the capacity a span's attrs move to, carved from the
+	// trace's attr chunk, when its inline attr is taken.
+	spillAttrs = 4
+)
 
 // New starts a trace with the given id and a root span. The root's id is
 // DeriveSpanID(id, rootName), so it is reproducible from the outside — the
@@ -117,15 +153,56 @@ type Trace struct {
 // even computed.
 func New(id ID, rootName, cat string) *Trace {
 	t := &Trace{id: id, epoch: time.Now()}
-	t.root = &Span{
-		t:    t,
-		id:   DeriveSpanID(id, rootName),
-		path: rootName,
-		name: rootName,
-		cat:  cat,
-	}
-	t.spans = []*Span{t.root}
+	t.root.t = t
+	t.root.id = DeriveSpanID(id, rootName)
+	t.root.path = rootName
+	t.root.name = rootName
+	t.root.cat = cat
+	t.spans = append(t.index[:0], &t.root)
+	t.free = t.first[:]
+	t.arena = t.pathBuf[:0]
 	return t
+}
+
+// newSpan takes the next span slot, adding a chunk when the current one is
+// full. The caller holds t.mu.
+func (t *Trace) newSpan() *Span {
+	if len(t.free) == 0 {
+		t.chunk = min(max(2*t.chunk, 8), maxSpans)
+		t.free = make([]Span, t.chunk)
+		if need := len(t.spans) + t.chunk; cap(t.spans) < need {
+			idx := make([]*Span, len(t.spans), max(2*cap(t.spans), need))
+			copy(idx, t.spans)
+			t.spans = idx
+		}
+	}
+	c := &t.free[0]
+	t.free = t.free[1:]
+	return c
+}
+
+// intern copies p into the trace's path arena and returns it as a string
+// over the arena's bytes, which are never written again. The caller holds
+// t.mu.
+func (t *Trace) intern(p []byte) string {
+	if cap(t.arena)-len(t.arena) < len(p) {
+		n := min(max(2*cap(t.arena), minArena), maxArena)
+		t.arena = make([]byte, 0, max(n, len(p)))
+	}
+	at := len(t.arena)
+	t.arena = append(t.arena, p...)
+	return unsafe.String(&t.arena[at], len(p))
+}
+
+// carveAttrs returns an empty attr slice of capacity n from the trace's
+// attr chunk. The caller holds t.mu.
+func (t *Trace) carveAttrs(n int) []attr {
+	if len(t.attrFree) < n {
+		t.attrFree = make([]attr, max(attrChunk, n))
+	}
+	blk := t.attrFree[:0:n]
+	t.attrFree = t.attrFree[n:]
+	return blk
 }
 
 // ID returns the trace id; a nil trace returns the zero id.
@@ -154,7 +231,7 @@ func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return t.root
+	return &t.root
 }
 
 // SetOrigin records the incoming W3C traceparent header (metadata only; it
@@ -173,15 +250,52 @@ type Span struct {
 	t      *Trace
 	id     SpanID
 	parent SpanID
-	path   string
-	name   string
+	path   string // in the trace's arena; the root's is its name
+	name   string // the last element of path, sharing its bytes
 	cat    string
 
 	mu      sync.Mutex
-	attrs   map[string]any
 	startNS int64 // relative to the trace epoch
 	endNS   int64
 	ended   bool
+	// virt marks which of the virtual-clock attrs sim_t0 (t0) and sim_t1
+	// (t1) are set; they render among attrs under those keys.
+	virt   uint8
+	t0, t1 float64
+	// attrs starts in inline and moves to a carved chunk when it fills.
+	attrs  []attr
+	inline [1]attr
+}
+
+// The virt bits and the keys they render under.
+const (
+	virtT0 = 1 << iota
+	virtT1
+	keyT0 = "sim_t0"
+	keyT1 = "sim_t1"
+)
+
+// attrKind is the type an attr value was recorded with.
+type attrKind uint8
+
+const (
+	// kindAny holds a value passed through Attr, rendered as encoding/json
+	// renders it.
+	kindAny attrKind = iota
+	kindString
+	kindInt
+	kindFloat
+	kindBool
+)
+
+// attr is one recorded key/value pair: a typed value in num (int64 or
+// float64 bits, or 0/1) or str, or an Attr value in val.
+type attr struct {
+	key  string
+	kind attrKind
+	num  uint64
+	str  string
+	val  any
 }
 
 // Child opens a sub-span. The child's id derives from the parent's path
@@ -191,60 +305,153 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	t := s.t
-	path := s.path + "/" + name
-	c := &Span{
-		t:      t,
-		id:     DeriveSpanID(t.id, path),
-		parent: s.id,
-		path:   path,
-		name:   name,
-		cat:    s.cat,
-	}
-	t.mu.Lock()
-	c.startNS = int64(time.Since(t.epoch))
-	t.spans = append(t.spans, c)
-	t.mu.Unlock()
-	return c
+	return s.child(s.cat, "", "", name, false, 0)
 }
 
 // ChildCat opens a sub-span with an explicit category instead of inheriting
 // the parent's. Cross-shard transport spans use CatCluster so the pipeline
 // hash can exclude them.
 func (s *Span) ChildCat(name, cat string) *Span {
-	c := s.Child(name)
-	if c != nil {
-		c.mu.Lock()
-		c.cat = cat
-		c.mu.Unlock()
+	if s == nil {
+		return nil
 	}
-	return c
+	return s.child(cat, "", "", name, false, 0)
 }
 
-// Attr attaches a key/value pair to the span. Values must marshal to JSON
-// deterministically (numbers, strings, bools); pipeline attrs are all pure
-// functions of the request identity, which is what keeps the canonical tree
-// byte-identical across worker counts. Nil spans discard.
+// ChildJoin opens a sub-span named prefix+name ("run "+model, "state "+
+// name) without building the name first, so a nil span costs nothing.
+func (s *Span) ChildJoin(prefix, name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.child(s.cat, prefix, "", name, false, 0)
+}
+
+// ChildIndex opens a sub-span named prefix+infix+i, i in decimal ("sim"+
+// " job "+3), without building the name first.
+func (s *Span) ChildIndex(prefix, infix string, i int) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.child(s.cat, prefix, infix, "", true, i)
+}
+
+// child opens the sub-span named a+b+c, then i in decimal when indexed.
+// The path is built behind the trace id in the buffer its id hashes from,
+// as DeriveSpanID does, and copied into the arena under the trace's lock.
+func (s *Span) child(cat, a, b, c string, indexed bool, i int) *Span {
+	t := s.t
+	var buf [derivBuf]byte
+	p := append(append(buf[:0], t.id[:]...), s.path...)
+	p = append(append(append(append(p, '/'), a...), b...), c...)
+	if indexed {
+		p = strconv.AppendInt(p, int64(i), 10)
+	}
+	sum := sha256.Sum256(p)
+	t.mu.Lock()
+	sp := t.newSpan()
+	sp.t = t
+	copy(sp.id[:], sum[:])
+	sp.parent = s.id
+	sp.path = t.intern(p[len(t.id):])
+	sp.name = sp.path[len(s.path)+1:]
+	sp.cat = cat
+	sp.startNS = int64(time.Since(t.epoch))
+	t.spans = append(t.spans, sp)
+	t.mu.Unlock()
+	return sp
+}
+
+// Attr attaches a key/value pair to the span, replacing the key's earlier
+// value. Values must marshal to JSON deterministically (numbers, strings,
+// bools); pipeline attrs are all pure functions of the request identity,
+// which is what keeps the canonical tree byte-identical across worker
+// counts. A value encoding/json rejects (NaN, ±Inf) makes Render fail.
+// Pipeline code uses the typed setters, which do not box. Nil spans
+// discard.
 func (s *Span) Attr(key string, value any) *Span {
+	return s.set(attr{key: key, kind: kindAny, val: value})
+}
+
+// Str attaches a string attr.
+func (s *Span) Str(key, v string) *Span {
+	return s.set(attr{key: key, kind: kindString, str: v})
+}
+
+// Int attaches an integer attr.
+func (s *Span) Int(key string, v int) *Span {
+	return s.set(attr{key: key, kind: kindInt, num: uint64(v)})
+}
+
+// Float attaches a float attr. A finite value renders as encoding/json
+// renders it; NaN and ±Inf render as the strings "NaN", "+Inf" and "-Inf",
+// so a recorded trace always renders.
+func (s *Span) Float(key string, v float64) *Span {
+	return s.set(attr{key: key, kind: kindFloat, num: math.Float64bits(v)})
+}
+
+// Bool attaches a boolean attr.
+func (s *Span) Bool(key string, v bool) *Span {
+	a := attr{key: key, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return s.set(a)
+}
+
+func (s *Span) set(a attr) *Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
+	switch {
+	case s.virt&virtT0 != 0 && a.key == keyT0:
+		s.virt &^= virtT0
+	case s.virt&virtT1 != 0 && a.key == keyT1:
+		s.virt &^= virtT1
 	}
-	s.attrs[key] = value
+	for i := range s.attrs {
+		if s.attrs[i].key == a.key {
+			s.attrs[i] = a
+			s.mu.Unlock()
+			return s
+		}
+	}
+	switch {
+	case s.attrs == nil:
+		s.attrs = s.inline[:0]
+	case len(s.attrs) == len(s.inline) && cap(s.attrs) == len(s.inline):
+		s.t.mu.Lock()
+		spill := s.t.carveAttrs(spillAttrs)
+		s.t.mu.Unlock()
+		s.attrs = append(spill, s.attrs...)
+	}
+	s.attrs = append(s.attrs, a)
 	s.mu.Unlock()
 	return s
 }
 
 // SetVirtual records the span's interval on the simulation's virtual clock
-// (server-clock seconds) as sim_t0/sim_t1 attrs.
+// (server-clock seconds). It renders as the attrs sim_t0 and sim_t1, like
+// Float, but is kept in two fields of the span.
 func (s *Span) SetVirtual(t0, t1 float64) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.Attr("sim_t0", t0).Attr("sim_t1", t1)
+	s.mu.Lock()
+	if len(s.attrs) > 0 {
+		kept := s.attrs[:0]
+		for _, a := range s.attrs {
+			if a.key != keyT0 && a.key != keyT1 {
+				kept = append(kept, a)
+			}
+		}
+		clear(s.attrs[len(kept):])
+		s.attrs = kept
+	}
+	s.t0, s.t1, s.virt = t0, t1, virtT0|virtT1
+	s.mu.Unlock()
+	return s
 }
 
 // End closes the span; ending twice is a no-op so defer composes with early

@@ -1,0 +1,247 @@
+package tracectx
+
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// settle ends every span at a fixed instant, so traces built apart render
+// the same wall times.
+func settle(tr *Trace) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, s := range tr.spans {
+		s.mu.Lock()
+		s.startNS, s.endNS, s.ended = 1000, 3000, true
+		s.mu.Unlock()
+	}
+}
+
+// attrOp is one attr write, made through a typed setter on one span and
+// through Attr on its twin.
+type attrOp struct {
+	kind byte
+	key  string
+}
+
+// applyTyped makes the writes through the typed setters and SetVirtual.
+func applyTyped(s *Span, ops []attrOp, str string, f float64, i int64, b bool) {
+	for _, op := range ops {
+		switch op.kind % 5 {
+		case 0:
+			s.Str(op.key, str)
+		case 1:
+			s.Int(op.key, int(i))
+		case 2:
+			s.Float(op.key, f)
+		case 3:
+			s.Bool(op.key, b)
+		case 4:
+			s.SetVirtual(f, -f)
+		}
+	}
+}
+
+// applyAny makes the same writes through Attr: a non-finite float as the
+// string the typed setter renders it as, the virtual clock as two attrs.
+func applyAny(s *Span, ops []attrOp, str string, f float64, i int64, b bool) {
+	fv := func(f float64) any {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return strconv.FormatFloat(f, 'g', -1, 64)
+		}
+		return f
+	}
+	for _, op := range ops {
+		switch op.kind % 5 {
+		case 0:
+			s.Attr(op.key, str)
+		case 1:
+			s.Attr(op.key, int(i))
+		case 2:
+			s.Attr(op.key, fv(f))
+		case 3:
+			s.Attr(op.key, b)
+		case 4:
+			s.Attr("sim_t0", fv(f)).Attr("sim_t1", fv(-f))
+		}
+	}
+}
+
+// twinTraces records the same spans and values twice: once through the
+// typed setters, SetVirtual, ChildJoin and ChildIndex, once through Attr
+// and Child with the names built up front.
+func twinTraces(script []byte, key, prefix, name, str string, f float64, i int64, b bool) (typed, boxed *Trace) {
+	keys := []string{key, key + "2", "sim_t0", "sim_t1"}
+	var ops []attrOp
+	for n, c := range script {
+		if n == 32 {
+			break
+		}
+		ops = append(ops, attrOp{kind: c & 7, key: keys[c>>3%4]})
+	}
+	typed = New(DeriveID(key), "POST /v1/evaluate", "serve")
+	boxed = New(DeriveID(key), "POST /v1/evaluate", "serve")
+	applyTyped(typed.Root(), ops, str, f, i, b)
+	applyAny(boxed.Root(), ops, str, f, i, b)
+	applyTyped(typed.Root().ChildJoin(prefix, name), ops, str, f, i, b)
+	applyAny(boxed.Root().Child(prefix+name), ops, str, f, i, b)
+	job := typed.Root().ChildIndex(prefix, " job ", int(i))
+	applyTyped(job.ChildIndex("attempt ", "", 1), ops[:len(ops)/2], str, -f, -i, !b)
+	bjob := boxed.Root().Child(prefix + " job " + strconv.Itoa(int(i)))
+	applyAny(bjob.Child("attempt 1"), ops[:len(ops)/2], str, -f, -i, !b)
+	typed.Root().ChildCat(name, CatCluster).Str("owner", str)
+	boxed.Root().ChildCat(name, CatCluster).Attr("owner", str)
+	settle(typed)
+	settle(boxed)
+	return typed, boxed
+}
+
+// FuzzSpanAttrs holds the typed setters to Attr: spans written through
+// Str, Int, Float, Bool and SetVirtual render the same bytes and hashes as
+// the same values passed through Attr, repeated keys and the virtual-clock
+// keys included, and the typed trace matches the reflection oracle.
+func FuzzSpanAttrs(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4}, "k", "run ", "ep.C.1", "<&>é\t\"\\\x00\xff ", 1e-7, int64(math.MaxInt64), true)
+	f.Add([]byte{2, 10, 2, 4, 18, 26, 12}, "watts", "state ", "", "x", math.Copysign(0, -1), int64(math.MinInt64), false)
+	f.Add([]byte{4, 26, 18, 4, 1}, "sim_t0", "", "a/b", "", 5e-324, int64(0), true)
+	f.Add([]byte{2, 2, 2, 10}, "e", "sim", "", "  ", 1e21, int64(-1), false)
+	f.Add([]byte{2, 4}, "f", "x", "y", "y", 999999999999999999999.0, int64(7), true)
+	f.Add([]byte{2, 4, 20}, "nan", "x", "y", "NaN", math.NaN(), int64(3), true)
+	f.Add([]byte{2, 4}, "inf", "x", "y", "", math.Inf(-1), int64(3), true)
+	f.Fuzz(func(t *testing.T, script []byte, key, prefix, name, str string, fv float64, iv int64, bv bool) {
+		typed, boxed := twinTraces(script, key, prefix, name, str, fv, iv, bv)
+		m := Meta{Key: key, Status: 200, Reason: "sampled", Flight: str}
+		got, err := typed.Render(m)
+		if err != nil {
+			t.Fatalf("typed trace failed to render: %v", err)
+		}
+		want, err := boxed.Render(m)
+		if err != nil {
+			t.Fatalf("Attr trace failed to render: %v", err)
+		}
+		if string(got.Body) != string(want.Body) {
+			t.Fatalf("typed setters render differently from Attr:\n got %s\nwant %s", got.Body, want.Body)
+		}
+		te, be := typed.Export(), boxed.Export()
+		if te.TreeHash != be.TreeHash || te.PipelineHash != be.PipelineHash {
+			t.Fatalf("Export hashes %s/%s, Attr %s/%s", te.TreeHash, te.PipelineHash, be.TreeHash, be.PipelineHash)
+		}
+		if string(te.CanonicalJSON()) != string(be.CanonicalJSON()) {
+			t.Fatalf("CanonicalJSON differs:\n got %s\nwant %s", te.CanonicalJSON(), be.CanonicalJSON())
+		}
+		checkRender(t, typed, m)
+	})
+}
+
+// A non-finite float recorded through Float or SetVirtual renders as a
+// string, so every view of a pipeline-recorded trace succeeds.
+func TestTypedNonFiniteRenders(t *testing.T) {
+	tr := New(DeriveID("nonfinite"), "request", "serve")
+	root := tr.Root().Float("nan", math.NaN()).Float("pinf", math.Inf(1)).Float("ninf", math.Inf(-1))
+	root.Child("run Idle").SetVirtual(math.NaN(), math.Inf(1)).End()
+	root.End()
+
+	doc := tr.Export()
+	want := map[string]any{"nan": "NaN", "pinf": "+Inf", "ninf": "-Inf"}
+	for k, v := range want {
+		if doc.Spans[0].Attrs[k] != v {
+			t.Errorf("exported %s = %v, want %q", k, doc.Spans[0].Attrs[k], v)
+		}
+	}
+	if a := doc.Spans[1].Attrs; a["sim_t0"] != "NaN" || a["sim_t1"] != "+Inf" {
+		t.Errorf("exported virtual clock %v, want NaN and +Inf strings", a)
+	}
+	st, err := tr.Render(Meta{Key: "k"})
+	if err != nil {
+		t.Fatalf("Render: %v", err)
+	}
+	parsed, err := ParseDoc(st.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, pipeline := parsed.TreeHash, parsed.PipelineHash
+	parsed.Rehash()
+	if parsed.TreeHash != tree || parsed.PipelineHash != pipeline || doc.TreeHash != tree {
+		t.Fatalf("hashes disagree: stored %s/%s, rehashed %s/%s, exported %s", tree, pipeline, parsed.TreeHash, parsed.PipelineHash, doc.TreeHash)
+	}
+	if !strings.Contains(string(doc.CanonicalJSON()), `"nan":"NaN"`) {
+		t.Errorf("CanonicalJSON: %s", doc.CanonicalJSON())
+	}
+	if _, err := json.Marshal(doc); err != nil {
+		t.Errorf("exported doc does not marshal: %v", err)
+	}
+	checkRender(t, tr, Meta{})
+}
+
+// A key set again replaces its value, whatever setter wrote it, and the
+// virtual-clock keys follow the last of SetVirtual and a setter.
+func TestAttrReplace(t *testing.T) {
+	tr := New(DeriveID("replace"), "request", "serve")
+	sp := tr.Root().Child("s")
+	sp.Int("a", 1).Str("b", "x").Attr("a", "boxed").Float("c", 2).Bool("d", true).Int("b", 7)
+	sp.SetVirtual(1, 2).Str("sim_t0", "over").SetVirtual(3, 4).Float("sim_t1", 9)
+	sp.Attr("sim_t0", 5)
+	settle(tr)
+	got := tr.Export().Spans[1].Attrs
+	want := map[string]any{"a": "boxed", "b": 7, "c": 2.0, "d": true, "sim_t0": 5, "sim_t1": 9.0}
+	if len(got) != len(want) {
+		t.Fatalf("attrs %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("attr %s = %#v, want %#v", k, got[k], v)
+		}
+	}
+	checkRender(t, tr, Meta{})
+}
+
+// Opening a span allocates nothing per span once chunks are amortized, and
+// the typed setters and SetVirtual allocate nothing at all.
+func TestSpanRecordAllocs(t *testing.T) {
+	id := DeriveID("allocs")
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "child " + strconv.Itoa(i)
+	}
+	base := testing.AllocsPerRun(50, func() { New(id, "POST /v1/evaluate", "serve") })
+	for name, open := range map[string]func(*Span, int){
+		"Child":      func(s *Span, i int) { s.Child(names[i]) },
+		"ChildJoin":  func(s *Span, i int) { s.ChildJoin("child ", names[i][6:]) },
+		"ChildIndex": func(s *Span, i int) { s.ChildIndex("child", " ", i) },
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			root := New(id, "POST /v1/evaluate", "serve").Root()
+			for i := range names {
+				open(root, i)
+			}
+		})
+		per := (allocs - base) / float64(len(names))
+		t.Logf("%s: %.3f allocs per span", name, per)
+		if per > 0.25 {
+			t.Errorf("%s: %.3f allocs per span over %d spans, want <= 0.25", name, per, len(names))
+		}
+	}
+
+	sp := New(id, "request", "serve").Root().Child("run Idle")
+	for name, set := range map[string]func(){
+		"Str":        func() { sp.Str("result", "hit") },
+		"Int":        func() { sp.Int("samples", 1<<40) },
+		"Float":      func() { sp.Float("watts", 123.456) },
+		"Bool":       func() { sp.Bool("cancelled", true) },
+		"SetVirtual": func() { sp.SetVirtual(1.5, 2.5e9) },
+	} {
+		if n := testing.AllocsPerRun(100, set); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", name, n)
+		}
+	}
+	var nilSpan *Span
+	if n := testing.AllocsPerRun(100, func() {
+		nilSpan.ChildJoin("run ", "ep.C.1").Float("watts", 1).Int("samples", 1<<40)
+		nilSpan.ChildIndex("sim", " job ", 1<<20).Str("error", "x")
+	}); n != 0 {
+		t.Errorf("nil span: %.0f allocs, want 0", n)
+	}
+}
