@@ -109,9 +109,11 @@ func TestEvaluateFoldsMeterSamples(t *testing.T) {
 // evaluations. A hardened window takes two buffers: the log the meter
 // records through the fault injector (16 B per sample) and the repair's
 // float64 scratch for the median and the MAD (8 B); the repair compacts
-// the window in place and folds its grid. A clean copy of the window, or a
-// stored repaired grid, adds another 16 B per sample and fails here.
-const maxHardenedBytesPerMeterSample = 36
+// the window in place and folds its grid. No PMU window is stored: the
+// run wraps each as the sampler draws it and keeps only the sums. A clean
+// copy of the window, a stored repaired grid or the run's stored PMU
+// windows (about 6 B per meter sample) fails here.
+const maxHardenedBytesPerMeterSample = 27
 
 // TestHardenedEvaluateBytesPerMeterSample: a Xeon-4870 evaluation under
 // the light and the heavy fault profile, with a metrics-only Obs,
@@ -151,5 +153,28 @@ func TestHardenedEvaluateBytesPerMeterSample(t *testing.T) {
 					perSample, maxHardenedBytesPerMeterSample)
 			}
 		})
+	}
+}
+
+// maxQuietEvaluateAllocs bounds the allocations of a warm Xeon-4870
+// evaluation with no Obs and no trace: 127 when set (134 under the race
+// detector), plus a little headroom. Boxing the arguments of log lines no
+// logger takes costs 37 more, and fails here.
+const maxQuietEvaluateAllocs = 140
+
+// TestQuietEvaluateAllocs: a warm, Obs-less, untraced Xeon-4870 evaluation
+// allocates at most maxQuietEvaluateAllocs times.
+func TestQuietEvaluateAllocs(t *testing.T) {
+	spec := server.Xeon4870()
+	evaluate := func() {
+		if _, err := EvaluateCtx(context.Background(), spec, 3, EvalOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evaluate()
+	allocs := testing.AllocsPerRun(5, evaluate)
+	t.Logf("%.0f allocs per evaluation", allocs)
+	if allocs > maxQuietEvaluateAllocs {
+		t.Errorf("quiet evaluation allocates %.0f times, want <= %d", allocs, maxQuietEvaluateAllocs)
 	}
 }

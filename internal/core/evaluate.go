@@ -181,9 +181,9 @@ func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 // state, no trace repair, and the first failed state fails the evaluation.
 // An active profile hardens the same pipeline (DESIGN.md §8):
 // identity-seeded fault injection, a bounded retry budget per state, a
-// meter.Repair pass per window, and graceful degradation — failed states
-// leave the table and are recorded on Quality, and the evaluation fails
-// only when every state fails.
+// meter.RepairSummary pass per window, and graceful degradation — failed
+// states leave the table and are recorded on Quality, and the evaluation
+// fails only when every state fails.
 func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -206,10 +206,13 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	tr := opts.traceSpan(ctx, "evaluate ", spec.Name).Str("server", spec.Name).Float("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
-	if hardened {
-		o.Infof("evaluating %s (seed %g, %d jobs, fault profile %s)", spec.Name, seed, p.Workers(), opts.Fault.Name)
-	} else {
-		o.Infof("evaluating %s (seed %g, %d jobs)", spec.Name, seed, p.Workers())
+	// Log arguments are boxed only for a logger that takes the line.
+	if o.Wants(obs.LevelInfo) {
+		if hardened {
+			o.Infof("evaluating %s (seed %g, %d jobs, fault profile %s)", spec.Name, seed, p.Workers(), opts.Fault.Name)
+		} else {
+			o.Infof("evaluating %s (seed %g, %d jobs)", spec.Name, seed, p.Workers())
+		}
 	}
 
 	models, err := PlanStates(spec)
@@ -272,7 +275,9 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			// Attribution runs on the analyzed (possibly repaired) window:
 			// the record describes the trace the analysis consumed.
 			ph := flightPhase(spec, r, power)
-			emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
+			if o != nil {
+				emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
+			}
 			runEnergy.Add(ph.Energy)
 			phases = append(phases, ph)
 		}
@@ -280,8 +285,10 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			state.Float("watts", watts).Int("repairs", rep.Total()).End()
 		} else {
 			state.Float("watts", watts).Int("samples", power.Samples).Int("trim_dropped", power.TrimDropped).End()
-			o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
-				r.Model.Name, watts, power.Samples, power.TrimDropped)
+			if o.Wants(obs.LevelDebug) {
+				o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
+					r.Model.Name, watts, power.Samples, power.TrimDropped)
+			}
 		}
 	}
 	analysis.End()
@@ -294,11 +301,13 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	ev.Score = sumPPW / n
 	opts.record("evaluate", spec, seed, ev.Score, len(models), phases, runEnergy, &ev.Quality, runLedger)
 	o.Gauge("core_score", obs.L("server", spec.Name)).Set(ev.Score)
-	if hardened {
-		o.Infof("evaluated %s: score %.4f over %d/%d states (%s)",
-			spec.Name, ev.Score, len(ev.Rows), len(models), ev.Quality.Summary())
-	} else {
-		o.Infof("evaluated %s: score %.4f over %d states", spec.Name, ev.Score, len(ev.Rows))
+	if o.Wants(obs.LevelInfo) {
+		if hardened {
+			o.Infof("evaluated %s: score %.4f over %d/%d states (%s)",
+				spec.Name, ev.Score, len(ev.Rows), len(models), ev.Quality.Summary())
+		} else {
+			o.Infof("evaluated %s: score %.4f over %d states", spec.Name, ev.Score, len(ev.Rows))
+		}
 	}
 	return ev, nil
 }
@@ -388,7 +397,9 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
 	if opts.Flight != nil {
 		ph := flightPhase(spec, run, power)
-		emitEnergyMetrics(o, tr.Ref(), spec.Name, ph.Energy)
+		if o != nil {
+			emitEnergyMetrics(o, tr.Ref(), spec.Name, ph.Energy)
+		}
 		opts.record("green500", spec, seed, res.PPW, 1, []flight.Phase{ph}, ph.Energy, &res.Quality, runLedger)
 	}
 	return res, nil

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"powerbench/internal/meter"
 	"powerbench/internal/npb"
 	"powerbench/internal/obs"
 	"powerbench/internal/pmu"
@@ -86,20 +85,12 @@ func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workl
 }
 
 // collectRun executes one workload and returns its PMU-window feature rows
-// paired with the average power of each window. Under an active fault
-// injector the observables are hardened first: counter wrap is corrected
-// across the run's windows and the power trace repaired onto its grid —
-// the clean path takes neither branch and keeps its historic bytes.
+// paired with the average power of each window. Training engines carry no
+// fault injector: a faulted engine keeps no PMU windows (sim.Engine.Fault).
 func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
 	run, err := engine.RunCtx(ctx, m, 0)
 	if err != nil {
 		return nil, nil, err
-	}
-	if engine.Fault.Active() {
-		pmu.Unwrap(run.PMUSamples, pmu.CounterModulus)
-		run.PowerLog, _ = meter.Repair(run.PowerLog, meter.RepairOpts{
-			Start: run.Start, End: run.End, IntervalSec: engine.Meter.IntervalSec,
-		})
 	}
 	var xs [][]float64
 	var ys []float64

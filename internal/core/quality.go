@@ -20,8 +20,8 @@ import (
 // This file is the graceful-degradation layer of the evaluation pipeline
 // (DESIGN.md §8). EvaluateCtx, Green500Ctx and CompareCtx each run one
 // body; an active fault profile arms it — identity-seeded fault injection,
-// a bounded retry budget per run, a meter.Repair pass per program window,
-// and partial results that report failed states — and the Quality
+// a bounded retry budget per run, a meter.RepairSummary pass per program
+// window, and partial results that report failed states — and the Quality
 // annotations defined here carry the outcome into the tables. An inactive
 // profile arms nothing, so pristine runs stay byte-identical.
 
@@ -53,9 +53,10 @@ var hardenedRetry = sched.Retry{Attempts: 3, Backoff: time.Millisecond}
 // watts and program performance. PMU counters have two readers: an active
 // profile's injector, which wraps single counter windows for the ledger to
 // count, and a flight record, which reads only per-run totals. So arm
-// keeps the windows under an active profile, keeps totals only when a
-// recorder is the sole reader, and otherwise drops the sampler and with it
-// the cache profiler.
+// keeps the sampler under an active profile (whose engine wraps each
+// window as it is drawn and keeps only the totals), keeps totals only when
+// a recorder is the sole reader, and otherwise drops the sampler and with
+// it the cache profiler.
 //
 // An active profile also hardens the engine: an injector seeded by (seed,
 // server, stream) that counts into a private per-run ledger, and the retry

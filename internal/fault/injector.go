@@ -169,26 +169,51 @@ func (c *TraceCorruptor) Trace() []meter.Sample {
 }
 
 // CorruptPMU wraps the counters of randomly chosen windows modulo
-// pmu.CounterModulus, in place, and returns the samples. Only windows where
-// at least one counter actually exceeds the modulus are counted as faults.
+// pmu.CounterModulus, in place, and returns the samples. It is the slice
+// form of PMUWrapper: a run wraps each window as the sampler draws it
+// instead, and keeps only the sums.
 func (in *Injector) CorruptPMU(samples []pmu.Sample) []pmu.Sample {
-	if in == nil || len(samples) == 0 {
+	if len(samples) == 0 {
 		return samples
 	}
-	p := in.prof
-	if p.Wrap <= 0 {
-		return samples
-	}
-	s := in.stream("pmu")
+	w := in.PMUWrapper()
 	for i := range samples {
-		if s.Next() >= p.Wrap {
-			continue
-		}
-		if pmu.WrapCounters(&samples[i].Counts, pmu.CounterModulus) {
-			in.led.add(KindWrapped, 1)
-		}
+		w.Wrap(&samples[i].Counts)
 	}
 	return samples
+}
+
+// PMUWrapper wraps one run's PMU windows a window at a time, so a run can
+// fold each window into its totals as the sampler draws it and store none.
+// Its draws come from the injector's "pmu" stream, which no other surface
+// reads, so interleaving them with the sampler's jitter draws changes no
+// value.
+type PMUWrapper struct {
+	rate float64
+	led  *Ledger
+	s    *rng.Stream
+}
+
+// PMUWrapper returns the wrapper for one run's windows. A nil injector, or
+// a profile that wraps nothing, returns one that draws nothing and leaves
+// every window alone.
+func (in *Injector) PMUWrapper() PMUWrapper {
+	if in == nil || in.prof.Wrap <= 0 {
+		return PMUWrapper{}
+	}
+	return PMUWrapper{rate: in.prof.Wrap, led: in.led, s: in.stream("pmu")}
+}
+
+// Wrap draws the next window's fate and, at the profile's Wrap rate,
+// reduces its wide counters modulo pmu.CounterModulus. Only a window where
+// at least one counter actually exceeded the modulus counts as a fault.
+func (w *PMUWrapper) Wrap(c *pmu.Features) {
+	if w.s == nil || w.s.Next() >= w.rate {
+		return
+	}
+	if pmu.WrapCounters(c, pmu.CounterModulus) {
+		w.led.add(KindWrapped, 1)
+	}
 }
 
 // itoa is strconv.Itoa for the small non-negative ints used in identities,

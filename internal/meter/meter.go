@@ -293,7 +293,7 @@ type Summary struct {
 }
 
 // Summarize folds a time-ordered program window — the output of Window, or
-// of Repair — into its Summary under a head/tail trim of frac. start and end
+// a repaired grid — into its Summary under a head/tail trim of frac. start and end
 // are the window's edges for the energy integral; the samples are taken as
 // given, not filtered by them.
 func Summarize(window []Sample, start, end, frac float64) Summary {

@@ -6,16 +6,16 @@ import (
 	"powerbench/internal/stats"
 )
 
-// This file is the trace-hardening half of the meter: Repair rebuilds a
+// This file is the trace-hardening half of the meter: a repair rebuilds a
 // clean uniform trace from one carrying the artifacts real acquisition
 // chains produce — drop non-finite readings, collapse duplicated
 // timestamps, clip spikes against a median/MAD band, and close sampling
 // gaps by linear interpolation onto the expected grid. The analysis
-// pipeline applies Repair per program window of a hardened run, before the
-// paper's trim-10%-and-average step, so corrupted sessions degrade
-// gracefully instead of poisoning the tables.
+// pipeline repairs each program window of a hardened run (RepairSummary),
+// before the paper's trim-10%-and-average step, so corrupted sessions
+// degrade gracefully instead of poisoning the tables.
 
-// RepairOpts configures Repair.
+// RepairOpts configures a repair.
 type RepairOpts struct {
 	// Start and End bound the expected coverage window. When both are zero
 	// the span of the surviving samples is used.
@@ -50,32 +50,19 @@ func (r RepairReport) Total() int {
 	return r.Invalid + r.Duplicates + r.SpikesClipped + r.GapSamplesFilled
 }
 
-// Repair rebuilds a damaged trace onto its expected uniform grid and
-// reports what it fixed. The input must be time-ordered (as Merge and
-// Window produce); it is not modified. An empty input repairs to nil.
+// RepairSummary rebuilds a damaged window onto its expected uniform grid
+// and returns Summarize over that grid, opts.Start to opts.End under a
+// head/tail trim of frac, with a report of what it fixed. The input must be
+// time-ordered (as Merge and Window produce).
 //
-// Repair is NOT applied on the clean path: the evaluation pipeline invokes
-// it only on hardened runs (an active fault profile), so pristine runs
-// remain byte-identical to the unhardened pipeline.
+// It allocates one scratch buffer and takes ownership of log: the clean
+// pass compacts the surviving samples into log's own array (the write
+// index never passes the read index), and the repaired grid is folded as
+// it is walked, never stored. The caller must not read log afterwards.
 //
-// A repair runs in linear time and allocates three buffers: the clean copy,
-// one float64 scratch buffer that holds first the readings for the median
-// and then their absolute deviations for the MAD, and the grid output.
-// Training reads the grid; a caller that only summarizes the repaired
-// window uses RepairSummary, which keeps neither the copy nor the grid.
-func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
-	clean, start, end, rep := opts.clean(make([]Sample, 0, len(log)), log)
-	out := resample(clean, start, end, opts.interval())
-	rep.GapSamplesFilled = filled(len(out), len(clean))
-	return out, rep
-}
-
-// RepairSummary returns Summarize(Repair(log, opts), opts.Start, opts.End,
-// frac) and Repair's report, bit for bit, from one scratch allocation. It
-// takes ownership of log: the clean pass compacts the surviving samples
-// into log's own array (the write index never passes the read index), and
-// the repaired grid is folded as it is walked, never stored. The caller
-// must not read log afterwards.
+// A repair is NOT applied on the clean path: the evaluation pipeline
+// invokes it only on hardened runs (an active fault profile), so pristine
+// runs remain byte-identical to the unhardened pipeline.
 func RepairSummary(log []Sample, opts RepairOpts, frac float64) (Summary, RepairReport) {
 	clean, start, end, rep := opts.clean(log[:0], log)
 	interval := opts.interval()

@@ -1,26 +1,14 @@
 package meter
 
-// resample reconstructs a uniformly spaced log from one with gaps (sample
-// dropout) or jitter: for each grid point t = start + k·interval it
-// linearly interpolates between the nearest surrounding samples. Points
-// outside the source log's span take the nearest edge value. The input
-// must be time-ordered (as Merge produces).
-//
-// The grid is counted first (gridLen) with the same t += interval steps
-// that then stamp it (walkGrid), so the output is allocated once at its
-// exact length.
-func resample(log []Sample, start, end, interval float64) []Sample {
-	n := gridLen(log, start, end, interval)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Sample, 0, n)
-	walkGrid(log, start, interval, n, func(s Sample) { out = append(out, s) })
-	return out
-}
+// A repair rebuilds a window onto a uniform grid: for each grid point
+// t = start + k·interval it linearly interpolates between the nearest
+// surrounding samples, and points outside the source log's span take the
+// nearest edge value. The grid is counted first (gridLen) with the same
+// t += interval steps that then walk it (walkGrid), so the fold it feeds
+// is sized once.
 
 // gridLen counts the points of the grid start, start+interval, … up to
-// end that resample rebuilds log onto: 0 for an empty log or a degenerate
+// end that a repair rebuilds log onto: 0 for an empty log or a degenerate
 // grid.
 func gridLen(log []Sample, start, end, interval float64) int {
 	if len(log) == 0 || interval <= 0 || end < start {

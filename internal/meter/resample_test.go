@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// resample rebuilds log onto the grid start, start+interval, … up to end
+// the way a repair walks it (gridLen, then walkGrid), and stores the grid.
+func resample(log []Sample, start, end, interval float64) []Sample {
+	n := gridLen(log, start, end, interval)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Sample, 0, n)
+	walkGrid(log, start, interval, n, func(s Sample) { out = append(out, s) })
+	return out
+}
+
 func TestResampleFillsGaps(t *testing.T) {
 	// Samples at 0, 1, 4 (a 3-second gap), linear power ramp.
 	log := []Sample{{0, 100}, {1, 110}, {4, 140}}

@@ -128,3 +128,12 @@ func (o *Obs) Debugf(format string, args ...any) {
 		o.Log.Debugf(format, args...)
 	}
 }
+
+// Wants reports whether Infof or Debugf at level would take an event at
+// all: the check they make before formatting. A call site that boxes
+// numbers into the arguments asks first, so a line nothing retains or
+// writes costs no allocation. A nil o, or one without a logger, wants
+// nothing.
+func (o *Obs) Wants(level Level) bool {
+	return o != nil && o.Log.wants(level)
+}

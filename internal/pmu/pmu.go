@@ -218,42 +218,126 @@ func (s *Sampler) Clone(seed float64) *Sampler {
 	return &c
 }
 
-func (s *Sampler) jitter() float64 {
-	if s.JitterFrac == 0 || s.stream == nil {
-		return 1
-	}
-	return s.noise(s.stream.Next())
-}
-
 // noise maps a uniform draw u to a noise factor: uniform noise with the
 // requested standard deviation, width √12·σ. The draw 0.5 maps to exactly 1.
-func (s *Sampler) noise(u float64) float64 {
-	return 1 + (u-0.5)*3.4641*s.JitterFrac
+// The float64() rounds the product, so the compiler may not fuse it into
+// the add (FMA).
+func noise(u, jitterFrac float64) float64 {
+	return 1 + float64((u-0.5)*3.4641*jitterFrac)
 }
 
-// Collect samples the run of m on spec over its full duration. The final
-// partial window, if any, is dropped — matching loggers that report only
-// complete intervals.
+// Windows generates a run's counter windows a block at a time, so a
+// caller can fold each window as it is drawn instead of storing the run.
+// Collect and CollectTotals both drain one.
+type Windows struct {
+	// N is the number of complete windows; the final partial window, if
+	// any, is dropped — matching loggers that report only complete
+	// intervals.
+	N int
+	// Interval is the window length in seconds.
+	Interval float64
+
+	drawn int
+	cores float64
+	// perWindow holds each wide counter's rate × Interval, in Features
+	// order: the left operand of every window's product.
+	perWindow [5]float64
+	// jitter and stream are the sampler's JitterFrac and jitter stream,
+	// or 0 and nil when it draws no jitter: noise is then exactly 1,
+	// whatever the draw buffer holds.
+	jitter float64
+	stream *rng.Stream
+}
+
+// WindowBlock is the number of windows a caller's Fill buffer usually
+// holds: Fill draws a block's jitter in one call.
+const WindowBlock = 16
+
+// Windows returns the generator of a durationSec-second run at the given
+// per-second rates (Rates). Its windows draw from s's jitter stream, so a
+// sampler serves one generator at a time.
+func (s *Sampler) Windows(rates Features, durationSec float64) Windows {
+	iv := s.interval()
+	w := Windows{
+		N: int(durationSec / iv), Interval: iv, cores: rates.WorkingCores,
+		perWindow: [5]float64{
+			rates.Instructions * iv, rates.L2Hits * iv, rates.L3Hits * iv,
+			rates.MemReads * iv, rates.MemWrites * iv,
+		},
+	}
+	if s.JitterFrac != 0 && s.stream != nil {
+		w.jitter, w.stream = s.JitterFrac, s.stream
+	}
+	return w
+}
+
+// Fill draws the next windows into dst, as many as dst holds and the run
+// has left, and returns them; it returns an empty slice once all N are
+// drawn. Each window takes five jitter draws, one per wide counter in
+// Features order, and each float64() rounds its product as a stored field
+// would, so the compiler may not fuse it into a caller's sum (FMA). Fill
+// keeps no reference to dst, so a caller's buffer can live on its stack.
+func (w *Windows) Fill(dst []Features) []Features {
+	if left := w.N - w.drawn; len(dst) > left {
+		dst = dst[:max(left, 0)]
+	}
+	// Locals, not fields: stores into dst would otherwise make the
+	// compiler reload them on every window.
+	pw, jitter := w.perWindow, w.jitter
+	u := [5 * WindowBlock]float64{}
+	for lo := 0; lo < len(dst); lo += WindowBlock {
+		blk := dst[lo:min(lo+WindowBlock, len(dst))]
+		if w.stream != nil {
+			w.stream.NextN(u[:5*len(blk)])
+		}
+		for k := range blk {
+			u := (*[5]float64)(u[5*k:])
+			c := &blk[k]
+			c.WorkingCores = w.cores
+			c.Instructions = float64(pw[0] * noise(u[0], jitter))
+			c.L2Hits = float64(pw[1] * noise(u[1], jitter))
+			c.L3Hits = float64(pw[2] * noise(u[2], jitter))
+			c.MemReads = float64(pw[3] * noise(u[3], jitter))
+			c.MemWrites = float64(pw[4] * noise(u[4], jitter))
+		}
+	}
+	w.drawn += len(dst)
+	return dst
+}
+
+// Samples draws every window and returns them, timed from 0.
+func (w *Windows) Samples() []Sample {
+	out := make([]Sample, 0, w.N)
+	var buf [WindowBlock]Features
+	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
+		for _, c := range ws {
+			out = append(out, Sample{T: float64(len(out)) * w.Interval, Interval: w.Interval, Counts: c})
+		}
+	}
+	return out
+}
+
+// Sum draws every window and returns their sum, storing none:
+// Sum(w.Samples()) bit for bit.
+func (w *Windows) Sum() Totals {
+	t := Totals{Windows: w.N}
+	var buf [WindowBlock]Features
+	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
+		for _, c := range ws {
+			t.Add(c)
+		}
+	}
+	return t
+}
+
+// Collect samples the run of m on spec over its full duration.
 func (s *Sampler) Collect(spec *server.Spec, m workload.Model) ([]Sample, error) {
 	rates, err := Rates(spec, m)
 	if err != nil {
 		return nil, err
 	}
-	iv := s.interval()
-	n := int(m.DurationSec / iv)
-	out := make([]Sample, 0, n)
-	for i := 0; i < n; i++ {
-		c := Features{
-			WorkingCores: rates.WorkingCores,
-			Instructions: rates.Instructions * iv * s.jitter(),
-			L2Hits:       rates.L2Hits * iv * s.jitter(),
-			L3Hits:       rates.L3Hits * iv * s.jitter(),
-			MemReads:     rates.MemReads * iv * s.jitter(),
-			MemWrites:    rates.MemWrites * iv * s.jitter(),
-		}
-		out = append(out, Sample{T: float64(i) * iv, Interval: iv, Counts: c})
-	}
-	return out, nil
+	w := s.Windows(rates, m.DurationSec)
+	return w.Samples(), nil
 }
 
 // Totals is the sum of a run's counter windows.
@@ -266,45 +350,34 @@ type Totals struct {
 	MemWrites    float64
 }
 
+// Add adds one window's counts to the sums; it does not count the window.
+func (t *Totals) Add(c Features) {
+	t.Instructions += c.Instructions
+	t.L2Hits += c.L2Hits
+	t.L3Hits += c.L3Hits
+	t.MemReads += c.MemReads
+	t.MemWrites += c.MemWrites
+}
+
 // Sum totals samples in order.
 func Sum(samples []Sample) Totals {
 	t := Totals{Windows: len(samples)}
 	for _, s := range samples {
-		t.Instructions += s.Counts.Instructions
-		t.L2Hits += s.Counts.L2Hits
-		t.L3Hits += s.Counts.L3Hits
-		t.MemReads += s.Counts.MemReads
-		t.MemWrites += s.Counts.MemWrites
+		t.Add(s.Counts)
 	}
 	return t
 }
 
 // CollectTotals is Sum(Collect(spec, m)) without storing the windows: it
-// draws the same jitter in the same order and adds the same products, so
+// draws the same windows in the same order and adds them in that order, so
 // the sums are bit-identical.
 func (s *Sampler) CollectTotals(spec *server.Spec, m workload.Model) (Totals, error) {
 	rates, err := Rates(spec, m)
 	if err != nil {
 		return Totals{}, err
 	}
-	iv := s.interval()
-	t := Totals{Windows: int(m.DurationSec / iv)}
-	u := [5]float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	for i := 0; i < t.Windows; i++ {
-		// A window's five draws at once, in Collect's counter order: one
-		// call instead of five through jitter.
-		if s.JitterFrac != 0 && s.stream != nil {
-			s.stream.NextN(u[:])
-		}
-		// Each float64() rounds its product as Collect's stores do, so the
-		// compiler may not fuse it into the add (FMA).
-		t.Instructions += float64(rates.Instructions * iv * s.noise(u[0]))
-		t.L2Hits += float64(rates.L2Hits * iv * s.noise(u[1]))
-		t.L3Hits += float64(rates.L3Hits * iv * s.noise(u[2]))
-		t.MemReads += float64(rates.MemReads * iv * s.noise(u[3]))
-		t.MemWrites += float64(rates.MemWrites * iv * s.noise(u[4]))
-	}
-	return t, nil
+	w := s.Windows(rates, m.DurationSec)
+	return w.Sum(), nil
 }
 
 // interval is the sampling window in seconds, 10 s when unset.

@@ -260,9 +260,40 @@ func TestWorkingSetScalesWithClassFootprint(t *testing.T) {
 	}
 }
 
-// TestCollectTotalsMatchesSum: CollectTotals is Sum(Collect) bit for bit,
-// on the fast and the reference LCG, with and without jitter, and leaves
-// the jitter stream where Collect does.
+// refCollect is Collect as it was before the window generator: one draw
+// per counter through Stream.Next, in field order, each product stored into
+// its field.
+func refCollect(s *Sampler, spec *server.Spec, m workload.Model) ([]Sample, error) {
+	rates, err := Rates(spec, m)
+	if err != nil {
+		return nil, err
+	}
+	jitter := func() float64 {
+		if s.JitterFrac == 0 || s.stream == nil {
+			return 1
+		}
+		return 1 + (s.stream.Next()-0.5)*3.4641*s.JitterFrac
+	}
+	iv := s.interval()
+	n := int(m.DurationSec / iv)
+	out := make([]Sample, 0, n)
+	for i := 0; i < n; i++ {
+		c := Features{
+			WorkingCores: rates.WorkingCores,
+			Instructions: rates.Instructions * iv * jitter(),
+			L2Hits:       rates.L2Hits * iv * jitter(),
+			L3Hits:       rates.L3Hits * iv * jitter(),
+			MemReads:     rates.MemReads * iv * jitter(),
+			MemWrites:    rates.MemWrites * iv * jitter(),
+		}
+		out = append(out, Sample{T: float64(i) * iv, Interval: iv, Counts: c})
+	}
+	return out, nil
+}
+
+// TestCollectTotalsMatchesSum: Collect is refCollect, and CollectTotals is
+// Sum(refCollect), bit for bit, on the fast and the reference LCG, with and
+// without jitter; both leave the jitter stream where refCollect does.
 func TestCollectTotalsMatchesSum(t *testing.T) {
 	spec := server.XeonE5462()
 	for _, fast := range []bool{true, false} {
@@ -271,21 +302,34 @@ func TestCollectTotalsMatchesSum(t *testing.T) {
 			for _, dur := range []float64{9, 10, 95, 12345} {
 				m := model("ep", 2, workload.CharEP, 1<<30)
 				m.DurationSec = dur
-				a, b := NewSampler(7), NewSampler(7)
-				a.JitterFrac, b.JitterFrac = jitter, jitter
+				ref, a, b := NewSampler(7), NewSampler(7), NewSampler(7)
+				ref.JitterFrac, a.JitterFrac, b.JitterFrac = jitter, jitter, jitter
+				want, err := refCollect(ref, spec, m)
+				if err != nil {
+					t.Fatal(err)
+				}
 				samples, err := a.Collect(spec, m)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if len(samples) != len(want) {
+					t.Fatalf("fast=%v jitter=%v dur=%v: Collect gave %d windows, refCollect %d", fast, jitter, dur, len(samples), len(want))
+				}
+				for i := range want {
+					if samples[i] != want[i] {
+						t.Fatalf("fast=%v jitter=%v dur=%v: window %d = %+v, refCollect %+v", fast, jitter, dur, i, samples[i], want[i])
+					}
 				}
 				got, err := b.CollectTotals(spec, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := Sum(samples); got != want || got.Windows != int(dur/10) {
-					t.Errorf("fast=%v jitter=%v dur=%v: CollectTotals %+v, Sum(Collect) %+v", fast, jitter, dur, got, want)
+				if wantSum := Sum(want); got != wantSum || got.Windows != int(dur/10) {
+					t.Errorf("fast=%v jitter=%v dur=%v: CollectTotals %+v, Sum(refCollect) %+v", fast, jitter, dur, got, wantSum)
 				}
-				if na, nb := a.stream.Next(), b.stream.Next(); na != nb {
-					t.Errorf("fast=%v jitter=%v dur=%v: streams diverged: %v vs %v", fast, jitter, dur, na, nb)
+				nr := ref.stream.Next()
+				if na, nb := a.stream.Next(), b.stream.Next(); na != nr || nb != nr {
+					t.Errorf("fast=%v jitter=%v dur=%v: streams diverged: %v, %v vs %v", fast, jitter, dur, na, nb, nr)
 				}
 			}
 		}

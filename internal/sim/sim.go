@@ -17,7 +17,10 @@
 //
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
-// records no counters and skips the cache profiler that drives them.
+// records no counters and skips the cache profiler that drives them. Its
+// windows, too, are kept only where something reads them: a fault injector
+// wraps each window as the sampler draws it, and the run keeps only the
+// sums.
 package sim
 
 import (
@@ -45,8 +48,8 @@ type Engine struct {
 	// streams.
 	PMU *pmu.Sampler
 	// PMUTotalsOnly keeps each run's PMUTotals but not its PMUSamples, for
-	// callers that read only the sums. Fault's PMU corruption wraps single
-	// windows, so an engine that keeps totals only gets none.
+	// callers that read only the sums. An engine with a Fault injector
+	// keeps totals only whatever PMUTotalsOnly says.
 	PMUTotalsOnly bool
 	// FoldTrim, when positive, folds each run's meter readings into its
 	// Power summary as the meter takes them, trimming that fraction at each
@@ -71,9 +74,10 @@ type Engine struct {
 
 	// Fault optionally corrupts the run's observables (meter trace, PMU
 	// windows, run execution), for chaos testing: each meter reading as it
-	// is taken, the PMU windows after collection. Fork reseeds it by run
-	// identity like the meter and PMU streams. Nil — the default — leaves
-	// every byte of the clean pipeline untouched.
+	// is taken, and each PMU window as the sampler draws it, folded into
+	// the run's PMUTotals and not stored. Fork reseeds it by run identity
+	// like the meter and PMU streams. Nil — the default — leaves every byte
+	// of the clean pipeline untouched.
 	Fault *fault.Injector
 	// Retry is the per-run attempt budget RunPlan hands the scheduler. The
 	// zero value is a single attempt.
@@ -134,7 +138,7 @@ type RunResult struct {
 	// PowerLog is nil.
 	Power meter.Summary
 	// PMUSamples are the counter windows of the run; nil when the engine
-	// has no PMU sampler or keeps totals only.
+	// has no PMU sampler, keeps totals only, or has a Fault injector.
 	PMUSamples []pmu.Sample
 	// PMUTotals sums the counter windows, as Fault left them; zero when the
 	// engine has no PMU sampler.
@@ -240,14 +244,22 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	if e.PMU != nil {
 		pmuSpan := sp.Child("pmu collect")
 		var err error
-		if e.PMUTotalsOnly {
-			totals, err = e.PMU.CollectTotals(e.Server, m)
-		} else if samples, err = e.PMU.Collect(e.Server, m); err == nil {
-			for i := range samples {
-				samples[i].T += start
+		switch {
+		case e.Fault != nil:
+			var rates pmu.Features
+			if rates, err = pmu.Rates(e.Server, m); err == nil {
+				gen, wrap := e.PMU.Windows(rates, m.DurationSec), e.Fault.PMUWrapper()
+				totals = wrappedTotals(&gen, &wrap)
 			}
-			samples = e.Fault.CorruptPMU(samples)
-			totals = pmu.Sum(samples)
+		case e.PMUTotalsOnly:
+			totals, err = e.PMU.CollectTotals(e.Server, m)
+		default:
+			if samples, err = e.PMU.Collect(e.Server, m); err == nil {
+				for i := range samples {
+					samples[i].T += start
+				}
+				totals = pmu.Sum(samples)
+			}
 		}
 		if err != nil {
 			pmuSpan.Str("error", err.Error()).End()
@@ -272,6 +284,23 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		RampSec:     ramp,
 		SteadyWatts: steady,
 	}, nil
+}
+
+// wrappedTotals draws gen's windows, has wrap wrap each as it is drawn,
+// and sums them: pmu.Sum of CorruptPMU over the stored windows, bit for
+// bit, with no window stored. The windows stay in a buffer on this stack,
+// handed to concrete methods; passing each on through a func value or an
+// interface would move every window to the heap.
+func wrappedTotals(gen *pmu.Windows, wrap *fault.PMUWrapper) pmu.Totals {
+	t := pmu.Totals{Windows: gen.N}
+	var buf [pmu.WindowBlock]pmu.Features
+	for ws := gen.Fill(buf[:]); len(ws) > 0; ws = gen.Fill(buf[:]) {
+		for i := range ws {
+			wrap.Wrap(&ws[i])
+			t.Add(ws[i])
+		}
+	}
+	return t
 }
 
 // RunSequence executes the models back to back with idle gaps between them,

@@ -366,3 +366,42 @@ func TestFaultedRunCorruptsAsTheMeterSamples(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultedRunFoldsPMUWindows: a faulted run keeps no PMU windows, and
+// its totals equal pmu.Sum(CorruptPMU(...)) over the windows a pristine
+// twin keeps, bit for bit, with the same wrapped-window count. The knob
+// PMUTotalsOnly makes no difference to a faulted engine.
+func TestFaultedRunFoldsPMUWindows(t *testing.T) {
+	spec := server.Xeon4870()
+	m := epModel(40, 600)
+	for _, prof := range []*fault.Profile{{Name: "wrap", Wrap: 0.5}, fault.Heavy()} {
+		for _, totalsOnly := range []bool{false, true} {
+			runLed, refLed := fault.NewLedger(), fault.NewLedger()
+			faulted := New(spec, 9)
+			faulted.PMUTotalsOnly = totalsOnly
+			faulted.Fault = fault.New(prof, 3, runLed)
+			got, err := faulted.Run(m, 12.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := New(spec, 9).Run(m, 12.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pmu.Sum(fault.New(prof, 3, refLed).CorruptPMU(rec.PMUSamples))
+			if got.PMUSamples != nil {
+				t.Errorf("%s: faulted run kept %d PMU windows", prof.Name, len(got.PMUSamples))
+			}
+			if got.PMUTotals != want || want.Windows != 60 {
+				t.Errorf("%s: faulted run totals %+v, Sum(CorruptPMU(Collect)) %+v", prof.Name, got.PMUTotals, want)
+			}
+			wrapped := refLed.Count(fault.KindWrapped)
+			if n := runLed.Count(fault.KindWrapped); n != wrapped {
+				t.Errorf("%s: faulted run wrapped %d windows, CorruptPMU %d", prof.Name, n, wrapped)
+			}
+			if prof.Name == "wrap" && wrapped == 0 {
+				t.Errorf("%s: no window wrapped", prof.Name)
+			}
+		}
+	}
+}
