@@ -106,52 +106,77 @@ func TestEvaluateFoldsMeterSamples(t *testing.T) {
 }
 
 // maxHardenedBytesPerMeterSample bounds the same ratio for hardened
-// evaluations. A hardened window takes two buffers: the log the meter
-// records through the fault injector (16 B per sample) and the repair's
-// float64 scratch for the median and the MAD (8 B); the repair compacts
-// the window in place and folds its grid. No PMU window is stored: the
-// run wraps each as the sampler draws it and keeps only the sums. A clean
-// copy of the window, a stored repaired grid or the run's stored PMU
-// windows (about 6 B per meter sample) fails here.
-const maxHardenedBytesPerMeterSample = 27
+// evaluations. A hardened window takes one buffer: the step log the meter
+// records through the fault injector, a step index and a reading per
+// entry (12 B per sample). The run repairs the window in place, selects
+// its median and MAD band where the readings lie, folds its grid and
+// keeps no log. No PMU window is stored: the run wraps each as the
+// sampler draws it and keeps only the sums. A timestamped log (16 B per
+// sample), a median scratch buffer (8 B), a clean copy of the window, a
+// stored repaired grid or the run's stored PMU windows (about 6 B per
+// meter sample) fails here.
+const maxHardenedBytesPerMeterSample = 14
+
+// checkHardenedBytesPerMeterSample runs method (an evaluation or a
+// Green500 run of the Xeon-4870) once to register every metric and warm
+// the profile memos, then three times measured, and fails if they
+// allocate more than maxHardenedBytesPerMeterSample bytes per
+// sim_meter_samples_total sample, measured as the runtime.MemStats
+// TotalAlloc delta. Not parallel, for the reason
+// TestEvaluateBytesPerMeterSample gives.
+func checkHardenedBytesPerMeterSample(t *testing.T, prof *fault.Profile, method func(context.Context, *server.Spec, float64, EvalOptions) error) {
+	spec := server.Xeon4870()
+	o := &obs.Obs{Metrics: obs.NewRegistry()}
+	run := func() {
+		if err := method(context.Background(), spec, 1, EvalOptions{Obs: o, Fault: prof}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs = 3
+	samples := o.Counter("sim_meter_samples_total")
+	before := samples.Value()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	n := samples.Value() - before
+	if n <= 0 {
+		t.Fatal("runs recorded no meter samples")
+	}
+	perSample := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
+	t.Logf("%.1f B per meter sample (%d samples over %d runs)", perSample, n, runs)
+	if perSample > maxHardenedBytesPerMeterSample {
+		t.Errorf("hardened run allocates %.1f B per meter sample, want ≤ %d",
+			perSample, maxHardenedBytesPerMeterSample)
+	}
+}
 
 // TestHardenedEvaluateBytesPerMeterSample: a Xeon-4870 evaluation under
 // the light and the heavy fault profile, with a metrics-only Obs,
-// allocates at most maxHardenedBytesPerMeterSample bytes per
-// sim_meter_samples_total sample. Not parallel, for the reason
-// TestEvaluateBytesPerMeterSample gives.
+// allocates at most maxHardenedBytesPerMeterSample bytes per meter sample.
 func TestHardenedEvaluateBytesPerMeterSample(t *testing.T) {
 	for _, prof := range []*fault.Profile{fault.Light(), fault.Heavy()} {
 		t.Run(prof.Name, func(t *testing.T) {
-			spec := server.Xeon4870()
-			o := &obs.Obs{Metrics: obs.NewRegistry()}
-			evaluate := func() {
-				if _, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{Obs: o, Fault: prof}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The first evaluation registers every metric and warms the
-			// profile memos; measure the ones after.
-			evaluate()
-			const runs = 3
-			samples := o.Counter("sim_meter_samples_total")
-			before := samples.Value()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < runs; i++ {
-				evaluate()
-			}
-			runtime.ReadMemStats(&m1)
-			n := samples.Value() - before
-			if n <= 0 {
-				t.Fatal("evaluations recorded no meter samples")
-			}
-			perSample := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n)
-			t.Logf("%.1f B per meter sample (%d samples over %d evaluations)", perSample, n, runs)
-			if perSample > maxHardenedBytesPerMeterSample {
-				t.Errorf("hardened evaluation allocates %.1f B per meter sample, want ≤ %d",
-					perSample, maxHardenedBytesPerMeterSample)
-			}
+			checkHardenedBytesPerMeterSample(t, prof, func(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) error {
+				_, err := EvaluateCtx(ctx, spec, seed, opts)
+				return err
+			})
+		})
+	}
+}
+
+// TestHardenedGreen500BytesPerMeterSample: the same bound for the
+// Green500 run, whose one window is the whole Rmax run.
+func TestHardenedGreen500BytesPerMeterSample(t *testing.T) {
+	for _, prof := range []*fault.Profile{fault.Light(), fault.Heavy()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			checkHardenedBytesPerMeterSample(t, prof, func(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) error {
+				_, err := Green500Ctx(ctx, spec, seed, opts)
+				return err
+			})
 		})
 	}
 }

@@ -71,22 +71,6 @@ func AveragePower(log []meter.Sample, start, end float64) float64 {
 	return meter.Summarize(meter.Window(log, start, end), start, end, TrimFrac).MeanWatts
 }
 
-// analyzeRun returns the summary of run r's [Start, End] window under the
-// paper's trim, and the repairs it took. A pristine run's engine folded
-// the summary into r.Power while the meter sampled (arm); a hardened run's
-// window is cut from r.PowerLog, repaired and summarized in one pass that
-// compacts the window in place and folds the repaired grid
-// (meter.RepairSummary). The hardened branch therefore consumes
-// r.PowerLog: the caller must not read it afterwards.
-func analyzeRun(r sim.RunResult, hardened bool, intervalSec float64) (meter.Summary, meter.RepairReport) {
-	if !hardened {
-		return r.Power, meter.RepairReport{}
-	}
-	return meter.RepairSummary(meter.Window(r.PowerLog, r.Start, r.End), meter.RepairOpts{
-		Start: r.Start, End: r.End, IntervalSec: intervalSec,
-	}, TrimFrac)
-}
-
 // AverageMemory applies the same trim/average to 1 s memory samples.
 func AverageMemory(samples []float64) float64 {
 	return stats.TrimmedMean(samples, TrimFrac)
@@ -167,21 +151,21 @@ func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 // pool's workers, each on an engine forked by state identity, and each
 // state is analyzed in canonical order over its own run's window — the
 // samples a window over the merged session log would hold (sim.RunPlan).
-// A pristine run keeps no meter log: it folds its window's summary (the
-// trimmed mean, and for a flight record the energy integral and extrema)
-// while the meter samples. A hardened run keeps the log the fault
-// injector writes as the meter samples, and the analysis repairs its
-// window in place and folds the repaired grid (analyzeRun). The
-// evaluation is byte-identical at every worker count (a nil pool runs
-// sequentially). A cancelled ctx stops the
-// dispatch of pending states; runs already executing finish, since the
-// simulation kernels have no preemption points.
+// No run keeps a meter log: each folds its window's summary (the trimmed
+// mean, and for a flight record the energy integral and extrema) into
+// r.Power, a pristine run while the meter samples, and a hardened run
+// after repairing the step log the fault injector writes as the meter
+// samples, with the repairs in r.Repair (arm). The evaluation is
+// byte-identical at every worker count (a nil pool runs sequentially). A
+// cancelled ctx stops the dispatch of pending states; runs already
+// executing finish, since the simulation kernels have no preemption
+// points.
 //
 // With an inactive fault profile the run is pristine: one attempt per
 // state, no trace repair, and the first failed state fails the evaluation.
 // An active profile hardens the same pipeline (DESIGN.md §8):
 // identity-seeded fault injection, a bounded retry budget per state, a
-// meter.RepairSummary pass per window, and graceful degradation — failed
+// repair pass per window inside each run, and graceful degradation — failed
 // states leave the table and are recorded on Quality, and the evaluation
 // fails only when every state fails.
 func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
@@ -225,7 +209,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	results, reports := engine.RunPlan(ctx, models, 30, p)
 	opts.Ledger.AddAll(runLedger)
 
-	ev := &Evaluation{Server: spec.Name}
+	ev := &Evaluation{Server: spec.Name, Rows: make([]Row, 0, len(models))}
 	for i, rep := range reports {
 		// A pristine run fails fast on its first failed state.
 		if rep.Err != nil && !hardened {
@@ -243,7 +227,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			continue
 		}
 		state := analysis.ChildJoin("state ", r.Model.Name).SetVirtual(r.Start, r.End)
-		power, rep := analyzeRun(r, hardened, engine.Meter.IntervalSec)
+		power, rep := r.Power, r.Repair
 		if hardened {
 			// The repair span exists for every state of a hardened run, even
 			// with zero actions: the trace shows the pass happened.
@@ -389,9 +373,9 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	}
 	res := &Green500Result{Server: spec.Name, Rmax: m.GFLOPS}
 	res.Quality.addReport("green500", reports[0])
-	power, rep := analyzeRun(run, hardened, engine.Meter.IntervalSec)
+	power := run.Power
 	if hardened {
-		res.Quality.addRepair(rep)
+		res.Quality.addRepair(run.Repair)
 	}
 	res.AvgWatts = power.MeanWatts
 	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)

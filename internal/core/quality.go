@@ -20,8 +20,9 @@ import (
 // This file is the graceful-degradation layer of the evaluation pipeline
 // (DESIGN.md §8). EvaluateCtx, Green500Ctx and CompareCtx each run one
 // body; an active fault profile arms it — identity-seeded fault injection,
-// a bounded retry budget per run, a meter.RepairSummary pass per program
-// window, and partial results that report failed states — and the Quality
+// a bounded retry budget per run, a repair pass over each run's program
+// window (meter.Meter.RepairWindow, inside the run), and partial results
+// that report failed states — and the Quality
 // annotations defined here carry the outcome into the tables. An inactive
 // profile arms nothing, so pristine runs stay byte-identical.
 
@@ -58,16 +59,18 @@ var hardenedRetry = sched.Retry{Attempts: 3, Backoff: time.Millisecond}
 // a recorder is the sole reader, and otherwise drops the sampler and with
 // it the cache profiler.
 //
-// An active profile also hardens the engine: an injector seeded by (seed,
-// server, stream) that counts into a private per-run ledger, and the retry
-// budget. The ledger's counts are a pure function of the run's identity, so
-// flight records stay deterministic; callers merge it into o.Ledger. An
-// inactive profile leaves the engine pristine and returns nil: its runs
-// fold each window's summary as the meter samples (FoldTrim) and skip the
+// Every engine folds each run's window summary under the paper's trim
+// (FoldTrim) and keeps no meter log. An active profile also hardens the
+// engine: an injector seeded by (seed, server, stream) that counts into a
+// private per-run ledger, whose runs repair their window before they fold
+// it, and the retry budget. The ledger's counts are a pure function of the
+// run's identity, so flight records stay deterministic; callers merge it
+// into o.Ledger. An inactive profile leaves the engine pristine and
+// returns nil: its runs fold each window as the meter samples and skip the
 // repair pass, which would also clip the ramp transients of clean data.
 func (o EvalOptions) arm(engine *sim.Engine, seed float64, stream string) *fault.Ledger {
+	engine.FoldTrim = TrimFrac
 	if !o.Fault.Active() {
-		engine.FoldTrim = TrimFrac
 		if o.Flight == nil {
 			engine.PMU = nil
 		} else {

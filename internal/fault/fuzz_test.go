@@ -58,6 +58,7 @@ func refCorruptTrace(in *Injector, log []meter.Sample) []meter.Sample {
 // FuzzCorruptTrace pins CorruptTrace, and a TraceCorruptor fed one sample
 // at a time as a run's meter feeds it, to refCorruptTrace: the same
 // samples, bit for bit, and the same ledger count for every Kind. The
+// corruptor's step log is read back with each entry's T from log[k].T. The
 // rates range over [0, 1] each, so their sum may pass 1 (an early fate
 // then shadows the later ones), and a trace may be empty.
 func FuzzCorruptTrace(f *testing.F) {
@@ -89,10 +90,14 @@ func FuzzCorruptTrace(f *testing.F) {
 		want := refCorruptTrace(New(p, injSeed, refLed), log)
 		sliced := New(p, injSeed, sliceLed).CorruptTrace(log)
 		c := New(p, injSeed, streamLed).TraceCorruptor(len(log))
-		for _, s := range log {
-			c.Add(s)
+		for k, s := range log {
+			c.Add(k, s)
 		}
-		streamed := c.Trace()
+		steps := c.Trace()
+		streamed := make([]meter.Sample, steps.Len())
+		for i, k := range steps.K {
+			streamed[i] = meter.Sample{T: log[k].T, Watts: steps.W[i]}
+		}
 		for _, got := range []struct {
 			form  string
 			trace []meter.Sample

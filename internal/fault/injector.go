@@ -91,78 +91,95 @@ func (in *Injector) RunFails(attempt int) bool {
 // CorruptTrace applies the profile's per-sample fates and tail truncation
 // to a meter trace, returning the corrupted copy (the input is not
 // modified). A nil injector returns the input unchanged. It is the slice
-// form of TraceCorruptor: a run corrupts each reading as the meter takes
-// it instead, into one buffer.
+// form of TraceCorruptor: each sample's step is its index in log, and each
+// surviving entry takes its T from log[k].T. A run corrupts each reading
+// as the meter takes it instead, into one step log.
 func (in *Injector) CorruptTrace(log []meter.Sample) []meter.Sample {
 	if in == nil || len(log) == 0 {
 		return log
 	}
 	c := in.TraceCorruptor(len(log))
-	for _, smp := range log {
-		c.Add(smp)
+	for k, smp := range log {
+		c.Add(k, smp)
 	}
-	return c.Trace()
+	steps := c.Trace()
+	out := make([]meter.Sample, steps.Len())
+	for i, k := range steps.K {
+		out[i] = meter.Sample{T: log[k].T, Watts: steps.W[i]}
+	}
+	return out
 }
 
 // TraceCorruptor corrupts one meter trace a sample at a time, so a run can
 // feed it from the meter's sampling loop (meter.Meter.Take) and keep only
-// the corrupted trace. Its draws come from the injector's "trace" stream,
-// which no other surface reads, so interleaving them with the meter's own
-// draws changes no value.
+// the corrupted trace, as a step log: each entry's step and reading, and
+// no timestamp, which the step and the meter's grid determine. Its draws
+// come from the injector's "trace" stream, which no other surface reads,
+// so interleaving them with the meter's own draws changes no value.
 type TraceCorruptor struct {
 	in  *Injector
 	s   *rng.Stream
-	out []meter.Sample
+	out meter.Steps
 }
 
 // TraceCorruptor returns a corruptor for one trace of about n samples; its
-// buffer holds n+4 before it grows. The receiver must not be nil.
+// step log holds n+4 entries before it grows. The receiver must not be
+// nil.
 func (in *Injector) TraceCorruptor(n int) TraceCorruptor {
-	return TraceCorruptor{in: in, s: in.stream("trace"), out: make([]meter.Sample, 0, n+4)}
+	out := meter.Steps{K: make([]uint32, 0, n+4), W: make([]float64, 0, n+4)}
+	return TraceCorruptor{in: in, s: in.stream("trace"), out: out}
 }
 
-// Add draws the next sample's fate and appends what survives of it: drop
-// appends nothing, dup appends it twice, and spike, stuck (the previous
-// output's reading), NaN and zero rewrite its reading.
-func (c *TraceCorruptor) Add(smp meter.Sample) {
+// Add draws the fate of the reading the meter took at step k and appends
+// what survives of it: drop appends nothing, dup appends it twice, and
+// spike, stuck (the previous entry's reading), NaN and zero rewrite the
+// reading. The step must fit a uint32.
+func (c *TraceCorruptor) Add(k int, smp meter.Sample) {
 	p, led := c.in.prof, c.in.led
+	w := smp.Watts
 	switch p.fate(c.s.Next()) {
 	case fateDrop:
 		led.add(KindDropped, 1)
 		return
 	case fateDup:
 		led.add(KindDuplicated, 1)
-		c.out = append(c.out, smp, smp)
-		return
+		c.add(k, w)
 	case fateSpike:
 		// A 3-13x excursion: far outside any plausible reading, the way
 		// electrical transients register on a watt meter.
-		smp.Watts *= 3 + 10*c.s.Next()
+		w *= 3 + 10*c.s.Next()
 		led.add(KindSpiked, 1)
 	case fateStuck:
-		if len(c.out) > 0 {
-			smp.Watts = c.out[len(c.out)-1].Watts
+		if n := c.out.Len(); n > 0 {
+			w = c.out.W[n-1]
 		}
 		led.add(KindStuck, 1)
 	case fateNaN:
-		smp.Watts = math.NaN()
+		w = math.NaN()
 		led.add(KindNaN, 1)
 	case fateZero:
-		smp.Watts = 0
+		w = 0
 		led.add(KindZeroed, 1)
 	}
-	c.out = append(c.out, smp)
+	c.add(k, w)
 }
 
-// Trace finishes the trace and returns it, after drawing its tail
-// truncation, which cuts 10–30% of its end (nothing from an empty trace).
-// Call it once, after the last Add.
-func (c *TraceCorruptor) Trace() []meter.Sample {
+// add appends one entry to the step log.
+func (c *TraceCorruptor) add(k int, w float64) {
+	c.out.K = append(c.out.K, uint32(k))
+	c.out.W = append(c.out.W, w)
+}
+
+// Trace finishes the trace and returns its step log, after drawing its
+// tail truncation, which cuts 10–30% of its entries (nothing from an
+// empty trace). Call it once, after the last Add.
+func (c *TraceCorruptor) Trace() meter.Steps {
 	if p := c.in.prof; p.Truncate > 0 && c.s.Next() < p.Truncate {
 		frac := 0.1 + 0.2*c.s.Next()
-		if cut := int(float64(len(c.out)) * frac); cut > 0 {
+		if cut := int(float64(c.out.Len()) * frac); cut > 0 {
 			c.in.led.add(KindTruncated, int64(cut))
-			c.out = c.out[:len(c.out)-cut]
+			keep := c.out.Len() - cut
+			c.out.K, c.out.W = c.out.K[:keep], c.out.W[:keep]
 		}
 	}
 	return c.out

@@ -125,19 +125,21 @@ func integrate(window []Sample, start, end float64) float64 {
 	if len(window) == 1 {
 		return window[0].Watts * (end - start)
 	}
+	// Each product is rounded before it is added, as the fold rounds it:
+	// no architecture may fuse the two.
 	var e float64
 	if window[0].T > start {
-		e += window[0].Watts * (window[0].T - start)
+		e += float64(window[0].Watts * (window[0].T - start))
 	}
 	for i := 1; i < len(window); i++ {
 		dt := window[i].T - window[i-1].T
 		if dt <= 0 {
 			continue
 		}
-		e += 0.5 * (window[i].Watts + window[i-1].Watts) * dt
+		e += float64(0.5 * (window[i].Watts + window[i-1].Watts) * dt)
 	}
 	if last := window[len(window)-1]; last.T < end {
-		e += last.Watts * (end - last.T)
+		e += float64(last.Watts * (end - last.T))
 	}
 	return e
 }
@@ -148,8 +150,9 @@ func integrate(window []Sample, start, end float64) float64 {
 // are equal. The window is damagedWindow's (NaN and ±Inf readings, NaN
 // timestamps, duplicates, jittered T, spikes, zeros, stuck readings,
 // dropped runs and a truncated tail) at length 0–3000, repaired onto
-// [start, end] or, with both zero, onto the survivors' span. The clean
-// pass compacts its input in place, so it gets a copy.
+// [start, end] or, with both zero, onto the survivors' span. The repair
+// reads it as RepairSummary does: a step log whose step k is log[k], with
+// T read from log[k].T.
 func FuzzRepair(f *testing.F) {
 	// seed, n, interval, start, end, jitter, rate, truncate
 	f.Add(int64(1), uint16(0), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0))
@@ -185,10 +188,10 @@ func FuzzRepair(f *testing.F) {
 		opts := RepairOpts{Start: start, End: end, IntervalSec: interval}
 
 		want, wantRep := refRepair(log, opts)
-		buf := append([]Sample(nil), log...)
-		clean, gs, ge, rep := opts.clean(buf[:0], buf)
-		got := resample(clean, gs, ge, opts.interval())
-		rep.GapSamplesFilled = filled(len(got), len(clean))
+		ts := recordedStamps(log)
+		clean, gs, ge, rep := opts.clean(stepsOf(log), ts)
+		got := resample(clean, ts, gs, ge, opts.interval())
+		rep.GapSamplesFilled = filled(len(got), clean.Len())
 		if rep != wantRep {
 			t.Fatalf("report %+v, reference %+v", rep, wantRep)
 		}
@@ -209,7 +212,7 @@ func FuzzRepair(f *testing.F) {
 // Summary field has the same bits and the reports are equal, under each
 // trim fraction. The windows are FuzzRepair's (damagedWindow at length
 // 0–3000, Start == End == 0 included), plus windows whose every reading
-// is NaN. RepairSummary consumes its input, so it gets a copy.
+// is NaN.
 func FuzzFoldRepair(f *testing.F) {
 	// seed, n, interval, start, end, jitter, rate, truncate, allNaN
 	f.Add(int64(1), uint16(0), 1.0, 0.0, 0.0, 0.0, uint8(0), uint8(0), false)
@@ -250,7 +253,7 @@ func FuzzFoldRepair(f *testing.F) {
 		grid, wantRep := refRepair(log, opts)
 		for _, frac := range []float64{0, 0.10, 0.5} {
 			want := Summarize(grid, start, end, frac)
-			got, rep := RepairSummary(append([]Sample(nil), log...), opts, frac)
+			got, rep := RepairSummary(log, opts, frac)
 			if rep != wantRep {
 				t.Fatalf("frac %g: report %+v, reference %+v", frac, rep, wantRep)
 			}

@@ -11,9 +11,11 @@
 // is one forward pass (Summarize: trim, average, energy integral,
 // extrema), so a caller that reads nothing else folds the readings as the
 // meter takes them (RecordSummary) and never stores the log. A hardened
-// run keeps one log, written as the meter hands each reading to the fault
-// injector (Take), and RepairSummary repairs each program window of it in
-// place and folds the repaired grid instead of storing it.
+// run keeps one log, a step log (Steps: the step index and the reading,
+// 12 B an entry, no timestamp), written as the meter hands each reading to
+// the fault injector (Take). RepairWindow repairs the run's window of it
+// in place, recomputing each entry's timestamp from the meter's grid, and
+// folds the repaired grid instead of storing it.
 package meter
 
 import (
@@ -32,6 +34,20 @@ type Sample struct {
 	// Watts is the instantaneous system power reading.
 	Watts float64
 }
+
+// Steps is a meter log kept by step instead of by timestamp: entry i is
+// the reading W[i], taken at step K[i] of the meter's sampling loop
+// (Take). An entry costs 12 B against a Sample's 16, and a reader that
+// knows the loop's grid recomputes each timestamp bit for bit
+// (RepairWindow). Steps never decrease along the log; a step repeats
+// where a reading was duplicated and is missing where one was lost.
+type Steps struct {
+	K []uint32
+	W []float64
+}
+
+// Len returns the number of entries.
+func (s Steps) Len() int { return len(s.W) }
 
 // Meter models a WT210-class instrument.
 type Meter struct {
@@ -114,7 +130,7 @@ func (g *gaussSource) next() float64 {
 // appending each reading to a log of SampleCap(start, end) capacity.
 func (m *Meter) Record(start, end float64, p func(t float64) float64) []Sample {
 	out := make([]Sample, 0, m.SampleCap(start, end))
-	m.Take(start, end, p, func(s Sample) { out = append(out, s) })
+	m.Take(start, end, p, func(_ int, s Sample) { out = append(out, s) })
 	return out
 }
 
@@ -127,16 +143,19 @@ func (m *Meter) SampleCap(start, end float64) int {
 
 // Take is the meter's sampling loop: it samples p(t) from start to end,
 // as Record does, and hands each reading that survives dropout to each, in
-// time order, instead of keeping a log. A consumer that transforms the
-// readings (the fault layer's trace corruptor) keeps one buffer this way,
-// not a recorded log plus its transformed copy.
-func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(Sample)) {
+// time order, with its step k, instead of keeping a log. k counts the
+// loop's iterations, dropped ones included: step k is taken at server
+// time t = min(start, end) with the interval added k times, one addition
+// at a time. A consumer that transforms the readings (the fault layer's
+// trace corruptor) keeps one buffer this way, not a recorded log plus its
+// transformed copy.
+func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(k int, s Sample)) {
 	lo, hi, interval := m.span(start, end)
-	for t := lo; t <= hi+1e-9; t += interval {
+	for t, k := lo, 0; t <= hi+1e-9; t, k = t+interval, k+1 {
 		if m.DropoutFrac > 0 && m.drop != nil && m.drop.Next() < m.DropoutFrac {
 			continue
 		}
-		each(m.read(t, p(t)))
+		each(k, m.read(t, p(t)))
 	}
 }
 
@@ -195,7 +214,7 @@ func (m *Meter) span(start, end float64) (lo, hi, interval float64) {
 // the clamp at zero, and the logging PC's clock skew.
 func (m *Meter) read(t, w float64) Sample {
 	if m.NoiseSD > 0 && m.noise != nil {
-		w += m.noise.next() * m.NoiseSD
+		w += float64(m.noise.next() * m.NoiseSD)
 	}
 	if m.Quantize > 0 {
 		w = math.Round(w/m.Quantize) * m.Quantize
@@ -339,14 +358,14 @@ func (f *fold) add(x Sample) {
 		f.s.EnergyJ = x.Watts * (f.end - f.start)
 	case i == 0:
 		if x.T > f.start {
-			f.s.EnergyJ += x.Watts * (x.T - f.start)
+			f.s.EnergyJ += float64(x.Watts * (x.T - f.start))
 		}
 	default:
 		if dt := x.T - f.prev.T; dt > 0 {
-			f.s.EnergyJ += 0.5 * (x.Watts + f.prev.Watts) * dt
+			f.s.EnergyJ += float64(0.5 * (x.Watts + f.prev.Watts) * dt)
 		}
 		if i == f.n-1 && x.T < f.end {
-			f.s.EnergyJ += x.Watts * (f.end - x.T)
+			f.s.EnergyJ += float64(x.Watts * (f.end - x.T))
 		}
 	}
 	if i == 0 {

@@ -10,10 +10,10 @@ import (
 // clean uniform trace from one carrying the artifacts real acquisition
 // chains produce — drop non-finite readings, collapse duplicated
 // timestamps, clip spikes against a median/MAD band, and close sampling
-// gaps by linear interpolation onto the expected grid. The analysis
-// pipeline repairs each program window of a hardened run (RepairSummary),
-// before the paper's trim-10%-and-average step, so corrupted sessions
-// degrade gracefully instead of poisoning the tables.
+// gaps by linear interpolation onto the expected grid. A hardened run
+// repairs its program window as it finishes (RepairWindow), before the
+// paper's trim-10%-and-average step, so corrupted sessions degrade
+// gracefully instead of poisoning the tables.
 
 // RepairOpts configures a repair.
 type RepairOpts struct {
@@ -53,25 +53,98 @@ func (r RepairReport) Total() int {
 // RepairSummary rebuilds a damaged window onto its expected uniform grid
 // and returns Summarize over that grid, opts.Start to opts.End under a
 // head/tail trim of frac, with a report of what it fixed. The input must be
-// time-ordered (as Merge and Window produce).
+// time-ordered (as Merge and Window produce); it is not modified.
 //
-// It allocates one scratch buffer and takes ownership of log: the clean
-// pass compacts the surviving samples into log's own array (the write
-// index never passes the read index), and the repaired grid is folded as
-// it is walked, never stored. The caller must not read log afterwards.
+// It is the slice form of RepairWindow: the same repair body over a step
+// log whose step k is log[k], with each entry's T read from log[k].T, so
+// any timestamps (jittered, off the grid, NaN) repair as they are. It
+// allocates that step log, 12 B per sample.
 //
 // A repair is NOT applied on the clean path: the evaluation pipeline
 // invokes it only on hardened runs (an active fault profile), so pristine
 // runs remain byte-identical to the unhardened pipeline.
 func RepairSummary(log []Sample, opts RepairOpts, frac float64) (Summary, RepairReport) {
-	clean, start, end, rep := opts.clean(log[:0], log)
+	return opts.repair(stepsOf(log), recordedStamps(log), frac)
+}
+
+// RepairWindow repairs the [start, end] window of log, the step log of a
+// Take(start, end, ...) on m, onto m's grid: it returns what RepairSummary
+// returns for that window stored as Samples, RepairOpts{Start: start, End:
+// end, IntervalSec: m.IntervalSec}, bit for bit. Each entry's T is
+// recomputed as Take computed it, the interval added once per step, plus
+// m's clock skew.
+//
+// It allocates nothing and takes ownership of log: the clean pass
+// compacts the window's surviving entries into log's own arrays (the write
+// index never passes the read index), the median and the MAD band are
+// selected where the readings lie, and the repaired grid is folded as it
+// is walked, never stored. The caller must not read log afterwards.
+func (m *Meter) RepairWindow(log Steps, start, end, frac float64) (Summary, RepairReport) {
+	lo, _, interval := m.span(start, end)
+	ts := stamps{lo: lo, interval: interval, skew: m.ClockSkewSec, from: start, to: end}
+	opts := RepairOpts{Start: start, End: end, IntervalSec: m.IntervalSec}
+	return opts.repair(log, &ts, frac)
+}
+
+// repair is the one body of RepairSummary and RepairWindow: the clean
+// pass, then the grid walk that feeds the fold, each reading the entries'
+// timestamps from ts in step order.
+func (opts RepairOpts) repair(log Steps, ts *stamps, frac float64) (Summary, RepairReport) {
+	ts.rewind()
+	clean, start, end, rep := opts.clean(log, ts)
 	interval := opts.interval()
-	n := gridLen(clean, start, end, interval)
+	n := gridLen(clean.Len(), start, end, interval)
 	f := newFold(opts.Start, opts.End, n, frac)
-	walkGrid(clean, start, interval, n, f.add)
-	rep.GapSamplesFilled = filled(n, len(clean))
+	ts.rewind()
+	walkGrid(clean, ts, start, interval, n, f.add)
+	rep.GapSamplesFilled = filled(n, clean.Len())
 	return f.summary(), rep
 }
+
+// stepsOf returns log as a step log whose step k is log[k].
+func stepsOf(log []Sample) Steps {
+	s := Steps{K: make([]uint32, len(log)), W: make([]float64, len(log))}
+	for i, smp := range log {
+		s.K[i], s.W[i] = uint32(i), smp.Watts
+	}
+	return s
+}
+
+// stamps gives a step log's entries their timestamps and bounds the
+// window a repair reads. For a run's log (recorded nil), step k was taken
+// at server time lo with interval added k times and logged at that plus
+// skew; at recomputes it with the same additions, stepping forward, so it
+// must be asked for non-decreasing steps between rewinds. For a recorded
+// log, step k's timestamp is recorded[k].T.
+type stamps struct {
+	recorded           []Sample
+	lo, interval, skew float64
+	// from and to bound the window: the clean pass skips entries before
+	// from and stops at the first after to.
+	from, to float64
+	// k and t are the last step asked for and its server time.
+	k uint32
+	t float64
+}
+
+// recordedStamps reads timestamps from log and bounds no window.
+func recordedStamps(log []Sample) *stamps {
+	return &stamps{recorded: log, from: math.Inf(-1), to: math.Inf(1)}
+}
+
+// at returns step k's timestamp.
+func (s *stamps) at(k uint32) float64 {
+	if s.recorded != nil {
+		return s.recorded[k].T
+	}
+	for ; s.k < k; s.k++ {
+		s.t += s.interval
+	}
+	return s.t + s.skew
+}
+
+// rewind restarts the steps at 0.
+func (s *stamps) rewind() { s.k, s.t = 0, s.lo }
 
 // interval resolves the expected sampling grid (≤ 0 selects 1 Hz).
 func (opts RepairOpts) interval() float64 {
@@ -81,12 +154,12 @@ func (opts RepairOpts) interval() float64 {
 	return opts.IntervalSec
 }
 
-// clean is the first half of every repair: it appends log's finite,
-// non-duplicate samples to dst, clips spikes among them against the
-// median/MAD band, and returns them with the grid bounds to rebuild them
-// on. dst may share log's array from its start (log[:0]): a sample is
-// read before its slot can be written.
-func (opts RepairOpts) clean(dst, log []Sample) (clean []Sample, start, end float64, rep RepairReport) {
+// clean is the first half of every repair: it compacts the finite,
+// non-duplicate entries of the window ts bounds to the front of log, clips
+// spikes among them against the median/MAD band, and returns them with
+// the grid bounds to rebuild them on. An entry is read before its slot can
+// be written.
+func (opts RepairOpts) clean(log Steps, ts *stamps) (clean Steps, start, end float64, rep RepairReport) {
 	interval := opts.interval()
 	madk := opts.MADK
 	if madk <= 0 {
@@ -97,42 +170,50 @@ func (opts RepairOpts) clean(dst, log []Sample) (clean []Sample, start, end floa
 		minSigma = 0.5
 	}
 
-	// Pass 1: drop non-finite samples and duplicate timestamps.
-	clean = dst
-	for _, s := range log {
-		if !finite(s.T) || !finite(s.Watts) {
+	// Pass 1: cut the window, then drop non-finite readings and duplicate
+	// timestamps.
+	n := 0
+	var first, last float64
+	for i, w := range log.W {
+		k := log.K[i]
+		t := ts.at(k)
+		if t < ts.from {
+			continue
+		}
+		if t > ts.to {
+			break
+		}
+		if !finite(t) || !finite(w) {
 			rep.Invalid++
 			continue
 		}
-		if len(clean) > 0 && s.T-clean[len(clean)-1].T < interval/2 {
+		if n > 0 && t-last < interval/2 {
 			rep.Duplicates++
 			continue
 		}
-		clean = append(clean, s)
+		if n == 0 {
+			first = t
+		}
+		log.K[n], log.W[n], last = k, w, t
+		n++
 	}
-	if len(clean) == 0 {
-		return nil, 0, 0, rep
+	if n == 0 {
+		return Steps{}, 0, 0, rep
 	}
+	clean = Steps{K: log.K[:n], W: log.W[:n]}
 
 	// Pass 2: clip spikes against the median/MAD band. The trim step drops
 	// the ramp transients positionally, so clipping a ramp sample to the
 	// median never reaches the reported average; what matters is that
 	// mid-trace excursions cannot.
-	scratch := make([]float64, len(clean))
-	for i, s := range clean {
-		scratch[i] = s.Watts
-	}
-	med := stats.MedianInPlace(scratch)
-	for i, s := range clean {
-		scratch[i] = math.Abs(s.Watts - med)
-	}
-	sigma := 1.4826 * stats.MedianInPlace(scratch)
+	med := stats.SelectMedian(clean.W)
+	sigma := 1.4826 * stats.SelectMedianAbs(clean.W, med)
 	if sigma < minSigma {
 		sigma = minSigma
 	}
-	for i := range clean {
-		if math.Abs(clean[i].Watts-med) > madk*sigma {
-			clean[i].Watts = med
+	for i, w := range clean.W {
+		if math.Abs(w-med) > madk*sigma {
+			clean.W[i] = med
 			rep.SpikesClipped++
 		}
 	}
@@ -141,7 +222,7 @@ func (opts RepairOpts) clean(dst, log []Sample) (clean []Sample, start, end floa
 	// extending truncated edges with the nearest reading (walkGrid).
 	start, end = opts.Start, opts.End
 	if start == 0 && end == 0 {
-		start, end = clean[0].T, clean[len(clean)-1].T
+		start, end = first, last
 	}
 	return clean, start, end, rep
 }

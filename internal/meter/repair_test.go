@@ -17,11 +17,10 @@ func uniformTrace(n int, watts float64) []Sample {
 	return log
 }
 
-// repairWindow repairs a copy of log onto [start, end] at 1 Hz, untrimmed,
-// so the summary's extrema and count cover the whole repaired grid.
+// repairWindow repairs log onto [start, end] at 1 Hz, untrimmed, so the
+// summary's extrema and count cover the whole repaired grid.
 func repairWindow(log []Sample, start, end float64) (Summary, RepairReport) {
-	opts := RepairOpts{Start: start, End: end, IntervalSec: 1}
-	return RepairSummary(append([]Sample(nil), log...), opts, 0)
+	return RepairSummary(log, RepairOpts{Start: start, End: end, IntervalSec: 1}, 0)
 }
 
 func TestRepairDamage(t *testing.T) {
@@ -207,7 +206,14 @@ func refResample(log []Sample, start, end, interval float64) []Sample {
 	var out []Sample
 	for t := start; t <= end+1e-9; t += interval {
 		i := sort.Search(len(log), func(i int) bool { return log[i].T >= t })
-		out = append(out, Sample{T: t, Watts: interpolate(log, i, t)})
+		var a, b Sample
+		if i > 0 {
+			a = log[i-1]
+		}
+		if i < len(log) {
+			b = log[i]
+		}
+		out = append(out, Sample{T: t, Watts: interpolate(a, b, i, len(log), t)})
 	}
 	return out
 }
@@ -224,7 +230,7 @@ type damage struct {
 // start, around 250 W with 1.5 W noise, damaged as d describes. Zeros are
 // +0, as the fault injector writes them: a zero median with readings of
 // both signs is the one case where the selection median may pick the
-// other zero than the sort (see stats.MedianInPlace), and the meter's
+// other zero than the sort (see stats.SelectMedian), and the meter's
 // clamp at zero never emits −0 at server power levels.
 func damagedWindow(seed int64, n int, start, interval float64, d damage) []Sample {
 	r := rand.New(rand.NewSource(seed))
@@ -269,21 +275,23 @@ func damagedWindow(seed int64, n int, start, interval float64, d damage) []Sampl
 var heavyDamage = damage{nan: 0.01, inf: 0.002, dup: 0.01, spike: 0.01, zero: 0.01, stuck: 0.01,
 	dropRun: 0.002, truncate: 0.05, jitter: 0.1}
 
-// TestRepairSummaryAllocs gates the folded repair on a heavily damaged
-// window of 22,000 samples: it compacts the window in place and folds the
-// grid, so the one allocation left is the float64 scratch for the median
-// and the MAD — at most 9 B per input sample. A clean copy or a stored
-// grid breaks both bounds.
+// TestRepairSummaryAllocs gates the repair body on a heavily damaged
+// window of 22,000 samples, held as a step log built here, outside the
+// measured calls: it compacts the step log in place, selects the median
+// and the MAD band where the readings lie and folds the grid, so it
+// allocates nothing. A clean copy, a median scratch buffer or a stored
+// grid fails here.
 func TestRepairSummaryAllocs(t *testing.T) {
 	const n = 22000
 	log := damagedWindow(7, n, 100, 1, heavyDamage)
 	opts := RepairOpts{Start: 100, End: 100 + n - 1, IntervalSec: 1}
-	// RepairSummary consumes its input; each call gets a fresh copy in a
-	// buffer allocated here, outside the measured calls.
-	buf := make([]Sample, len(log))
+	steps, buf := stepsOf(log), stepsOf(log)
+	ts := recordedStamps(log)
+	// The repair compacts its step log; each call gets a fresh copy.
 	summarize := func() (Summary, RepairReport) {
-		copy(buf, log)
-		return RepairSummary(buf, opts, 0.10)
+		copy(buf.K, steps.K)
+		copy(buf.W, steps.W)
+		return opts.repair(buf, ts, 0.10)
 	}
 	if sum, rep := summarize(); sum.Samples != n || rep.Total() == 0 {
 		t.Fatalf("folded repair of the damaged window: %d samples, %+v", sum.Samples, rep)
@@ -297,11 +305,11 @@ func TestRepairSummaryAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perSample := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(log))
-	t.Logf("RepairSummary over %d samples: %.0f allocs, %.1f B per input sample", len(log), allocs, perSample)
-	if allocs > 1 {
-		t.Errorf("RepairSummary allocates %.0f times per call, want ≤ 1", allocs)
+	t.Logf("repair over %d samples: %.0f allocs, %.2f B per input sample", len(log), allocs, perSample)
+	if allocs != 0 {
+		t.Errorf("repair allocates %.0f times per call, want 0", allocs)
 	}
-	if perSample > 9 {
-		t.Errorf("RepairSummary allocates %.1f B per input sample, want ≤ 9", perSample)
+	if perSample != 0 {
+		t.Errorf("repair allocates %.2f B per input sample, want 0", perSample)
 	}
 }

@@ -8,47 +8,57 @@ package meter
 // is sized once.
 
 // gridLen counts the points of the grid start, start+interval, … up to
-// end that a repair rebuilds log onto: 0 for an empty log or a degenerate
-// grid.
-func gridLen(log []Sample, start, end, interval float64) int {
-	if len(log) == 0 || interval <= 0 || end < start {
+// end that a repair rebuilds a log of n entries onto: 0 for an empty log
+// or a degenerate grid.
+func gridLen(n int, start, end, interval float64) int {
+	if n == 0 || interval <= 0 || end < start {
 		return 0
 	}
-	n := 0
+	grid := 0
 	for t := start; t <= end+1e-9; t += interval {
-		n++
+		grid++
 	}
-	return n
+	return grid
 }
 
 // walkGrid hands the n grid points from start to visit in time order, each
-// with its reading interpolated from log. The first sample with T ≥ t only
-// moves forward as t grows, so one cursor walks the log instead of a
-// binary search per grid point.
-func walkGrid(log []Sample, start, interval float64, n int, visit func(Sample)) {
+// with its reading interpolated from log, whose timestamps ts gives. The
+// first entry with T ≥ t only moves forward as t grows, so one cursor
+// walks the log instead of a binary search per grid point, and asks ts
+// for each entry's T once, in step order.
+func walkGrid(log Steps, ts *stamps, start, interval float64, n int, visit func(Sample)) {
+	// b is entry i, the first with T ≥ t (none once i reaches the end),
+	// and a the entry before it.
+	var a, b Sample
 	i, t := 0, start
-	for k := 0; k < n; k++ {
-		for i < len(log) && log[i].T < t {
-			i++
+	if log.Len() > 0 {
+		b = Sample{T: ts.at(log.K[0]), Watts: log.W[0]}
+	}
+	for j := 0; j < n; j++ {
+		for i < log.Len() && b.T < t {
+			a = b
+			if i++; i < log.Len() {
+				b = Sample{T: ts.at(log.K[i]), Watts: log.W[i]}
+			}
 		}
-		visit(Sample{T: t, Watts: interpolate(log, i, t)})
+		visit(Sample{T: t, Watts: interpolate(a, b, i, log.Len(), t)})
 		t += interval
 	}
 }
 
-// interpolate returns the linearly interpolated power at time t, where i
-// is the first index with log[i].T ≥ t (len(log) when there is none).
-func interpolate(log []Sample, i int, t float64) float64 {
+// interpolate returns the linearly interpolated power at time t, where b
+// is entry i of an n-entry log, the first with T ≥ t (i == n when there is
+// none), and a the entry before it.
+func interpolate(a, b Sample, i, n int, t float64) float64 {
 	switch {
 	case i == 0:
-		return log[0].Watts
-	case i == len(log):
-		return log[len(log)-1].Watts
+		return b.Watts
+	case i == n:
+		return a.Watts
 	}
-	a, b := log[i-1], log[i]
 	if b.T == a.T {
 		return b.Watts
 	}
 	frac := (t - a.T) / (b.T - a.T)
-	return a.Watts + frac*(b.Watts-a.Watts)
+	return a.Watts + float64(frac*(b.Watts-a.Watts))
 }

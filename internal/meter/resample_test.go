@@ -5,22 +5,29 @@ import (
 	"testing"
 )
 
-// resample rebuilds log onto the grid start, start+interval, … up to end
-// the way a repair walks it (gridLen, then walkGrid), and stores the grid.
-func resample(log []Sample, start, end, interval float64) []Sample {
-	n := gridLen(log, start, end, interval)
+// resample rebuilds log, whose timestamps ts gives, onto the grid start,
+// start+interval, … up to end the way a repair walks it (gridLen, then
+// walkGrid), and stores the grid.
+func resample(log Steps, ts *stamps, start, end, interval float64) []Sample {
+	n := gridLen(log.Len(), start, end, interval)
 	if n == 0 {
 		return nil
 	}
 	out := make([]Sample, 0, n)
-	walkGrid(log, start, interval, n, func(s Sample) { out = append(out, s) })
+	ts.rewind()
+	walkGrid(log, ts, start, interval, n, func(s Sample) { out = append(out, s) })
 	return out
+}
+
+// resampleLog is resample over a recorded log.
+func resampleLog(log []Sample, start, end, interval float64) []Sample {
+	return resample(stepsOf(log), recordedStamps(log), start, end, interval)
 }
 
 func TestResampleFillsGaps(t *testing.T) {
 	// Samples at 0, 1, 4 (a 3-second gap), linear power ramp.
 	log := []Sample{{0, 100}, {1, 110}, {4, 140}}
-	got := resample(log, 0, 4, 1)
+	got := resampleLog(log, 0, 4, 1)
 	if len(got) != 5 {
 		t.Fatalf("resampled %d points", len(got))
 	}
@@ -34,7 +41,7 @@ func TestResampleFillsGaps(t *testing.T) {
 
 func TestResampleEdges(t *testing.T) {
 	log := []Sample{{10, 200}, {11, 210}}
-	got := resample(log, 8, 13, 1)
+	got := resampleLog(log, 8, 13, 1)
 	if got[0].Watts != 200 {
 		t.Errorf("before-span value %v, want clamped 200", got[0].Watts)
 	}
@@ -44,18 +51,18 @@ func TestResampleEdges(t *testing.T) {
 }
 
 func TestResampleDegenerate(t *testing.T) {
-	if got := resample(nil, 0, 10, 1); got != nil {
+	if got := resampleLog(nil, 0, 10, 1); got != nil {
 		t.Error("empty log should resample to nil")
 	}
-	if got := resample([]Sample{{0, 1}}, 0, 10, 0); got != nil {
+	if got := resampleLog([]Sample{{0, 1}}, 0, 10, 0); got != nil {
 		t.Error("zero interval should return nil")
 	}
-	if got := resample([]Sample{{0, 1}}, 10, 0, 1); got != nil {
+	if got := resampleLog([]Sample{{0, 1}}, 10, 0, 1); got != nil {
 		t.Error("inverted range should return nil")
 	}
 	// Duplicate timestamps must not divide by zero.
 	log := []Sample{{1, 100}, {1, 120}}
-	got := resample(log, 1, 1, 1)
+	got := resampleLog(log, 1, 1, 1)
 	if len(got) != 1 || math.IsNaN(got[0].Watts) {
 		t.Errorf("duplicate timestamps: %v", got)
 	}
@@ -71,7 +78,7 @@ func TestResampleRecoversDroppedLog(t *testing.T) {
 	if len(log) >= 500 {
 		t.Fatalf("dropout did not drop: %d samples", len(log))
 	}
-	re := resample(log, 0, 500, 1)
+	re := resampleLog(log, 0, 500, 1)
 	if len(re) != 501 {
 		t.Fatalf("resampled %d", len(re))
 	}

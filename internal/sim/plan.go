@@ -34,8 +34,9 @@ func Timeline(models []workload.Model, gapSec float64) []float64 {
 // returns one result per model and one sched.JobReport per model — the
 // runs of RunSequence, fanned out concurrently.
 //
-// Callers window each run's own PowerLog; there is no session log and no
-// idle-gap recording. Timeline keeps runs and gaps at least 1 s apart, and
+// Callers window each run's own PowerLog, or read the window summary the
+// run folded into Power; there is no session log and no idle-gap
+// recording. Timeline keeps runs and gaps at least 1 s apart, and
 // fault injection never creates or moves a timestamp, so windowing a run's
 // own log yields exactly the samples windowing RunSequence's merged log
 // would. The merge step stays with RunSequence and the CSV path

@@ -12,8 +12,10 @@
 // The meter log is kept only where something reads it. A caller that
 // reads only each run's window summary sets FoldTrim, and the run folds
 // the readings into RunResult.Power as the meter takes them. A fault
-// injector corrupts each reading as the meter takes it and keeps the
-// corrupted log, the run's one copy, for the caller's repair pass.
+// injector corrupts each reading as the meter takes it into a step log
+// (meter.Steps, 12 B a reading), the run's one copy; the run then repairs
+// its window of that log and folds the repaired grid into Power, with the
+// repairs in RunResult.Repair, and keeps no log.
 //
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
@@ -55,9 +57,10 @@ type Engine struct {
 	// Power summary as the meter takes them, trimming that fraction at each
 	// end of the [Start, End] window, and keeps no PowerLog — for callers
 	// that read only the window summary (a pristine evaluation, the figure
-	// series). An engine with a Fault injector keeps its log whatever
-	// FoldTrim says: the caller's repair pass reads the corrupted log,
-	// which the injector writes as the meter samples.
+	// series). An engine with a Fault injector keeps no PowerLog whatever
+	// FoldTrim says: it repairs the window of the step log the injector
+	// writes as the meter samples (meter.Meter.RepairWindow) and folds the
+	// repaired grid into Power under this trim.
 	FoldTrim float64
 
 	// RampSec is the start-up/shut-down transient length (allocation,
@@ -74,7 +77,8 @@ type Engine struct {
 
 	// Fault optionally corrupts the run's observables (meter trace, PMU
 	// windows, run execution), for chaos testing: each meter reading as it
-	// is taken, and each PMU window as the sampler draws it, folded into
+	// is taken, into a step log the run repairs and folds into Power
+	// (FoldTrim), and each PMU window as the sampler draws it, folded into
 	// the run's PMUTotals and not stored. Fork reseeds it by run identity
 	// like the meter and PMU streams. Nil — the default — leaves every byte
 	// of the clean pipeline untouched.
@@ -129,14 +133,17 @@ type RunResult struct {
 	Model workload.Model
 	// Start and End are the server-clock timestamps of the run.
 	Start, End float64
-	// PowerLog is the meter trace covering the run, as the engine's Fault
-	// injector left it; nil when the engine folded it into Power instead
-	// (FoldTrim).
+	// PowerLog is the meter trace covering the run; nil when the engine
+	// folded it into Power instead (FoldTrim) or has a Fault injector.
 	PowerLog []meter.Sample
 	// Power summarizes the run's [Start, End] window — trimmed mean,
-	// energy, extrema — folded while the meter sampled; set only when
+	// energy, extrema — folded while the meter sampled, or for an engine
+	// with a Fault injector over the repaired window; set only when
 	// PowerLog is nil.
 	Power meter.Summary
+	// Repair counts the repairs the window of a run with a Fault injector
+	// took before it was folded into Power; zero for any other run.
+	Repair meter.RepairReport
 	// PMUSamples are the counter windows of the run; nil when the engine
 	// has no PMU sampler, keeps totals only, or has a Fault injector.
 	PMUSamples []pmu.Sample
@@ -220,17 +227,19 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 
 	meterSpan := sp.Child("meter record")
 	var log []meter.Sample
+	var steps meter.Steps
 	var power meter.Summary
+	var repair meter.RepairReport
 	var logged int
 	switch {
 	case e.Fault != nil:
 		// Each reading is corrupted as the meter takes it, into the one
-		// buffer the run keeps: the corruptor's draws come from a stream
+		// step log the run keeps: the corruptor's draws come from a stream
 		// of their own, so the log equals CorruptTrace(Record(...)).
 		c := e.Fault.TraceCorruptor(e.Meter.SampleCap(start, end))
 		e.Meter.Take(start, end, powerAt, c.Add)
-		log = c.Trace()
-		logged = len(log)
+		steps = c.Trace()
+		logged = steps.Len()
 	case e.FoldTrim > 0:
 		power, logged = e.Meter.RecordSummary(start, end, powerAt, e.FoldTrim)
 	default:
@@ -238,6 +247,11 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		logged = len(log)
 	}
 	meterSpan.Int("samples", logged).End()
+	if e.Fault != nil {
+		// The repair is the run's own work, not the meter's: the window of
+		// the corrupted log, repaired onto the meter's grid and folded.
+		power, repair = e.Meter.RepairWindow(steps, start, end, e.FoldTrim)
+	}
 
 	var samples []pmu.Sample
 	var totals pmu.Totals
@@ -279,6 +293,7 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		End:         end,
 		PowerLog:    log,
 		Power:       power,
+		Repair:      repair,
 		PMUSamples:  samples,
 		PMUTotals:   totals,
 		RampSec:     ramp,
@@ -306,7 +321,8 @@ func wrappedTotals(gen *pmu.Windows, wrap *fault.PMUWrapper) pmu.Totals {
 // RunSequence executes the models back to back with idle gaps between them,
 // as the paper's test scripts do, returning one result per model plus the
 // merged power log of the whole session (including the gaps, recorded at
-// idle power).
+// idle power). Only runs that keep a PowerLog add to it: an engine with
+// FoldTrim or a Fault injector contributes its gaps alone.
 func (e *Engine) RunSequence(models []workload.Model, gapSec float64) ([]RunResult, []meter.Sample, error) {
 	results := make([]RunResult, 0, len(models))
 	logs := make([][]meter.Sample, 0, 2*len(models))

@@ -272,7 +272,8 @@ func TestNilPMUKeepsMeterLog(t *testing.T) {
 // TestFoldTrimSummarizesRunWindow: an engine with FoldTrim keeps no log,
 // and its run's Power is bit for bit the summary of the same run's logged
 // window; the meter span and sample counter still count every logged
-// reading. A fault injector keeps the log whatever FoldTrim says.
+// reading. A faulted run keeps no log either, and folds its repaired
+// window.
 func TestFoldTrimSummarizesRunWindow(t *testing.T) {
 	spec := server.XeonE5462()
 	// At a 0.3 s interval, t += interval overshoots End by rounding and
@@ -316,53 +317,80 @@ func TestFoldTrimSummarizesRunWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PowerLog == nil || r.Power != (meter.Summary{}) {
-		t.Fatalf("faulted run folded: %d-sample log, Power %+v", len(r.PowerLog), r.Power)
+	if r.PowerLog != nil || r.Power.Samples != 301 {
+		t.Fatalf("faulted run kept a %d-sample log, folded %+v", len(r.PowerLog), r.Power)
 	}
 }
 
+// checkFaultedRun runs m at start on a fresh engine with a Fault injector
+// for prof seeded at fseed, trimming frac, and on a pristine twin, and
+// holds the faulted run to the slice form of its pipeline over the twin's
+// log: Power and Repair equal RepairSummary(Window(CorruptTrace(log))),
+// Power bit for bit, the run's ledger equals CorruptTrace's, and the run
+// counts the corrupted log's entries, duplicates in and truncated tail
+// out. The run keeps no log. It returns the lengths of the recorded and
+// the corrupted log, and the ledger of the corruption.
+func checkFaultedRun(t *testing.T, engine func() *Engine, prof *fault.Profile, fseed float64, m workload.Model, start, frac float64) (recorded, corrupted int, led *fault.Ledger) {
+	t.Helper()
+	runLed, refLed := fault.NewLedger(), fault.NewLedger()
+	o := &obs.Obs{Metrics: obs.NewRegistry()}
+	faulted := engine()
+	faulted.Fault, faulted.FoldTrim, faulted.Obs = fault.New(prof, fseed, runLed), frac, o
+	got, err := faulted.Run(m, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := engine().Run(m, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := fault.New(prof, fseed, refLed).CorruptTrace(rec.PowerLog)
+	opts := meter.RepairOpts{Start: rec.Start, End: rec.End, IntervalSec: faulted.Meter.IntervalSec}
+	want, wantRep := meter.RepairSummary(meter.Window(log, rec.Start, rec.End), opts, frac)
+	if got.PowerLog != nil {
+		t.Fatalf("faulted run kept a %d-sample log", len(got.PowerLog))
+	}
+	bits := math.Float64bits
+	if p := got.Power; p.Samples != want.Samples || p.TrimDropped != want.TrimDropped ||
+		bits(p.MeanWatts) != bits(want.MeanWatts) || bits(p.EnergyJ) != bits(want.EnergyJ) ||
+		bits(p.MinWatts) != bits(want.MinWatts) || bits(p.MaxWatts) != bits(want.MaxWatts) {
+		t.Fatalf("faulted run folded %+v, RepairSummary(Window(CorruptTrace(Record))) %+v", p, want)
+	}
+	if got.Repair != wantRep {
+		t.Fatalf("faulted run repaired %+v, RepairSummary(Window(CorruptTrace(Record))) %+v", got.Repair, wantRep)
+	}
+	for k := fault.Kind(0); k < fault.NumKinds; k++ {
+		if runLed.Count(k) != refLed.Count(k) {
+			t.Fatalf("run ledger has %d %s, CorruptTrace(Record) %d", runLed.Count(k), k, refLed.Count(k))
+		}
+	}
+	if n := o.Counter("sim_meter_samples_total").Value(); n != int64(len(log)) {
+		t.Fatalf("faulted run counted %d samples, CorruptTrace(Record) logged %d", n, len(log))
+	}
+	return len(rec.PowerLog), len(log), refLed
+}
+
 // TestFaultedRunCorruptsAsTheMeterSamples: a faulted run corrupts each
-// reading as the meter takes it, and its log equals CorruptTrace over the
-// log a pristine twin records, bit for bit, with the same ledger. The
-// meter's draws and the injector's come from separate streams, so
-// interleaving them changes no value; FuzzCorruptTrace pins CorruptTrace
-// to the reference loop it replaced.
+// reading as the meter takes it into a step log, repairs its window and
+// folds it, and what it reports equals the repair of the window of
+// CorruptTrace over the log a pristine twin records, with the same ledger
+// and logged count (checkFaultedRun). The meter's draws and the
+// injector's come from separate streams, so interleaving them changes no
+// value; FuzzCorruptTrace pins CorruptTrace to the reference loop it
+// replaced, and FuzzFaultedRun varies what these cases fix.
 func TestFaultedRunCorruptsAsTheMeterSamples(t *testing.T) {
 	spec := server.XeonE5462()
 	prof := &fault.Profile{Name: "trace", Drop: 0.03, Dup: 0.03, Spike: 0.02, Stuck: 0.02,
 		NaN: 0.02, Zero: 0.02, Truncate: 1}
 	for _, tc := range []struct{ interval, dropout float64 }{{1, 0}, {1, 0.05}, {0.3, 0}, {0.3, 0.05}} {
-		runLed, refLed := fault.NewLedger(), fault.NewLedger()
-		faulted := New(spec, 9)
-		faulted.Meter.IntervalSec, faulted.Meter.DropoutFrac = tc.interval, tc.dropout
-		faulted.Fault = fault.New(prof, 3, runLed)
-		pristine := New(spec, 9)
-		pristine.Meter.IntervalSec, pristine.Meter.DropoutFrac = tc.interval, tc.dropout
-		got, err := faulted.Run(epModel(4, 300), 12.5)
-		if err != nil {
-			t.Fatal(err)
+		engine := func() *Engine {
+			e := New(spec, 9)
+			e.Meter.IntervalSec, e.Meter.DropoutFrac = tc.interval, tc.dropout
+			return e
 		}
-		rec, err := pristine.Run(epModel(4, 300), 12.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fault.New(prof, 3, refLed).CorruptTrace(rec.PowerLog)
-		if len(got.PowerLog) != len(want) {
-			t.Fatalf("%+v: faulted run logged %d samples, CorruptTrace(Record) %d", tc, len(got.PowerLog), len(want))
-		}
-		for i, s := range want {
-			g := got.PowerLog[i]
-			if math.Float64bits(g.T) != math.Float64bits(s.T) || math.Float64bits(g.Watts) != math.Float64bits(s.Watts) {
-				t.Fatalf("%+v: sample %d = %+v, CorruptTrace(Record) %+v", tc, i, g, s)
-			}
-		}
-		for k := fault.Kind(0); k < fault.NumKinds; k++ {
-			if runLed.Count(k) != refLed.Count(k) {
-				t.Fatalf("%+v: run ledger has %d %s, CorruptTrace(Record) %d", tc, runLed.Count(k), k, refLed.Count(k))
-			}
-		}
-		if refLed.Count(fault.KindTruncated) == 0 || len(rec.PowerLog) == len(want) {
-			t.Fatalf("%+v: corruption left the trace's length as recorded (%d)", tc, len(want))
+		recorded, corrupted, led := checkFaultedRun(t, engine, prof, 3, epModel(4, 300), 12.5, 0.10)
+		if led.Count(fault.KindTruncated) == 0 || recorded == corrupted {
+			t.Fatalf("%+v: corruption left the trace's length as recorded (%d)", tc, corrupted)
 		}
 	}
 }

@@ -52,7 +52,11 @@ func checkMedian(t *testing.T, xs []float64) {
 	}
 }
 
-func TestMedianInPlaceMatchesSort(t *testing.T) {
+// medianCases are the inputs both medians are checked on: short edge
+// cases (ties, signed zeros, NaN and ±Inf), then long inputs in the shapes
+// traces take — sorted, reversed, constant, few distinct levels, and a
+// pseudo-random walk — at both parities.
+func medianCases() [][]float64 {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	cases := [][]float64{
 		nil,
@@ -69,11 +73,6 @@ func TestMedianInPlaceMatchesSort(t *testing.T) {
 		{nan, 2, nan, 1, 4},
 		{math.Inf(1), math.Inf(-1), 0},
 	}
-	for _, xs := range cases {
-		checkMedian(t, xs)
-	}
-	// Long inputs in the shapes traces take: sorted, reversed, constant,
-	// few distinct levels, and a pseudo-random walk; both parities.
 	for _, n := range []int{101, 22000, 22001} {
 		asc := make([]float64, n)
 		desc := make([]float64, n)
@@ -89,9 +88,14 @@ func TestMedianInPlaceMatchesSort(t *testing.T) {
 			x = x*6364136223846793005 + 1442695040888963407
 			walk[i] = 200 + float64(x>>40)/float64(1<<24)
 		}
-		for _, xs := range [][]float64{asc, desc, flat, levels, walk} {
-			checkMedian(t, xs)
-		}
+		cases = append(cases, asc, desc, flat, levels, walk)
+	}
+	return cases
+}
+
+func TestMedianInPlaceMatchesSort(t *testing.T) {
+	for _, xs := range medianCases() {
+		checkMedian(t, xs)
 	}
 }
 
@@ -108,52 +112,67 @@ func TestMedianInPlaceAllocs(t *testing.T) {
 	}
 }
 
+// medianSeeds are FuzzMedian's corpus, (small, raw) as medianInput reads
+// them.
+var medianSeeds = []struct{ small, raw []byte }{
+	{[]byte{}, []byte{}},
+	{[]byte{3}, []byte{}},
+	{[]byte{3, 9}, []byte{}},
+	{[]byte{5, 5, 5, 5, 5, 5}, []byte{}},
+	{[]byte{1, 2, 2, 3, 3, 3, 1, 0}, []byte{}},
+	{[]byte{0, 240, 0, 240, 240}, []byte{}},
+	{[]byte{241, 4, 241, 2}, []byte{}},
+	{[]byte{242, 243, 241, 7, 240}, []byte{}},
+	{[]byte{}, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}},
+}
+
 // FuzzMedian checks the selection median against the sort reference.
 // small draws each byte from a 16-level alphabet with ±0, NaN and ±Inf
 // (so duplicates and ties are common); raw adds arbitrary float64s, 8
 // bytes each. NaN payloads are canonicalised: the sort does not keep NaNs
 // in order, so which NaN a median returns is not defined by either form.
 func FuzzMedian(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{3}, []byte{})
-	f.Add([]byte{3, 9}, []byte{})
-	f.Add([]byte{5, 5, 5, 5, 5, 5}, []byte{})
-	f.Add([]byte{1, 2, 2, 3, 3, 3, 1, 0}, []byte{})
-	f.Add([]byte{0, 240, 0, 240, 240}, []byte{})
-	f.Add([]byte{241, 4, 241, 2}, []byte{})
-	f.Add([]byte{242, 243, 241, 7, 240}, []byte{})
-	f.Add([]byte{}, []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, seed := range medianSeeds {
+		f.Add(seed.small, seed.raw)
+	}
 	f.Fuzz(func(t *testing.T, small, raw []byte) {
 		if len(small) > 4096 || len(raw) > 8*4096 {
 			return
 		}
-		xs := make([]float64, 0, len(small)+len(raw)/8)
-		for _, b := range small {
-			var v float64
-			switch b {
-			case 240:
-				v = math.Copysign(0, -1)
-			case 241:
-				v = math.NaN()
-			case 242:
-				v = math.Inf(1)
-			case 243:
-				v = math.Inf(-1)
-			default:
-				v = float64(b%16) * 0.5
-				if b >= 244 {
-					v = -v
-				}
-			}
-			xs = append(xs, v)
-		}
-		for i := 0; i+8 <= len(raw); i += 8 {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
-			if math.IsNaN(v) {
-				v = math.NaN()
-			}
-			xs = append(xs, v)
-		}
-		checkMedian(t, xs)
+		checkMedian(t, medianInput(small, raw))
 	})
+}
+
+// medianInput decodes a median fuzz input: each byte of small from a
+// 16-level alphabet with ±0, NaN and ±Inf, then raw as little-endian
+// float64s, NaN payloads canonicalised.
+func medianInput(small, raw []byte) []float64 {
+	xs := make([]float64, 0, len(small)+len(raw)/8)
+	for _, b := range small {
+		var v float64
+		switch b {
+		case 240:
+			v = math.Copysign(0, -1)
+		case 241:
+			v = math.NaN()
+		case 242:
+			v = math.Inf(1)
+		case 243:
+			v = math.Inf(-1)
+		default:
+			v = float64(b%16) * 0.5
+			if b >= 244 {
+				v = -v
+			}
+		}
+		xs = append(xs, v)
+	}
+	for i := 0; i+8 <= len(raw); i += 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+		if math.IsNaN(v) {
+			v = math.NaN()
+		}
+		xs = append(xs, v)
+	}
+	return xs
 }

@@ -1,0 +1,176 @@
+package stats
+
+import "math"
+
+// SelectMedian returns the median MedianInPlace returns for a copy of xs,
+// without the copy: it reads xs where they are and never writes them, and
+// it allocates nothing. The one freedom MedianInPlace leaves, the sign of
+// a zero result, goes to the sign the key order puts in the middle, and a
+// NaN result is the canonical NaN.
+//
+// It is a radix selection over the readings' order keys (orderKey):
+// histogram passes fix 12 key bits at a time, top first, counting only the
+// readings whose key agrees with the bits fixed so far, until at most
+// selectCap readings remain around the median; selectKth picks among
+// those, copied into a buffer on the stack. Where more than selectCap
+// readings share all 64 key bits, the median is that key's value. Each
+// pass reads every reading once: on a 50,001-reading power window the
+// median takes three histogram passes and the MAD two, plus one gather
+// each.
+func SelectMedian(xs []float64) float64 { return selectMedian(xs, 0, false) }
+
+// SelectMedianAbs returns the median of |x − c| over xs, the absolute
+// deviation the repair's MAD band takes about the median c: the value
+// SelectMedian returns for those deviations stored, computed per pass
+// instead.
+func SelectMedianAbs(xs []float64, c float64) float64 { return selectMedian(xs, c, true) }
+
+const (
+	// digitBits is the width of the key digit a histogram pass fixes.
+	digitBits = 12
+	// selectCap bounds the readings the last step selects among.
+	selectCap = 512
+)
+
+func selectMedian(xs []float64, c float64, abs bool) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	lo, hi := selectRanks(xs, c, abs, n/2, n%2 == 0)
+	if n%2 == 1 {
+		return keyValue(hi)
+	}
+	return (keyValue(lo) + keyValue(hi)) / 2
+}
+
+// selectRanks returns the keys of the k-th smallest value of xs (hi) and,
+// when pair is set, of the (k−1)-th (lo); the values are xs, or |x − c|
+// with abs. Both ranks stay among the candidates, the values whose key
+// starts with the bits fixed so far, until a pass splits them between two
+// buckets: then lo is the largest key of the one bucket and hi the
+// smallest of the next, and one more pass finds both.
+func selectRanks(xs []float64, c float64, abs bool, k int, pair bool) (lo, hi uint64) {
+	var hist histogram
+	// The candidates are the values with key>>top == prefix; r is the
+	// rank of hi among them.
+	prefix, top, r, cands := uint64(0), 64, k, len(xs)
+	for cands > selectCap {
+		if top == 0 {
+			// Every candidate carries the same key.
+			return prefix, prefix
+		}
+		width := min(digitBits, top)
+		shift := top - width
+		hist.count(xs, c, abs, ^uint64(0)<<top, prefix<<top, uint(shift), uint64(1)<<width-1)
+		b, before := 0, 0
+		for r >= before+hist.at(b) {
+			before += hist.at(b)
+			b++
+		}
+		if pair && r == before {
+			a := b - 1
+			for hist.at(a) == 0 {
+				a--
+			}
+			la, lb := prefix<<width|uint64(a), prefix<<width|uint64(b)
+			lo, hi = 0, math.MaxUint64
+			for _, x := range xs {
+				switch key := valueKey(x, c, abs); key >> shift {
+				case la:
+					lo = max(lo, key)
+				case lb:
+					hi = min(hi, key)
+				}
+			}
+			return lo, hi
+		}
+		prefix, top, r, cands = prefix<<width|uint64(b), shift, r-before, hist.at(b)
+	}
+	var buf [selectCap]uint64
+	m := 0
+	for _, x := range xs {
+		if key := valueKey(x, c, abs); key>>top == prefix {
+			buf[m] = key
+			m++
+		}
+	}
+	hi = selectKth(buf[:m], r)
+	if pair {
+		// selectKth leaves the r smallest keys below index r.
+		for _, key := range buf[:r] {
+			lo = max(lo, key)
+		}
+	}
+	return lo, hi
+}
+
+// histogram counts one key digit over the candidates of a pass, in two
+// halves that take alternate readings: consecutive readings that land in
+// the same bucket then increment different counters, instead of each
+// waiting on the store of the one before.
+type histogram [2][1 << digitBits]int32
+
+// count clears h and counts digit key>>shift&digit of each value whose key
+// satisfies key&hiMask == want.
+func (h *histogram) count(xs []float64, c float64, abs bool, hiMask, want uint64, shift uint, digit uint64) {
+	*h = histogram{}
+	shift &= 63
+	even, odd := &h[0], &h[1]
+	for i := 1; i < len(xs); i += 2 {
+		k0, k1 := valueKey(xs[i-1], c, abs), valueKey(xs[i], c, abs)
+		if k0&hiMask == want {
+			even[k0>>shift&digit]++
+		}
+		if k1&hiMask == want {
+			odd[k1>>shift&digit]++
+		}
+	}
+	if len(xs)%2 == 1 {
+		if key := valueKey(xs[len(xs)-1], c, abs); key&hiMask == want {
+			even[key>>shift&digit]++
+		}
+	}
+}
+
+// at returns the count of bucket b.
+func (h *histogram) at(b int) int { return int(h[0][b]) + int(h[1][b]) }
+
+// valueKey is the order key of x, or of |x − c| with abs.
+func valueKey(x, c float64, abs bool) uint64 {
+	if abs {
+		x = math.Abs(x - c)
+	}
+	return orderKey(x)
+}
+
+// orderKey maps x to a key whose unsigned order is sort.Float64s's order
+// of the values: every NaN below every number, then −Inf through −0 and
+// +0 through +Inf. The sort takes −0 and +0 as equal; their keys differ,
+// −0 first, so a zero median has a definite sign. Flipping the sign bit of
+// a positive value, or every bit of a negative one, orders the numbers
+// with the NaNs outside both infinities; adding nanRotate moves the
+// positive NaNs from above +Inf round to the bottom, below the negative
+// ones, so no reading needs a NaN test.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63) + nanRotate
+}
+
+const (
+	// nanRotate is the count of positive NaN bit patterns.
+	nanRotate = 1<<52 - 1
+	// minNumberKey is −Inf's key; every NaN's lies below it.
+	minNumberKey = 1<<53 - 2
+)
+
+// keyValue inverts orderKey; a NaN key returns the canonical NaN.
+func keyValue(key uint64) float64 {
+	if key < minNumberKey {
+		return math.NaN()
+	}
+	if key -= nanRotate; key&(1<<63) != 0 {
+		return math.Float64frombits(key ^ 1<<63)
+	}
+	return math.Float64frombits(^key)
+}

@@ -162,8 +162,9 @@ func MedianInPlace(xs []float64) float64 {
 // element, xs[:k] holds elements ≤ it and xs[k+1:] elements ≥ it, and
 // returns xs[k]. It is Hoare's FIND with a median-of-three pivot: equal
 // elements stop both scans and are split evenly, so quantized or constant
-// traces partition in linear time too.
-func selectKth(xs []float64, k int) float64 {
+// traces partition in linear time too. It selects among readings
+// (MedianInPlace) and among their order keys (SelectMedian).
+func selectKth[T float64 | uint64](xs []T, k int) T {
 	l, r := 0, len(xs)-1
 	for l < r {
 		a, b, c := xs[l], xs[l+(r-l)/2], xs[r]
