@@ -182,10 +182,12 @@ func TestHardenedGreen500BytesPerMeterSample(t *testing.T) {
 }
 
 // maxQuietEvaluateAllocs bounds the allocations of a warm Xeon-4870
-// evaluation with no Obs and no trace: 127 when set (134 under the race
-// detector), plus a little headroom. Boxing the arguments of log lines no
-// logger takes costs 37 more, and fails here.
-const maxQuietEvaluateAllocs = 140
+// evaluation with no Obs and no trace: 46 when set (47 under the race
+// detector), plus about 10% headroom. Boxing the arguments of log lines
+// no logger takes costs 37 more, and a fork that allocates its meter,
+// sampler and their streams one by one costs 7 more per run; either
+// fails here.
+const maxQuietEvaluateAllocs = 52
 
 // TestQuietEvaluateAllocs: a warm, Obs-less, untraced Xeon-4870 evaluation
 // allocates at most maxQuietEvaluateAllocs times.
@@ -201,5 +203,24 @@ func TestQuietEvaluateAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per evaluation", allocs)
 	if allocs > maxQuietEvaluateAllocs {
 		t.Errorf("quiet evaluation allocates %.0f times, want <= %d", allocs, maxQuietEvaluateAllocs)
+	}
+}
+
+// maxRecordedEvaluateAllocs bounds the allocations of a warm Xeon-4870
+// evaluation as the daemon runs it, on a pool and with a flight recorder:
+// 57 when set (58 under the race detector), plus about 10% headroom. Its
+// ten runs fork one engine each, one allocation a fork.
+const maxRecordedEvaluateAllocs = 64
+
+// TestRecordedEvaluateAllocs: a warm, untraced Xeon-4870 evaluation with a
+// pool and a flight recorder allocates at most maxRecordedEvaluateAllocs
+// times.
+func TestRecordedEvaluateAllocs(t *testing.T) {
+	evaluate := traceEvaluate(t, server.Xeon4870(), nil, false)
+	evaluate()
+	allocs := testing.AllocsPerRun(5, evaluate)
+	t.Logf("%.0f allocs per evaluation", allocs)
+	if allocs > maxRecordedEvaluateAllocs {
+		t.Errorf("recorded evaluation allocates %.0f times, want <= %d", allocs, maxRecordedEvaluateAllocs)
 	}
 }

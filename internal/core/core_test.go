@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -48,6 +49,60 @@ func TestPlanStatesCustomServer(t *testing.T) {
 	}
 	if len(models) != 10 {
 		t.Errorf("custom plan has %d states", len(models))
+	}
+}
+
+// TestPlanStateNamesMatchFmt pins every plan-state name of the three
+// servers and of a custom spec to the fmt form the names were built with
+// before they were concatenated: npb.RunName's "%s.%s.%d" and HPL's
+// "HPL P%d %s".
+func TestPlanStateNamesMatchFmt(t *testing.T) {
+	custom := goldenCustomSpec()
+	for _, spec := range append(server.All(), custom) {
+		models, err := PlanStates(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		want := []string{"Idle"}
+		if refs := server.ReferencePoints(spec.Name); refs != nil {
+			for _, r := range refs {
+				switch r.Program {
+				case "ep.C":
+					want = append(want, fmt.Sprintf("%s.%s.%d", npb.EP, npb.ClassC, r.N))
+				case "HPL Mh":
+					want = append(want, fmt.Sprintf("HPL P%d %s", r.N, "Mh"))
+				case "HPL Mf":
+					want = append(want, fmt.Sprintf("HPL P%d %s", r.N, "Mf"))
+				}
+			}
+		} else {
+			counts := []int{1, spec.HalfCores(), spec.Cores}
+			for _, n := range counts {
+				want = append(want, fmt.Sprintf("%s.%s.%d", npb.EP, npb.ClassC, n))
+			}
+			for _, state := range []string{"Mh", "Mf"} {
+				for _, n := range counts {
+					want = append(want, fmt.Sprintf("HPL P%d %s", n, state))
+				}
+			}
+		}
+		if len(models) != len(want) {
+			t.Fatalf("%s: %d states, want %d", spec.Name, len(models), len(want))
+		}
+		for i, m := range models {
+			if m.Name != want[i] {
+				t.Errorf("%s: state %d named %q, fmt form %q", spec.Name, i, m.Name, want[i])
+			}
+		}
+	}
+	for _, p := range []npb.Program{npb.EP, npb.IS, npb.CG, npb.MG, npb.FT} {
+		for _, c := range []npb.Class{npb.ClassS, npb.ClassW, npb.ClassA, npb.ClassB, npb.ClassC} {
+			for _, n := range []int{0, 1, 9, 40, 1024} {
+				if got, want := npb.RunName(p, c, n), fmt.Sprintf("%s.%s.%d", p, c, n); got != want {
+					t.Errorf("RunName = %q, fmt form %q", got, want)
+				}
+			}
+		}
 	}
 }
 

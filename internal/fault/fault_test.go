@@ -50,7 +50,7 @@ func TestInactiveProfileAndNilInjector(t *testing.T) {
 	if in.Active() {
 		t.Error("nil injector reports active")
 	}
-	if got := in.Reseed(5); got != nil {
+	if got := in.Reseed(new(Injector), 5); got != nil {
 		t.Error("nil injector Reseed should stay nil")
 	}
 	if in.RunFails(1) {

@@ -37,14 +37,17 @@ func New(p *Profile, seed float64, led *Ledger) *Injector {
 	return &Injector{prof: p, seed: seed, led: led}
 }
 
-// Reseed returns an injector with the same profile and ledger but a new
-// seed — the fault-layer companion of meter.Clone/pmu.Sampler.Clone in the
-// scheduler's per-run RNG contract. A nil receiver stays nil.
-func (in *Injector) Reseed(seed float64) *Injector {
+// Reseed sets dst to an injector with the same profile and ledger but a
+// new seed, and returns dst — the fault-layer companion of
+// meter.Clone/pmu.Sampler.Clone in the scheduler's per-run RNG contract.
+// The caller owns dst, so a forked run holds its injector in place. A nil
+// receiver stays nil and leaves dst alone.
+func (in *Injector) Reseed(dst *Injector, seed float64) *Injector {
 	if in == nil {
 		return nil
 	}
-	return &Injector{prof: in.prof, seed: seed, led: in.led}
+	*dst = Injector{prof: in.prof, seed: seed, led: in.led}
+	return dst
 }
 
 // Active reports whether the injector will corrupt anything.
@@ -68,8 +71,8 @@ func (in *Injector) Ledger() *Ledger {
 
 // stream derives an independent corruption stream for one fault surface, so
 // trace corruption and PMU corruption never share RNG state.
-func (in *Injector) stream(surface string) *rng.Stream {
-	return rng.NewStream(sched.DeriveSeed(in.seed, surface), rng.A)
+func (in *Injector) stream(surface string) rng.Stream {
+	return rng.MakeStream(sched.DeriveSeed(in.seed, surface), rng.A)
 }
 
 // RunFails decides whether the given run attempt (1-based) fails
@@ -118,7 +121,7 @@ func (in *Injector) CorruptTrace(log []meter.Sample) []meter.Sample {
 // so interleaving them with the meter's own draws changes no value.
 type TraceCorruptor struct {
 	in  *Injector
-	s   *rng.Stream
+	s   rng.Stream
 	out meter.Steps
 }
 
@@ -208,7 +211,7 @@ func (in *Injector) CorruptPMU(samples []pmu.Sample) []pmu.Sample {
 type PMUWrapper struct {
 	rate float64
 	led  *Ledger
-	s    *rng.Stream
+	s    rng.Stream
 }
 
 // PMUWrapper returns the wrapper for one run's windows. A nil injector, or
@@ -225,7 +228,7 @@ func (in *Injector) PMUWrapper() PMUWrapper {
 // reduces its wide counters modulo pmu.CounterModulus. Only a window where
 // at least one counter actually exceeded the modulus counts as a fault.
 func (w *PMUWrapper) Wrap(c *pmu.Features) {
-	if w.s == nil || w.s.Next() >= w.rate {
+	if w.rate <= 0 || w.s.Next() >= w.rate {
 		return
 	}
 	if pmu.WrapCounters(c, pmu.CounterModulus) {

@@ -19,6 +19,7 @@ package hpl
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"powerbench/internal/linalg"
@@ -187,7 +188,7 @@ func (o *Options) fill(spec *server.Spec) {
 		if o.MemFrac <= 0.6 {
 			state = "Mh"
 		}
-		o.Name = fmt.Sprintf("HPL P%d %s", o.Procs, state)
+		o.Name = "HPL P" + strconv.Itoa(o.Procs) + " " + state
 	}
 }
 

@@ -68,44 +68,61 @@ type Meter struct {
 	// analysis pipeline must tolerate the resulting gaps.
 	DropoutFrac float64
 
-	noise *gaussSource
-	drop  *rng.Stream
+	// noise and drop are the meter's generators, held in place: copying a
+	// meter copies their state. A meter that New or Clone did not seed
+	// (seeded false) adds no noise and drops no reading.
+	noise  gaussSource
+	drop   rng.Stream
+	seeded bool
 }
 
 // New returns a meter with the paper's defaults: 1 Hz sampling, 0.5 W noise,
 // no skew. seed selects the noise stream; runs are reproducible.
 func New(seed float64) *Meter {
-	return &Meter{
-		IntervalSec: 1.0,
-		NoiseSD:     0.5,
-		noise:       newGaussSource(seed),
-		drop:        rng.NewStream(seed+0.5, rng.A),
-	}
+	m := Make(seed)
+	return &m
+}
+
+// Make returns the meter New points to, as a value, for a caller that
+// holds its meter in place (sim.New allocates it with the engine).
+func Make(seed float64) Meter {
+	m := Meter{IntervalSec: 1.0, NoiseSD: 0.5}
+	m.seed(seed)
+	return m
 }
 
 // Clone returns a meter with m's configuration (interval, noise level,
 // skew, quantization, dropout) but fresh RNG streams seeded at seed. The
 // parallel scheduler forks one meter per concurrently executing run, so no
 // generator state is shared across goroutines and a run's noise depends
-// only on its own seed, never on which runs came before it.
-func (m *Meter) Clone(seed float64) *Meter {
+// only on its own seed, never on which runs came before it. The clone is a
+// value, so a caller can hold it in place (sim.Engine.Fork allocates a run's
+// meter with its engine).
+func (m *Meter) Clone(seed float64) Meter {
 	c := *m
-	c.noise = newGaussSource(seed)
-	c.drop = rng.NewStream(seed+0.5, rng.A)
-	return &c
+	c.seed(seed)
+	return c
+}
+
+// seed restarts m's generators at seed: the noise stream at seed, the
+// dropout stream at seed+0.5.
+func (m *Meter) seed(seed float64) {
+	m.noise = newGaussSource(seed)
+	m.drop = rng.MakeStream(seed+0.5, rng.A)
+	m.seeded = true
 }
 
 // gaussSource produces standard normal deviates from the NPB LCG via
 // Box-Muller, keeping the whole simulation on one reproducible generator
 // family.
 type gaussSource struct {
-	s     *rng.Stream
+	s     rng.Stream
 	cache float64
 	has   bool
 }
 
-func newGaussSource(seed float64) *gaussSource {
-	return &gaussSource{s: rng.NewStream(seed, rng.A)}
+func newGaussSource(seed float64) gaussSource {
+	return gaussSource{s: rng.MakeStream(seed, rng.A)}
 }
 
 func (g *gaussSource) next() float64 {
@@ -152,7 +169,7 @@ func (m *Meter) SampleCap(start, end float64) int {
 func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(k int, s Sample)) {
 	lo, hi, interval := m.span(start, end)
 	for t, k := lo, 0; t <= hi+1e-9; t, k = t+interval, k+1 {
-		if m.DropoutFrac > 0 && m.drop != nil && m.drop.Next() < m.DropoutFrac {
+		if m.DropoutFrac > 0 && m.seeded && m.drop.Next() < m.DropoutFrac {
 			continue
 		}
 		each(k, m.read(t, p(t)))
@@ -175,7 +192,7 @@ func (m *Meter) RecordConst(start, end, watts float64) []Sample {
 // before drawing each sample's fate, so it records the log and summarizes
 // that.
 func (m *Meter) RecordSummary(start, end float64, p func(t float64) float64, frac float64) (sum Summary, logged int) {
-	if m.DropoutFrac > 0 && m.drop != nil {
+	if m.DropoutFrac > 0 && m.seeded {
 		log := m.Record(start, end, p)
 		return Summarize(Window(log, start, end), start, end, frac), len(log)
 	}
@@ -213,7 +230,7 @@ func (m *Meter) span(start, end float64) (lo, hi, interval float64) {
 // server time t becomes the logged reading — sensor noise, quantization,
 // the clamp at zero, and the logging PC's clock skew.
 func (m *Meter) read(t, w float64) Sample {
-	if m.NoiseSD > 0 && m.noise != nil {
+	if m.NoiseSD > 0 && m.seeded {
 		w += float64(m.noise.next() * m.NoiseSD)
 	}
 	if m.Quantize > 0 {

@@ -115,8 +115,9 @@ func TestMeterCloneIndependence(t *testing.T) {
 	}
 
 	// And two clones at the same seed are interchangeable.
-	c1 := New(3).Clone(42).Record(0, 100, func(float64) float64 { return 150 })
-	c2 := New(9).Clone(42).Record(0, 100, func(float64) float64 { return 150 })
+	m1, m2 := New(3).Clone(42), New(9).Clone(42)
+	c1 := m1.Record(0, 100, func(float64) float64 { return 150 })
+	c2 := m2.Record(0, 100, func(float64) float64 { return 150 })
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatal("clones with equal seeds produced different traces")
 	}

@@ -23,6 +23,7 @@ package npb
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Program identifies one NPB program.
@@ -111,5 +112,5 @@ func ProcCounts(p Program, max int) []int {
 
 // RunName renders the paper's run label, e.g. "ep.C.4".
 func RunName(p Program, c Class, procs int) string {
-	return fmt.Sprintf("%s.%s.%d", p, c, procs)
+	return string(p) + "." + c.String() + "." + strconv.Itoa(procs)
 }

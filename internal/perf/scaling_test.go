@@ -114,7 +114,7 @@ func TestScalingSlopes(t *testing.T) {
 		spec := server.XeonE5462()
 		cfgs := spec.CacheHierarchy()
 		p := cache.Pattern{WorkingSetBytes: 64 << 20, SequentialFrac: 0.5, StrideBytes: 8, WriteFrac: 0.3}
-		costs := measure(t, scalingAccessSizes, 3, func(i int) {
+		costs := measure(t, scalingAccessSizes, 9, func(i int) {
 			if _, err := cache.ProfileUncached(p, scalingAccessSizes[i], rng.DefaultSeed, cfgs...); err != nil {
 				t.Fatal(err)
 			}

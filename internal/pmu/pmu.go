@@ -199,23 +199,35 @@ type Sampler struct {
 	// JitterFrac is the relative standard deviation of per-window noise.
 	JitterFrac float64
 
-	stream *rng.Stream
+	// stream is the jitter generator, held in place; a sampler that
+	// NewSampler or Clone did not seed (seeded false) draws no jitter.
+	stream rng.Stream
+	seeded bool
 }
 
 // NewSampler returns a sampler with the paper's 10 s interval and 3%
 // counter jitter, seeded reproducibly.
 func NewSampler(seed float64) *Sampler {
-	return &Sampler{IntervalSec: 10, JitterFrac: 0.03, stream: rng.NewStream(seed, rng.A)}
+	s := MakeSampler(seed)
+	return &s
+}
+
+// MakeSampler returns the sampler NewSampler points to, as a value, for a
+// caller that holds its sampler in place (sim.New allocates it with the
+// engine).
+func MakeSampler(seed float64) Sampler {
+	s := Sampler{IntervalSec: 10, JitterFrac: 0.03}
+	return s.Clone(seed)
 }
 
 // Clone returns a sampler with s's configuration but a fresh jitter stream
 // seeded at seed, so concurrently executing runs never share generator
 // state (the companion of Meter.Clone in the scheduler's per-run RNG
-// contract).
-func (s *Sampler) Clone(seed float64) *Sampler {
+// contract). The clone is a value, for a caller to hold in place.
+func (s *Sampler) Clone(seed float64) Sampler {
 	c := *s
-	c.stream = rng.NewStream(seed, rng.A)
-	return &c
+	c.stream, c.seeded = rng.MakeStream(seed, rng.A), true
+	return c
 }
 
 // noise maps a uniform draw u to a noise factor: uniform noise with the
@@ -242,9 +254,9 @@ type Windows struct {
 	// perWindow holds each wide counter's rate × Interval, in Features
 	// order: the left operand of every window's product.
 	perWindow [5]float64
-	// jitter and stream are the sampler's JitterFrac and jitter stream,
-	// or 0 and nil when it draws no jitter: noise is then exactly 1,
-	// whatever the draw buffer holds.
+	// jitter and stream are the sampler's JitterFrac and a pointer to its
+	// jitter stream, or 0 and nil when it draws no jitter: noise is then
+	// exactly 1, whatever the draw buffer holds.
 	jitter float64
 	stream *rng.Stream
 }
@@ -265,8 +277,8 @@ func (s *Sampler) Windows(rates Features, durationSec float64) Windows {
 			rates.MemReads * iv, rates.MemWrites * iv,
 		},
 	}
-	if s.JitterFrac != 0 && s.stream != nil {
-		w.jitter, w.stream = s.JitterFrac, s.stream
+	if s.JitterFrac != 0 && s.seeded {
+		w.jitter, w.stream = s.JitterFrac, &s.stream
 	}
 	return w
 }
@@ -318,16 +330,31 @@ func (w *Windows) Samples() []Sample {
 }
 
 // Sum draws every window and returns their sum, storing none:
-// Sum(w.Samples()) bit for bit.
+// Sum(w.Samples()) bit for bit. It draws a block's jitter as Fill does and
+// adds each window's five products straight into the sums, in Features
+// order, rounded by the same float64() a stored field would be.
 func (w *Windows) Sum() Totals {
-	t := Totals{Windows: w.N}
-	var buf [WindowBlock]Features
-	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
-		for _, c := range ws {
-			t.Add(c)
+	// Locals, not fields, so the sums stay in registers.
+	var instr, l2, l3, reads, writes float64
+	pw, jitter := w.perWindow, w.jitter
+	var u [5 * WindowBlock]float64
+	for left := w.N - w.drawn; left > 0; {
+		n := min(left, WindowBlock)
+		if w.stream != nil {
+			w.stream.NextN(u[:5*n])
 		}
+		for k := 0; k < n; k++ {
+			u := (*[5]float64)(u[5*k:])
+			instr += float64(pw[0] * noise(u[0], jitter))
+			l2 += float64(pw[1] * noise(u[1], jitter))
+			l3 += float64(pw[2] * noise(u[2], jitter))
+			reads += float64(pw[3] * noise(u[3], jitter))
+			writes += float64(pw[4] * noise(u[4], jitter))
+		}
+		left -= n
+		w.drawn += n
 	}
-	return t
+	return Totals{Windows: w.N, Instructions: instr, L2Hits: l2, L3Hits: l3, MemReads: reads, MemWrites: writes}
 }
 
 // Collect samples the run of m on spec over its full duration.

@@ -119,8 +119,9 @@ func TestSamplerCloneIndependence(t *testing.T) {
 		t.Fatal("burning a clone changed the parent sampler's output")
 	}
 
-	c1, _ := NewSampler(3).Clone(42).Collect(spec, m)
-	c2, _ := NewSampler(9).Clone(42).Collect(spec, m)
+	s1, s2 := NewSampler(3).Clone(42), NewSampler(9).Clone(42)
+	c1, _ := s1.Collect(spec, m)
+	c2, _ := s2.Collect(spec, m)
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatal("clones with equal seeds produced different samples")
 	}

@@ -146,7 +146,14 @@ type Stream struct {
 // NewStream returns a Stream seeded at seed with multiplier a. Pass A and
 // DefaultSeed for the canonical NPB stream.
 func NewStream(seed, a float64) *Stream {
-	s := &Stream{x: seed, a: a}
+	s := MakeStream(seed, a)
+	return &s
+}
+
+// MakeStream returns the stream NewStream points to, as a value, for a
+// generator that holds its stream in place rather than behind a pointer.
+func MakeStream(seed, a float64) Stream {
+	s := Stream{x: seed, a: a}
 	if fastLCGEnabled.Load() && seed >= 0 && seed < t46 && a >= 0 && a < t46 {
 		xi, ai := uint64(seed), uint64(a)
 		if float64(xi) == seed && float64(ai) == a {

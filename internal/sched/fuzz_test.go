@@ -23,6 +23,9 @@ func FuzzDeriveSeed(f *testing.F) {
 		if s != DeriveSeed(base, a, b, c) {
 			t.Fatalf("unstable derivation for (%v, %q, %q, %q)", base, a, b, c)
 		}
+		if of := DeriveSeedOf(base, a, b, c); of != s {
+			t.Fatalf("DeriveSeedOf(%v, %q, %q, %q) = %v, DeriveSeed %v", base, a, b, c, of, s)
+		}
 		v := uint64(s)
 		if s != float64(v) || v == 0 || v >= 1<<SeedBits || v%2 == 0 {
 			t.Fatalf("DeriveSeed(%v, %q, %q, %q) = %v: not an odd 46-bit integer", base, a, b, c, s)

@@ -26,27 +26,59 @@ const (
 // The value is an odd integer in [1, 2^46), a full-period state for the
 // NPB multiplier-5^13 LCG that meters and PMU samplers are built on.
 func DeriveSeed(base float64, parts ...string) float64 {
-	h := uint64(fnvOffset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime64
+	h := newSeedHash(base)
+	for _, p := range parts {
+		h.part(p)
 	}
+	return h.seed()
+}
+
+// DeriveSeedOf is DeriveSeed(base, append([]string{first}, parts...)...)
+// without building the joined identity: an engine fork names its server,
+// then the run.
+func DeriveSeedOf(base float64, first string, parts ...string) float64 {
+	h := newSeedHash(base)
+	h.part(first)
+	for _, p := range parts {
+		h.part(p)
+	}
+	return h.seed()
+}
+
+// seedHash is the FNV-1a state DeriveSeed feeds the base's bytes and then
+// each length-prefixed part.
+type seedHash uint64
+
+func newSeedHash(base float64) seedHash {
+	h := seedHash(fnvOffset64)
 	bits := math.Float64bits(base)
 	for i := 0; i < 8; i++ {
-		mix(byte(bits >> (8 * i)))
+		h.mix(byte(bits >> (8 * i)))
 	}
-	for _, p := range parts {
-		n := len(p)
-		for i := 0; i < 4; i++ {
-			mix(byte(n >> (8 * i)))
-		}
-		for j := 0; j < n; j++ {
-			mix(p[j])
-		}
+	return h
+}
+
+func (h *seedHash) mix(b byte) {
+	*h ^= seedHash(b)
+	*h *= fnvPrime64
+}
+
+// part mixes p's length, four bytes little-endian, then its bytes.
+func (h *seedHash) part(p string) {
+	n := len(p)
+	for i := 0; i < 4; i++ {
+		h.mix(byte(n >> (8 * i)))
 	}
-	// Fold the discarded high bits back in, then force the seed odd (even
-	// LCG states decay: the modulus is a power of two) and hence nonzero.
-	v := (h ^ h>>SeedBits) & seedMask
+	for j := 0; j < n; j++ {
+		h.mix(p[j])
+	}
+}
+
+// seed folds the discarded high bits back in, then forces the seed odd
+// (even LCG states decay: the modulus is a power of two) and hence
+// nonzero.
+func (h seedHash) seed() float64 {
+	v := (uint64(h) ^ uint64(h)>>SeedBits) & seedMask
 	v |= 1
 	return float64(v)
 }

@@ -47,6 +47,19 @@ func TestDeriveSeedStable(t *testing.T) {
 	}
 }
 
+// TestDeriveSeedOfJoinsIdentity: DeriveSeedOf(base, first, parts...) is
+// DeriveSeed over the joined identity, for no, one and several parts.
+func TestDeriveSeedOfJoinsIdentity(t *testing.T) {
+	for _, parts := range [][]string{nil, {""}, {"run"}, {"run", "4", "HPL P4 Mf"}} {
+		for _, base := range []float64{0, 1, -3.5} {
+			want := DeriveSeed(base, append([]string{"Xeon-4870"}, parts...)...)
+			if got := DeriveSeedOf(base, "Xeon-4870", parts...); got != want {
+				t.Errorf("DeriveSeedOf(%v, %q) = %v, DeriveSeed %v", base, parts, got, want)
+			}
+		}
+	}
+}
+
 // TestDeriveSeedNoCorpusCollisions: all identities the pipeline actually
 // derives — three servers, run/gap/train roles, plan indices, workload
 // names — map to distinct seeds, and distinct bases relocate all of them.

@@ -77,7 +77,8 @@ func Calibrate(s *Spec, refs []ReferencePoint) error {
 	var y []float64
 	for _, p := range refs {
 		l := referenceLoad(s, p)
-		x = append(x, s.Features(l))
+		f := s.Features(l)
+		x = append(x, f[:])
 		y = append(y, p.Watts-s.IdleWatts-s.Coef.CommPerCore*l.Cores*l.Comm)
 	}
 

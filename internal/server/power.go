@@ -89,9 +89,10 @@ func (s *Spec) bwDemand(l Load) float64 {
 
 // Features returns the fitted-feature vector of a load, in the column order
 // used by calibration: [active, cores, Σκ_eff, Σκ_eff·fp, bwUtil, foot].
-func (s *Spec) Features(l Load) []float64 {
+// It is an array, so evaluating the model allocates nothing.
+func (s *Spec) Features(l Load) [6]float64 {
 	if !l.Active {
-		return []float64{0, 0, 0, 0, 0, 0}
+		return [6]float64{}
 	}
 	demand := s.bwDemand(l)
 	util := demand
@@ -104,7 +105,7 @@ func (s *Spec) Features(l Load) []float64 {
 		}
 	}
 	keff := l.Cores * l.Compute * starve
-	return []float64{1, l.Cores, keff, keff * l.FPWidth, util, l.FootprintFrac}
+	return [6]float64{1, l.Cores, keff, keff * l.FPWidth, util, l.FootprintFrac}
 }
 
 // Starvation returns the bandwidth-starvation factor in (0,1] for a load:

@@ -17,6 +17,11 @@
 // its window of that log and folds the repaired grid into Power, with the
 // repairs in RunResult.Repair, and keeps no log.
 //
+// Each run of a plan executes on a fork of the plan's engine (Fork),
+// seeded by the run's identity. The fork is one allocation: the engine is
+// built together with its meter, PMU sampler and fault injector, each of
+// which holds its RNG streams by value.
+//
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
 // records no counters and skips the cache profiler that drives them. Its
@@ -94,22 +99,37 @@ type Engine struct {
 
 // New returns an engine with the paper's measurement setup: 1 Hz meter with
 // 0.5 W noise, 10 s PMU windows, 8 s ramps, 1% phase wiggle. seed makes the
-// whole simulation reproducible.
+// whole simulation reproducible. The engine, its meter and its PMU sampler
+// are one allocation.
 func New(spec *server.Spec, seed float64) *Engine {
-	return &Engine{
+	b := &block{meter: meter.Make(seed), pmu: pmu.MakeSampler(seed + 1)}
+	b.Engine = Engine{
 		Server:     spec,
-		Meter:      meter.New(seed),
-		PMU:        pmu.NewSampler(seed + 1),
+		Meter:      &b.meter,
+		PMU:        &b.pmu,
 		RampSec:    8,
 		WiggleFrac: 0.01,
 		seed:       seed,
 	}
+	return &b.Engine
+}
+
+// block is an engine together with the generators it points to, allocated
+// as one object: the meter, the PMU sampler and the fault injector each
+// hold their RNG streams in place.
+type block struct {
+	Engine
+	meter meter.Meter
+	pmu   pmu.Sampler
+	fault fault.Injector
 }
 
 // Fork returns a copy of e whose meter and PMU sampler carry fresh RNG
 // streams seeded by identity: sched.DeriveSeed over e's base seed, the
 // server name, and the given parts. All configuration (ramp, wiggle,
-// meter interval/noise/skew, PMU interval/jitter, Obs) is inherited.
+// meter interval/noise/skew, PMU interval/jitter, Obs) is inherited. The
+// fork is one allocation: the engine with its meter, sampler and injector
+// built in place.
 //
 // This is the seeding half of the scheduler's determinism contract: a
 // forked engine's noise depends only on (base seed, identity), never on
@@ -117,15 +137,16 @@ func New(spec *server.Spec, seed float64) *Engine {
 // execute concurrently — or sequentially, in any order — and produce
 // identical samples.
 func (e *Engine) Fork(parts ...string) *Engine {
-	seed := sched.DeriveSeed(e.seed, append([]string{e.Server.Name}, parts...)...)
-	f := *e
-	f.Meter = e.Meter.Clone(seed)
+	seed := sched.DeriveSeedOf(e.seed, e.Server.Name, parts...)
+	b := &block{Engine: *e, meter: e.Meter.Clone(seed)}
+	b.Meter = &b.meter
 	if e.PMU != nil {
-		f.PMU = e.PMU.Clone(seed + 1)
+		b.pmu = e.PMU.Clone(seed + 1)
+		b.PMU = &b.pmu
 	}
-	f.Fault = e.Fault.Reseed(sched.DeriveSeed(seed, "fault"))
-	f.seed = seed
-	return &f
+	b.Fault = e.Fault.Reseed(&b.fault, sched.DeriveSeed(seed, "fault"))
+	b.seed = seed
+	return &b.Engine
 }
 
 // RunResult is the record of one program execution.

@@ -50,6 +50,33 @@ func TestSelectMedianMatchesMedianInPlace(t *testing.T) {
 	}
 }
 
+// TestSelectMedianSampleMisses: where the sampled values mislead the
+// first digit, selection starts over and still returns MedianInPlace's
+// median. Every sampled position (stride/2 into each stride) holds 250,
+// and the rest of the window puts the median below the sampled range, or
+// splits an even window's middle pair across its lower edge.
+func TestSelectMedianSampleMisses(t *testing.T) {
+	const n = 10 * sampleSize
+	for _, tc := range []struct {
+		name string
+		low  int // values of 100 at unsampled positions
+	}{{"rank-below-range", n - sampleSize}, {"pair-split-at-edge", n / 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			xs := make([]float64, n)
+			low := 0
+			for i := range xs {
+				xs[i] = 250
+				if i%10 != 5 && low < tc.low {
+					xs[i] = 100
+					low++
+				}
+			}
+			checkSelect(t, xs, 1)
+			checkSelect(t, xs[:n-1], 1)
+		})
+	}
+}
+
 // TestSelectMedianAllocs: the selection keeps its histogram and its
 // candidates on the stack.
 func TestSelectMedianAllocs(t *testing.T) {
