@@ -57,7 +57,6 @@ import (
 
 	"powerbench/internal/cluster"
 	"powerbench/internal/core"
-	"powerbench/internal/server"
 )
 
 type result struct {
@@ -158,8 +157,8 @@ func (r *router) order(i int, key string) []int {
 func affinityKey(endpoint, rawBody, serverName string, seed float64) string {
 	method := strings.TrimPrefix(endpoint, "/v1/")
 	if rawBody == "" && (method == "evaluate" || method == "green500") {
-		if spec, err := server.ByName(serverName); err == nil {
-			return method + "|" + core.CanonicalHash(spec, seed, core.HashOpts{Method: method})
+		if key, unknown := core.BuiltinResultKey(method, seed, "", serverName); unknown < 0 {
+			return key
 		}
 	}
 	sum := sha256.Sum256([]byte(endpoint + "|" + rawBody + "|" + serverName + "|" + fmt.Sprint(seed)))

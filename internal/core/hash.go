@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"strings"
+	"sync"
 
 	"powerbench/internal/cache"
 	"powerbench/internal/server"
@@ -31,17 +33,32 @@ type HashOpts struct {
 //
 // The rendering is built in one stack buffer (a built-in spec fits; longer
 // strings grow it on the heap), so the returned string is the only
-// allocation on a cache hit.
+// allocation.
 func CanonicalHash(spec *server.Spec, seed float64, opts HashOpts) string {
 	var buf [1024]byte
-	sum := sha256.Sum256(appendCanonical(buf[:0], spec, seed, opts))
-	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:])
+	hx := hexSum(appendCanonical(buf[:0], spec, seed, opts))
+	return string(hx[:])
 }
 
-// appendCanonical appends the canonical rendering CanonicalHash digests.
+// hexSum is the lowercase-hex SHA-256 of a canonical rendering: the digest
+// every key is made of.
+func hexSum(rendering []byte) [2 * sha256.Size]byte {
+	sum := sha256.Sum256(rendering)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return out
+}
+
+// appendCanonical appends the canonical rendering CanonicalHash digests:
+// the per-request prefix, then the spec part.
 func appendCanonical(b []byte, spec *server.Spec, seed float64, opts HashOpts) []byte {
+	return appendSpec(appendPrefix(b, seed, opts), spec)
+}
+
+// appendPrefix appends the per-request part of the canonical rendering:
+// version, method, profile and seed. It comes before the spec part, so a
+// key over a memoized spec part still hashes the whole rendering.
+func appendPrefix(b []byte, seed float64, opts HashOpts) []byte {
 	b = appendField(b, "powerbench-canonical-v1")
 	b = appendField(b, opts.Method)
 	profile := opts.FaultProfile
@@ -49,8 +66,93 @@ func appendCanonical(b []byte, spec *server.Spec, seed float64, opts HashOpts) [
 		profile = "none"
 	}
 	b = appendField(b, profile)
-	b = appendFloat(b, seed)
-	return appendSpec(b, spec)
+	return appendFloat(b, seed)
+}
+
+// ResultKey is the canonical cache key of one computation: the method, a
+// '|', then each spec's CanonicalHash. A comparison chains its specs'
+// hashes with '+' in input order — the per-server seeds (seed+i) and the
+// output columns both depend on that order. The serve layer's result
+// cache, campaign points and loadgen's shard affinity all key through
+// here or BuiltinResultKey, and the serve layer's peer routes accept
+// exactly this shape. The key is built in one allocation.
+func ResultKey(method string, seed float64, profile string, specs ...*server.Spec) string {
+	var buf [1024]byte
+	prefix := appendPrefix(buf[:0], seed, HashOpts{Method: method, FaultProfile: profile})
+	var key strings.Builder
+	startKey(&key, method, len(specs))
+	for i, sp := range specs {
+		joinKey(&key, i, appendSpec(prefix, sp))
+	}
+	return key.String()
+}
+
+// BuiltinResultKey is ResultKey over built-in servers named by their
+// Table I names. Each spec part comes from a rendering memoized once per
+// process, so the key formats no field of any spec. unknown is the index
+// of the first name that is not a built-in server (the key is then
+// empty), or -1.
+func BuiltinResultKey(method string, seed float64, profile string, names ...string) (key string, unknown int) {
+	for i, name := range names {
+		if builtinSpec(name) == nil {
+			return "", i
+		}
+	}
+	var buf [1024]byte
+	prefix := appendPrefix(buf[:0], seed, HashOpts{Method: method, FaultProfile: profile})
+	var k strings.Builder
+	startKey(&k, method, len(names))
+	for i, name := range names {
+		joinKey(&k, i, append(prefix, builtinSpec(name)...))
+	}
+	return k.String(), -1
+}
+
+// startKey sizes key for a result key over n systems and writes the
+// method.
+func startKey(key *strings.Builder, method string, n int) {
+	key.Grow(len(method) + (1+2*sha256.Size)*n)
+	key.WriteString(method)
+}
+
+// joinKey appends the i-th system's hash to a result key: '|' before the
+// first, '+' before the rest.
+func joinKey(key *strings.Builder, i int, rendering []byte) {
+	sep := byte('+')
+	if i == 0 {
+		sep = '|'
+	}
+	key.WriteByte(sep)
+	hx := hexSum(rendering)
+	key.Write(hx[:])
+}
+
+// builtin is the spec part of one built-in server's canonical rendering.
+type builtin struct {
+	name string
+	spec []byte
+}
+
+// builtins renders the spec part of each built-in server once per
+// process, about 2 KB for all three.
+var builtins = sync.OnceValue(func() []builtin {
+	all := server.All()
+	out := make([]builtin, len(all))
+	for i, sp := range all {
+		out[i] = builtin{name: sp.Name, spec: appendSpec(nil, sp)}
+	}
+	return out
+})
+
+// builtinSpec returns the memoized spec part of the named built-in server,
+// or nil for any other name.
+func builtinSpec(name string) []byte {
+	for _, b := range builtins() {
+		if b.name == name {
+			return b.spec
+		}
+	}
+	return nil
 }
 
 // appendField appends a length-prefixed field, "len:value;", so that

@@ -70,7 +70,7 @@ func Attribute(spec *server.Spec, m workload.Model, totalJ, start, end float64) 
 	if dur < 0 {
 		dur = -dur
 	}
-	e.IdleJ = spec.IdleWatts * dur
+	e.IdleJ = float64(spec.IdleWatts * dur)
 	if e.IdleJ > e.TotalJ {
 		// Noise or repair pulled the measured total under the nominal
 		// baseline; the whole window is idle energy.
@@ -101,9 +101,11 @@ func dynamicSplit(spec *server.Spec, m workload.Model) (cpuW, memW, othW float64
 	}
 	f := spec.Features(l)
 	c := spec.Coefficients()
-	cpuW = c.Active*f[0] + c.PerCore*f[1] + c.Compute*f[2] + c.FPCompute*f[3]
-	memW = c.UncoreBW*f[4] + c.MemFoot*f[5]
-	othW = c.CommPerCore*l.Cores*l.Comm + l.IdiosyncrasyWatts
+	// float64(...) rounds each product on its own, so no platform fuses
+	// it into the sum with a multiply-add.
+	cpuW = float64(c.Active*f[0]) + float64(c.PerCore*f[1]) + float64(c.Compute*f[2]) + float64(c.FPCompute*f[3])
+	memW = float64(c.UncoreBW*f[4]) + float64(c.MemFoot*f[5])
+	othW = float64(c.CommPerCore*l.Cores*l.Comm) + l.IdiosyncrasyWatts
 	if othW < 0 {
 		othW = 0
 	}

@@ -283,24 +283,23 @@ func (s *SweepSpec) Expand() []Point {
 	points := make([]Point, 0, len(methods)*len(servers)*len(profiles)*len(seeds))
 	for _, m := range methods {
 		for _, name := range servers {
-			sp, err := server.ByName(name)
-			if err != nil {
-				continue // unreachable after Validate; skip rather than panic
-			}
 			for _, prof := range profiles {
 				canon := prof
 				if canon == "" {
 					canon = "none"
 				}
 				for _, seed := range seeds {
+					key, unknown := core.BuiltinResultKey(m, seed, canon, name)
+					if unknown >= 0 {
+						continue // unreachable after Validate; skip rather than panic
+					}
 					points = append(points, Point{
 						Index:   len(points),
 						Method:  m,
 						Server:  name,
 						Seed:    seed,
 						Profile: canon,
-						Key: m + "|" + core.CanonicalHash(sp, seed,
-							core.HashOpts{Method: m, FaultProfile: canon}),
+						Key:     key,
 					})
 				}
 			}

@@ -3,6 +3,8 @@ package obs
 import (
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,14 +31,19 @@ func PrometheusHandler(r *Registry) http.Handler {
 	})
 }
 
-// statusRecorder captures the status code a handler writes.
+// statusRecorder captures the status code a handler writes: the first
+// final (non-1xx) code, or the last informational one when no final code
+// was written.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	final  bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+	if !r.final {
+		r.status, r.final = code, code >= 200
+	}
 	r.ResponseWriter.WriteHeader(code)
 }
 
@@ -67,30 +74,79 @@ func statusClass(status int) string {
 // silently swallow a crash, but they must not miss it either. A nil Obs
 // passes requests through uninstrumented.
 func HTTPMetrics(o *Obs, route string, next http.Handler) http.Handler {
-	if o == nil || o.Metrics == nil {
+	return HTTPRoute(o, route, nil, next)
+}
+
+// HTTPRoute is HTTPMetrics that also reports every request that returns
+// to slo (nil reports nothing), read through the same status-capturing
+// writer. Each (route, status) series is looked up in the registry once,
+// on its first request, so a request takes no registry lock.
+func HTTPRoute(o *Obs, route string, slo *SLOTracker, next http.Handler) http.Handler {
+	if (o == nil || o.Metrics == nil) && slo == nil {
 		return next
 	}
-	inflight := o.Gauge("http_inflight_requests")
-	latency := o.Histogram("http_request_seconds", DefaultHTTPBuckets, L("route", route))
-	record := func(status int, start time.Time) {
-		latency.Observe(time.Since(start).Seconds())
-		o.Counter("http_requests_total",
-			L("route", route), L("code", strconv.Itoa(status)),
-			L("class", statusClass(status))).Inc()
+	m := &routeMetrics{
+		o:        o,
+		route:    route,
+		inflight: o.Gauge("http_inflight_requests"),
+		latency:  o.Histogram("http_request_seconds", DefaultHTTPBuckets, L("route", route)),
 	}
+	m.requests.Store(&map[int]*Counter{})
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
-		inflight.Add(1)
-		defer inflight.Add(-1)
+		m.inflight.Add(1)
+		defer m.inflight.Add(-1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if r := recover(); r != nil {
 				o.Counter("http_panics_total", L("route", route)).Inc()
-				record(http.StatusInternalServerError, start)
+				m.record(http.StatusInternalServerError, time.Since(start))
 				panic(r)
 			}
 		}()
 		next.ServeHTTP(rec, req)
-		record(rec.status, start)
+		d := time.Since(start)
+		m.record(rec.status, d)
+		slo.Observe(rec.status, d)
 	})
+}
+
+// routeMetrics holds one route's metric handles. The request counters are
+// keyed by status in a map that is replaced, never written, when a new
+// status arrives, so reading it takes no lock.
+type routeMetrics struct {
+	o        *Obs
+	route    string
+	inflight *Gauge
+	latency  *Histogram
+	mu       sync.Mutex // serializes adding a status
+	requests atomic.Pointer[map[int]*Counter]
+}
+
+func (m *routeMetrics) record(status int, d time.Duration) {
+	m.latency.Observe(d.Seconds())
+	m.requestsFor(status).Inc()
+}
+
+// requestsFor returns the route's http_requests_total series for status,
+// resolving it on the status's first request.
+func (m *routeMetrics) requestsFor(status int) *Counter {
+	if c, ok := (*m.requests.Load())[status]; ok {
+		return c
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := *m.requests.Load()
+	if c, ok := old[status]; ok {
+		return c
+	}
+	c := m.o.Counter("http_requests_total",
+		L("route", m.route), L("code", strconv.Itoa(status)), L("class", statusClass(status)))
+	next := make(map[int]*Counter, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[status] = c
+	m.requests.Store(&next)
+	return c
 }

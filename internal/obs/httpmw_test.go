@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -273,5 +274,53 @@ func TestHTTPMetricsNilObs(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 	if rec.Code != http.StatusTeapot {
 		t.Fatalf("status %d, want 418", rec.Code)
+	}
+}
+
+// HTTPRoute resolves each status's series on its first request and reads
+// it without a lock afterwards; concurrent requests with a mix of new and
+// known statuses must each land in their series once and reach the SLO
+// tracker through the same writer.
+func TestHTTPRouteConcurrent(t *testing.T) {
+	o := New()
+	slo := NewSLOTracker(o.Metrics, SLOConfig{})
+	statuses := []int{200, 201, 404, 500, 503}
+	h := HTTPRoute(o, "/c", slo, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		code, _ := strconv.Atoi(req.URL.Query().Get("code"))
+		w.WriteHeader(code)
+	}))
+	const workers, per = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				code := statuses[(g+i)%len(statuses)]
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/c?code="+strconv.Itoa(code), nil))
+			}
+		}(g)
+	}
+	wg.Wait()
+	var total, errors int64
+	for _, code := range statuses {
+		n := o.Counter("http_requests_total", L("route", "/c"), L("code", strconv.Itoa(code)), L("class", statusClass(code))).Value()
+		if n != workers*per/int64(len(statuses)) {
+			t.Errorf("code %d: %d requests counted, want %d", code, n, workers*per/len(statuses))
+		}
+		total += n
+		if code >= 500 {
+			errors += n
+		}
+	}
+	slo.mu.Lock()
+	var sloTotal, sloErrors int64
+	for _, s := range slo.ring {
+		sloTotal += s.total
+		sloErrors += s.errors
+	}
+	slo.mu.Unlock()
+	if total != workers*per || sloTotal != total || sloErrors != errors {
+		t.Errorf("counted %d requests, SLO tracker saw %d (%d errors, want %d)", total, sloTotal, sloErrors, errors)
 	}
 }

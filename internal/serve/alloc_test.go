@@ -1,18 +1,24 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"powerbench/internal/server"
 )
 
 // A cache hit runs only the request path: decode, key, LRU read, trace
-// sampling and the middleware. Measured per hit, request and recorder
-// construction included: 56 allocations for one evaluate key and 67 for a
-// two-server compare key. The bounds leave about ten allocations of
-// margin, so a per-request calibration of a built-in server or a
-// fmt-based canonical hash (each costs dozens per spec) fails them.
+// sampling and the middleware. It renders and copies no spec, builds no
+// computation and, unsampled, records no trace. Measured per hit, request
+// and recorder construction included: 32 allocations for a by-name
+// evaluate or green500 key, 37 for a two-server compare key and 58 for a
+// custom-spec evaluate key, whose decode and validation make the
+// difference. The bounds leave about 10% of margin, so copying the spec
+// (4 allocations per server), building the computation or a trace before
+// the lookup, or setting headers one by one fails them.
 func TestCacheHitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warms the cache through the full pipeline")
@@ -26,8 +32,10 @@ func TestCacheHitAllocs(t *testing.T) {
 		path, body string
 		max        float64
 	}{
-		{"/v1/evaluate", `{"server":"Opteron-8347","seed":3}`, 66},
-		{"/v1/compare", `{"servers":["Xeon-E5462","Xeon-4870"],"seed":3}`, 77},
+		{"/v1/evaluate", `{"server":"Opteron-8347","seed":3}`, 35},
+		{"/v1/green500", `{"server":"Xeon-4870","seed":3}`, 35},
+		{"/v1/compare", `{"servers":["Xeon-E5462","Xeon-4870"],"seed":3}`, 41},
+		{"/v1/evaluate", `{"spec":` + customSpecJSON(t) + `,"seed":3}`, 64},
 	} {
 		hit := func() *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
@@ -46,4 +54,16 @@ func TestCacheHitAllocs(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per cache hit, want <= %.0f", tc.path, allocs, tc.max)
 		}
 	}
+}
+
+// customSpecJSON is the Xeon-E5462 spec renamed, as a client would send a
+// custom server.
+func customSpecJSON(t *testing.T) string {
+	sp := server.XeonE5462()
+	sp.Name = "custom"
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -68,6 +68,14 @@ func (c *lru[V]) Get(key string) (V, bool) {
 // Put stores v under key, evicting the least recently used entry when the
 // bound is exceeded. It returns how many entries were evicted (0 or 1).
 func (c *lru[V]) Put(key string, v V) int {
+	evicted, _ := c.put(key, v)
+	return evicted
+}
+
+// put is Put that also reports whether v was kept: false when key was
+// already stored and replace declined v (the stored entry is still marked
+// most recently used).
+func (c *lru[V]) put(key string, v V) (evicted int, kept bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -75,21 +83,22 @@ func (c *lru[V]) Put(key string, v V) int {
 		if c.replace != nil && c.replace(e.v, v) {
 			c.bytes += int64(c.size(v) - c.size(e.v))
 			e.v = v
+			kept = true
 		}
 		c.order.MoveToFront(el)
-		return 0
+		return 0, kept
 	}
 	c.items[key] = c.order.PushFront(&lruEntry[V]{key: key, v: v})
 	c.bytes += int64(c.size(v))
 	if c.order.Len() <= c.cap {
-		return 0
+		return 0, true
 	}
 	oldest := c.order.Back()
 	c.order.Remove(oldest)
 	e := oldest.Value.(*lruEntry[V])
 	delete(c.items, e.key)
 	c.bytes -= int64(c.size(e.v))
-	return 1
+	return 1, true
 }
 
 // Values returns the stored values in no particular order.

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+
+	"powerbench/internal/tracectx"
 )
 
 // This file is the service's flight-recorder surface (DESIGN.md §10): each
@@ -27,6 +29,24 @@ func flightID(key string) string {
 	var id [2 * sha256.Size]byte
 	hex.Encode(id[:], sum[:])
 	return string(id[:])
+}
+
+// setIDs sets a compute response's identity headers: the flight id, the
+// trace id and the traceparent naming the trace's root span. The flight id
+// and the traceparent are rendered into one string, the trace id is the
+// traceparent's [3:35] substring, and the three header values share one
+// backing slice. It returns the flight id.
+func setIDs(h http.Header, key string, trace tracectx.ID, root tracectx.SpanID) string {
+	var b [2*sha256.Size + tracectx.TraceparentLen]byte
+	sum := sumKey("", key)
+	n := hex.Encode(b[:], sum[:])
+	ids := string(tracectx.AppendTraceparent(b[:n], trace, root, true))
+	tp := ids[n:]
+	vals := []string{ids[:n], tp[3:35], tp}
+	h[flightHeader] = vals[0:1:1]
+	h[traceHeader] = vals[1:2:2]
+	h[traceparentKey] = vals[2:3:3]
+	return ids[:n]
 }
 
 // putFlight publishes flight-record JSONL under id: into the bounded

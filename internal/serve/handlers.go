@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"powerbench/internal/cluster"
 	"powerbench/internal/core"
@@ -75,25 +74,28 @@ func (s *Server) decode(w http.ResponseWriter, req *http.Request, v any) error {
 	return nil
 }
 
-// resolveSpec turns an EvaluateRequest's server selection into a validated
-// Spec.
-func resolveSpec(name string, spec *server.Spec) (*server.Spec, error) {
+// methodKey validates an EvaluateRequest's server selection and returns
+// the request's cache key. A built-in server keys from its memoized
+// rendering, so a by-name request resolves no spec until it misses; a
+// custom spec is validated and rendered.
+func methodKey(method string, er *EvaluateRequest) (string, error) {
 	switch {
-	case name != "" && spec != nil:
-		return nil, badField("server", "request sets both server and spec; choose one")
-	case spec != nil:
-		if err := spec.Validate(); err != nil {
-			return nil, badField("spec", "invalid spec: %v", err)
+	case er.Server != "" && er.Spec != nil:
+		return "", badField("server", "request sets both server and spec; choose one")
+	case er.Spec != nil:
+		if err := er.Spec.Validate(); err != nil {
+			return "", badField("spec", "invalid spec: %v", err)
 		}
-		return spec, nil
-	case name != "":
-		sp, err := server.ByName(name)
-		if err != nil {
-			return nil, &httpError{status: http.StatusNotFound, msg: err.Error(), field: "server"}
+		return core.ResultKey(method, er.Seed, er.FaultProfile, er.Spec), nil
+	case er.Server != "":
+		key, unknown := core.BuiltinResultKey(method, er.Seed, er.FaultProfile, er.Server)
+		if unknown >= 0 {
+			_, err := server.ByName(er.Server)
+			return "", &httpError{status: http.StatusNotFound, msg: err.Error(), field: "server"}
 		}
-		return sp, nil
+		return key, nil
 	default:
-		return nil, badField("server", "request must set server (built-in name) or spec (custom)")
+		return "", badField("server", "request must set server (built-in name) or spec (custom)")
 	}
 }
 
@@ -132,7 +134,7 @@ func (s *Server) handleMethod(method string) http.HandlerFunc {
 			fail(w, err)
 			return
 		}
-		spec, err := resolveSpec(er.Server, er.Spec)
+		key, err := methodKey(method, &er)
 		if err != nil {
 			fail(w, err)
 			return
@@ -142,21 +144,29 @@ func (s *Server) handleMethod(method string) http.HandlerFunc {
 			fail(w, err)
 			return
 		}
-		key := resultKey(method, er.Seed, er.FaultProfile, spec)
-		s.serveComputed(w, req, route, key, profile.Active(), er.TimeoutMS, s.methodFn(method, spec, er.Seed, profile))
+		s.serveComputed(w, req, route, key, profile.Active(), er.TimeoutMS, func() computeFn {
+			return s.methodFn(method, er.Server, er.Spec, er.Seed, profile)
+		})
 	}
 }
 
 // methodFn returns the computation behind a single-server method: the one
-// closure both its HTTP route and a campaign point hand to joinOrBegin.
-func (s *Server) methodFn(method string, spec *server.Spec, seed float64, profile *fault.Profile) computeFn {
-	if method == "green500" {
-		return func(ctx context.Context, rec *flight.Recorder) (any, error) {
-			return s.g500Fn(ctx, spec, seed, s.opts(profile, rec))
-		}
-	}
+// closure both its HTTP route and a campaign point hand to joinOrBegin. It
+// runs spec, or else the built-in server name, which the request's key
+// already resolved.
+func (s *Server) methodFn(method, name string, spec *server.Spec, seed float64, profile *fault.Profile) computeFn {
 	return func(ctx context.Context, rec *flight.Recorder) (any, error) {
-		return s.evalFn(ctx, spec, seed, s.opts(profile, rec))
+		sp := spec
+		if sp == nil {
+			var err error
+			if sp, err = server.ByName(name); err != nil {
+				return nil, err
+			}
+		}
+		if method == "green500" {
+			return s.g500Fn(ctx, sp, seed, s.opts(profile, rec))
+		}
+		return s.evalFn(ctx, sp, seed, s.opts(profile, rec))
 	}
 }
 
@@ -166,7 +176,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
 		fail(w, err)
 		return
 	}
-	specs, err := resolveSpecs(cr.Servers, cr.Specs)
+	key, err := compareKey(&cr)
 	if err != nil {
 		fail(w, err)
 		return
@@ -176,49 +186,57 @@ func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
 		fail(w, err)
 		return
 	}
-	key := resultKey("compare", cr.Seed, cr.FaultProfile, specs...)
-	s.serveComputed(w, req, "/v1/compare", key, profile.Active(), cr.TimeoutMS, func(ctx context.Context, rec *flight.Recorder) (any, error) {
-		return s.cmpFn(ctx, specs, cr.Seed, s.opts(profile, rec))
+	s.serveComputed(w, req, "/v1/compare", key, profile.Active(), cr.TimeoutMS, func() computeFn {
+		return func(ctx context.Context, rec *flight.Recorder) (any, error) {
+			specs := cr.Specs
+			if len(specs) == 0 {
+				var err error
+				if specs, err = builtinSpecs(cr.Servers); err != nil {
+					return nil, err
+				}
+			}
+			return s.cmpFn(ctx, specs, cr.Seed, s.opts(profile, rec))
+		}
 	})
 }
 
-// resultKey is the canonical cache key of one computation: the method, a
-// '|', then each spec's core.CanonicalHash. A comparison chains its specs'
-// hashes with '+' in input order — the per-server seeds (seed+i) and the
-// output columns both depend on that order. jobs.SweepSpec.Expand builds
-// the same keys for campaign points, and validPeerKey accepts exactly
-// this shape.
-func resultKey(method string, seed float64, profile string, specs ...*server.Spec) string {
-	var b strings.Builder
-	b.Grow(len(method) + 65*len(specs)) // a separator and 64 hex digits per spec
-	b.WriteString(method)
-	b.WriteByte('|')
-	for i, sp := range specs {
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		b.WriteString(core.CanonicalHash(sp, seed, core.HashOpts{Method: method, FaultProfile: profile}))
-	}
-	return b.String()
-}
+// allServers names every built-in server in the paper's order: the
+// selection of a comparison that names none.
+var allServers = server.Names()
 
-// resolveSpecs turns a CompareRequest's selection into validated Specs;
-// empty selection compares every built-in server.
-func resolveSpecs(names []string, specs []*server.Spec) ([]*server.Spec, error) {
-	if len(names) > 0 && len(specs) > 0 {
-		return nil, badField("servers", "request sets both servers and specs; choose one")
+// compareKey validates a CompareRequest's selection and returns the
+// request's cache key. Named and default (all built-in) selections key from
+// the memoized renderings; custom specs are validated and rendered.
+func compareKey(cr *CompareRequest) (string, error) {
+	if len(cr.Servers) > 0 && len(cr.Specs) > 0 {
+		return "", badField("servers", "request sets both servers and specs; choose one")
 	}
-	if len(specs) > 0 {
-		for i, sp := range specs {
+	if len(cr.Specs) > 0 {
+		for i, sp := range cr.Specs {
 			if sp == nil {
-				return nil, badField(fmt.Sprintf("specs[%d]", i), "specs contains a null entry")
+				return "", badField(fmt.Sprintf("specs[%d]", i), "specs contains a null entry")
 			}
 			if err := sp.Validate(); err != nil {
-				return nil, badField(fmt.Sprintf("specs[%d]", i), "invalid spec: %v", err)
+				return "", badField(fmt.Sprintf("specs[%d]", i), "invalid spec: %v", err)
 			}
 		}
-		return specs, nil
+		return core.ResultKey("compare", cr.Seed, cr.FaultProfile, cr.Specs...), nil
 	}
+	names := cr.Servers
+	if len(names) == 0 {
+		names = allServers
+	}
+	key, unknown := core.BuiltinResultKey("compare", cr.Seed, cr.FaultProfile, names...)
+	if unknown >= 0 {
+		_, err := server.ByName(names[unknown])
+		return "", &httpError{status: http.StatusNotFound, msg: err.Error(), field: fmt.Sprintf("servers[%d]", unknown)}
+	}
+	return key, nil
+}
+
+// builtinSpecs returns fresh specs of the named built-in servers; no
+// names selects all of them.
+func builtinSpecs(names []string) ([]*server.Spec, error) {
 	if len(names) == 0 {
 		return server.All(), nil
 	}
@@ -226,7 +244,7 @@ func resolveSpecs(names []string, specs []*server.Spec) ([]*server.Spec, error) 
 	for i, name := range names {
 		sp, err := server.ByName(name)
 		if err != nil {
-			return nil, &httpError{status: http.StatusNotFound, msg: err.Error(), field: fmt.Sprintf("servers[%d]", i)}
+			return nil, err
 		}
 		out[i] = sp
 	}

@@ -9,7 +9,6 @@ import (
 
 	"powerbench/internal/fault"
 	"powerbench/internal/jobs"
-	"powerbench/internal/server"
 )
 
 // This file is the HTTP face of the durable campaign subsystem
@@ -162,7 +161,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, req *http.Request) {
 // result, a peer-served flight, or a joined one.
 func (s *Server) execPoint(ctx context.Context, pt jobs.Point) ([]byte, bool, error) {
 	if body, ok := s.cache.Get(pt.Key); ok {
-		s.obs.Counter("serve_cache_hits_total").Inc()
+		s.ctr.cacheHits.Inc()
 		return body, true, nil
 	}
 	// When the ring assigns this point to a healthy peer, run it where its
@@ -187,15 +186,11 @@ func (s *Server) execPoint(ctx context.Context, pt jobs.Point) ([]byte, bool, er
 			}
 		}
 	}
-	sp, err := server.ByName(pt.Server)
-	if err != nil {
-		return nil, false, err
-	}
 	profile, err := fault.Parse(pt.Profile)
 	if err != nil {
 		return nil, false, err
 	}
-	f, how := s.joinOrBegin(pt.Key, s.methodFn(pt.Method, sp, pt.Seed, profile), &flightTask{})
+	f, how := s.joinOrBegin(pt.Key, s.methodFn(pt.Method, pt.Server, nil, pt.Seed, profile), &flightTask{})
 	if !s.await(ctx, f) {
 		return nil, false, ctx.Err()
 	}

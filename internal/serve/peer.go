@@ -33,7 +33,7 @@ const peerHeader = "X-Powerbench-Peer"
 
 // validPeerKey bounds what the peer routes accept: a known method prefix,
 // a '|' separator and a hex (or '+'-chained hex, for compare) suffix —
-// the exact shape of every key resultKey builds. Anything else is a
+// the exact shape of every key core.ResultKey builds. Anything else is a
 // confused or hostile caller, answered 400 without touching the cache.
 func validPeerKey(key string) bool {
 	if len(key) > 4096 {

@@ -201,6 +201,8 @@ type Server struct {
 	draining atomic.Bool
 	// slo tracks request outcomes for the burn-rate gauges (nil without Obs).
 	slo *obs.SLOTracker
+	// ctr holds the service counters the request and flight paths bump.
+	ctr serviceCounters
 	// admit is the admission semaphore: send acquires a compute slot,
 	// receive releases it.
 	admit chan struct{}
@@ -281,20 +283,7 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 		}
 	}
 	s.obs.Gauge("serve_admission_capacity").Set(float64(cfg.maxInFlight()))
-	// Pre-touch the service counters so the very first scrape already
-	// exposes the full SLO-relevant series at zero — burn-rate and error
-	// dashboards need absent-vs-zero to be unambiguous.
-	for _, name := range []string{
-		"serve_cache_hits_total", "serve_cache_misses_total",
-		"serve_dedup_joined_total", "serve_admission_rejected_total",
-		"serve_flight_abandoned_total", "serve_deadline_expired_total",
-		"serve_client_gone_total", "serve_compute_total",
-		"serve_compute_errors_total", "serve_cache_evictions_total",
-		"serve_flights_recorded_total", "serve_traces_dropped_total",
-		"serve_trace_evictions_total",
-	} {
-		s.obs.Counter(name)
-	}
+	s.ctr = newServiceCounters(s.obs)
 	// The campaign manager shares the service's cache, flights and
 	// pipeline seams: its executor (execPoint) checks the cache, routes
 	// off-owner points to their shard, then joins or begins the key's
@@ -364,6 +353,37 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 	return s, nil
 }
 
+// serviceCounters are the service counters a request or flight bumps,
+// resolved once so no request looks one up by name. Resolving them also
+// pre-touches each series, so the very first scrape already exposes the
+// full SLO-relevant set at zero — burn-rate and error dashboards need
+// absent-vs-zero to be unambiguous.
+type serviceCounters struct {
+	cacheHits, cacheMisses, dedupJoined, admissionRejected,
+	flightAbandoned, deadlineExpired, clientGone, compute, computeErrors,
+	cacheEvictions, tracesDropped, traceEvictions *obs.Counter
+}
+
+func newServiceCounters(o *obs.Obs) serviceCounters {
+	// putFlight bumps this one by name (a peer's replica counts under
+	// another), so it is only pre-touched here.
+	o.Counter("serve_flights_recorded_total")
+	return serviceCounters{
+		cacheHits:         o.Counter("serve_cache_hits_total"),
+		cacheMisses:       o.Counter("serve_cache_misses_total"),
+		dedupJoined:       o.Counter("serve_dedup_joined_total"),
+		admissionRejected: o.Counter("serve_admission_rejected_total"),
+		flightAbandoned:   o.Counter("serve_flight_abandoned_total"),
+		deadlineExpired:   o.Counter("serve_deadline_expired_total"),
+		clientGone:        o.Counter("serve_client_gone_total"),
+		compute:           o.Counter("serve_compute_total"),
+		computeErrors:     o.Counter("serve_compute_errors_total"),
+		cacheEvictions:    o.Counter("serve_cache_evictions_total"),
+		tracesDropped:     o.Counter("serve_traces_dropped_total"),
+		traceEvictions:    o.Counter("serve_trace_evictions_total"),
+	}
+}
+
 // Recovery reports what the jobs WAL replayed at boot (zero value when
 // WALDir was unset or the journal was empty).
 func (s *Server) Recovery() jobs.Recovery { return s.recovery }
@@ -374,31 +394,7 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // route registers a handler wrapped in the obs HTTP middleware under a
 // fixed route label, with SLO outcome tracking on the API routes.
 func (s *Server) route(pattern, label string, h http.HandlerFunc) {
-	inner := obs.HTTPMetrics(s.obs, label, h)
-	if s.slo == nil {
-		s.mux.Handle(pattern, inner)
-		return
-	}
-	s.mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		inner.ServeHTTP(sw, req)
-		s.slo.Observe(sw.status, time.Since(start))
-	}))
-}
-
-// statusWriter captures the first written status code for SLO accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status, w.wrote = code, true
-	}
-	w.ResponseWriter.WriteHeader(code)
+	s.mux.Handle(pattern, obs.HTTPRoute(s.obs, label, s.slo, h))
 }
 
 // metricsHandler serves the live registry; a nil Obs still answers with an
@@ -493,8 +489,22 @@ type flightTask struct {
 // or begin the key's flight under admission control, then wait for the
 // flight or the request deadline, whichever first. route labels the trace's
 // root span; faulted marks requests running a fault profile, which the tail
-// sampler always retains.
-func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, key string, faulted bool, timeoutMS int, fn computeFn) {
+// sampler always retains. build returns the computation; it is called only
+// on a miss.
+func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, key string, faulted bool, timeoutMS int, build func() computeFn) {
+	// A hit's trace retention is known before the lookup: the sampler's
+	// verdict on a fast 200 hit. A hit it would drop records no trace at
+	// all; its ids derive from the key exactly as a traced request's do.
+	if s.sampleReason(http.StatusOK, faulted, "hit", 0, key) == "" {
+		if body, ok := s.cache.Get(key); ok {
+			s.ctr.cacheHits.Inc()
+			s.ctr.tracesDropped.Inc()
+			id := tracectx.DeriveID(key)
+			setIDs(w.Header(), key, id, tracectx.DeriveSpanID(id, route))
+			writeBody(w, http.StatusOK, "hit", body)
+			return
+		}
+	}
 	// The flight and trace ids are pure functions of the key, so every
 	// response path (hit, miss, dedup, even 429) can advertise where the
 	// forensics live — and the response traceparent (trace id + root span
@@ -502,20 +512,17 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	// this request before the computation has even finished.
 	tr := newRequestTrace(req, route, key)
 	root := tr.Root()
-	fid := flightID(key)
-	w.Header().Set(flightHeader, fid)
-	w.Header().Set(traceHeader, tr.ID().String())
-	w.Header().Set("Traceparent", tracectx.Format(tr.ID(), root.ID(), true))
+	fid := setIDs(w.Header(), key, tr.ID(), root.ID())
 	cacheSpan := root.Child("cache")
 	if body, ok := s.cache.Get(key); ok {
-		s.obs.Counter("serve_cache_hits_total").Inc()
+		s.ctr.cacheHits.Inc()
 		cacheSpan.Str("result", "hit").End()
 		root.End()
 		writeBody(w, http.StatusOK, "hit", body)
 		s.storeTrace(tr, route, key, fid, http.StatusOK, faulted, "hit", 0)
 		return
 	}
-	s.obs.Counter("serve_cache_misses_total").Inc()
+	s.ctr.cacheMisses.Inc()
 	cacheSpan.Str("result", "miss").End()
 
 	// Request deadline: the service ceiling, tightened by timeout_ms.
@@ -526,12 +533,12 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
 
-	f, how := s.joinOrBegin(key, fn, &flightTask{tr: tr, route: route, flight: fid, faulted: faulted, admit: true})
+	f, how := s.joinOrBegin(key, build(), &flightTask{tr: tr, route: route, flight: fid, faulted: faulted, admit: true})
 	if f == nil {
 		// Saturated: reject now rather than queue unboundedly. The rejection
 		// trace (root + cache miss + admission verdict) is always retained —
 		// a 429 is an error outcome.
-		s.obs.Counter("serve_admission_rejected_total").Inc()
+		s.ctr.admissionRejected.Inc()
 		root.Child("admission").Str("result", "rejected").Int("capacity", cap(s.admit)).End()
 		root.End()
 		w.Header().Set("Retry-After", retryAfterSec)
@@ -543,13 +550,13 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 
 	if !s.await(ctx, f) {
 		if ctx.Err() == context.DeadlineExceeded {
-			s.obs.Counter("serve_deadline_expired_total").Inc()
+			s.ctr.deadlineExpired.Inc()
 			writeError(w, http.StatusGatewayTimeout,
 				fmt.Sprintf("deadline exceeded after %s", timeout))
 			return
 		}
 		// Client went away; nothing to write.
-		s.obs.Counter("serve_client_gone_total").Inc()
+		s.ctr.clientGone.Inc()
 		return
 	}
 	// A flight served by cache peering advertises its origin shard; the
@@ -573,7 +580,7 @@ func (s *Server) await(ctx context.Context, f *serveFlight) bool {
 		return true
 	case <-ctx.Done():
 		if s.flights.leave(f) {
-			s.obs.Counter("serve_flight_abandoned_total").Inc()
+			s.ctr.flightAbandoned.Inc()
 		}
 		return false
 	}
@@ -589,7 +596,7 @@ func (s *Server) await(ctx context.Context, f *serveFlight) bool {
 // the same trace, and the beginner's records the actual computation.
 func (s *Server) joinOrBegin(key string, fn computeFn, t *flightTask) (f *serveFlight, how string) {
 	if f := s.flights.join(key); f != nil {
-		s.obs.Counter("serve_dedup_joined_total").Inc()
+		s.ctr.dedupJoined.Inc()
 		return f, "dedup"
 	}
 	// No live flight: a request must compute, which needs a slot.
@@ -608,7 +615,7 @@ func (s *Server) joinOrBegin(key string, fn computeFn, t *flightTask) (f *serveF
 		if t.admit {
 			<-s.admit
 		}
-		s.obs.Counter("serve_dedup_joined_total").Inc()
+		s.ctr.dedupJoined.Inc()
 		return f, "dedup"
 	}
 	root := t.tr.Root()
@@ -658,7 +665,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 		ps.Str("result", "miss").End()
 	}
 
-	s.obs.Counter("serve_compute_total").Inc()
+	s.ctr.compute.Inc()
 	compute := t.tr.Root().Child("compute")
 	ctx = tracectx.ContextWith(ctx, compute)
 	rec := flight.NewRecorder(0)
@@ -675,7 +682,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	var body []byte
 	switch {
 	case err != nil:
-		s.obs.Counter("serve_compute_errors_total").Inc()
+		s.ctr.computeErrors.Inc()
 		status = http.StatusInternalServerError
 		body = errorBody(fmt.Sprintf("evaluation failed: %v", err))
 		compute.Str("error", err.Error())
@@ -748,7 +755,7 @@ func (s *Server) settle(f *serveFlight, t *flightTask, status int, body []byte, 
 // WAL recovery) goes through here, so the cache gauges never go stale.
 func (s *Server) putResult(key string, body []byte) {
 	evicted := s.cache.Put(key, body)
-	s.obs.Counter("serve_cache_evictions_total").Add(int64(evicted))
+	s.ctr.cacheEvictions.Add(int64(evicted))
 	s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
 }
 
@@ -785,10 +792,21 @@ func fieldErrorBody(msg, field string) []byte {
 	return append(b, '\n')
 }
 
+// Header values every response shares. A response assigns the slices
+// themselves, so setting them allocates nothing; their capacity equals
+// their length, so a later Header.Add copies rather than writes into them.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheValues     = map[string][]string{
+		"hit": {"hit"}, "miss": {"miss"}, "dedup": {"dedup"}, "peer": {"peer"},
+	}
+)
+
 func writeBody(w http.ResponseWriter, status int, how string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
 	if how != "" {
-		w.Header().Set(cacheHeader, how)
+		h[cacheHeader] = cacheValues[how]
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(body)

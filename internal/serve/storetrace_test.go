@@ -261,3 +261,58 @@ func TestStoreTraceAllocs(t *testing.T) {
 		t.Errorf("storing grows with span count: %.1f allocs for compare, %.1f for evaluate", counts[1], counts[0])
 	}
 }
+
+// A sampled hit's two-span trace is not stored over the full trace its
+// miss left under the same id: it is neither rendered, counted nor handed
+// to the hook, and the stored document only moves to the front of the
+// store. When the store no longer holds the id, the hit's trace is stored
+// and counted like any other.
+func TestSampledHitKeepsStoredTrace(t *testing.T) {
+	o := obs.New()
+	s, err := newServer(Config{Obs: o, Jobs: 1, TraceSampleRate: 1, TraceEntries: 2}, func(s *Server) {
+		s.evalFn = stubEval
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	rec := recordStored(s)
+	stored := func(reason string) int64 {
+		return o.Counter("serve_traces_stored_total", obs.L("reason", reason)).Value()
+	}
+	send := func(seed int, want string) string {
+		t.Helper()
+		r := do(s, http.MethodPost, "/v1/evaluate", `{"server":"Xeon-E5462","seed":`+strconv.Itoa(seed)+`}`)
+		if r.Code != http.StatusOK || r.Header().Get(cacheHeader) != want {
+			t.Fatalf("seed %d: status %d cache %q, want a %s", seed, r.Code, r.Header().Get(cacheHeader), want)
+		}
+		return r.Header().Get(traceHeader)
+	}
+	a, b := send(1, "miss"), send(2, "miss")
+	missDoc := do(s, http.MethodGet, "/v1/traces/"+a, "").Body.String()
+	if got := len(rec.check(t)); got != 2 || stored("cache-miss") != 2 {
+		t.Fatalf("misses: %d hook calls, %d counted; want 2 and 2", got, stored("cache-miss"))
+	}
+
+	send(1, "hit")
+	if got := len(rec.check(t)); got != 0 || stored("sampled") != 0 {
+		t.Errorf("sampled hit over a stored miss trace: %d hook calls, %d counted as stored; want 0 and 0", got, stored("sampled"))
+	}
+	if doc := do(s, http.MethodGet, "/v1/traces/"+a, "").Body.String(); doc != missDoc {
+		t.Errorf("the miss trace changed after a sampled hit:\n%s", doc)
+	}
+	// The hit moved a's trace to the front, so the next miss evicts b's.
+	c := send(3, "miss")
+	for id, want := range map[string]int{a: http.StatusOK, b: http.StatusNotFound, c: http.StatusOK} {
+		if got := do(s, http.MethodGet, "/v1/traces/"+id, "").Code; got != want {
+			t.Errorf("trace %s: status %d, want %d", id, got, want)
+		}
+	}
+	rec.check(t)
+
+	// b's trace is gone, so b's sampled hit stores its own.
+	send(2, "hit")
+	if got := rec.check(t); len(got) != 1 || got[0].m.Reason != "sampled" || stored("sampled") != 1 {
+		t.Errorf("sampled hit with no stored trace: %d hook calls, %d counted; want 1 sampled and 1", len(got), stored("sampled"))
+	}
+}

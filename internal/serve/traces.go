@@ -110,26 +110,38 @@ func (s *Server) traceList() []fleet.TraceSummary {
 // preserves the upstream hop for cross-linking.
 func newRequestTrace(req *http.Request, route, key string) *tracectx.Trace {
 	tr := tracectx.New(tracectx.DeriveID(key), route, "serve")
-	if h := req.Header.Get(tracectx.TraceparentHeader); h != "" {
-		if _, err := tracectx.Parse(h); err == nil {
-			tr.SetOrigin(h)
+	if v := req.Header[traceparentKey]; len(v) > 0 && v[0] != "" {
+		if _, err := tracectx.Parse(v[0]); err == nil {
+			tr.SetOrigin(v[0])
 		}
 	}
 	return tr
 }
 
+// traceparentKey is the W3C traceparent header's canonical key, under
+// which net/http stores it; indexing the header map with it skips
+// canonicalizing tracectx.TraceparentHeader on every request.
+const traceparentKey = "Traceparent"
+
 // storeTrace applies the tail-sampling policy to a settled request's
 // trace and publishes the kept document, rendered straight from the spans
 // with the request's key, status, retention reason and flight id. Drops
-// are counted, keeps are labeled by rule, so the sampler's behavior is
-// observable.
+// are counted, and the documents the store keeps are labeled by rule, so
+// the sampler's behavior is observable.
 func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, status int, faulted bool, how string, dur time.Duration) {
 	if tr == nil {
 		return
 	}
 	reason := s.sampleReason(status, faulted, how, dur, key)
 	if reason == "" {
-		s.obs.Counter("serve_traces_dropped_total").Inc()
+		s.ctr.tracesDropped.Inc()
+		return
+	}
+	// The store keeps the richer of two documents under one id, so a
+	// trace with no more spans than the stored one (a sampled hit's stub
+	// after its miss's full trace) would be rendered only to be declined.
+	// The lookup still marks the stored document most recently used.
+	if old, ok := s.traces.Get(tr.ID().String()); ok && old.meta.Spans >= tr.Len() {
 		return
 	}
 	m := tracectx.Meta{Key: key, Status: status, Reason: reason, Flight: flight}
@@ -138,16 +150,19 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, statu
 		s.obs.Infof("trace %s not stored: %v", tr.ID(), err)
 		return
 	}
-	if s.traceStored != nil {
-		s.traceStored(tr, m, st.Body)
-	}
-	evicted := s.traces.Put(st.Trace, storedTrace{doc: st.Body, meta: fleet.TraceSummary{
+	evicted, kept := s.traces.put(st.Trace, storedTrace{doc: st.Body, meta: fleet.TraceSummary{
 		Trace: st.Trace, Root: route, Status: status, Reason: reason,
 		DurationUS: st.DurationUS, Flight: flight, Spans: st.Spans,
 		Shard: s.cluster.Self(),
 	}})
+	if !kept {
+		return
+	}
+	if s.traceStored != nil {
+		s.traceStored(tr, m, st.Body)
+	}
 	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()
-	s.obs.Counter("serve_trace_evictions_total").Add(int64(evicted))
+	s.ctr.traceEvictions.Add(int64(evicted))
 	s.obs.Gauge("serve_trace_entries").Set(float64(s.traces.Len()))
 	s.obs.Gauge("serve_trace_bytes").Set(float64(s.traces.Bytes()))
 }

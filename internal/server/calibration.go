@@ -79,7 +79,7 @@ func Calibrate(s *Spec, refs []ReferencePoint) error {
 		l := referenceLoad(s, p)
 		f := s.Features(l)
 		x = append(x, f[:])
-		y = append(y, p.Watts-s.IdleWatts-s.Coef.CommPerCore*l.Cores*l.Comm)
+		y = append(y, p.Watts-s.IdleWatts-float64(s.Coef.CommPerCore*l.Cores*l.Comm))
 	}
 
 	const nFeat = 6

@@ -126,14 +126,16 @@ func (s *Spec) Power(l Load) float64 {
 	}
 	f := s.Features(l)
 	c := s.Coefficients()
+	// Each product is rounded on its own (float64(...)), so no platform
+	// fuses it into the sum with a multiply-add.
 	p := s.IdleWatts +
-		c.Active*f[0] +
-		c.PerCore*f[1] +
-		c.Compute*f[2] +
-		c.FPCompute*f[3] +
-		c.UncoreBW*f[4] +
-		c.MemFoot*f[5] +
-		c.CommPerCore*l.Cores*l.Comm +
+		float64(c.Active*f[0]) +
+		float64(c.PerCore*f[1]) +
+		float64(c.Compute*f[2]) +
+		float64(c.FPCompute*f[3]) +
+		float64(c.UncoreBW*f[4]) +
+		float64(c.MemFoot*f[5]) +
+		float64(c.CommPerCore*l.Cores*l.Comm) +
 		l.IdiosyncrasyWatts
 	if p < s.IdleWatts {
 		p = s.IdleWatts

@@ -144,7 +144,7 @@ func (c AnchorCurve) Interp(n float64) float64 {
 		return pts[i].Value
 	}
 	t := (math.Log(n) - x0) / (x1 - x0)
-	return math.Exp(y0 + t*(y1-y0))
+	return math.Exp(y0 + float64(t*(y1-y0)))
 }
 
 // increasing reports whether the anchors are strictly increasing in N, so

@@ -213,6 +213,17 @@ func (t *Trace) ID() ID {
 	return t.id
 }
 
+// Len returns the number of spans recorded so far, root included: the
+// span count Render reports. A nil trace has none.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}
+
 // Ref returns the trace's exemplar reference, "trace:<trace id>", which
 // names the document served by /v1/traces/<trace id>; it renders in one
 // stack buffer, as Span.Ref does. A nil trace returns "".

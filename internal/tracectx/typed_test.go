@@ -245,3 +245,40 @@ func TestSpanRecordAllocs(t *testing.T) {
 		t.Errorf("nil span: %.0f allocs, want 0", n)
 	}
 }
+
+// Rendering a trace for the store costs a fixed handful of allocations
+// (the span snapshot, its sort, the body and the id string), the same for
+// a hundreds-of-spans compute trace as for a cache hit's two spans.
+func TestRenderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	build := func(spans int) *Trace {
+		tr := New(DeriveID("render allocs"), "/v1/compare", "serve")
+		root := tr.Root()
+		root.Child("cache").Str("result", "miss").End()
+		for i := 2; i < spans; i++ {
+			root.ChildIndex("sim job", " ", i).Int("attempt", i).Float("watts", float64(i)+0.5).End()
+		}
+		root.End()
+		return tr
+	}
+	var counts []float64
+	for _, spans := range []int{2, 300} {
+		tr := build(spans)
+		m := Meta{Key: "compare|abc", Status: 200, Reason: "cache-miss", Flight: "f"}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := tr.Render(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d spans: %.1f allocs per render", spans, allocs)
+		if allocs > 8 {
+			t.Errorf("%d spans: %.1f allocs per render, want <= 8", spans, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[1] > counts[0]+1 {
+		t.Errorf("rendering grows with span count: %.1f allocs for 300 spans, %.1f for 2", counts[1], counts[0])
+	}
+}

@@ -66,7 +66,17 @@ func Parse(value string) (Parent, error) {
 // Format renders a version-00 traceparent header value for the given trace
 // and span id.
 func Format(trace ID, span SpanID, sampled bool) string {
-	var b [len("00-") + 2*len(ID{}) + 1 + 2*len(SpanID{}) + len("-00")]byte
+	var b [TraceparentLen]byte
+	return string(AppendTraceparent(b[:0], trace, span, sampled))
+}
+
+// TraceparentLen is the length of a version-00 traceparent value.
+const TraceparentLen = len("00-") + 2*len(ID{}) + 1 + 2*len(SpanID{}) + len("-00")
+
+// AppendTraceparent appends the value Format renders to dst; the trace id
+// is its [3:35] substring.
+func AppendTraceparent(dst []byte, trace ID, span SpanID, sampled bool) []byte {
+	var b [TraceparentLen]byte
 	n := copy(b[:], "00-")
 	n += hex.Encode(b[n:], trace[:])
 	b[n] = '-'
@@ -76,7 +86,7 @@ func Format(trace ID, span SpanID, sampled bool) string {
 	if sampled {
 		b[n-1] = '1'
 	}
-	return string(b[:])
+	return append(dst, b[:]...)
 }
 
 func isHex(s string) bool {
