@@ -336,11 +336,11 @@ func BenchmarkAblationTrimming(b *testing.B) {
 	}
 	var trimmed, raw float64
 	for i := 0; i < b.N; i++ {
-		run, err := engine.Run(m, 0)
+		p, err := engine.PowerFunc(m, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := meter.Watts(run.PowerLog)
+		w := meter.Watts(engine.Meter.Record(p.Start, p.End, p.At))
 		trimmed = stats.TrimmedMean(w, core.TrimFrac)
 		raw = stats.Mean(w)
 	}
@@ -421,13 +421,13 @@ func BenchmarkAblationNoise(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			results, merged, err := engine.RunSequence(models, 30)
-			if err != nil {
-				b.Fatal(err)
-			}
+			results, reports := engine.RunPlan(context.Background(), models, 30, nil)
 			var sum float64
-			for _, r := range results {
-				watts := core.AveragePower(merged, r.Start, r.End)
+			for i, r := range results {
+				if reports[i].Err != nil {
+					b.Fatal(reports[i].Err)
+				}
+				watts := r.Power.MeanWatts
 				if watts > 0 {
 					sum += r.Model.GFLOPS / watts
 				}

@@ -42,10 +42,27 @@ func main() {
 		}
 		models = append(models, m)
 	}
-	results, merged, err := engine.RunSequence(models, 30)
-	if err != nil {
-		log.Fatal(err)
+	// The runs go back to back on the test scripts' timeline, with 30 s
+	// idle gaps between them. The meter logs the whole session: each gap at
+	// idle power, then each run's power draw.
+	const gap = 30.0
+	starts := sim.Timeline(models, gap)
+	session := &core.Session{Server: spec.Name}
+	var logs [][]meter.Sample
+	idle := func(float64) float64 { return spec.IdleWatts }
+	for i, m := range models {
+		if i > 0 {
+			from := session.Entries[i-1].End + 1
+			logs = append(logs, engine.Meter.Record(from, from+gap, idle))
+		}
+		p, err := engine.PowerFunc(m, starts[i])
+		if err != nil {
+			log.Fatal(err)
+		}
+		logs = append(logs, engine.Meter.Record(p.Start, p.End, p.At))
+		session.Entries = append(session.Entries, core.SessionEntry{Program: m.Name, Start: p.Start, End: p.End})
 	}
+	merged := meter.Merge(logs...)
 
 	// 2. Write the logs as two rotated CSV files plus the manifest.
 	half := len(merged) / 2
@@ -54,12 +71,6 @@ func main() {
 		if err := os.WriteFile(path, meter.MarshalCSV(chunk), 0o644); err != nil {
 			log.Fatal(err)
 		}
-	}
-	session := &core.Session{Server: spec.Name}
-	for _, r := range results {
-		session.Entries = append(session.Entries, core.SessionEntry{
-			Program: r.Model.Name, Start: r.Start, End: r.End,
-		})
 	}
 	manifestPath := filepath.Join(dir, "session.manifest")
 	if err := os.WriteFile(manifestPath, session.MarshalManifest(), 0o644); err != nil {

@@ -33,8 +33,9 @@ import (
 )
 
 // TrimFrac is the paper's analysis step 3: remove the initial 10% and the
-// final 10% of every program's power trace.
-const TrimFrac = 0.10
+// final 10% of every program's power trace. Every run folds its window
+// under it (sim.RunResult.Power).
+const TrimFrac = meter.TrimFrac
 
 // Row is one line of the paper's Tables IV-VI.
 type Row struct {

@@ -204,16 +204,14 @@ func TestPhasedHPLPowerTapers(t *testing.T) {
 	}
 	engine := sim.New(spec, 5)
 	engine.Meter.NoiseSD = 0
-	run, err := engine.Run(hplModel, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := AveragePower(run.PowerLog, run.Start+0.15*run.Duration(), run.Start+0.25*run.Duration())
-	late := AveragePower(run.PowerLog, run.Start+0.88*run.Duration(), run.Start+0.97*run.Duration())
+	run, log := recordLog(t, engine, hplModel, 0)
+	dur := run.End - run.Start
+	early := AveragePower(log, run.Start+0.15*dur, run.Start+0.25*dur)
+	late := AveragePower(log, run.Start+0.88*dur, run.Start+0.97*dur)
 	if early <= late {
 		t.Errorf("HPL power should taper: early %.1f W vs late %.1f W", early, late)
 	}
-	avg := AveragePower(run.PowerLog, run.Start, run.End)
+	avg := AveragePower(log, run.Start, run.End)
 	if math.Abs(avg-run.SteadyWatts) > 0.02*run.SteadyWatts {
 		t.Errorf("phased average %.1f W drifted from steady %.1f W", avg, run.SteadyWatts)
 	}
@@ -229,14 +227,11 @@ func TestPipelineSurvivesMeterDropout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := engine.Run(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(run.PowerLog), int(m.DurationSec); got >= want {
+	run, log := recordLog(t, engine, m, 0)
+	if got, want := len(log), int(m.DurationSec); got >= want {
 		t.Errorf("dropout should lose samples: %d of %d", got, want)
 	}
-	avg := AveragePower(run.PowerLog, run.Start, run.End)
+	avg := AveragePower(log, run.Start, run.End)
 	if math.Abs(avg-run.SteadyWatts) > 0.02*run.SteadyWatts {
 		t.Errorf("average with dropout %.1f W vs steady %.1f W", avg, run.SteadyWatts)
 	}
@@ -272,26 +267,6 @@ func TestByProgramWorstFits(t *testing.T) {
 	}
 	if total != len(v.Points) {
 		t.Errorf("runs %d != points %d", total, len(v.Points))
-	}
-}
-
-func TestSessionFrom(t *testing.T) {
-	spec := server.XeonE5462()
-	engine := sim.New(spec, 31)
-	m, err := npb.NewModel(spec, npb.EP, npb.ClassC, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := engine.RunSequence([]workload.Model{workload.Idle(60), m}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := SessionFrom(spec.Name, results)
-	if s.Server != spec.Name || len(s.Entries) != 2 {
-		t.Fatalf("session = %+v", s)
-	}
-	if _, err := ParseManifest(s.MarshalManifest()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -30,30 +30,34 @@ const (
 )
 
 // Green500AtLevel runs the Green500 procedure with the chosen measurement
-// level. Green500Ctx (evaluate.go) is equivalent to Level2.
+// level. Green500Ctx (evaluate.go) is equivalent to Level2. The levels
+// read different spans of the run's raw meter log, so it records the log
+// from the run's power draw (sim.Engine.PowerFunc).
 func Green500AtLevel(spec *server.Spec, seed float64, level MeasurementLevel) (*Green500Result, error) {
+	if level < Level1 || level > Level3 {
+		return nil, fmt.Errorf("core: unknown measurement level %d", level)
+	}
 	m, err := hplPeak(spec)
 	if err != nil {
 		return nil, err
 	}
 	engine := sim.New(spec, seed)
-	run, err := engine.Run(m, 0)
+	p, err := engine.PowerFunc(m, 0)
 	if err != nil {
 		return nil, err
 	}
+	log := engine.Meter.Record(p.Start, p.End, p.At)
 	var watts float64
 	switch level {
 	case Level1:
-		span := run.End - run.Start
-		lo := run.Start + 0.4*span
-		hi := run.Start + 0.6*span
-		watts = stats.Mean(meter.Watts(meter.Window(run.PowerLog, lo, hi)))
+		span := p.End - p.Start
+		lo := p.Start + 0.4*span
+		hi := p.Start + 0.6*span
+		watts = stats.Mean(meter.Watts(meter.Window(log, lo, hi)))
 	case Level2:
-		watts = AveragePower(run.PowerLog, run.Start, run.End)
+		watts = AveragePower(log, p.Start, p.End)
 	case Level3:
-		watts = stats.Mean(meter.Watts(run.PowerLog))
-	default:
-		return nil, fmt.Errorf("core: unknown measurement level %d", level)
+		watts = stats.Mean(meter.Watts(log))
 	}
 	return &Green500Result{
 		Server:   spec.Name,

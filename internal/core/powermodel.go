@@ -51,7 +51,7 @@ const robustZThreshold = 10.0
 // model name) identity — and concatenates the per-window observations in
 // script order, so the training matrix is byte-identical at every worker
 // count. Each job traces a "collect <model>" span under its "train job i"
-// span, with the run's spans beneath it.
+// span.
 func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workload.Model, o *obs.Obs, p *sched.Pool) ([][]float64, []float64, error) {
 	type observations struct {
 		xs [][]float64
@@ -63,7 +63,7 @@ func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workl
 		sp := tracectx.FromContext(jctx).ChildJoin("collect ", m.Name)
 		defer sp.End()
 		eng := engine.Fork("train", strconv.Itoa(i), m.Name)
-		x, y, err := collectRun(tracectx.ContextWith(jctx, sp), eng, m)
+		x, y, err := collectRun(eng, m)
 		if err != nil {
 			return fmt.Errorf("core: training on %s: %w", m.Name, err)
 		}
@@ -84,20 +84,33 @@ func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workl
 	return xs, ys, nil
 }
 
-// collectRun executes one workload and returns its PMU-window feature rows
-// paired with the average power of each window. Training engines carry no
-// fault injector: a faulted engine keeps no PMU windows (sim.Engine.Fault).
-func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
-	run, err := engine.RunCtx(ctx, m, 0)
+// collectRun executes one workload and returns its PMU-window feature rows,
+// each paired with the average power of its window: the §VI-A2 pairing of
+// 10 s counter windows with the 1 s meter log, the one reader of both raw
+// streams. It records the run's meter log from its power draw
+// (sim.Engine.PowerFunc) and then fills the windows from the engine's
+// sampler, the streams and the order a run draws from. Training engines
+// carry no fault injector.
+func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
+	p, err := engine.PowerFunc(m, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	var xs [][]float64
-	var ys []float64
-	for _, s := range run.PMUSamples {
-		watts := AveragePower(run.PowerLog, s.T, s.T+s.Interval)
-		xs = append(xs, s.Counts.Vector())
-		ys = append(ys, watts)
+	log := engine.Meter.Record(p.Start, p.End, p.At)
+	rates, err := pmu.Rates(engine.Server, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := engine.PMU.Windows(rates, m.DurationSec)
+	xs := make([][]float64, 0, w.N)
+	ys := make([]float64, 0, w.N)
+	var buf [pmu.WindowBlock]pmu.Features
+	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
+		for _, c := range ws {
+			t := p.Start + float64(len(xs))*w.Interval
+			xs = append(xs, c.Vector())
+			ys = append(ys, AveragePower(log, t, t+w.Interval))
+		}
 	}
 	return xs, ys, nil
 }
@@ -270,17 +283,6 @@ func (v *VerificationResult) ByProgram() []ProgramResidual {
 	return out
 }
 
-// SessionFrom builds the file-pipeline manifest of a run sequence.
-func SessionFrom(serverName string, results []sim.RunResult) *Session {
-	s := &Session{Server: serverName}
-	for _, r := range results {
-		s.Entries = append(s.Entries, SessionEntry{
-			Program: r.Model.Name, Start: r.Start, End: r.End,
-		})
-	}
-	return s
-}
-
 // verifyProcCounts returns the per-program process counts of the Fig. 12
 // sweep on a server: EP at every count, BT/SP at the perfect squares, the
 // power-of-two programs up to 32 (the figure's axis stops there).
@@ -309,7 +311,7 @@ func VerifyPowerModel(spec *server.Spec, t *TrainingResult, class npb.Class, see
 			if err != nil {
 				continue
 			}
-			xs, ys, err := collectRun(context.Background(), engine, m)
+			xs, ys, err := collectRun(engine, m)
 			if err != nil {
 				return nil, fmt.Errorf("core: verifying %s: %w", m.Name, err)
 			}

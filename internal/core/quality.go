@@ -53,28 +53,23 @@ var hardenedRetry = sched.Retry{Attempts: 3, Backoff: time.Millisecond}
 // arm configures engine for the options. The §V score needs only meter
 // watts and program performance. PMU counters have two readers: an active
 // profile's injector, which wraps single counter windows for the ledger to
-// count, and a flight record, which reads only per-run totals. So arm
-// keeps the sampler under an active profile (whose engine wraps each
-// window as it is drawn and keeps only the totals), keeps totals only when
-// a recorder is the sole reader, and otherwise drops the sampler and with
-// it the cache profiler.
+// count, and a flight record, which reads the per-run totals. So arm keeps
+// the sampler when either is present (every run sums its windows as they
+// are drawn) and otherwise drops it, and with it the cache profiler.
 //
-// Every engine folds each run's window summary under the paper's trim
-// (FoldTrim) and keeps no meter log. An active profile also hardens the
-// engine: an injector seeded by (seed, server, stream) that counts into a
-// private per-run ledger, whose runs repair their window before they fold
-// it, and the retry budget. The ledger's counts are a pure function of the
-// run's identity, so flight records stay deterministic; callers merge it
-// into o.Ledger. An inactive profile leaves the engine pristine and
-// returns nil: its runs fold each window as the meter samples and skip the
-// repair pass, which would also clip the ramp transients of clean data.
+// Every run folds its window summary under the paper's trim and keeps no
+// meter log. An active profile also hardens the engine: an injector
+// seeded by (seed, server, stream) that counts into a private per-run
+// ledger, whose runs repair their window before they fold it, and the
+// retry budget. The ledger's counts are a pure function of the run's
+// identity, so flight records stay deterministic; callers merge it into
+// o.Ledger. An inactive profile leaves the engine pristine and returns
+// nil: its runs fold each window as the meter samples and skip the repair
+// pass, which would also clip the ramp transients of clean data.
 func (o EvalOptions) arm(engine *sim.Engine, seed float64, stream string) *fault.Ledger {
-	engine.FoldTrim = TrimFrac
 	if !o.Fault.Active() {
 		if o.Flight == nil {
 			engine.PMU = nil
-		} else {
-			engine.PMUTotalsOnly = true
 		}
 		return nil
 	}

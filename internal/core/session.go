@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"powerbench/internal/meter"
+	"powerbench/internal/stats"
 )
 
 // The paper's test procedure is file-based: WTViewer writes power CSVs on
@@ -67,6 +68,11 @@ func ParseManifest(data []byte) (*Session, error) {
 			if err1 != nil || err2 != nil || end < start {
 				return nil, fmt.Errorf("core: manifest line %d: bad window %q %q", lineNo+1, fields[1], fields[2])
 			}
+			// A NaN passes the order check, and an infinite edge makes an
+			// unbounded window; neither is a time the scripts could log.
+			if !stats.IsFinite(start) || !stats.IsFinite(end) {
+				return nil, fmt.Errorf("core: manifest line %d: non-finite window %q %q", lineNo+1, fields[1], fields[2])
+			}
 			s.Entries = append(s.Entries, SessionEntry{
 				Program: strings.Join(fields[3:], " "),
 				Start:   start,
@@ -119,7 +125,7 @@ func AnalyzeSession(manifest []byte, skewSec float64, csvFiles ...[]byte) ([]Pro
 		}
 		out = append(out, ProgramPower{
 			Program:  e.Program,
-			Watts:    AveragePower(merged, e.Start, e.End),
+			Watts:    meter.Summarize(w, e.Start, e.End, TrimFrac).MeanWatts,
 			Samples:  len(w),
 			Duration: e.End - e.Start,
 		})

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"powerbench/internal/flight"
 	"powerbench/internal/meter"
 	"powerbench/internal/npb"
 	"powerbench/internal/server"
@@ -41,17 +44,51 @@ func TestParseManifestErrors(t *testing.T) {
 		"server x\nrun 10 0 ep", // inverted window
 		"server x\nbogus",
 		"server",
+		"server x\nrun NaN NaN ep",   // NaN passes the order check
+		"server x\nrun -Inf +Inf ep", // unbounded window
+		"server x\nrun 0 Inf ep",
 	}
 	for _, s := range bad {
 		if _, err := ParseManifest([]byte(s)); err == nil {
 			t.Errorf("ParseManifest(%q) should fail", s)
 		}
 	}
+	if _, err := ParseManifest([]byte("server x\nrun 0 10 ep\nrun NaN 5 ep\n")); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("non-finite window error %v does not name line 3", err)
+	}
 	// Comments and blank lines are fine.
 	good := "# session\nserver x\n\nrun 0 10 ep.C.4\n"
 	if _, err := ParseManifest([]byte(good)); err != nil {
 		t.Errorf("good manifest rejected: %v", err)
 	}
+}
+
+// recordLog records the meter log of running m at start on engine, from
+// the run's power draw: the readings a run on a twin of engine folds.
+func recordLog(t testing.TB, engine *sim.Engine, m workload.Model, start float64) (sim.Draw, []meter.Sample) {
+	t.Helper()
+	p, err := engine.PowerFunc(m, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, engine.Meter.Record(p.Start, p.End, p.At)
+}
+
+// planSession records the meter log of every run of a plan the way
+// sim.Engine.RunPlan places the run — on engine.Fork("run", i, name), at
+// its sim.Timeline start with gapSec idle gaps — and returns the session
+// manifest and the merged log.
+func planSession(t testing.TB, engine *sim.Engine, models []workload.Model, gapSec float64) (*Session, []meter.Sample) {
+	t.Helper()
+	session := &Session{Server: engine.Server.Name}
+	var logs [][]meter.Sample
+	for i, start := range sim.Timeline(models, gapSec) {
+		m := models[i]
+		p, log := recordLog(t, engine.Fork("run", strconv.Itoa(i), m.Name), m, start)
+		session.Entries = append(session.Entries, SessionEntry{Program: m.Name, Start: p.Start, End: p.End})
+		logs = append(logs, log)
+	}
+	return session, meter.Merge(logs...)
 }
 
 // TestAnalyzeSessionEndToEnd exercises the whole file interface: simulate
@@ -67,22 +104,12 @@ func TestAnalyzeSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	models = append(models, m)
-	results, merged, err := engine.RunSequence(models, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	session, merged := planSession(t, engine, models, 20)
 
 	// Split the merged log in two files, deliberately out of order.
 	half := len(merged) / 2
 	csv1 := meter.MarshalCSV(merged[half:])
 	csv2 := meter.MarshalCSV(merged[:half])
-
-	session := &Session{Server: spec.Name}
-	for _, r := range results {
-		session.Entries = append(session.Entries, SessionEntry{
-			Program: r.Model.Name, Start: r.Start, End: r.End,
-		})
-	}
 
 	analyzed, err := AnalyzeSession(session.MarshalManifest(), 0, csv1, csv2)
 	if err != nil {
@@ -93,9 +120,9 @@ func TestAnalyzeSessionEndToEnd(t *testing.T) {
 	}
 	for _, p := range analyzed {
 		var want float64
-		for _, r := range results {
-			if r.Model.Name == p.Program {
-				want = AveragePower(merged, r.Start, r.End)
+		for _, e := range session.Entries {
+			if e.Program == p.Program {
+				want = AveragePower(merged, e.Start, e.End)
 			}
 		}
 		if math.Abs(p.Watts-want) > 0.02 {
@@ -103,6 +130,63 @@ func TestAnalyzeSessionEndToEnd(t *testing.T) {
 		}
 		if p.Samples == 0 || p.Duration <= 0 {
 			t.Errorf("%s: incomplete result %+v", p.Program, p)
+		}
+	}
+}
+
+// TestFileProcedureMatchesEvaluate closes the paper's file procedure
+// (§V-C2) on the evaluation itself: the meter logs of a Xeon-E5462 plan,
+// recorded where RunPlan places each run (planSession), written as split,
+// out-of-order CSVs with a manifest and analyzed from the files alone,
+// give every state the sample count EvaluateCtx folded and its watts
+// within the CSV's four decimals. This pins sim.Engine.PowerFunc to the
+// function a run samples.
+func TestFileProcedureMatchesEvaluate(t *testing.T) {
+	spec := server.XeonE5462()
+	const seed = 42
+	models, err := PlanStates(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, merged := planSession(t, sim.New(spec, seed), models, 30)
+	third := len(merged) / 3
+	csvs := [][]byte{
+		meter.MarshalCSV(merged[2*third:]),
+		meter.MarshalCSV(merged[:third]),
+		meter.MarshalCSV(merged[third : 2*third]),
+	}
+	analyzed, err := AnalyzeSession(session.MarshalManifest(), 0, csvs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := flight.NewRecorder(0)
+	ev, err := EvaluateCtx(context.Background(), spec, seed, EvalOptions{Flight: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := rec.Records()
+	if len(records) != 1 || len(records[0].Phases) != len(ev.Rows) {
+		t.Fatalf("flight records %d, want one with a phase per row", len(records))
+	}
+	if len(analyzed) != len(ev.Rows) {
+		t.Fatalf("file analysis has %d programs, evaluation %d rows", len(analyzed), len(ev.Rows))
+	}
+	byName := map[string]ProgramPower{}
+	for _, p := range analyzed {
+		byName[p.Program] = p
+	}
+	for i, row := range ev.Rows {
+		got, ok := byName[row.Program]
+		ph := records[0].Phases[i]
+		if !ok || ph.Name != row.Program {
+			t.Fatalf("row %s: file analysis has %+v, flight phase %s", row.Program, got, ph.Name)
+		}
+		if got.Samples != ph.Samples {
+			t.Errorf("%s: %d samples from the files, the run folded %d", row.Program, got.Samples, ph.Samples)
+		}
+		if math.Abs(got.Watts-row.Watts) > 1e-4 {
+			t.Errorf("%s: %.6f W from the files, %.6f W evaluated", row.Program, got.Watts, row.Watts)
 		}
 	}
 }
@@ -115,17 +199,14 @@ func TestAnalyzeSessionWithSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := engine.Run(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run, log := recordLog(t, engine, m, 0)
 	manifest := []byte("server Xeon-E5462\nrun 0 " + itoa(int(m.DurationSec)) + " ep.C.2\n")
 	// Without synchronization the early window catches part of the ramp.
-	withSkew, err := AnalyzeSession(manifest, 0, meter.MarshalCSV(run.PowerLog))
+	withSkew, err := AnalyzeSession(manifest, 0, meter.MarshalCSV(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	synced, err := AnalyzeSession(manifest, 4.5, meter.MarshalCSV(run.PowerLog))
+	synced, err := AnalyzeSession(manifest, 4.5, meter.MarshalCSV(log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestAttributeConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Attribute(spec, m, meter.Summarize(run.PowerLog, run.Start, run.End, 0).EnergyJ, run.Start, run.End)
+	e := Attribute(spec, m, run.Power.EnergyJ, run.Start, run.End)
 	if !e.Conserves(0.001) {
 		t.Fatalf("components %g do not sum to total %g", e.ComponentSum(), e.TotalJ)
 	}
@@ -205,7 +205,7 @@ func TestAttributeIdleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Attribute(spec, workload.Idle(120), meter.Summarize(run.PowerLog, run.Start, run.End, 0).EnergyJ, run.Start, run.End)
+	e := Attribute(spec, workload.Idle(120), run.Power.EnergyJ, run.Start, run.End)
 	if !e.Conserves(0.001) {
 		t.Fatalf("idle window does not conserve: %+v", e)
 	}

@@ -32,52 +32,6 @@ func TestGaussSincosMatchesSinCos(t *testing.T) {
 	}
 }
 
-// TestRecordConstMatchesRecord pins RecordConst to Record with a constant
-// closure: same RNG draw order, same samples, bit for bit — under every
-// meter feature that touches the sample loop (noise, dropout, quantization,
-// skew, sub-second intervals, reversed bounds).
-func TestRecordConstMatchesRecord(t *testing.T) {
-	configure := []struct {
-		name string
-		mod  func(*Meter)
-	}{
-		{"defaults", func(m *Meter) {}},
-		{"noiseless", func(m *Meter) { m.NoiseSD = 0 }},
-		{"dropout", func(m *Meter) { m.DropoutFrac = 0.2 }},
-		{"quantized", func(m *Meter) { m.Quantize = 0.5 }},
-		{"skewed", func(m *Meter) { m.ClockSkewSec = 3.25 }},
-		{"fast-interval", func(m *Meter) { m.IntervalSec = 0.25 }},
-		{"zero-interval-default", func(m *Meter) { m.IntervalSec = 0 }},
-	}
-	spans := []struct{ start, end, watts float64 }{
-		{0, 120, 250},
-		{10, 10, 80},  // single instant
-		{50, 20, 300}, // reversed bounds
-		{0, 0.5, -5},  // negative level clamps to zero
-		{100, 400, 174.8},
-	}
-	for _, cfg := range configure {
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, sp := range spans {
-				ref := New(41)
-				cfg.mod(ref)
-				want := ref.Record(sp.start, sp.end, func(float64) float64 { return sp.watts })
-				fast := New(41)
-				cfg.mod(fast)
-				got := fast.RecordConst(sp.start, sp.end, sp.watts)
-				if len(got) != len(want) {
-					t.Fatalf("span %+v: %d samples, want %d", sp, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("span %+v: sample %d = %+v, want %+v", sp, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestMergeEdgeCases covers the satellite edge grid: no logs, all-empty
 // logs, a single log, and overlapping timestamps across logs (input order
 // must be kept — Merge is stable).

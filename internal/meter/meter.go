@@ -8,14 +8,16 @@
 // exercised exactly as it would be against hardware.
 //
 // A log is kept only where something reads it. The per-program analysis
-// is one forward pass (Summarize: trim, average, energy integral,
-// extrema), so a caller that reads nothing else folds the readings as the
-// meter takes them (RecordSummary) and never stores the log. A hardened
-// run keeps one log, a step log (Steps: the step index and the reading,
-// 12 B an entry, no timestamp), written as the meter hands each reading to
-// the fault injector (Take). RepairWindow repairs the run's window of it
-// in place, recomputing each entry's timestamp from the meter's grid, and
-// folds the repaired grid instead of storing it.
+// is one forward pass (Summarize: trim TrimFrac, average, energy integral,
+// extrema), so a run folds the readings as the meter takes them
+// (RecordSummary) and never stores the log; only a reader of the raw log,
+// such as the §VI-A2 training's per-window pairing or a file session,
+// records one (Record). A hardened run keeps one log, a step log (Steps:
+// the step index and the reading, 12 B an entry, no timestamp), written as
+// the meter hands each reading to the fault injector (Take). RepairWindow
+// repairs the run's window of it in place, recomputing each entry's
+// timestamp from the meter's grid, and folds the repaired grid instead of
+// storing it.
 package meter
 
 import (
@@ -26,6 +28,10 @@ import (
 	"powerbench/internal/rng"
 	"powerbench/internal/stats"
 )
+
+// TrimFrac is the paper's analysis step 3 (§V-C2): remove the initial 10%
+// and the final 10% of every program's power trace before averaging.
+const TrimFrac = 0.10
 
 // Sample is one power reading.
 type Sample struct {
@@ -174,13 +180,6 @@ func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(k 
 		}
 		each(k, m.read(t, p(t)))
 	}
-}
-
-// RecordConst is Record for a constant power level — the idle-gap case
-// RunSequence hits between every pair of runs. It produces exactly the log
-// Record(start, end, func(float64) float64 { return watts }) would.
-func (m *Meter) RecordConst(start, end, watts float64) []Sample {
-	return m.Record(start, end, func(float64) float64 { return watts })
 }
 
 // RecordSummary returns Summarize(Window(log, start, end), start, end, frac)

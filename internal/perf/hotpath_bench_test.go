@@ -65,7 +65,7 @@ func analysisPipeline(first, second []meter.Sample, start, end float64) float64 
 
 func traceHalves(n int) (first, second []meter.Sample, start, end float64) {
 	m := meter.New(3)
-	log := m.RecordConst(0, float64(n-1), 250)
+	log := m.Record(0, float64(n-1), func(float64) float64 { return 250 })
 	return log[: n/2 : n/2], log[n/2:], 0, float64(n - 1)
 }
 
@@ -97,10 +97,10 @@ func idleSession(k int) []workload.Model {
 	return models
 }
 
-// BenchmarkScalingRuns executes back-to-back sessions of increasing run
-// count on one engine. ns/op must grow linearly in the number of runs:
-// per-run state is forked, logs are preallocated, and the final merge is a
-// single pass over the session's samples.
+// BenchmarkScalingRuns executes plans of increasing run count
+// sequentially on one engine. ns/op must grow linearly in the number of
+// runs: per-run state is forked and each run folds its window as the meter
+// samples.
 func BenchmarkScalingRuns(b *testing.B) {
 	spec := server.XeonE5462()
 	for _, k := range scalingRunSizes {
@@ -108,12 +108,24 @@ func BenchmarkScalingRuns(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := sim.New(spec, 5)
-				if _, _, err := e.RunSequence(models, 0); err != nil {
+				if err := runPlan(e, models); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// runPlan runs the models as a sequential plan with no idle gaps and
+// returns the first run's error.
+func runPlan(e *sim.Engine, models []workload.Model) error {
+	_, reports := e.RunPlan(context.Background(), models, 0, nil)
+	for _, rep := range reports {
+		if rep.Err != nil {
+			return rep.Err
+		}
+	}
+	return nil
 }
 
 // scalingAccessSizes are the profiled-stream lengths of the access-count

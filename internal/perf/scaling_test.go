@@ -102,8 +102,7 @@ func TestScalingSlopes(t *testing.T) {
 	t.Run("run-count", func(t *testing.T) {
 		spec := server.XeonE5462()
 		costs := measure(t, scalingRunSizes, 15, func(i int) {
-			e := sim.New(spec, 5)
-			if _, _, err := e.RunSequence(idleSession(scalingRunSizes[i]), 0); err != nil {
+			if err := runPlan(sim.New(spec, 5), idleSession(scalingRunSizes[i])); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -239,8 +239,9 @@ func noise(u, jitterFrac float64) float64 {
 }
 
 // Windows generates a run's counter windows a block at a time, so a
-// caller can fold each window as it is drawn instead of storing the run.
-// Collect and CollectTotals both drain one.
+// caller can fold each window as it is drawn instead of storing the run: a
+// run sums them (Sum), and the §VI-A2 training pairs each with its
+// window's power as it fills them (Fill).
 type Windows struct {
 	// N is the number of complete windows; the final partial window, if
 	// any, is dropped — matching loggers that report only complete
@@ -317,20 +318,8 @@ func (w *Windows) Fill(dst []Features) []Features {
 	return dst
 }
 
-// Samples draws every window and returns them, timed from 0.
-func (w *Windows) Samples() []Sample {
-	out := make([]Sample, 0, w.N)
-	var buf [WindowBlock]Features
-	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
-		for _, c := range ws {
-			out = append(out, Sample{T: float64(len(out)) * w.Interval, Interval: w.Interval, Counts: c})
-		}
-	}
-	return out
-}
-
-// Sum draws every window and returns their sum, storing none:
-// Sum(w.Samples()) bit for bit. It draws a block's jitter as Fill does and
+// Sum draws every window and returns their sum, storing none: the Sum of
+// the windows Fill would draw, bit for bit. It draws a block's jitter as Fill does and
 // adds each window's five products straight into the sums, in Features
 // order, rounded by the same float64() a stored field would be.
 func (w *Windows) Sum() Totals {
@@ -355,16 +344,6 @@ func (w *Windows) Sum() Totals {
 		w.drawn += n
 	}
 	return Totals{Windows: w.N, Instructions: instr, L2Hits: l2, L3Hits: l3, MemReads: reads, MemWrites: writes}
-}
-
-// Collect samples the run of m on spec over its full duration.
-func (s *Sampler) Collect(spec *server.Spec, m workload.Model) ([]Sample, error) {
-	rates, err := Rates(spec, m)
-	if err != nil {
-		return nil, err
-	}
-	w := s.Windows(rates, m.DurationSec)
-	return w.Samples(), nil
 }
 
 // Totals is the sum of a run's counter windows.
@@ -393,18 +372,6 @@ func Sum(samples []Sample) Totals {
 		t.Add(s.Counts)
 	}
 	return t
-}
-
-// CollectTotals is Sum(Collect(spec, m)) without storing the windows: it
-// draws the same windows in the same order and adds them in that order, so
-// the sums are bit-identical.
-func (s *Sampler) CollectTotals(spec *server.Spec, m workload.Model) (Totals, error) {
-	rates, err := Rates(spec, m)
-	if err != nil {
-		return Totals{}, err
-	}
-	w := s.Windows(rates, m.DurationSec)
-	return w.Sum(), nil
 }
 
 // interval is the sampling window in seconds, 10 s when unset.

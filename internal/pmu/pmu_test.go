@@ -130,7 +130,7 @@ func TestCollectWindowCount(t *testing.T) {
 	s := server.XeonE5462()
 	m := model("ep", 2, workload.CharEP, 30<<20)
 	m.DurationSec = 95
-	samples, err := NewSampler(1).Collect(s, m)
+	samples, err := collect(NewSampler(1), s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCollectJitterVariesButBounded(t *testing.T) {
 	s := server.XeonE5462()
 	m := model("hpl", 4, workload.CharHPL, 4<<30)
 	m.DurationSec = 500
-	samples, err := NewSampler(7).Collect(s, m)
+	samples, err := collect(NewSampler(7), s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestCollectJitterVariesButBounded(t *testing.T) {
 func TestCollectReproducible(t *testing.T) {
 	s := server.XeonE5462()
 	m := model("ep", 1, workload.CharEP, 30<<20)
-	a, err := NewSampler(3).Collect(s, m)
+	a, err := collect(NewSampler(3), s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSampler(3).Collect(s, m)
+	b, err := collect(NewSampler(3), s, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,37 @@ func TestWorkingSetScalesWithClassFootprint(t *testing.T) {
 	}
 }
 
-// refCollect is Collect as it was before the window generator: one draw
+// collect draws every window of the run of m on spec from s and stores
+// them, timed from 0: the windows a run sums (totals) and the training
+// pairs with the meter log, one at a time as Fill hands them out.
+func collect(s *Sampler, spec *server.Spec, m workload.Model) ([]Sample, error) {
+	rates, err := Rates(spec, m)
+	if err != nil {
+		return nil, err
+	}
+	w := s.Windows(rates, m.DurationSec)
+	out := make([]Sample, 0, w.N)
+	var buf [WindowBlock]Features
+	for ws := w.Fill(buf[:]); len(ws) > 0; ws = w.Fill(buf[:]) {
+		for _, c := range ws {
+			out = append(out, Sample{T: float64(len(out)) * w.Interval, Interval: w.Interval, Counts: c})
+		}
+	}
+	return out, nil
+}
+
+// totals is what a run takes of the same windows: their sum, with none
+// stored.
+func totals(s *Sampler, spec *server.Spec, m workload.Model) (Totals, error) {
+	rates, err := Rates(spec, m)
+	if err != nil {
+		return Totals{}, err
+	}
+	w := s.Windows(rates, m.DurationSec)
+	return w.Sum(), nil
+}
+
+// refCollect is collect as it was before the window generator: one draw
 // per counter through Stream.Next, in field order, each product stored into
 // its field.
 func refCollect(s *Sampler, spec *server.Spec, m workload.Model) ([]Sample, error) {
@@ -291,9 +321,10 @@ func refCollect(s *Sampler, spec *server.Spec, m workload.Model) ([]Sample, erro
 	return out, nil
 }
 
-// TestCollectTotalsMatchesSum: Collect is refCollect, and CollectTotals is
-// Sum(refCollect), bit for bit, on the fast and the reference LCG, with and
-// without jitter; both leave the jitter stream where refCollect does.
+// TestCollectTotalsMatchesSum: the windows Fill draws are refCollect's,
+// and Windows.Sum is Sum(refCollect), bit for bit, on the fast and the
+// reference LCG, with and without jitter; both leave the jitter stream
+// where refCollect does.
 func TestCollectTotalsMatchesSum(t *testing.T) {
 	spec := server.XeonE5462()
 	for _, fast := range []bool{true, false} {
@@ -308,24 +339,24 @@ func TestCollectTotalsMatchesSum(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				samples, err := a.Collect(spec, m)
+				samples, err := collect(a, spec, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(samples) != len(want) {
-					t.Fatalf("fast=%v jitter=%v dur=%v: Collect gave %d windows, refCollect %d", fast, jitter, dur, len(samples), len(want))
+					t.Fatalf("fast=%v jitter=%v dur=%v: Fill gave %d windows, refCollect %d", fast, jitter, dur, len(samples), len(want))
 				}
 				for i := range want {
 					if samples[i] != want[i] {
 						t.Fatalf("fast=%v jitter=%v dur=%v: window %d = %+v, refCollect %+v", fast, jitter, dur, i, samples[i], want[i])
 					}
 				}
-				got, err := b.CollectTotals(spec, m)
+				got, err := totals(b, spec, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if wantSum := Sum(want); got != wantSum || got.Windows != int(dur/10) {
-					t.Errorf("fast=%v jitter=%v dur=%v: CollectTotals %+v, Sum(refCollect) %+v", fast, jitter, dur, got, wantSum)
+					t.Errorf("fast=%v jitter=%v dur=%v: Windows.Sum %+v, Sum(refCollect) %+v", fast, jitter, dur, got, wantSum)
 				}
 				nr := ref.stream.Next()
 				if na, nb := a.stream.Next(), b.stream.Next(); na != nr || nb != nr {
@@ -345,13 +376,13 @@ func BenchmarkCollectTotals(b *testing.B) {
 	m := model("hpl", 40, workload.CharHPL, 200<<30)
 	m.DurationSec = 3000
 	s := NewSampler(7)
-	if _, err := s.CollectTotals(spec, m); err != nil {
+	if _, err := totals(s, spec, m); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.CollectTotals(spec, m); err != nil {
+		if _, err := totals(s, spec, m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,16 +102,16 @@ func TestSamplerCloneIndependence(t *testing.T) {
 	clone := parent.Clone(99)
 
 	for i := 0; i < 10; i++ {
-		if _, err := clone.Collect(spec, m); err != nil {
+		if _, err := collect(&clone, spec, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	p, err := parent.Collect(spec, m)
+	p, err := collect(parent, spec, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := twin.Collect(spec, m)
+	w, err := collect(twin, spec, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestSamplerCloneIndependence(t *testing.T) {
 	}
 
 	s1, s2 := NewSampler(3).Clone(42), NewSampler(9).Clone(42)
-	c1, _ := s1.Collect(spec, m)
-	c2, _ := s2.Collect(spec, m)
+	c1, _ := collect(&s1, spec, m)
+	c2, _ := collect(&s2, spec, m)
 	if !reflect.DeepEqual(c1, c2) {
 		t.Fatal("clones with equal seeds produced different samples")
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"powerbench/internal/obs"
@@ -8,8 +9,8 @@ import (
 	"powerbench/internal/workload"
 )
 
-// BenchmarkObsOverhead compares an instrumented run sequence against the
-// nil-Obs baseline. The CI gate requires the instrumented path to stay
+// BenchmarkObsOverhead compares an instrumented plan, run sequentially,
+// against the nil-Obs baseline. The CI gate requires the instrumented path to stay
 // within a few percent of baseline — telemetry must never dominate the
 // simulation it observes.
 func BenchmarkObsOverhead(b *testing.B) {
@@ -22,8 +23,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := New(server.XeonE5462(), 1)
 			e.Obs = newObs()
-			if _, _, err := e.RunSequence(models, 30); err != nil {
-				b.Fatal(err)
+			if _, reports := e.RunPlan(context.Background(), models, 30, nil); firstErr(reports) != nil {
+				b.Fatal(firstErr(reports))
 			}
 		}
 	}

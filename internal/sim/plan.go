@@ -10,13 +10,12 @@ import (
 )
 
 // Timeline returns the canonical start time of every model in a
-// back-to-back sequence with gapSec idle gaps, laid out exactly as
-// RunSequence lays its runs out: run i+1 starts one second after run i
-// ends, plus the idle gap (and one more second) when gapSec > 0. The
-// timeline depends only on the models' durations, so it can be computed
-// before any run executes — which is what lets the scheduler dispatch all
-// runs at once and still place each on the timeline of a sequential
-// session.
+// back-to-back session with gapSec idle gaps, laid out as the paper's test
+// scripts run them: run i+1 starts one second after run i ends, plus the
+// idle gap (and one more second) when gapSec > 0. The timeline depends
+// only on the models' durations, so it can be computed before any run
+// executes — which is what lets the scheduler dispatch all runs at once
+// and still place each on the timeline of a sequential session.
 func Timeline(models []workload.Model, gapSec float64) []float64 {
 	starts := make([]float64, len(models))
 	t := 0.0
@@ -31,16 +30,15 @@ func Timeline(models []workload.Model, gapSec float64) []float64 {
 }
 
 // RunPlan executes the models of a sequence on the pool's workers and
-// returns one result per model and one sched.JobReport per model — the
-// runs of RunSequence, fanned out concurrently.
+// returns one result per model and one sched.JobReport per model: the runs
+// of a sequential session, fanned out concurrently.
 //
-// Callers window each run's own PowerLog, or read the window summary the
-// run folded into Power; there is no session log and no idle-gap
-// recording. Timeline keeps runs and gaps at least 1 s apart, and
-// fault injection never creates or moves a timestamp, so windowing a run's
-// own log yields exactly the samples windowing RunSequence's merged log
-// would. The merge step stays with RunSequence and the CSV path
-// (core.AnalyzeSession).
+// Each run folds its own window into Power; there is no session log and
+// no idle-gap recording. Timeline keeps runs and gaps at least 1 s apart,
+// and fault injection never creates or moves a timestamp, so a run's own
+// log holds exactly the samples a window over a merged session log would.
+// The merge step belongs to the file path (core.AnalyzeSession), whose
+// logs a caller records from each run's power draw (PowerFunc).
 //
 // Runs execute with the engine's Retry budget. A run that exhausts it
 // leaves a zero RunResult and a report carrying the error rather than

@@ -43,30 +43,41 @@ func itoa(n int) string {
 }
 
 // TestTimelineMatchesRunSequence: the precomputed timeline reproduces the
-// start/end layout RunSequence actually produces.
+// start/end layout of a sequential session, each run starting one second
+// after the previous run or idle gap ends (runSequence).
 func TestTimelineMatchesRunSequence(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
 	for _, gap := range []float64{0, 10, 30} {
-		results, _, err := New(spec, 5).RunSequence(models, gap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results, merged := runSequence(t, New(spec, 5), models, gap)
 		starts := Timeline(models, gap)
 		if len(starts) != len(results) {
 			t.Fatalf("gap %v: %d timeline entries, %d results", gap, len(starts), len(results))
 		}
 		for i, r := range results {
 			if starts[i] != r.Start {
-				t.Errorf("gap %v run %d: timeline start %v, RunSequence start %v", gap, i, starts[i], r.Start)
+				t.Errorf("gap %v run %d: timeline start %v, session start %v", gap, i, starts[i], r.Start)
 			}
+			if i == 0 {
+				continue
+			}
+			want := results[i-1].End + 1
+			if gap > 0 {
+				want += gap + 1
+			}
+			if r.Start != want {
+				t.Errorf("gap %v run %d: starts at %v, want %v", gap, i, r.Start, want)
+			}
+		}
+		if last := merged[len(merged)-1].T; last > results[len(results)-1].End+1e-9 {
+			t.Errorf("gap %v: session log runs past the last run to %v", gap, last)
 		}
 	}
 }
 
 // TestRunPlanDeterministicAcrossWorkerCounts is the scheduler's core
-// property at the sim layer: the full result set — every sample of every
-// run's power log and PMU window — is byte-identical for jobs ∈ {1, 2, 8}
+// property at the sim layer: the full result set — every run's folded
+// window and PMU totals — is byte-identical for jobs ∈ {1, 2, 8}
 // and for the nil sequential pool.
 func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := server.XeonE5462()
@@ -80,8 +91,8 @@ func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("baseline shape: %d results for %d models", len(wantResults), len(models))
 	}
 	for i, r := range wantResults {
-		if len(r.PowerLog) == 0 {
-			t.Fatalf("baseline run %d has an empty power log", i)
+		if r.Power.Samples == 0 {
+			t.Fatalf("baseline run %d has an empty power window", i)
 		}
 	}
 	for _, jobs := range []int{1, 2, 8} {
@@ -96,34 +107,38 @@ func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestRunPlanLayoutMatchesRunSequence: each run's window holds exactly the
-// timestamps the same window of a sequential RunSequence session's merged
-// log holds (sample values differ — the plan seeds per run — but the
-// session layout is identical).
+// timestamps the same window of a sequential session's merged log holds
+// (runSequence; sample values differ — the plan seeds per run — but the
+// session layout is identical). The run's own log is recorded the way
+// RunPlan places the run: on Fork("run", i, name) at its Timeline start,
+// from its power draw; the plan's run folds exactly that log's window.
 func TestRunPlanLayoutMatchesRunSequence(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
-	seqResults, seqMerged, err := New(spec, 7).RunSequence(models, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seqRuns, seqMerged := runSequence(t, New(spec, 7), models, 30)
 	planResults, reports := New(spec, 7).RunPlan(context.Background(), models, 30, nil)
 	if err := firstErr(reports); err != nil {
 		t.Fatal(err)
 	}
+	starts := Timeline(models, 30)
 	for i, r := range planResults {
-		if r.Start != seqResults[i].Start || r.End != seqResults[i].End {
-			t.Errorf("run %d window [%v,%v], RunSequence [%v,%v]", i,
-				r.Start, r.End, seqResults[i].Start, seqResults[i].End)
+		if r.Start != seqRuns[i].Start || r.End != seqRuns[i].End {
+			t.Errorf("run %d window [%v,%v], session [%v,%v]", i,
+				r.Start, r.End, seqRuns[i].Start, seqRuns[i].End)
 		}
-		plan := meter.Window(r.PowerLog, r.Start, r.End)
+		_, log, _ := recordRun(t, New(spec, 7).Fork("run", itoa(i), models[i].Name), models[i], starts[i])
+		plan := meter.Window(log, r.Start, r.End)
 		seq := meter.Window(seqMerged, r.Start, r.End)
 		if len(plan) != len(seq) {
-			t.Fatalf("run %d window has %d samples, RunSequence %d", i, len(plan), len(seq))
+			t.Fatalf("run %d window has %d samples, session %d", i, len(plan), len(seq))
 		}
 		for j := range plan {
 			if plan[j].T != seq[j].T {
-				t.Fatalf("run %d sample %d at t=%v, RunSequence has t=%v", i, j, plan[j].T, seq[j].T)
+				t.Fatalf("run %d sample %d at t=%v, session has t=%v", i, j, plan[j].T, seq[j].T)
 			}
+		}
+		if want := meter.Summarize(plan, r.Start, r.End, meter.TrimFrac); r.Power != want {
+			t.Fatalf("run %d folded %+v, its recorded window %+v", i, r.Power, want)
 		}
 	}
 }
@@ -131,10 +146,10 @@ func TestRunPlanLayoutMatchesRunSequence(t *testing.T) {
 // TestRunPlanLogsStayInsideRuns is the half of the per-run windowing
 // argument that sim owns (the other half, that fault injection never
 // creates or moves a timestamp, is fault's): pristine and under the light
-// and heavy profiles, every sample of a run's log lies in [Start, End+1e-9]
-// and the next run starts at least 1 s after it ends. A window over a
-// merged session log could therefore pick up nothing another run or an
-// idle gap recorded.
+// and heavy profiles, every sample of the log a run's fork records, as
+// its injector corrupts it, lies in [Start, End+1e-9], and the next run
+// starts at least 1 s after it ends. A window over a merged session log
+// could therefore pick up nothing another run or an idle gap recorded.
 func TestRunPlanLogsStayInsideRuns(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
@@ -152,7 +167,12 @@ func TestRunPlanLogsStayInsideRuns(t *testing.T) {
 					if reports[i].Err != nil {
 						continue
 					}
-					for _, s := range r.PowerLog {
+					eng := e.Fork("run", itoa(i), models[i].Name)
+					_, log, _ := recordRun(t, eng, models[i], r.Start)
+					if prof != nil {
+						log = eng.Fault.CorruptTrace(log)
+					}
+					for _, s := range log {
 						if s.T < r.Start || s.T > r.End+1e-9 {
 							t.Fatalf("seed %g gap %v run %d: sample at t=%v outside [%v, %v]",
 								seed, gap, i, s.T, r.Start, r.End)
@@ -228,7 +248,7 @@ func TestForkIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(ra.PowerLog, rc.PowerLog) {
-		t.Error("different fork identities produced identical power logs")
+	if ra.Power == rc.Power {
+		t.Error("different fork identities produced identical power windows")
 	}
 }

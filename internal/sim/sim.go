@@ -9,13 +9,18 @@
 // pipeline (internal/core) consumes its RunResults exactly as the paper's
 // scripts consume WTViewer CSV files.
 //
-// The meter log is kept only where something reads it. A caller that
-// reads only each run's window summary sets FoldTrim, and the run folds
-// the readings into RunResult.Power as the meter takes them. A fault
-// injector corrupts each reading as the meter takes it into a step log
-// (meter.Steps, 12 B a reading), the run's one copy; the run then repairs
-// its window of that log and folds the repaired grid into Power, with the
-// repairs in RunResult.Repair, and keeps no log.
+// Every run takes one shape: it folds its [Start, End] window into
+// RunResult.Power under the paper's trim (meter.TrimFrac) as the meter
+// takes the readings, and sums its PMU windows into RunResult.PMUTotals as
+// the sampler draws them. A fault injector corrupts each reading as the
+// meter takes it into a step log (meter.Steps, 12 B a reading), the run's
+// one copy; the run then repairs its window of that log and folds the
+// repaired grid into Power, with the repairs in RunResult.Repair. It wraps
+// each PMU window as it is drawn, before the sum. No run keeps a meter log
+// or a window. A caller that reads a raw log — the §VI-A2 training, which
+// pairs each 10 s counter window with that window's power, or a file
+// session — records it from the run's power draw (Engine.PowerFunc) with
+// meter.Meter.Record.
 //
 // Each run of a plan executes on a fork of the plan's engine (Fork),
 // seeded by the run's identity. The fork is one allocation: the engine is
@@ -24,10 +29,7 @@
 //
 // The PMU sampler is optional: the §V evaluation scores a server from
 // meter watts and program performance alone, so an engine whose PMU is nil
-// records no counters and skips the cache profiler that drives them. Its
-// windows, too, are kept only where something reads them: a fault injector
-// wraps each window as the sampler draws it, and the run keeps only the
-// sums.
+// records no counters and skips the cache profiler that drives them.
 package sim
 
 import (
@@ -54,20 +56,6 @@ type Engine struct {
 	// trace is the same either way, since the two draw from separate RNG
 	// streams.
 	PMU *pmu.Sampler
-	// PMUTotalsOnly keeps each run's PMUTotals but not its PMUSamples, for
-	// callers that read only the sums. An engine with a Fault injector
-	// keeps totals only whatever PMUTotalsOnly says.
-	PMUTotalsOnly bool
-	// FoldTrim, when positive, folds each run's meter readings into its
-	// Power summary as the meter takes them, trimming that fraction at each
-	// end of the [Start, End] window, and keeps no PowerLog — for callers
-	// that read only the window summary (a pristine evaluation, the figure
-	// series). An engine with a Fault injector keeps no PowerLog whatever
-	// FoldTrim says: it repairs the window of the step log the injector
-	// writes as the meter samples (meter.Meter.RepairWindow) and folds the
-	// repaired grid into Power under this trim.
-	FoldTrim float64
-
 	// RampSec is the start-up/shut-down transient length (allocation,
 	// process spawn, MPI teardown). It is capped at 5% of the run so the
 	// paper's 10% head/tail trim always excludes it.
@@ -82,11 +70,11 @@ type Engine struct {
 
 	// Fault optionally corrupts the run's observables (meter trace, PMU
 	// windows, run execution), for chaos testing: each meter reading as it
-	// is taken, into a step log the run repairs and folds into Power
-	// (FoldTrim), and each PMU window as the sampler draws it, folded into
-	// the run's PMUTotals and not stored. Fork reseeds it by run identity
-	// like the meter and PMU streams. Nil — the default — leaves every byte
-	// of the clean pipeline untouched.
+	// is taken, into a step log the run repairs and folds into Power, and
+	// each PMU window as the sampler draws it, before the run's PMUTotals
+	// sum it. Fork reseeds it by run identity like the meter and PMU
+	// streams. Nil — the default — leaves every byte of the clean pipeline
+	// untouched.
 	Fault *fault.Injector
 	// Retry is the per-run attempt budget RunPlan hands the scheduler. The
 	// zero value is a single attempt.
@@ -154,20 +142,14 @@ type RunResult struct {
 	Model workload.Model
 	// Start and End are the server-clock timestamps of the run.
 	Start, End float64
-	// PowerLog is the meter trace covering the run; nil when the engine
-	// folded it into Power instead (FoldTrim) or has a Fault injector.
-	PowerLog []meter.Sample
-	// Power summarizes the run's [Start, End] window — trimmed mean,
-	// energy, extrema — folded while the meter sampled, or for an engine
-	// with a Fault injector over the repaired window; set only when
-	// PowerLog is nil.
+	// Power summarizes the run's [Start, End] window under the paper's
+	// trim (meter.TrimFrac) — trimmed mean, energy, extrema — folded while
+	// the meter sampled, or for an engine with a Fault injector over the
+	// repaired window.
 	Power meter.Summary
 	// Repair counts the repairs the window of a run with a Fault injector
 	// took before it was folded into Power; zero for any other run.
 	Repair meter.RepairReport
-	// PMUSamples are the counter windows of the run; nil when the engine
-	// has no PMU sampler, keeps totals only, or has a Fault injector.
-	PMUSamples []pmu.Sample
 	// PMUTotals sums the counter windows, as Fault left them; zero when the
 	// engine has no PMU sampler.
 	PMUTotals pmu.Totals
@@ -193,6 +175,65 @@ func (r RunResult) MemoryBytesAt(sec float64) float64 {
 	return frac * float64(r.Model.MemoryBytes)
 }
 
+// Draw is the true power draw of one run on the server's clock: idle
+// outside [Start, End], a linear ramp over RampSec at each end, and
+// between the ramps the model's steady power, shaped by its phases and the
+// engine's wiggle. At is the function a run's meter samples.
+type Draw struct {
+	Start, End float64
+	// RampSec is the start-up and shut-down transient: the engine's
+	// RampSec, capped at 5% of the run so the paper's 10% trim excludes it.
+	RampSec float64
+	// SteadyWatts is the model's noiseless steady-state power.
+	SteadyWatts float64
+
+	idle, wiggle float64
+	m            workload.Model
+}
+
+// PowerFunc validates m and returns the power draw of running it on e's
+// server from server-clock time start: the function RunCtx samples. A
+// caller that reads a raw meter log records it on the engine the run
+// would use, Meter.Record(p.Start, p.End, p.At), and gets the readings the
+// run folds.
+func (e *Engine) PowerFunc(m workload.Model, start float64) (Draw, error) {
+	if err := m.Validate(); err != nil {
+		return Draw{}, err
+	}
+	if m.DurationSec <= 0 {
+		return Draw{}, fmt.Errorf("sim: %s has no duration", m.Name)
+	}
+	ramp := e.RampSec
+	if maxRamp := 0.05 * m.DurationSec; ramp > maxRamp {
+		ramp = maxRamp
+	}
+	return Draw{
+		Start: start, End: start + m.DurationSec, RampSec: ramp,
+		SteadyWatts: e.Server.PowerOf(m),
+		idle:        e.Server.IdleWatts, wiggle: e.WiggleFrac, m: m,
+	}, nil
+}
+
+// At returns the true power in watts at server-clock time t.
+func (p *Draw) At(t float64) float64 {
+	steady, idle, ramp, dur := p.SteadyWatts, p.idle, p.RampSec, p.m.DurationSec
+	rel := t - p.Start
+	switch {
+	case rel < 0 || rel > dur:
+		return idle
+	case rel < ramp:
+		return idle + (steady-idle)*rel/ramp
+	case rel > dur-ramp:
+		return idle + (steady-idle)*(dur-rel)/ramp
+	default:
+		w := idle + (steady-idle)*p.m.PhaseIntensityAt(rel/dur)
+		if p.wiggle == 0 || steady == idle {
+			return w
+		}
+		return w + (steady-idle)*p.wiggle*math.Sin(2*math.Pi*rel/37)
+	}
+}
+
 // Run executes m starting at server-clock time start, untraced.
 func (e *Engine) Run(m workload.Model, start float64) (RunResult, error) {
 	return e.RunCtx(context.Background(), m, start)
@@ -205,39 +246,13 @@ func (e *Engine) Run(m workload.Model, start float64) (RunResult, error) {
 // simulation itself has no preemption points, so ctx does not cancel a
 // run; it only carries the trace.
 func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (RunResult, error) {
-	if err := m.Validate(); err != nil {
+	p, err := e.PowerFunc(m, start)
+	if err != nil {
 		return RunResult{}, err
-	}
-	if m.DurationSec <= 0 {
-		return RunResult{}, fmt.Errorf("sim: %s has no duration", m.Name)
 	}
 	sp := tracectx.FromContext(ctx).ChildJoin("run ", m.Name)
 	defer sp.End()
-	steady := e.Server.PowerOf(m)
-	idle := e.Server.IdleWatts
-	ramp := e.RampSec
-	if maxRamp := 0.05 * m.DurationSec; ramp > maxRamp {
-		ramp = maxRamp
-	}
-	end := start + m.DurationSec
-
-	powerAt := func(t float64) float64 {
-		rel := t - start
-		switch {
-		case rel < 0 || rel > m.DurationSec:
-			return idle
-		case rel < ramp:
-			return idle + (steady-idle)*rel/ramp
-		case rel > m.DurationSec-ramp:
-			return idle + (steady-idle)*(m.DurationSec-rel)/ramp
-		default:
-			p := idle + (steady-idle)*m.PhaseIntensityAt(rel/m.DurationSec)
-			if e.WiggleFrac == 0 || steady == idle {
-				return p
-			}
-			return p + (steady-idle)*e.WiggleFrac*math.Sin(2*math.Pi*rel/37)
-		}
-	}
+	end, ramp := p.End, p.RampSec
 
 	sp.SetVirtual(start, end)
 	// The run's phase structure on the virtual clock: the trace shows where
@@ -247,58 +262,40 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	sp.Child("ramp-down").SetVirtual(end-ramp, end).End()
 
 	meterSpan := sp.Child("meter record")
-	var log []meter.Sample
-	var steps meter.Steps
 	var power meter.Summary
 	var repair meter.RepairReport
 	var logged int
-	switch {
-	case e.Fault != nil:
+	if e.Fault == nil {
+		power, logged = e.Meter.RecordSummary(start, end, p.At, meter.TrimFrac)
+		meterSpan.Int("samples", logged).End()
+	} else {
 		// Each reading is corrupted as the meter takes it, into the one
 		// step log the run keeps: the corruptor's draws come from a stream
 		// of their own, so the log equals CorruptTrace(Record(...)).
 		c := e.Fault.TraceCorruptor(e.Meter.SampleCap(start, end))
-		e.Meter.Take(start, end, powerAt, c.Add)
-		steps = c.Trace()
+		e.Meter.Take(start, end, p.At, c.Add)
+		steps := c.Trace()
 		logged = steps.Len()
-	case e.FoldTrim > 0:
-		power, logged = e.Meter.RecordSummary(start, end, powerAt, e.FoldTrim)
-	default:
-		log = e.Meter.Record(start, end, powerAt)
-		logged = len(log)
-	}
-	meterSpan.Int("samples", logged).End()
-	if e.Fault != nil {
+		meterSpan.Int("samples", logged).End()
 		// The repair is the run's own work, not the meter's: the window of
 		// the corrupted log, repaired onto the meter's grid and folded.
-		power, repair = e.Meter.RepairWindow(steps, start, end, e.FoldTrim)
+		power, repair = e.Meter.RepairWindow(steps, start, end, meter.TrimFrac)
 	}
 
-	var samples []pmu.Sample
 	var totals pmu.Totals
 	if e.PMU != nil {
 		pmuSpan := sp.Child("pmu collect")
-		var err error
-		switch {
-		case e.Fault != nil:
-			var rates pmu.Features
-			if rates, err = pmu.Rates(e.Server, m); err == nil {
-				gen, wrap := e.PMU.Windows(rates, m.DurationSec), e.Fault.PMUWrapper()
-				totals = wrappedTotals(&gen, &wrap)
-			}
-		case e.PMUTotalsOnly:
-			totals, err = e.PMU.CollectTotals(e.Server, m)
-		default:
-			if samples, err = e.PMU.Collect(e.Server, m); err == nil {
-				for i := range samples {
-					samples[i].T += start
-				}
-				totals = pmu.Sum(samples)
-			}
-		}
+		rates, err := pmu.Rates(e.Server, m)
 		if err != nil {
 			pmuSpan.Str("error", err.Error()).End()
 			return RunResult{}, err
+		}
+		gen := e.PMU.Windows(rates, m.DurationSec)
+		if e.Fault == nil {
+			totals = gen.Sum()
+		} else {
+			wrap := e.Fault.PMUWrapper()
+			totals = wrappedTotals(&gen, &wrap)
 		}
 		pmuSpan.Int("windows", totals.Windows).End()
 	}
@@ -306,19 +303,17 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	e.Obs.Counter("sim_runs_total").Inc()
 	e.Obs.Counter("sim_meter_samples_total").Add(int64(logged))
 	e.Obs.Counter("sim_pmu_windows_total").Add(int64(totals.Windows))
-	e.Obs.Gauge("sim_last_run_steady_watts", obs.L("program", m.Name)).Set(steady)
+	e.Obs.Gauge("sim_last_run_steady_watts", obs.L("program", m.Name)).Set(p.SteadyWatts)
 
 	return RunResult{
 		Model:       m,
 		Start:       start,
 		End:         end,
-		PowerLog:    log,
 		Power:       power,
 		Repair:      repair,
-		PMUSamples:  samples,
 		PMUTotals:   totals,
 		RampSec:     ramp,
-		SteadyWatts: steady,
+		SteadyWatts: p.SteadyWatts,
 	}, nil
 }
 
@@ -337,31 +332,4 @@ func wrappedTotals(gen *pmu.Windows, wrap *fault.PMUWrapper) pmu.Totals {
 		}
 	}
 	return t
-}
-
-// RunSequence executes the models back to back with idle gaps between them,
-// as the paper's test scripts do, returning one result per model plus the
-// merged power log of the whole session (including the gaps, recorded at
-// idle power). Only runs that keep a PowerLog add to it: an engine with
-// FoldTrim or a Fault injector contributes its gaps alone.
-func (e *Engine) RunSequence(models []workload.Model, gapSec float64) ([]RunResult, []meter.Sample, error) {
-	results := make([]RunResult, 0, len(models))
-	logs := make([][]meter.Sample, 0, 2*len(models))
-	t := 0.0
-	for i, m := range models {
-		if i > 0 && gapSec > 0 {
-			gap := e.Meter.RecordConst(t, t+gapSec, e.Server.IdleWatts)
-			e.Obs.Counter("sim_idle_gap_samples_total").Add(int64(len(gap)))
-			logs = append(logs, gap)
-			t += gapSec + 1
-		}
-		r, err := e.Run(m, t)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: running %s: %w", m.Name, err)
-		}
-		results = append(results, r)
-		logs = append(logs, r.PowerLog)
-		t = r.End + 1
-	}
-	return results, meter.Merge(logs...), nil
 }

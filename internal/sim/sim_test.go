@@ -28,14 +28,14 @@ func TestRunProducesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.PowerLog) != 201 {
-		t.Errorf("power samples = %d, want 201", len(r.PowerLog))
+	if r.Power.Samples != 201 {
+		t.Errorf("power samples = %d, want 201", r.Power.Samples)
 	}
 	if got, want := r.MemoryBytesAt(200), float64(30<<20); got != want {
 		t.Errorf("memory at end = %v, want %v", got, want)
 	}
-	if len(r.PMUSamples) != 20 {
-		t.Errorf("PMU windows = %d, want 20", len(r.PMUSamples))
+	if r.PMUTotals.Windows != 20 {
+		t.Errorf("PMU windows = %d, want 20", r.PMUTotals.Windows)
 	}
 	if r.Duration() != 200 {
 		t.Errorf("duration = %v", r.Duration())
@@ -50,12 +50,13 @@ func TestTrimmedMeanRecoversSteadyPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := stats.TrimmedMean(meter.Watts(r.PowerLog), 0.10)
+	got := r.Power.MeanWatts
 	if math.Abs(got-r.SteadyWatts) > 1.0 {
 		t.Errorf("trimmed mean %.2f vs steady %.2f", got, r.SteadyWatts)
 	}
 	// The raw mean is dragged down by the ramps; it should sit below.
-	raw := stats.Mean(meter.Watts(r.PowerLog))
+	_, log, _ := recordRun(t, New(server.XeonE5462(), 42), epModel(4, 300), 0)
+	raw := stats.Mean(meter.Watts(log))
 	if raw >= got {
 		t.Errorf("raw mean %.2f should be below trimmed %.2f (ramp transients)", raw, got)
 	}
@@ -64,31 +65,28 @@ func TestTrimmedMeanRecoversSteadyPower(t *testing.T) {
 func TestRampContained(t *testing.T) {
 	e := New(server.XeonE5462(), 3)
 	e.Meter.NoiseSD = 0
-	r, err := e.Run(epModel(2, 400), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, log, _ := recordRun(t, e, epModel(2, 400), 0)
 	idle := e.Server.IdleWatts
-	first := r.PowerLog[0].Watts
+	first := log[0].Watts
 	if math.Abs(first-idle) > 1 {
 		t.Errorf("run should start near idle, got %.1f", first)
 	}
-	mid := r.PowerLog[200].Watts
-	if math.Abs(mid-r.SteadyWatts) > 0.02*r.SteadyWatts {
-		t.Errorf("mid-run power %.1f far from steady %.1f", mid, r.SteadyWatts)
+	mid := log[200].Watts
+	if math.Abs(mid-p.SteadyWatts) > 0.02*p.SteadyWatts {
+		t.Errorf("mid-run power %.1f far from steady %.1f", mid, p.SteadyWatts)
 	}
 }
 
 func TestShortRunRampCapped(t *testing.T) {
 	e := New(server.XeonE5462(), 5)
 	e.Meter.NoiseSD = 0
-	r, err := e.Run(epModel(1, 20), 0) // 5% of 20 s = 1 s ramp
-	if err != nil {
-		t.Fatal(err)
+	p, log, _ := recordRun(t, e, epModel(1, 20), 0) // 5% of 20 s = 1 s ramp
+	if p.RampSec != 1 {
+		t.Errorf("ramp %v s, want 1", p.RampSec)
 	}
 	// Sample at t=2 (past the capped ramp) should be at steady level.
-	if got := r.PowerLog[2].Watts; math.Abs(got-r.SteadyWatts) > 0.03*r.SteadyWatts {
-		t.Errorf("power after capped ramp %.1f, steady %.1f", got, r.SteadyWatts)
+	if got := log[2].Watts; math.Abs(got-p.SteadyWatts) > 0.03*p.SteadyWatts {
+		t.Errorf("power after capped ramp %.1f, steady %.1f", got, p.SteadyWatts)
 	}
 }
 
@@ -120,17 +118,6 @@ func TestMemoryRampsToFootprint(t *testing.T) {
 	}
 }
 
-func TestPMUTimestampsShifted(t *testing.T) {
-	e := New(server.XeonE5462(), 2)
-	r, err := e.Run(epModel(2, 100), 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.PMUSamples) == 0 || r.PMUSamples[0].T != 500 {
-		t.Errorf("PMU sample start = %v, want 500", r.PMUSamples[0].T)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	e := New(server.XeonE5462(), 1)
 	if _, err := e.Run(workload.Model{}, 0); err == nil {
@@ -141,15 +128,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := e.Run(m, 0); err == nil {
 		t.Error("zero duration should error")
 	}
+	if _, err := e.PowerFunc(m, 0); err == nil {
+		t.Error("PowerFunc should reject what Run rejects")
+	}
 }
 
+// TestRunSequence: a sequential session composed from the runs' power
+// draws, idle gaps and Merge (runSequence) keeps its runs apart and in
+// order, and windowing its merged log recovers each run's power.
 func TestRunSequence(t *testing.T) {
 	e := New(server.Opteron8347(), 11)
 	models := []workload.Model{epModel(1, 60), epModel(8, 60), epModel(16, 60)}
-	results, merged, err := e.RunSequence(models, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, merged := runSequence(t, e, models, 10)
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -169,11 +159,11 @@ func TestRunSequence(t *testing.T) {
 		t.Errorf("merged log ends at %v before last run end %v", merged[len(merged)-1].T, results[2].End)
 	}
 	// Each run's window in the merged log must recover that run's power.
-	for _, r := range results {
+	for i, r := range results {
 		w := meter.Window(merged, r.Start, r.End)
 		got := stats.TrimmedMean(meter.Watts(w), 0.10)
 		if math.Abs(got-r.SteadyWatts) > 1.5 {
-			t.Errorf("%s (n=%d): window mean %.1f vs steady %.1f", r.Model.Name, r.Model.Processes, got, r.SteadyWatts)
+			t.Errorf("%s (n=%d): window mean %.1f vs steady %.1f", models[i].Name, models[i].Processes, got, r.SteadyWatts)
 		}
 	}
 }
@@ -186,7 +176,7 @@ func TestMorePowerWithMoreCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		avg := stats.TrimmedMean(meter.Watts(r.PowerLog), 0.10)
+		avg := r.Power.MeanWatts
 		if avg <= prev {
 			t.Errorf("power at n=%d (%.1f) not above previous (%.1f)", n, avg, prev)
 		}
@@ -205,18 +195,17 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// TestNilPMUKeepsMeterLog: dropping the PMU sampler, or keeping only its
-// totals, changes the counter data and nothing else. For the same Fork
-// identity the meter log and memory samples are bit-identical, the totals
-// equal the sum of the windows, and without a sampler the windows counter
+// TestNilPMUKeepsMeterLog: dropping the PMU sampler changes the counter
+// data and nothing else. For the same Fork identity the folded meter
+// window and the memory samples are bit-identical, the totals are the sum
+// of the windows a twin stores, and without a sampler the windows counter
 // still exists, reading 0.
 func TestNilPMUKeepsMeterLog(t *testing.T) {
 	m := epModel(4, 200)
-	run := func(withPMU, totalsOnly bool) (RunResult, *obs.Obs) {
+	fork := func(withPMU bool) *Engine {
 		t.Helper()
 		e := New(server.XeonE5462(), 9)
 		e.Obs = obs.New()
-		e.PMUTotalsOnly = totalsOnly
 		if !withPMU {
 			e.PMU = nil
 		}
@@ -224,41 +213,36 @@ func TestNilPMUKeepsMeterLog(t *testing.T) {
 		if withPMU != (f.PMU != nil) {
 			t.Fatalf("fork PMU = %v, want present=%v", f.PMU, withPMU)
 		}
+		return f
+	}
+	run := func(withPMU bool) (RunResult, *obs.Obs) {
+		t.Helper()
+		f := fork(withPMU)
 		r, err := f.Run(m, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, e.Obs
+		return r, f.Obs
 	}
-	with, _ := run(true, false)
-	totals, _ := run(true, true)
-	without, o := run(false, false)
-	if len(with.PMUSamples) != 20 || totals.PMUSamples != nil || without.PMUSamples != nil {
-		t.Errorf("PMU windows: with sampler %d, totals only %d, without %d (want 20, nil, nil)",
-			len(with.PMUSamples), len(totals.PMUSamples), len(without.PMUSamples))
+	with, _ := run(true)
+	without, o := run(false)
+	_, _, windows := recordRun(t, fork(true), m, 500)
+	if want := pmu.Sum(windows); with.PMUTotals != want || want.Windows != 20 || without.PMUTotals != (pmu.Totals{}) {
+		t.Errorf("PMU totals: with sampler %+v, without %+v; want %+v and zero", with.PMUTotals, without.PMUTotals, want)
 	}
-	if want := pmu.Sum(with.PMUSamples); with.PMUTotals != want || totals.PMUTotals != want || without.PMUTotals != (pmu.Totals{}) {
-		t.Errorf("PMU totals: with sampler %+v, totals only %+v, without %+v; want %+v, %+v, zero",
-			with.PMUTotals, totals.PMUTotals, without.PMUTotals, want, want)
+	bits := math.Float64bits
+	if p, q := with.Power, without.Power; p.Samples != q.Samples || p.TrimDropped != q.TrimDropped ||
+		bits(p.MeanWatts) != bits(q.MeanWatts) || bits(p.EnergyJ) != bits(q.EnergyJ) ||
+		bits(p.MinWatts) != bits(q.MinWatts) || bits(p.MaxWatts) != bits(q.MaxWatts) {
+		t.Errorf("meter window: %+v with sampler, %+v without", p, q)
 	}
-	for _, other := range []RunResult{totals, without} {
-		if len(with.PowerLog) != len(other.PowerLog) {
-			t.Fatalf("meter log lengths %d vs %d", len(with.PowerLog), len(other.PowerLog))
+	for sec := 0.0; sec <= with.Duration(); sec++ {
+		if v, u := with.MemoryBytesAt(sec), without.MemoryBytesAt(sec); bits(v) != bits(u) {
+			t.Fatalf("memory at %v s: %v vs %v", sec, v, u)
 		}
-		for i, s := range with.PowerLog {
-			u := other.PowerLog[i]
-			if math.Float64bits(s.T) != math.Float64bits(u.T) || math.Float64bits(s.Watts) != math.Float64bits(u.Watts) {
-				t.Fatalf("meter sample %d: %+v with sampler, %+v otherwise", i, s, u)
-			}
-		}
-		for sec := 0.0; sec <= with.Duration(); sec++ {
-			if v, u := with.MemoryBytesAt(sec), other.MemoryBytesAt(sec); math.Float64bits(v) != math.Float64bits(u) {
-				t.Fatalf("memory at %v s: %v vs %v", sec, v, u)
-			}
-		}
-		if with.SteadyWatts != other.SteadyWatts || with.End != other.End {
-			t.Errorf("run figures differ: steady %v vs %v, end %v vs %v", with.SteadyWatts, other.SteadyWatts, with.End, other.End)
-		}
+	}
+	if with.SteadyWatts != without.SteadyWatts || with.End != without.End {
+		t.Errorf("run figures differ: steady %v vs %v, end %v vs %v", with.SteadyWatts, without.SteadyWatts, with.End, without.End)
 	}
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, o.Metrics); err != nil {
@@ -269,41 +253,37 @@ func TestNilPMUKeepsMeterLog(t *testing.T) {
 	}
 }
 
-// TestFoldTrimSummarizesRunWindow: an engine with FoldTrim keeps no log,
-// and its run's Power is bit for bit the summary of the same run's logged
-// window; the meter span and sample counter still count every logged
-// reading. A faulted run keeps no log either, and folds its repaired
-// window.
+// TestFoldTrimSummarizesRunWindow: a run keeps no log, and its Power is
+// bit for bit the summary, under the paper's trim, of the window of the
+// log its twin's meter records of the run's power draw (recordRun); the
+// meter span and sample counter still count every logged reading. A
+// faulted run folds its repaired window.
 func TestFoldTrimSummarizesRunWindow(t *testing.T) {
 	spec := server.XeonE5462()
 	// At a 0.3 s interval, t += interval overshoots End by rounding and
 	// Record logs a sample the window drops; the fold must drop it too.
 	edge := false
 	for _, tc := range []struct{ start, interval float64 }{{0, 1}, {151.3, 1}, {0, 0.3}} {
-		logged := New(spec, 9)
-		logged.Meter.IntervalSec = tc.interval
-		o := &obs.Obs{Metrics: obs.NewRegistry()}
-		folded := New(spec, 9)
-		folded.Meter.IntervalSec = tc.interval
-		folded.FoldTrim, folded.Obs = 0.10, o
-		want, err := logged.Run(epModel(4, 300), tc.start)
-		if err != nil {
-			t.Fatal(err)
+		engine := func() *Engine {
+			e := New(spec, 9)
+			e.Meter.IntervalSec = tc.interval
+			return e
 		}
+		o := &obs.Obs{Metrics: obs.NewRegistry()}
+		folded := engine()
+		folded.Obs = o
+		p, log, _ := recordRun(t, engine(), epModel(4, 300), tc.start)
 		got, err := folded.Run(epModel(4, 300), tc.start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.PowerLog != nil {
-			t.Fatalf("%+v: folding run kept a %d-sample log", tc, len(got.PowerLog))
-		}
-		window := meter.Window(want.PowerLog, want.Start, want.End)
-		edge = edge || len(window) < len(want.PowerLog)
-		if ref := meter.Summarize(window, want.Start, want.End, 0.10); got.Power != ref {
+		window := meter.Window(log, p.Start, p.End)
+		edge = edge || len(window) < len(log)
+		if ref := meter.Summarize(window, p.Start, p.End, meter.TrimFrac); got.Power != ref {
 			t.Fatalf("%+v: folded %+v, logged window %+v", tc, got.Power, ref)
 		}
-		if n := o.Counter("sim_meter_samples_total").Value(); n != int64(len(want.PowerLog)) {
-			t.Fatalf("%+v: sim_meter_samples_total %d, want %d", tc, n, len(want.PowerLog))
+		if n := o.Counter("sim_meter_samples_total").Value(); n != int64(len(log)) {
+			t.Fatalf("%+v: sim_meter_samples_total %d, want %d", tc, n, len(log))
 		}
 	}
 	if !edge {
@@ -311,45 +291,38 @@ func TestFoldTrimSummarizesRunWindow(t *testing.T) {
 	}
 
 	faulted := New(spec, 9)
-	faulted.FoldTrim = 0.10
 	faulted.Fault = fault.New(fault.Light(), 3, nil)
 	r, err := faulted.Run(epModel(4, 300), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PowerLog != nil || r.Power.Samples != 301 {
-		t.Fatalf("faulted run kept a %d-sample log, folded %+v", len(r.PowerLog), r.Power)
+	if r.Power.Samples != 301 {
+		t.Fatalf("faulted run folded %+v", r.Power)
 	}
 }
 
 // checkFaultedRun runs m at start on a fresh engine with a Fault injector
-// for prof seeded at fseed, trimming frac, and on a pristine twin, and
-// holds the faulted run to the slice form of its pipeline over the twin's
-// log: Power and Repair equal RepairSummary(Window(CorruptTrace(log))),
-// Power bit for bit, the run's ledger equals CorruptTrace's, and the run
-// counts the corrupted log's entries, duplicates in and truncated tail
-// out. The run keeps no log. It returns the lengths of the recorded and
-// the corrupted log, and the ledger of the corruption.
-func checkFaultedRun(t *testing.T, engine func() *Engine, prof *fault.Profile, fseed float64, m workload.Model, start, frac float64) (recorded, corrupted int, led *fault.Ledger) {
+// for prof seeded at fseed and holds it to the slice form of its pipeline
+// over the log a pristine twin records (recordRun): Power and Repair equal
+// RepairSummary(Window(CorruptTrace(log))) under the paper's trim, Power
+// bit for bit, the run's ledger equals CorruptTrace's, and the run counts
+// the corrupted log's entries, duplicates in and truncated tail out. It
+// returns the lengths of the recorded and the corrupted log, and the
+// ledger of the corruption.
+func checkFaultedRun(t *testing.T, engine func() *Engine, prof *fault.Profile, fseed float64, m workload.Model, start float64) (recorded, corrupted int, led *fault.Ledger) {
 	t.Helper()
 	runLed, refLed := fault.NewLedger(), fault.NewLedger()
 	o := &obs.Obs{Metrics: obs.NewRegistry()}
 	faulted := engine()
-	faulted.Fault, faulted.FoldTrim, faulted.Obs = fault.New(prof, fseed, runLed), frac, o
+	faulted.Fault, faulted.Obs = fault.New(prof, fseed, runLed), o
 	got, err := faulted.Run(m, start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := engine().Run(m, start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := fault.New(prof, fseed, refLed).CorruptTrace(rec.PowerLog)
-	opts := meter.RepairOpts{Start: rec.Start, End: rec.End, IntervalSec: faulted.Meter.IntervalSec}
-	want, wantRep := meter.RepairSummary(meter.Window(log, rec.Start, rec.End), opts, frac)
-	if got.PowerLog != nil {
-		t.Fatalf("faulted run kept a %d-sample log", len(got.PowerLog))
-	}
+	d, rec, _ := recordRun(t, engine(), m, start)
+	log := fault.New(prof, fseed, refLed).CorruptTrace(rec)
+	opts := meter.RepairOpts{Start: d.Start, End: d.End, IntervalSec: faulted.Meter.IntervalSec}
+	want, wantRep := meter.RepairSummary(meter.Window(log, d.Start, d.End), opts, meter.TrimFrac)
 	bits := math.Float64bits
 	if p := got.Power; p.Samples != want.Samples || p.TrimDropped != want.TrimDropped ||
 		bits(p.MeanWatts) != bits(want.MeanWatts) || bits(p.EnergyJ) != bits(want.EnergyJ) ||
@@ -367,7 +340,7 @@ func checkFaultedRun(t *testing.T, engine func() *Engine, prof *fault.Profile, f
 	if n := o.Counter("sim_meter_samples_total").Value(); n != int64(len(log)) {
 		t.Fatalf("faulted run counted %d samples, CorruptTrace(Record) logged %d", n, len(log))
 	}
-	return len(rec.PowerLog), len(log), refLed
+	return len(rec), len(log), refLed
 }
 
 // TestFaultedRunCorruptsAsTheMeterSamples: a faulted run corrupts each
@@ -388,48 +361,38 @@ func TestFaultedRunCorruptsAsTheMeterSamples(t *testing.T) {
 			e.Meter.IntervalSec, e.Meter.DropoutFrac = tc.interval, tc.dropout
 			return e
 		}
-		recorded, corrupted, led := checkFaultedRun(t, engine, prof, 3, epModel(4, 300), 12.5, 0.10)
+		recorded, corrupted, led := checkFaultedRun(t, engine, prof, 3, epModel(4, 300), 12.5)
 		if led.Count(fault.KindTruncated) == 0 || recorded == corrupted {
 			t.Fatalf("%+v: corruption left the trace's length as recorded (%d)", tc, corrupted)
 		}
 	}
 }
 
-// TestFaultedRunFoldsPMUWindows: a faulted run keeps no PMU windows, and
-// its totals equal pmu.Sum(CorruptPMU(...)) over the windows a pristine
-// twin keeps, bit for bit, with the same wrapped-window count. The knob
-// PMUTotalsOnly makes no difference to a faulted engine.
+// TestFaultedRunFoldsPMUWindows: a faulted run's totals equal
+// pmu.Sum(CorruptPMU(...)) over the windows a pristine twin stores
+// (recordRun), bit for bit, with the same wrapped-window count.
 func TestFaultedRunFoldsPMUWindows(t *testing.T) {
 	spec := server.Xeon4870()
 	m := epModel(40, 600)
 	for _, prof := range []*fault.Profile{{Name: "wrap", Wrap: 0.5}, fault.Heavy()} {
-		for _, totalsOnly := range []bool{false, true} {
-			runLed, refLed := fault.NewLedger(), fault.NewLedger()
-			faulted := New(spec, 9)
-			faulted.PMUTotalsOnly = totalsOnly
-			faulted.Fault = fault.New(prof, 3, runLed)
-			got, err := faulted.Run(m, 12.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, err := New(spec, 9).Run(m, 12.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := pmu.Sum(fault.New(prof, 3, refLed).CorruptPMU(rec.PMUSamples))
-			if got.PMUSamples != nil {
-				t.Errorf("%s: faulted run kept %d PMU windows", prof.Name, len(got.PMUSamples))
-			}
-			if got.PMUTotals != want || want.Windows != 60 {
-				t.Errorf("%s: faulted run totals %+v, Sum(CorruptPMU(Collect)) %+v", prof.Name, got.PMUTotals, want)
-			}
-			wrapped := refLed.Count(fault.KindWrapped)
-			if n := runLed.Count(fault.KindWrapped); n != wrapped {
-				t.Errorf("%s: faulted run wrapped %d windows, CorruptPMU %d", prof.Name, n, wrapped)
-			}
-			if prof.Name == "wrap" && wrapped == 0 {
-				t.Errorf("%s: no window wrapped", prof.Name)
-			}
+		runLed, refLed := fault.NewLedger(), fault.NewLedger()
+		faulted := New(spec, 9)
+		faulted.Fault = fault.New(prof, 3, runLed)
+		got, err := faulted.Run(m, 12.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, windows := recordRun(t, New(spec, 9), m, 12.5)
+		want := pmu.Sum(fault.New(prof, 3, refLed).CorruptPMU(windows))
+		if got.PMUTotals != want || want.Windows != 60 {
+			t.Errorf("%s: faulted run totals %+v, Sum(CorruptPMU(windows)) %+v", prof.Name, got.PMUTotals, want)
+		}
+		wrapped := refLed.Count(fault.KindWrapped)
+		if n := runLed.Count(fault.KindWrapped); n != wrapped {
+			t.Errorf("%s: faulted run wrapped %d windows, CorruptPMU %d", prof.Name, n, wrapped)
+		}
+		if prof.Name == "wrap" && wrapped == 0 {
+			t.Errorf("%s: no window wrapped", prof.Name)
 		}
 	}
 }
