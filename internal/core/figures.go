@@ -129,9 +129,17 @@ func barModel(spec *server.Spec, b barSpec) (workload.Model, bool, error) {
 	}
 }
 
+// figureEngine returns the engine a figure's runs share. No figure reads a
+// run's PMU totals, so it collects none.
+func figureEngine(spec *server.Spec, seed float64) *sim.Engine {
+	engine := sim.New(spec, seed)
+	engine.PMU = nil
+	return engine
+}
+
 // powerBars measures one trimmed-average power value per bar.
 func powerBars(spec *server.Spec, bars []barSpec, seed float64) (*report.Series, error) {
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	labels := make([]string, len(bars))
 	ys := make([]float64, len(bars))
 	for i, b := range bars {
@@ -210,7 +218,7 @@ func Fig4(seed float64) (*report.Series, error) {
 // is internally inconsistent; see EXPERIMENTS.md).
 func Table2(seed float64) (*report.Table, error) {
 	spec := server.Xeon4870()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	rows := []int{1, 2, 4, 8, 9, 16, 25, 32, 36, 39, 40}
 	cols := []string{"HPL", "BT", "EP", "FT", "IS", "LU", "MG", "SP", "SPEC"}
 
@@ -269,7 +277,7 @@ func Table2(seed float64) (*report.Table, error) {
 // 10%..100%) for 1/2/4 cores on the Xeon-E5462.
 func Fig5(seed float64) (*report.Series, error) {
 	spec := server.XeonE5462()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	fracs := stats.Linspace(0.10, 1.00, 10)
 	labels := make([]string, len(fracs))
 	for i, f := range fracs {
@@ -324,7 +332,7 @@ var NBLabels = []string{"50", "100", "150", "200", "250", "300", "350", "400"}
 // Fig6 reproduces Figure 6: NBs influence for 1-4 cores on the Xeon-E5462.
 func Fig6(seed float64) (*report.Series, error) {
 	spec := server.XeonE5462()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	s := report.NewSeries("Fig. 6: NBs influence on Server Xeon-E5462", "NBs", NBLabels)
 	for _, cores := range []int{1, 2, 3, 4} {
 		ys, err := hplNBSweep(spec, engine, cores, 1, cores, 0.7)
@@ -346,7 +354,7 @@ func Fig6(seed float64) (*report.Series, error) {
 // Xeon-E5462 (grids 1×4, 2×2, 4×1 across the NB ladder).
 func Fig7(seed float64) (*report.Series, error) {
 	spec := server.XeonE5462()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	// N = 30,000 on 8 GB is a memory fraction of N²·8/mem ≈ 0.84.
 	memFrac := 30000.0 * 30000.0 * 8 / float64(spec.MemoryBytes)
 	s := report.NewSeries("Fig. 7: P and Q influences on Server Xeon-E5462 (N=30,000)", "NBs", NBLabels)
@@ -401,7 +409,7 @@ func Fig8() (*report.Series, error) {
 // Fig9 reproduces Figure 9: NPB power for scales A/B/C on the Xeon-E5462.
 func Fig9(seed float64) (*report.Series, error) {
 	spec := server.XeonE5462()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	bars := fig89Axis()
 	labels := make([]string, len(bars))
 	for i, b := range bars {
@@ -443,7 +451,7 @@ type EPProfile struct {
 // energy) for cores 1/2/4 on the Xeon-E5462.
 func Fig10and11(seed float64) (*EPProfile, error) {
 	spec := server.XeonE5462()
-	engine := sim.New(spec, seed)
+	engine := figureEngine(spec, seed)
 	p := &EPProfile{Server: spec.Name}
 	for _, cores := range []int{1, 2, 4} {
 		m, err := npb.NewModel(spec, npb.EP, npb.ClassC, cores)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -57,21 +56,6 @@ func badRequest(format string, args ...any) *httpError {
 // to pinpoint which part of their sweep or evaluate body was rejected.
 func badField(field, format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...), field: field}
-}
-
-// decode parses a JSON request body strictly: bounded size, unknown fields
-// rejected, trailing garbage rejected.
-func (s *Server) decode(w http.ResponseWriter, req *http.Request, v any) error {
-	body := http.MaxBytesReader(w, req.Body, s.cfg.maxBodyBytes())
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("malformed request body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("malformed request body: trailing data after JSON value")
-	}
-	return nil
 }
 
 // methodKey validates an EvaluateRequest's server selection and returns
@@ -130,7 +114,7 @@ func (s *Server) handleMethod(method string) http.HandlerFunc {
 	route := "/v1/" + method
 	return func(w http.ResponseWriter, req *http.Request) {
 		var er EvaluateRequest
-		if err := s.decode(w, req, &er); err != nil {
+		if err := s.decodeRequest(w, req, &er); err != nil {
 			fail(w, err)
 			return
 		}
@@ -172,7 +156,7 @@ func (s *Server) methodFn(method, name string, spec *server.Spec, seed float64, 
 
 func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
 	var cr CompareRequest
-	if err := s.decode(w, req, &cr); err != nil {
+	if err := s.decodeRequest(w, req, &cr); err != nil {
 		fail(w, err)
 		return
 	}
