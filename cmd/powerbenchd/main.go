@@ -89,6 +89,17 @@ import (
 	"powerbench/internal/serve"
 )
 
+// daemonObs builds the daemon's telemetry from the parsed flags: the
+// CLI's, without its obs.Tracer. The tracer keeps every root span it
+// records, core records two per computation, and no daemon code reads
+// them, so a daemon that kept it would grow without bound. Request traces
+// come from tracectx, which the trace store bounds.
+func daemonObs(cli *obs.CLI, stdout, stderr io.Writer) *obs.Obs {
+	o := cli.NewObs(stdout, stderr)
+	o.Tracer = nil
+	return o
+}
+
 // buildCluster turns the -peers/-shard-id flags into a cluster, or nil for
 // a standalone daemon (the serve layer then runs a cluster of one).
 func buildCluster(peersFlag, shardID string, peerTimeout time.Duration, vnodes int, o *obs.Obs) (*cluster.Cluster, error) {
@@ -167,7 +178,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	o := cli.NewObs(stdout, stderr)
+	o := daemonObs(&cli, stdout, stderr)
 	log := o.Log
 
 	cl, err := buildCluster(*peersFlag, *shardID, *peerTimeout, *ringVnodes, o)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"powerbench/internal/obs"
 )
 
 // syncBuffer is a goroutine-safe writer the daemon logs into while the
@@ -231,5 +234,28 @@ func TestDaemonClusterBoot(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("clustered daemon did not shut down")
+	}
+}
+
+// The daemon's telemetry carries no obs.Tracer: core records two root
+// spans on a tracer per computation and no daemon code reads them, so a
+// daemon that kept one would grow for as long as it runs. The registry and
+// the logger stay, and a span on the daemon's Obs is the no-op nil span.
+func TestDaemonObsHasNoTracer(t *testing.T) {
+	var cli obs.CLI
+	fs := flag.NewFlagSet("powerbenchd", flag.ContinueOnError)
+	cli.Register(fs)
+	if err := fs.Parse([]string{"-v"}); err != nil {
+		t.Fatal(err)
+	}
+	o := daemonObs(&cli, io.Discard, io.Discard)
+	if o.Tracer != nil {
+		t.Fatal("the daemon's Obs has a tracer")
+	}
+	if o.Metrics == nil || o.Log == nil {
+		t.Fatalf("the daemon's Obs lost its registry or logger: %+v", o)
+	}
+	if sp := o.Span("evaluate Xeon-E5462", "evaluate"); sp != nil {
+		t.Fatal("a span on the daemon's Obs was recorded")
 	}
 }

@@ -79,26 +79,30 @@ type ProfileResult struct {
 // and memoized process-wide; both the fast path and the memo are exact —
 // the result is bit-identical to ProfileReference for every input.
 func Profile(p Pattern, n int, seed float64, cfgs ...Config) (ProfileResult, error) {
-	if !fastProfileEnabled.Load() {
-		return ProfileReference(p, n, seed, cfgs...)
-	}
-	if key, ok := memoKey(p, n, seed, cfgs); ok {
+	ref := !fastProfileEnabled.Load()
+	key, ok := memoKey(p, n, seed, ref, cfgs)
+	if ok {
 		if v, ok := profileMemo.Load(key); ok {
 			return v.(ProfileResult), nil
 		}
-		res, err := ProfileUncached(p, n, seed, cfgs...)
-		if err == nil {
-			profileMemo.Store(key, res)
-		}
-		return res, err
 	}
-	return ProfileUncached(p, n, seed, cfgs...)
+	var res ProfileResult
+	var err error
+	if ref {
+		res, err = ProfileReference(p, n, seed, cfgs...)
+	} else {
+		res, err = ProfileUncached(p, n, seed, cfgs...)
+	}
+	if ok && err == nil {
+		profileMemo.Store(key, res)
+	}
+	return res, err
 }
 
 // ProfileReference is the original per-access computation of Profile: the
 // pattern driven through a full Hierarchy one access at a time. It is the
-// oracle the batched profiler is tested against, and what Profile runs when
-// the fast path is disabled via SetFastProfile(false).
+// oracle the batched profiler is tested against, and what Profile runs (and
+// memoizes) when the fast path is disabled via SetFastProfile(false).
 func ProfileReference(p Pattern, n int, seed float64, cfgs ...Config) (ProfileResult, error) {
 	h, err := NewHierarchy(cfgs...)
 	if err != nil {

@@ -47,18 +47,21 @@ var fastProfileEnabled atomic.Bool
 func init() { fastProfileEnabled.Store(true) }
 
 // SetFastProfile enables or disables the batched fast path behind Profile,
-// returning the previous setting. Disabling also bypasses the memo, so a
-// disabled Profile is the unmodified reference computation.
+// returning the previous setting. A disabled Profile runs the reference
+// computation; the memo keys the route, so it still serves repeats of it
+// and never hands one route's result to the other.
 func SetFastProfile(enabled bool) bool {
 	return fastProfileEnabled.Swap(enabled)
 }
 
 // profileKey identifies a memoized Profile computation: the pattern, the
-// stream length and seed, and the full hierarchy geometry.
+// stream length and seed, the full hierarchy geometry and the route (the
+// batched profiler or the reference simulator) that computed it.
 type profileKey struct {
 	p      Pattern
 	n      int
 	seed   float64
+	ref    bool
 	levels int
 	cfgs   [4]Config
 }
@@ -66,7 +69,9 @@ type profileKey struct {
 // profileMemo caches Profile results process-wide. The same (pattern,
 // hierarchy, seed) triple recurs for every PMU window of every run of a
 // program, and across requests in the daemon; the profile of a pattern is a
-// pure function of the key, so sharing is safe at any concurrency.
+// pure function of the key, so sharing is safe at any concurrency. It is
+// the only profile memo: the PMU keys nothing by server name, so two specs
+// with one name and different geometries never share a profile.
 var profileMemo sync.Map // profileKey -> ProfileResult
 
 // ResetProfileMemo clears the memoized profiles. Benchmarks call it to
@@ -613,13 +618,14 @@ func ProfileUncached(p Pattern, n int, seed float64, cfgs ...Config) (ProfileRes
 	return res, nil
 }
 
-// memoKey builds the memo key for a Profile call; ok is false when the
-// hierarchy is too deep to key (such profiles run uncached).
-func memoKey(p Pattern, n int, seed float64, cfgs []Config) (profileKey, bool) {
+// memoKey builds the memo key for a Profile call on the given route; ok
+// is false when the hierarchy is too deep to key (such profiles run
+// uncached).
+func memoKey(p Pattern, n int, seed float64, ref bool, cfgs []Config) (profileKey, bool) {
 	if len(cfgs) > len(profileKey{}.cfgs) {
 		return profileKey{}, false
 	}
-	k := profileKey{p: p, n: n, seed: seed, levels: len(cfgs)}
+	k := profileKey{p: p, n: n, seed: seed, ref: ref, levels: len(cfgs)}
 	copy(k.cfgs[:], cfgs)
 	return k, true
 }

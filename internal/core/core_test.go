@@ -233,9 +233,6 @@ func TestAveragePowerPipeline(t *testing.T) {
 	if got != 200 {
 		t.Errorf("AveragePower = %v, want 200 (trim must drop transients)", got)
 	}
-	if got := AverageMemory([]float64{0, 50, 50, 50, 50, 50, 50, 50, 50, 0}); got != 50 {
-		t.Errorf("AverageMemory = %v", got)
-	}
 }
 
 func TestRanking(t *testing.T) {

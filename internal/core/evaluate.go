@@ -27,7 +27,6 @@ import (
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/ssj"
-	"powerbench/internal/stats"
 	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
@@ -70,11 +69,6 @@ type Evaluation struct {
 // merged meter log: extract by timestamps, drop 10% head and tail, average.
 func AveragePower(log []meter.Sample, start, end float64) float64 {
 	return meter.Summarize(meter.Window(log, start, end), start, end, TrimFrac).MeanWatts
-}
-
-// AverageMemory applies the same trim/average to 1 s memory samples.
-func AverageMemory(samples []float64) float64 {
-	return stats.TrimmedMean(samples, TrimFrac)
 }
 
 // PlanStates returns the method's workload list for a server (Table III):

@@ -8,18 +8,10 @@ import (
 
 	"powerbench/internal/cache"
 	"powerbench/internal/fault"
-	"powerbench/internal/pmu"
 	"powerbench/internal/rng"
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
 )
-
-// resetHotPathCaches empties every profile memo so the next evaluation runs
-// the cold (cache-miss) path.
-func resetHotPathCaches() {
-	cache.ResetProfileMemo()
-	pmu.ResetProfileCacheForTest()
-}
 
 // withReferencePaths runs f with the batched profiler and the integer LCG
 // both disabled — the seed revision's exact hot path — and restores the
@@ -51,7 +43,7 @@ func TestFastPathGoldenAcrossJobsAndFaults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var want *Evaluation
 			withReferencePaths(t, func() {
-				resetHotPathCaches()
+				cache.ResetProfileMemo()
 				var err error
 				want, err = EvaluateCtx(context.Background(), spec, 7, EvalOptions{Fault: prof})
 				if err != nil {
@@ -60,7 +52,7 @@ func TestFastPathGoldenAcrossJobsAndFaults(t *testing.T) {
 			})
 			wantTable := EvaluationTable(want, "golden").TSV()
 			for _, jobs := range []int{1, 2, 8} {
-				resetHotPathCaches()
+				cache.ResetProfileMemo()
 				got, err := EvaluateCtx(context.Background(), spec, 7, EvalOptions{
 					Fault: prof, Pool: sched.New(jobs, nil),
 				})
@@ -87,7 +79,7 @@ func TestEvaluateCtxConcurrentMatchesSequential(t *testing.T) {
 	specs := []*server.Spec{server.XeonE5462(), server.Xeon4870()}
 	seeds := []float64{3, 11}
 
-	resetHotPathCaches()
+	cache.ResetProfileMemo()
 	want := make([]*Evaluation, len(specs))
 	for i := range specs {
 		ev, err := EvaluateCtx(context.Background(), specs[i], seeds[i], EvalOptions{})
@@ -99,7 +91,7 @@ func TestEvaluateCtxConcurrentMatchesSequential(t *testing.T) {
 
 	// Re-run concurrently from a cold memo so the two requests race on the
 	// profile caches, each also fanning its own states out on a pool.
-	resetHotPathCaches()
+	cache.ResetProfileMemo()
 	got := make([]*Evaluation, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup

@@ -42,8 +42,8 @@ type TrainingResult struct {
 // residuals are not Gaussian — the linear model has systematic lack of fit
 // across HPCC programs — and reach 5σ–7σ: 5.1–7.0 over the three servers
 // at seeds 1 and 3, 5.9–6.0 for the EP+SP augmented Xeon-4870 sweep. Data
-// corruption that survives trace repair and counter unwrapping (a window
-// whose features or power are simply wrong) lands far beyond 10.
+// corruption that survives trace repair (a window whose features or power
+// are simply wrong) lands far beyond 10.
 const robustZThreshold = 10.0
 
 // collectTrainingRuns fans the independent training runs out on the
@@ -198,7 +198,7 @@ func TrainCtx(ctx context.Context, spec *server.Spec, seed float64, opts TrainOp
 	if d, derr := regression.Diagnose(sw.Model, sel, zy); derr == nil && d.MaxAbsStandardized > robustZThreshold {
 		o.Infof("training %s: residual outlier (max |z| %.1f > %.0f), refitting with Huber loss",
 			spec.Name, d.MaxAbsStandardized, robustZThreshold)
-		if rm, rerr := regression.FitHuber(sel, zy, regression.HuberOptions{Lambda: 0.01 * float64(len(xs))}); rerr == nil {
+		if rm, rerr := regression.FitHuber(sel, zy, 0.01*float64(len(xs))); rerr == nil {
 			sw.Model = rm
 			robust = true
 			o.Counter("core_robust_refits_total").Inc()

@@ -1,9 +1,9 @@
 // Package fft implements the complex fast Fourier transforms used by the
 // NPB FT kernel and the HPCC FFT test: an iterative radix-2
 // decimation-in-time transform for power-of-two lengths, forward and
-// inverse, in one and three dimensions. The 3-D transform applies 1-D
-// transforms along each axis in turn, which is exactly the structure the
-// MPI FT code parallelizes with its transpose steps.
+// inverse, in one dimension. NPB FT composes its 3-D transform from these
+// 1-D transforms along each axis in turn, with the MPI code's transpose
+// steps over comm (internal/npb).
 package fft
 
 import (
@@ -59,74 +59,6 @@ func transform(x []complex128, sign float64) {
 				x[start+k] = a + b
 				x[start+k+half] = a - b
 				w *= wStep
-			}
-		}
-	}
-}
-
-// Grid3D is a dense complex field of dimensions Nx×Ny×Nz stored with x
-// fastest (index = x + Nx·(y + Ny·z)), matching the NPB FT layout.
-type Grid3D struct {
-	Nx, Ny, Nz int
-	Data       []complex128
-}
-
-// NewGrid3D allocates a zeroed grid. All dimensions must be powers of two.
-func NewGrid3D(nx, ny, nz int) *Grid3D {
-	if !IsPowerOfTwo(nx) || !IsPowerOfTwo(ny) || !IsPowerOfTwo(nz) {
-		panic(fmt.Sprintf("fft: grid dims %dx%dx%d must be powers of two", nx, ny, nz))
-	}
-	return &Grid3D{Nx: nx, Ny: ny, Nz: nz, Data: make([]complex128, nx*ny*nz)}
-}
-
-// At returns the element at (x, y, z).
-func (g *Grid3D) At(x, y, z int) complex128 { return g.Data[x+g.Nx*(y+g.Ny*z)] }
-
-// Set assigns the element at (x, y, z).
-func (g *Grid3D) Set(x, y, z int, v complex128) { g.Data[x+g.Nx*(y+g.Ny*z)] = v }
-
-// Forward3D transforms the grid in place along x, then y, then z.
-func Forward3D(g *Grid3D) { transform3D(g, false) }
-
-// Inverse3D applies the inverse transform (with full 1/(Nx·Ny·Nz)
-// normalization) in place.
-func Inverse3D(g *Grid3D) { transform3D(g, true) }
-
-func transform3D(g *Grid3D, inverse bool) {
-	apply := Forward
-	if inverse {
-		apply = Inverse
-	}
-	// Along x: contiguous lines.
-	for z := 0; z < g.Nz; z++ {
-		for y := 0; y < g.Ny; y++ {
-			base := g.Nx * (y + g.Ny*z)
-			apply(g.Data[base : base+g.Nx])
-		}
-	}
-	// Along y: gather strided lines into a scratch buffer.
-	line := make([]complex128, g.Ny)
-	for z := 0; z < g.Nz; z++ {
-		for x := 0; x < g.Nx; x++ {
-			for y := 0; y < g.Ny; y++ {
-				line[y] = g.At(x, y, z)
-			}
-			apply(line)
-			for y := 0; y < g.Ny; y++ {
-				g.Set(x, y, z, line[y])
-			}
-		}
-	}
-	// Along z.
-	lineZ := make([]complex128, g.Nz)
-	for y := 0; y < g.Ny; y++ {
-		for x := 0; x < g.Nx; x++ {
-			for z := 0; z < g.Nz; z++ {
-				lineZ[z] = g.At(x, y, z)
-			}
-			apply(lineZ)
-			for z := 0; z < g.Nz; z++ {
-				g.Set(x, y, z, lineZ[z])
 			}
 		}
 	}

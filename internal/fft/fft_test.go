@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -8,6 +9,77 @@ import (
 
 	"powerbench/internal/rng"
 )
+
+// grid3D is a dense complex field of dimensions Nx×Ny×Nz stored with x
+// fastest (index = x + Nx·(y + Ny·z)), matching the NPB FT layout. It and
+// its serial transforms compose the 1-D transforms along every axis, so the
+// 3-D round trip and impulse tests check Forward and Inverse on strided
+// lines as NPB FT uses them.
+type grid3D struct {
+	Nx, Ny, Nz int
+	Data       []complex128
+}
+
+// newGrid3D allocates a zeroed grid. All dimensions must be powers of two.
+func newGrid3D(nx, ny, nz int) *grid3D {
+	if !IsPowerOfTwo(nx) || !IsPowerOfTwo(ny) || !IsPowerOfTwo(nz) {
+		panic(fmt.Sprintf("fft: grid dims %dx%dx%d must be powers of two", nx, ny, nz))
+	}
+	return &grid3D{Nx: nx, Ny: ny, Nz: nz, Data: make([]complex128, nx*ny*nz)}
+}
+
+// At returns the element at (x, y, z).
+func (g *grid3D) At(x, y, z int) complex128 { return g.Data[x+g.Nx*(y+g.Ny*z)] }
+
+// Set assigns the element at (x, y, z).
+func (g *grid3D) Set(x, y, z int, v complex128) { g.Data[x+g.Nx*(y+g.Ny*z)] = v }
+
+// forward3D transforms the grid in place along x, then y, then z.
+func forward3D(g *grid3D) { transform3D(g, false) }
+
+// inverse3D applies the inverse transform (with full 1/(Nx·Ny·Nz)
+// normalization) in place.
+func inverse3D(g *grid3D) { transform3D(g, true) }
+
+func transform3D(g *grid3D, inverse bool) {
+	apply := Forward
+	if inverse {
+		apply = Inverse
+	}
+	// Along x: contiguous lines.
+	for z := 0; z < g.Nz; z++ {
+		for y := 0; y < g.Ny; y++ {
+			base := g.Nx * (y + g.Ny*z)
+			apply(g.Data[base : base+g.Nx])
+		}
+	}
+	// Along y: gather strided lines into a scratch buffer.
+	line := make([]complex128, g.Ny)
+	for z := 0; z < g.Nz; z++ {
+		for x := 0; x < g.Nx; x++ {
+			for y := 0; y < g.Ny; y++ {
+				line[y] = g.At(x, y, z)
+			}
+			apply(line)
+			for y := 0; y < g.Ny; y++ {
+				g.Set(x, y, z, line[y])
+			}
+		}
+	}
+	// Along z.
+	lineZ := make([]complex128, g.Nz)
+	for y := 0; y < g.Ny; y++ {
+		for x := 0; x < g.Nx; x++ {
+			for z := 0; z < g.Nz; z++ {
+				lineZ[z] = g.At(x, y, z)
+			}
+			apply(lineZ)
+			for z := 0; z < g.Nz; z++ {
+				g.Set(x, y, z, lineZ[z])
+			}
+		}
+	}
+}
 
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 1024} {
@@ -113,7 +185,7 @@ func TestNonPowerOfTwoPanics(t *testing.T) {
 }
 
 func TestGrid3DIndexing(t *testing.T) {
-	g := NewGrid3D(4, 2, 8)
+	g := newGrid3D(4, 2, 8)
 	g.Set(3, 1, 7, 42)
 	if g.At(3, 1, 7) != 42 {
 		t.Error("At/Set broken")
@@ -129,18 +201,18 @@ func TestNewGrid3DPanics(t *testing.T) {
 			t.Error("non-power-of-two grid should panic")
 		}
 	}()
-	NewGrid3D(3, 4, 4)
+	newGrid3D(3, 4, 4)
 }
 
 func TestGrid3DRoundTrip(t *testing.T) {
-	g := NewGrid3D(8, 4, 2)
+	g := newGrid3D(8, 4, 2)
 	s := rng.NewStream(rng.DefaultSeed, rng.A)
 	for i := range g.Data {
 		g.Data[i] = complex(s.Next()-0.5, s.Next()-0.5)
 	}
 	orig := append([]complex128(nil), g.Data...)
-	Forward3D(g)
-	Inverse3D(g)
+	forward3D(g)
+	inverse3D(g)
 	for i := range g.Data {
 		if cmplx.Abs(g.Data[i]-orig[i]) > 1e-10 {
 			t.Fatalf("3D round trip diverges at %d", i)
@@ -149,9 +221,9 @@ func TestGrid3DRoundTrip(t *testing.T) {
 }
 
 func TestGrid3DImpulse(t *testing.T) {
-	g := NewGrid3D(4, 4, 4)
+	g := newGrid3D(4, 4, 4)
 	g.Set(0, 0, 0, 1)
-	Forward3D(g)
+	forward3D(g)
 	for i, v := range g.Data {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("3D impulse FFT[%d] = %v", i, v)
@@ -195,12 +267,12 @@ func BenchmarkFFT1K(b *testing.B) {
 }
 
 func BenchmarkFFT3D32(b *testing.B) {
-	g := NewGrid3D(32, 32, 32)
+	g := newGrid3D(32, 32, 32)
 	for i := range g.Data {
 		g.Data[i] = complex(float64(i%7), 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Forward3D(g)
+		forward3D(g)
 	}
 }

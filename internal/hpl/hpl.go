@@ -253,12 +253,3 @@ func NewModel(spec *server.Spec, opts Options) (workload.Model, error) {
 		},
 	}, nil
 }
-
-// MustModel is NewModel panicking on error, for the fixed sweeps below.
-func MustModel(spec *server.Spec, opts Options) workload.Model {
-	m, err := NewModel(spec, opts)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}

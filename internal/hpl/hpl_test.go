@@ -158,7 +158,10 @@ func TestModelPowerOrderingAcrossNB(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 4} {
 		var curve []float64
 		for _, nb := range []int{50, 100, 150, 200, 250, 300, 350, 400} {
-			m := MustModel(s, Options{Procs: procs, MemFrac: 0.7, NB: nb, P: 1, Q: procs})
+			m, err := NewModel(s, Options{Procs: procs, MemFrac: 0.7, NB: nb, P: 1, Q: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
 			curve = append(curve, s.PowerOf(m))
 		}
 		if prevCurve != nil {

@@ -36,8 +36,6 @@ type Config struct {
 	Workers int
 	// MaxPoints bounds one campaign's expansion (0 selects 10000).
 	MaxPoints int
-	// SegmentBytes bounds one WAL segment (0 selects 4 MiB).
-	SegmentBytes int64
 	// FsyncEvery is the group-commit cadence (0 selects 5ms; negative
 	// fsyncs every append — the tests' torn-write harness needs that).
 	FsyncEvery time.Duration
@@ -310,7 +308,7 @@ func Open(cfg Config) (*Manager, *Recovery, error) {
 			pt.bodyForCompaction = nil
 		}
 	}
-	w, err := openWAL(cfg.Dir, cfg.SegmentBytes, cfg.FsyncEvery, lastSeq, segments, cfg.Obs)
+	w, err := openWAL(cfg.Dir, segmentBytes, cfg.FsyncEvery, lastSeq, segments, cfg.Obs)
 	if err != nil {
 		cancel()
 		return nil, nil, fmt.Errorf("jobs: WAL open: %w", err)

@@ -67,12 +67,14 @@ type SeedRange struct {
 	Step float64 `json:"step"`
 }
 
-// count returns how many seeds the range generates.
-func (r SeedRange) count() int {
-	if r.Step <= 0 || r.To < r.From {
+// span returns how many seeds the range generates, as a float64: a range
+// too long for an int counts above every campaign bound instead of
+// wrapping to a small or negative length.
+func (r SeedRange) span() float64 {
+	if !(r.Step > 0) || !(r.To >= r.From) {
 		return 0
 	}
-	return int(math.Floor((r.To-r.From)/r.Step)) + 1
+	return math.Floor((r.To-r.From)/r.Step) + 1
 }
 
 // RetrySpec bounds the per-point retry budget of a campaign.
@@ -158,14 +160,25 @@ func (s *SweepSpec) seeds() []float64 {
 		return s.Seeds
 	}
 	if s.SeedRange != nil {
-		n := s.SeedRange.count()
-		out := make([]float64, n)
+		out := make([]float64, int(s.SeedRange.span()))
 		for i := range out {
 			out[i] = s.SeedRange.From + float64(i)*s.SeedRange.Step
 		}
 		return out
 	}
 	return []float64{1}
+}
+
+// seedCount returns the length of the effective seed list without
+// building it, as SeedRange.span counts.
+func (s *SweepSpec) seedCount() float64 {
+	if len(s.Seeds) > 0 {
+		return float64(len(s.Seeds))
+	}
+	if s.SeedRange != nil {
+		return s.SeedRange.span()
+	}
+	return 1
 }
 
 // attempts returns the effective per-dispatch attempt budget.
@@ -226,10 +239,10 @@ func (s *SweepSpec) Validate(maxPoints int) error {
 		}
 	}
 	if r := s.SeedRange; r != nil {
-		if r.Step <= 0 {
+		if !(r.Step > 0) {
 			return fieldErrf("seed_range.step", "step must be positive, got %g", r.Step)
 		}
-		if r.To < r.From {
+		if !(r.To >= r.From) {
 			return fieldErrf("seed_range.to", "to (%g) is below from (%g)", r.To, r.From)
 		}
 	}
@@ -248,12 +261,14 @@ func (s *SweepSpec) Validate(maxPoints int) error {
 	if s.DeadlineMS < 0 {
 		return fieldErrf("deadline_ms", "deadline_ms must be non-negative")
 	}
-	n := len(s.methods()) * len(s.servers()) * len(s.profiles()) * len(s.seeds())
+	// Counted in float64 and before any seed list is built: a seed range
+	// can name more points than an int holds or memory fits.
+	n := float64(len(s.methods())) * float64(len(s.servers())) * float64(len(s.profiles())) * s.seedCount()
 	if n == 0 {
 		return fieldErrf("seed_range", "spec expands to zero points")
 	}
-	if n > maxPoints {
-		return fieldErrf("seeds", "spec expands to %d points, above the campaign bound %d", n, maxPoints)
+	if n > float64(maxPoints) {
+		return fieldErrf("seeds", "spec expands to %.0f points, above the campaign bound %d", n, maxPoints)
 	}
 	return nil
 }

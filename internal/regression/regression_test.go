@@ -113,18 +113,6 @@ func TestPredictAll(t *testing.T) {
 	}
 }
 
-func TestFitNamed(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	y := []float64{2, 4, 6}
-	m, err := FitNamed(x, y, []string{"cores"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Columns) != 1 || m.Columns[0] != "cores" {
-		t.Errorf("Columns = %v", m.Columns)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summary{MultipleR: 0.9, RSquare: 0.81, AdjustedRSquare: 0.8, StandardError: 0.1, Observations: 10}
 	if str := s.String(); len(str) == 0 {
@@ -159,24 +147,6 @@ func TestForwardStepwisePicksInformativeColumns(t *testing.T) {
 		if res.Trace[i] < res.Trace[i-1] {
 			t.Errorf("trace not monotone: %v", res.Trace)
 		}
-	}
-}
-
-func TestForwardStepwiseMaxVariables(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 300; i++ {
-		a, b, c := rng.Float64(), rng.Float64(), rng.Float64()
-		x = append(x, []float64{a, b, c})
-		y = append(y, a+b+c)
-	}
-	res, err := ForwardStepwise(x, y, StepwiseOptions{MaxVariables: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Selected) != 1 {
-		t.Errorf("selected %d predictors, want 1", len(res.Selected))
 	}
 }
 

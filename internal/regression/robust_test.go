@@ -68,7 +68,7 @@ func TestFitHuberResistsOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huber, err := FitHuber(x, y, HuberOptions{})
+	huber, err := FitHuber(x, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFitHuberCleanMatchesOLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huber, err := FitHuber(x, y, HuberOptions{})
+	huber, err := FitHuber(x, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,12 @@ func TestFitHuberCleanMatchesOLS(t *testing.T) {
 }
 
 func TestFitHuberPropagatesErrors(t *testing.T) {
-	if _, err := FitHuber(nil, nil, HuberOptions{}); !errors.Is(err, ErrNoData) {
+	if _, err := FitHuber(nil, nil, 0); !errors.Is(err, ErrNoData) {
 		t.Errorf("err = %v, want ErrNoData", err)
 	}
 	x := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	y := []float64{1, 2, 3, 4}
-	if _, err := FitHuber(x, y, HuberOptions{}); !errors.Is(err, ErrSingular) {
+	if _, err := FitHuber(x, y, 0); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular for duplicated columns", err)
 	}
 }

@@ -14,8 +14,6 @@ type StepwiseOptions struct {
 	// equivalently for our z-scored designs. Zero means "add everything that
 	// helps at all"; a negative value is treated as zero.
 	MinImprovement float64
-	// MaxVariables caps the number of selected predictors; 0 means no cap.
-	MaxVariables int
 	// RidgeLambda, when positive, fits each candidate model with an L2
 	// coefficient penalty (see FitRidge). Use it when candidate predictors
 	// are collinear and the model must extrapolate.
@@ -49,10 +47,6 @@ func ForwardStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepwis
 	if minImp < 0 {
 		minImp = 0
 	}
-	maxVars := opts.MaxVariables
-	if maxVars <= 0 || maxVars > k {
-		maxVars = k
-	}
 
 	res := &StepwiseResult{}
 	remaining := make([]int, k)
@@ -61,7 +55,7 @@ func ForwardStepwise(x [][]float64, y []float64, opts StepwiseOptions) (*Stepwis
 	}
 	bestR2 := 0.0
 
-	for len(res.Selected) < maxVars && len(remaining) > 0 {
+	for len(remaining) > 0 {
 		bestIdx := -1
 		var bestModel *Model
 		bestCand := bestR2

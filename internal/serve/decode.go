@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -21,7 +22,9 @@ func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return badRequest("malformed request body: %v", err)
+		he := badRequest("malformed request body: %v", err)
+		he.cause = err
+		return he
 	}
 	if dec.More() {
 		return badRequest("malformed request body: trailing data after JSON value")
@@ -61,9 +64,30 @@ func (s *Server) decodeRequest(w http.ResponseWriter, req *http.Request, v any) 
 		if decodeByName(b[:n], v) {
 			return nil
 		}
-		return decodeJSON(bytes.NewReader(b[:n]), v)
+		return decodeInto(bytes.NewReader(b[:n]), v)
 	}
-	return decodeJSON(http.MaxBytesReader(w, &readBody{read: b[:n], body: req.Body, err: err}, max), v)
+	return decodeInto(http.MaxBytesReader(w, &readBody{read: b[:n], body: req.Body, err: err}, max), v)
+}
+
+// decodeInto is decodeJSON into v, an *EvaluateRequest or
+// *CompareRequest, through a copy: encoding/json keeps the value it
+// decodes into on the heap, and the copy keeps v, the handler's, off it.
+func decodeInto(r io.Reader, v any) error {
+	switch p := v.(type) {
+	case *EvaluateRequest:
+		return decodeCopy(r, p)
+	case *CompareRequest:
+		return decodeCopy(r, p)
+	}
+	return errors.New("serve: decodeRequest takes an *EvaluateRequest or *CompareRequest")
+}
+
+func decodeCopy[T EvaluateRequest | CompareRequest](r io.Reader, p *T) error {
+	c := new(T)
+	*c = *p
+	err := decodeJSON(r, c)
+	*p = *c
+	return err
 }
 
 // readBody streams a body of which a prefix was already read: that

@@ -42,19 +42,35 @@ func TestBodySizeBound(t *testing.T) {
 		})
 	}
 
+	// Over a real connection the 400 also closes it, so the server reads
+	// no further into the body. The peer PUT routes read their bodies
+	// under the same bound.
 	ts := httptest.NewServer(small.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(byName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || string(body) != tooLargeBody {
-		t.Fatalf("over HTTP: status %d body %q, want 400 %q", resp.StatusCode, body, tooLargeBody)
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/evaluate"},
+		{http.MethodPut, "/v1/peer/results/evaluate%7Cabc123"},
+		{http.MethodPut, "/v1/peer/flights/" + strings.Repeat("ab", 32)},
+	} {
+		req, err := http.NewRequest(r.method, ts.URL+r.path, strings.NewReader(byName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || r.path == "/v1/evaluate" && string(body) != tooLargeBody {
+			t.Fatalf("%s over HTTP: status %d body %q, want 400 %q", r.path, resp.StatusCode, body, tooLargeBody)
+		}
+		if !resp.Close {
+			t.Errorf("%s over HTTP: the connection stays open after an over-limit body; want Connection: close", r.path)
+		}
 	}
 }
 

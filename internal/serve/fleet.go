@@ -145,6 +145,7 @@ func (s *Server) handlePeerFlightPut(w http.ResponseWriter, req *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.maxBodyBytes()))
 	if err != nil {
+		closeIfTooLarge(w, err)
 		writeError(w, http.StatusBadRequest, "reading replicated flight: "+err.Error())
 		return
 	}

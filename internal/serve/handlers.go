@@ -39,14 +39,18 @@ type CompareRequest struct {
 }
 
 // httpError carries a status code — and, for validation failures, the
-// offending request field — through the decode/resolve helpers.
+// offending request field — through the decode/resolve helpers, with the
+// error that caused it, if any.
 type httpError struct {
 	status int
 	msg    string
 	field  string
+	cause  error
 }
 
 func (e *httpError) Error() string { return e.msg }
+
+func (e *httpError) Unwrap() error { return e.cause }
 
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
@@ -96,12 +100,25 @@ func resolveProfile(name string) (*fault.Profile, error) {
 // fail writes an error response, mapping httpError statuses and field
 // names through.
 func fail(w http.ResponseWriter, err error) {
+	closeIfTooLarge(w, err)
 	var he *httpError
 	if errors.As(err, &he) {
 		writeFieldError(w, he.status, he.msg, he.field)
 		return
 	}
 	writeError(w, http.StatusInternalServerError, err.Error())
+}
+
+// closeIfTooLarge closes the connection after the response when err
+// comes from a body over the size bound. http.MaxBytesReader would mark
+// the connection itself, but the route middleware's ResponseWriter hides
+// the server's own from it; unmarked, the server would read on through
+// the rest of the body before serving the next request.
+func closeIfTooLarge(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		w.Header().Set("Connection", "close")
+	}
 }
 
 func (s *Server) opts(profile *fault.Profile, rec *flight.Recorder) core.EvalOptions {
@@ -170,16 +187,19 @@ func (s *Server) handleCompare(w http.ResponseWriter, req *http.Request) {
 		fail(w, err)
 		return
 	}
+	// The computation captures copies of the request's fields, not cr,
+	// which stays on the stack.
+	servers, specs, seed := cr.Servers, cr.Specs, cr.Seed
 	s.serveComputed(w, req, "/v1/compare", key, profile.Active(), cr.TimeoutMS, func() computeFn {
 		return func(ctx context.Context, rec *flight.Recorder) (any, error) {
-			specs := cr.Specs
-			if len(specs) == 0 {
+			sel := specs
+			if len(sel) == 0 {
 				var err error
-				if specs, err = builtinSpecs(cr.Servers); err != nil {
+				if sel, err = builtinSpecs(servers); err != nil {
 					return nil, err
 				}
 			}
-			return s.cmpFn(ctx, specs, cr.Seed, s.opts(profile, rec))
+			return s.cmpFn(ctx, sel, seed, s.opts(profile, rec))
 		}
 	})
 }

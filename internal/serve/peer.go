@@ -96,6 +96,7 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, req *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.maxBodyBytes()))
 	if err != nil {
+		closeIfTooLarge(w, err)
 		writeError(w, http.StatusBadRequest, "reading forwarded result: "+err.Error())
 		return
 	}

@@ -90,10 +90,6 @@ type Config struct {
 	// (error/faulted/slow/cache-miss) applies. 0 selects 0.10; negative
 	// values disable probabilistic retention entirely.
 	TraceSampleRate float64
-	// SLO parameterizes the burn-rate tracker over the /v1 API routes; the
-	// zero value selects the obs defaults (99.9% availability, 99% of
-	// requests under 500 ms, 5m/1h windows).
-	SLO obs.SLOConfig
 	// WALDir enables durable sweep campaigns: every POST /v1/jobs state
 	// transition journals to a CRC-checked segmented WAL under this
 	// directory and a restart resumes unfinished campaigns. Empty keeps
@@ -108,8 +104,6 @@ type Config struct {
 	// WALFsyncEvery is the WAL group-commit cadence (0 selects 5ms;
 	// negative fsyncs every append).
 	WALFsyncEvery time.Duration
-	// WALSegmentBytes bounds one WAL segment file (0 selects 4 MiB).
-	WALSegmentBytes int64
 	// Cluster is this shard's view of the fleet: the consistent-hash ring,
 	// peer health and the peering client (DESIGN.md §14). Nil runs a
 	// standalone cluster of one, which takes none of the peering paths —
@@ -271,7 +265,10 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 		LocalStatus:  s.shardObs,
 	})
 	if cfg.Obs != nil {
-		s.slo = obs.NewSLOTracker(cfg.Obs.Metrics, cfg.SLO)
+		// The burn-rate tracker over the /v1 API routes runs at the obs
+		// defaults: 99.9% availability, 99% of requests under 500 ms, 5m/1h
+		// windows.
+		s.slo = obs.NewSLOTracker(cfg.Obs.Metrics, obs.SLOConfig{})
 		// The daemon may be handed a bare registry that never went through
 		// the CLI construction path; the build-identity series must exist
 		// either way (idempotent when both run).
@@ -295,7 +292,6 @@ func newServer(cfg Config, seams func(*Server)) (*Server, error) {
 		Dir:             cfg.WALDir,
 		Workers:         cfg.CampaignWorkers,
 		MaxPoints:       cfg.MaxCampaignPoints,
-		SegmentBytes:    cfg.WALSegmentBytes,
 		FsyncEvery:      cfg.WALFsyncEvery,
 		MaxPointTimeout: cfg.maxTimeout(),
 		Exec:            s.execPoint,

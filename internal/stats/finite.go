@@ -4,10 +4,9 @@ import "math"
 
 // This file guards the descriptive statistics against non-finite samples.
 // Mean, StdDev and Trim assume finite input — a single NaN propagates
-// through Kahan summation and poisons every downstream table — so the
-// hardened pipeline screens traces through these variants first and carries
-// the invalid-sample count into its quality annotations instead of
-// silently producing NaN wattages.
+// through Kahan summation and poisons every downstream table — so a caller
+// screens its samples through DropNonFinite before any of them, and reports
+// the invalid-sample count it returns rather than a NaN wattage.
 
 // IsFinite reports whether v is neither NaN nor ±Inf.
 func IsFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -38,27 +37,4 @@ func DropNonFinite(xs []float64) ([]float64, int) {
 		}
 	}
 	return out, bad
-}
-
-// FiniteMean is Mean over the finite elements of xs only. The second return
-// is the invalid-sample count; a slice with no finite elements has mean 0.
-func FiniteMean(xs []float64) (float64, int) {
-	clean, bad := DropNonFinite(xs)
-	return Mean(clean), bad
-}
-
-// FiniteStdDev is StdDev over the finite elements of xs only, with the
-// invalid-sample count.
-func FiniteStdDev(xs []float64) (float64, int) {
-	clean, bad := DropNonFinite(xs)
-	return StdDev(clean), bad
-}
-
-// FiniteTrimmedMean is TrimmedMean over the finite elements of xs only,
-// with the invalid-sample count. Dropping the invalid samples before
-// trimming keeps the positional head/tail trim meaningful: a NaN inside the
-// steady-state region must not shift which samples the trim discards.
-func FiniteTrimmedMean(xs []float64, frac float64) (float64, int) {
-	clean, bad := DropNonFinite(xs)
-	return TrimmedMean(clean, frac), bad
 }

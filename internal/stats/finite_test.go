@@ -54,6 +54,8 @@ func TestDropNonFiniteCleanNoCopy(t *testing.T) {
 	}
 }
 
+// Statistics over DropNonFinite's output skip the non-finite samples and
+// are finite themselves.
 func TestFiniteStatistics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,13 +71,16 @@ func TestFiniteStatistics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, bad := FiniteMean(tc.in)
-			if bad != tc.bad || math.Abs(m-tc.mean) > 1e-12 {
-				t.Errorf("FiniteMean = %v (%d bad), want %v (%d bad)", m, bad, tc.mean, tc.bad)
+			clean, bad := DropNonFinite(tc.in)
+			if bad != tc.bad {
+				t.Errorf("DropNonFinite dropped %d, want %d", bad, tc.bad)
 			}
-			sd, bad2 := FiniteStdDev(tc.in)
-			if bad2 != tc.bad || math.Abs(sd-tc.sd) > 1e-12 {
-				t.Errorf("FiniteStdDev = %v (%d bad), want %v (%d bad)", sd, bad2, tc.sd, tc.bad)
+			m, sd := Mean(clean), StdDev(clean)
+			if math.Abs(m-tc.mean) > 1e-12 {
+				t.Errorf("Mean over the finite samples = %v, want %v", m, tc.mean)
+			}
+			if math.Abs(sd-tc.sd) > 1e-12 {
+				t.Errorf("StdDev over the finite samples = %v, want %v", sd, tc.sd)
 			}
 			// The guarded results must themselves always be finite.
 			if !IsFinite(m) || !IsFinite(sd) {
@@ -90,15 +95,16 @@ func TestFiniteTrimmedMean(t *testing.T) {
 	// removed before the positional trim, so the trim still drops the
 	// transients and the mean stays on the steady level.
 	in := []float64{1000, 200, 200, 200, nan, 200, 200, 200, 200, 0}
-	got, bad := FiniteTrimmedMean(in, 0.15)
+	clean, bad := DropNonFinite(in)
 	if bad != 1 {
 		t.Errorf("bad = %d, want 1", bad)
 	}
-	if got != 200 {
-		t.Errorf("FiniteTrimmedMean = %v, want 200 (transients trimmed, NaN dropped)", got)
+	if got := TrimmedMean(clean, 0.15); got != 200 {
+		t.Errorf("TrimmedMean over the finite samples = %v, want 200 (transients trimmed, NaN dropped)", got)
 	}
 
-	if got, bad := FiniteTrimmedMean(nil, 0.1); got != 0 || bad != 0 {
+	clean, bad = DropNonFinite(nil)
+	if got := TrimmedMean(clean, 0.1); got != 0 || bad != 0 {
 		t.Errorf("empty input: %v, %d", got, bad)
 	}
 }

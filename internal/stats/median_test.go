@@ -7,6 +7,65 @@ import (
 	"testing"
 )
 
+// Median returns the median of xs without modifying it: MedianInPlace
+// over a copy. Both are test oracles, SelectMedian being the production
+// median: FuzzMedian holds MedianInPlace to the sort-then-index median, and
+// FuzzSelectMedian holds SelectMedian to MedianInPlace.
+func Median(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	return MedianInPlace(append([]float64(nil), xs...)), nil
+}
+
+// MedianInPlace returns the median of xs in expected linear time and
+// allocates nothing: the middle element for odd n, the mean of the two
+// middle elements for even n, and 0 for an empty slice. It permutes xs,
+// which the caller owns (a scratch buffer, or values it no longer reads in
+// order).
+//
+// The order is sort.Float64s's: NaN sorts below every number, and −0
+// equals +0. The result is the same float64 the sort-then-index median
+// returns, bit for bit, except that a zero result may carry the other
+// sign: among equal elements the sort's permutation decides which one
+// lands in the middle, and −0 and +0 are equal under <.
+func MedianInPlace(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	// NaNs first, as sort.Float64s orders them; the numbers follow.
+	nans := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
+	}
+	k := n / 2
+	if k < nans {
+		// Both middle elements (or the one) are NaN.
+		return xs[k]
+	}
+	nums := xs[nans:]
+	hi := selectKth(nums, k-nans)
+	if n%2 == 1 {
+		return hi
+	}
+	if k-1 < nans {
+		return (xs[k-1] + hi) / 2
+	}
+	// selectKth leaves the k-nans smallest numbers below index k-nans; the
+	// lower middle element is the largest of them.
+	lo := nums[0]
+	for _, x := range nums[1 : k-nans] {
+		if x > lo {
+			lo = x
+		}
+	}
+	return (lo + hi) / 2
+}
+
 // sortMedian is the reference median: sort a copy, then index the middle.
 // MedianInPlace must return the same float64.
 func sortMedian(xs []float64) float64 {

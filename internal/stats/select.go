@@ -5,11 +5,14 @@ import (
 	"math/bits"
 )
 
-// SelectMedian returns the median MedianInPlace returns for a copy of xs,
-// without the copy: it reads xs where they are and never writes them, and
-// it allocates nothing. The one freedom MedianInPlace leaves, the sign of
-// a zero result, goes to the sign the key order puts in the middle, and a
-// NaN result is the canonical NaN.
+// SelectMedian returns the median of xs: the middle element for odd n,
+// the mean of the two middle elements for even n, and 0 for an empty
+// slice, in sort.Float64s's order (NaN below every number). It reads xs
+// where they are and never writes them, and it allocates nothing. The
+// result is the sort-then-index median's, bit for bit, except that a zero
+// result carries the sign the key order puts in the middle, and a NaN
+// result is the canonical NaN. MedianInPlace, a Hoare selection kept in
+// the tests, is its oracle.
 //
 // It is a radix selection over the readings' order keys (orderKey):
 // histogram passes fix 12 key bits at a time, counting only the readings

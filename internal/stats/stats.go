@@ -72,98 +72,13 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // SampleStdDev returns the sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
-// Min returns the smallest element of xs. It returns an error when xs is
-// empty so callers cannot silently treat "no samples" as zero watts.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs, or an error when xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Median returns the median of xs without modifying it: MedianInPlace
-// over a copy.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return MedianInPlace(append([]float64(nil), xs...)), nil
-}
-
-// MedianInPlace returns the median of xs in expected linear time and
-// allocates nothing: the middle element for odd n, the mean of the two
-// middle elements for even n, and 0 for an empty slice. It permutes xs,
-// which the caller owns (a scratch buffer, or values it no longer reads in
-// order).
-//
-// The order is sort.Float64s's: NaN sorts below every number, and −0
-// equals +0. The result is the same float64 the sort-then-index median
-// returns, bit for bit, except that a zero result may carry the other
-// sign: among equal elements the sort's permutation decides which one
-// lands in the middle, and −0 and +0 are equal under <.
-func MedianInPlace(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	// NaNs first, as sort.Float64s orders them; the numbers follow.
-	nans := 0
-	for i, x := range xs {
-		if x != x {
-			xs[i], xs[nans] = xs[nans], x
-			nans++
-		}
-	}
-	k := n / 2
-	if k < nans {
-		// Both middle elements (or the one) are NaN.
-		return xs[k]
-	}
-	nums := xs[nans:]
-	hi := selectKth(nums, k-nans)
-	if n%2 == 1 {
-		return hi
-	}
-	if k-1 < nans {
-		return (xs[k-1] + hi) / 2
-	}
-	// selectKth leaves the k-nans smallest numbers below index k-nans; the
-	// lower middle element is the largest of them.
-	lo := nums[0]
-	for _, x := range nums[1 : k-nans] {
-		if x > lo {
-			lo = x
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // selectKth permutes xs (no NaNs) so that xs[k] holds the k-th smallest
 // element, xs[:k] holds elements ≤ it and xs[k+1:] elements ≥ it, and
 // returns xs[k]. It is Hoare's FIND with a median-of-three pivot: equal
 // elements stop both scans and are split evenly, so quantized or constant
-// traces partition in linear time too. It selects among readings
-// (MedianInPlace) and among their order keys (SelectMedian).
+// traces partition in linear time too. It selects among the readings'
+// order keys (SelectMedian) and, in the tests, among readings
+// (MedianInPlace, SelectMedian's oracle).
 func selectKth[T float64 | uint64](xs []T, k int) T {
 	l, r := 0, len(xs)-1
 	for l < r {

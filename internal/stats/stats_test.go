@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -65,13 +66,11 @@ func TestSampleVarianceSmall(t *testing.T) {
 
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	mn, err := Min(xs)
-	if err != nil || mn != 1 {
-		t.Errorf("Min = %v, %v", mn, err)
+	if mn := slices.Min(xs); mn != 1 {
+		t.Errorf("Min = %v", mn)
 	}
-	mx, err := Max(xs)
-	if err != nil || mx != 9 {
-		t.Errorf("Max = %v, %v", mx, err)
+	if mx := slices.Max(xs); mx != 9 {
+		t.Errorf("Max = %v", mx)
 	}
 	md, err := Median(xs)
 	if err != nil || md != 3.5 {
@@ -80,12 +79,6 @@ func TestMinMaxMedian(t *testing.T) {
 	md, err = Median([]float64{5, 1, 3})
 	if err != nil || md != 3 {
 		t.Errorf("Median odd = %v, %v", md, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
 	}
 	if _, err := Median(nil); err != ErrEmpty {
 		t.Errorf("Median(nil) err = %v, want ErrEmpty", err)
@@ -317,8 +310,7 @@ func TestPropertyMeanBounded(t *testing.T) {
 			return true
 		}
 		m := Mean(xs)
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		return m >= mn-1e-9 && m <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
