@@ -255,7 +255,7 @@ func TestDaemonObsHasNoTracer(t *testing.T) {
 	if o.Metrics == nil || o.Log == nil {
 		t.Fatalf("the daemon's Obs lost its registry or logger: %+v", o)
 	}
-	if sp := o.Span("evaluate Xeon-E5462", "evaluate"); sp != nil {
+	if sp := o.SpanJoin("evaluate ", "Xeon-E5462", "evaluate"); sp != nil {
 		t.Fatal("a span on the daemon's Obs was recorded")
 	}
 }

@@ -175,10 +175,10 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	o, p := opts.Obs, opts.Pool
 	hardened := opts.Fault.Active()
 	// Deliberate exception to "stages trace through tracectx": this obs
-	// root and green500's are the last o.Span call sites, kept because
+	// root and green500's are the last obs root spans, kept because
 	// perfbench's campaign workload reads their tracer events for
 	// jobs.worker_busy_ratio. They go when that harness reads tracectx.
-	sp := o.Span("evaluate "+spec.Name, "evaluate")
+	sp := o.SpanJoin("evaluate ", spec.Name, "evaluate")
 	defer sp.End()
 	// The request-trace span carries only identity attrs (never the worker
 	// count): its subtree must be byte-identical at any -jobs value.
@@ -329,7 +329,7 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	hardened := opts.Fault.Active()
 	// The other obs root perfbench reads for jobs.worker_busy_ratio (see
 	// EvaluateCtx).
-	sp := o.Span("green500 "+spec.Name, "evaluate")
+	sp := o.SpanJoin("green500 ", spec.Name, "evaluate")
 	defer sp.End()
 	tr := opts.traceSpan(ctx, "green500 ", spec.Name).Str("server", spec.Name).Float("seed", seed)
 	defer tr.End()

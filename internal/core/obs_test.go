@@ -66,6 +66,29 @@ func TestEvaluateWithObsSpans(t *testing.T) {
 	}
 }
 
+// TestObsRootSpans: an Obs with a tracer gets one "evaluate <server>" and
+// one "green500 <server>" root, the events perfbench's campaign reads for
+// its worker busy ratio, although the names are built only for a tracer.
+func TestObsRootSpans(t *testing.T) {
+	o := &obs.Obs{Tracer: obs.NewTracer()}
+	spec := server.XeonE5462()
+	if _, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Green500Ctx(context.Background(), spec, 1, EvalOptions{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range o.Tracer.Events() {
+		if e.Phase == 'B' {
+			names = append(names, e.Cat+": "+e.Name)
+		}
+	}
+	if want := []string{"evaluate: evaluate Xeon-E5462", "evaluate: green500 Xeon-E5462"}; strings.Join(names, "; ") != strings.Join(want, "; ") {
+		t.Errorf("root spans %q, want %q", names, want)
+	}
+}
+
 // TestEvaluateWithObsMatchesPlain: telemetry must not perturb the result.
 func TestEvaluateWithObsMatchesPlain(t *testing.T) {
 	plain, err := EvaluateCtx(context.Background(), server.XeonE5462(), 1, EvalOptions{})

@@ -10,11 +10,13 @@
 //
 // A run corrupts its meter trace a reading at a time, as the meter takes
 // it (TraceCorruptor), and keeps only the corrupted trace, as a step log
-// (meter.Steps: each entry's step and reading, 12 B, no timestamp);
-// CorruptTrace is the same body over a recorded log, whose entries take
-// their timestamps back from it. Likewise a run wraps each PMU window as
-// the sampler draws it (PMUWrapper) and keeps only the sums; CorruptPMU is
-// the same body over stored windows.
+// (meter.Steps: each entry's reading, 8 B, no timestamp, and a short list
+// of the entries whose step is not the previous entry's + 1, at a drop or
+// a dup, or whose reading is NaN); CorruptTrace is the same body over a
+// recorded log, whose entries take their timestamps back from it.
+// Likewise a run wraps each PMU window as the sampler draws it
+// (PMUWrapper) and keeps only the sums; CorruptPMU is the same body over
+// stored windows.
 //
 // Determinism contract: every Injector is seeded through sched.DeriveSeed
 // from the run's canonical identity, exactly like the meter and PMU RNG

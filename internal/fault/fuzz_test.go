@@ -95,8 +95,9 @@ func FuzzCorruptTrace(f *testing.F) {
 		}
 		steps := c.Trace()
 		streamed := make([]meter.Sample, steps.Len())
-		for i, k := range steps.K {
-			streamed[i] = meter.Sample{T: log[k].T, Watts: steps.W[i]}
+		cur := steps.Cursor()
+		for i, w := range steps.W {
+			streamed[i] = meter.Sample{T: log[cur.Next()].T, Watts: w}
 		}
 		for _, got := range []struct {
 			form  string

@@ -107,18 +107,20 @@ func (in *Injector) CorruptTrace(log []meter.Sample) []meter.Sample {
 	}
 	steps := c.Trace()
 	out := make([]meter.Sample, steps.Len())
-	for i, k := range steps.K {
-		out[i] = meter.Sample{T: log[k].T, Watts: steps.W[i]}
+	cur := steps.Cursor()
+	for i, w := range steps.W {
+		out[i] = meter.Sample{T: log[cur.Next()].T, Watts: w}
 	}
 	return out
 }
 
 // TraceCorruptor corrupts one meter trace a sample at a time, so a run can
 // feed it from the meter's sampling loop (meter.Meter.Take) and keep only
-// the corrupted trace, as a step log: each entry's step and reading, and
-// no timestamp, which the step and the meter's grid determine. Its draws
-// come from the injector's "trace" stream, which no other surface reads,
-// so interleaving them with the meter's own draws changes no value.
+// the corrupted trace, as a step log: each entry's reading, the steps that
+// do not follow from the entry before, and no timestamp, which the step
+// and the meter's grid determine. Its draws come from the injector's
+// "trace" stream, which no other surface reads, so interleaving them with
+// the meter's own draws changes no value.
 type TraceCorruptor struct {
 	in  *Injector
 	s   rng.Stream
@@ -126,11 +128,22 @@ type TraceCorruptor struct {
 }
 
 // TraceCorruptor returns a corruptor for one trace of about n samples; its
-// step log holds n+4 entries before it grows. The receiver must not be
-// nil.
+// step log holds n+4 entries, and listedRoom(n) of them listed, before it
+// grows. The receiver must not be nil.
 func (in *Injector) TraceCorruptor(n int) TraceCorruptor {
-	out := meter.Steps{K: make([]uint32, 0, n+4), W: make([]float64, 0, n+4)}
+	out := meter.MakeSteps(n+4, in.prof.listedRoom(n))
 	return TraceCorruptor{in: in, s: in.stream("trace"), out: out}
+}
+
+// listedRoom sizes the list of a trace of n samples: a drop lists the
+// entry after it, a dup its repeat and a NaN itself, so the list's mean
+// length is at most n times their rates. Six standard deviations above it
+// a list all but never outgrows its room (it would grow, at one more
+// allocation), and the eight spare slots leave the repair room to list
+// the first entry of a window whose head it cuts.
+func (p *Profile) listedRoom(n int) int {
+	mean := float64(float64(n) * (p.Drop + p.Dup + p.NaN))
+	return int(mean+float64(6*math.Sqrt(mean))) + 8
 }
 
 // Add draws the fate of the reading the meter took at step k and appends
@@ -146,11 +159,11 @@ func (c *TraceCorruptor) Add(k int, smp meter.Sample) {
 		return
 	case fateDup:
 		led.add(KindDuplicated, 1)
-		c.add(k, w)
+		c.out.Append(uint32(k), w)
 	case fateSpike:
 		// A 3-13x excursion: far outside any plausible reading, the way
 		// electrical transients register on a watt meter.
-		w *= 3 + 10*c.s.Next()
+		w *= 3 + float64(10*c.s.Next())
 		led.add(KindSpiked, 1)
 	case fateStuck:
 		if n := c.out.Len(); n > 0 {
@@ -164,13 +177,7 @@ func (c *TraceCorruptor) Add(k int, smp meter.Sample) {
 		w = 0
 		led.add(KindZeroed, 1)
 	}
-	c.add(k, w)
-}
-
-// add appends one entry to the step log.
-func (c *TraceCorruptor) add(k int, w float64) {
-	c.out.K = append(c.out.K, uint32(k))
-	c.out.W = append(c.out.W, w)
+	c.out.Append(uint32(k), w)
 }
 
 // Trace finishes the trace and returns its step log, after drawing its
@@ -178,11 +185,10 @@ func (c *TraceCorruptor) add(k int, w float64) {
 // empty trace). Call it once, after the last Add.
 func (c *TraceCorruptor) Trace() meter.Steps {
 	if p := c.in.prof; p.Truncate > 0 && c.s.Next() < p.Truncate {
-		frac := 0.1 + 0.2*c.s.Next()
+		frac := 0.1 + float64(0.2*c.s.Next())
 		if cut := int(float64(c.out.Len()) * frac); cut > 0 {
 			c.in.led.add(KindTruncated, int64(cut))
-			keep := c.out.Len() - cut
-			c.out.K, c.out.W = c.out.K[:keep], c.out.W[:keep]
+			c.out.Truncate(c.out.Len() - cut)
 		}
 	}
 	return c.out

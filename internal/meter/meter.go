@@ -13,8 +13,9 @@
 // (RecordSummary) and never stores the log; only a reader of the raw log,
 // such as the §VI-A2 training's per-window pairing or a file session,
 // records one (Record). A hardened run keeps one log, a step log (Steps:
-// the step index and the reading, 12 B an entry, no timestamp), written as
-// the meter hands each reading to the fault injector (Take). RepairWindow
+// the reading, 8 B an entry, no timestamp, and a short list of the entries
+// whose step does not follow from the one before), written as the meter
+// hands each reading to the fault injector (Take). RepairWindow
 // repairs the run's window of it in place, recomputing each entry's
 // timestamp from the meter's grid, and folds the repaired grid instead of
 // storing it.
@@ -40,20 +41,6 @@ type Sample struct {
 	// Watts is the instantaneous system power reading.
 	Watts float64
 }
-
-// Steps is a meter log kept by step instead of by timestamp: entry i is
-// the reading W[i], taken at step K[i] of the meter's sampling loop
-// (Take). An entry costs 12 B against a Sample's 16, and a reader that
-// knows the loop's grid recomputes each timestamp bit for bit
-// (RepairWindow). Steps never decrease along the log; a step repeats
-// where a reading was duplicated and is missing where one was lost.
-type Steps struct {
-	K []uint32
-	W []float64
-}
-
-// Len returns the number of entries.
-func (s Steps) Len() int { return len(s.W) }
 
 // Meter models a WT210-class instrument.
 type Meter struct {

@@ -61,7 +61,8 @@ func (r RepairReport) Total() int {
 // It is the slice form of RepairWindow: the same repair body over a step
 // log whose step k is log[k], with each entry's T read from log[k].T, so
 // any timestamps (jittered, off the grid, NaN) repair as they are. It
-// allocates that step log, 12 B per sample.
+// allocates that step log: 8 B per sample for the readings and 4 B for the
+// room its clean pass may need to list steps.
 //
 // A repair is NOT applied on the clean path: the evaluation pipeline
 // invokes it only on hardened runs (an active fault profile), so pristine
@@ -104,13 +105,12 @@ func (opts RepairOpts) repair(log Steps, ts *stamps, frac float64) (Summary, Rep
 	return f.summary(), rep
 }
 
-// stepsOf returns log as a step log whose step k is log[k].
+// stepsOf returns log as a step log whose step k is log[k]: it lists no
+// entry, and has room to list the steps of every other one, the most a
+// clean pass can list when no dropped entry frees a place (each listed
+// step follows a dropped entry).
 func stepsOf(log []Sample) Steps {
-	s := Steps{K: make([]uint32, len(log)), W: make([]float64, len(log))}
-	for i, smp := range log {
-		s.K[i], s.W[i] = uint32(i), smp.Watts
-	}
-	return s
+	return Steps{W: Watts(log), J: make([]Jump, 0, len(log)/2)}
 }
 
 // stamps gives a step log's entries their timestamps and bounds the
@@ -162,15 +162,31 @@ func (opts RepairOpts) interval() float64 {
 // spikes among them against the median/MAD band, and returns them with
 // the grid bounds to rebuild them on. An entry is read before its slot can
 // be written.
+//
+// The clean entries' steps are listed in log.J's own array. log's list
+// moves to the end of that array first, and the clean list is written
+// from the front, so a slot is written only once its listed entry has
+// been read, as long as the spare capacity covers the clean entries listed
+// beyond log's own. A kept entry is listed when log lists it or when an
+// entry before it was dropped; a run's log lists every entry a repair
+// drops but those before the window, so its list needs one spare slot.
+// Where the room runs out, the clean list moves to an array of its own,
+// twice the size.
 func (opts RepairOpts) clean(log Steps, ts *stamps) (clean Steps, start, end float64, rep RepairReport) {
 	interval := opts.interval()
+	jumps := log.J[:cap(log.J)]
+	room := len(jumps) - len(log.J)
+	copy(jumps[room:], log.J)
+	cur := cursorOver(jumps[room:])
+	out, moved := jumps[:0], false
 
 	// Pass 1: cut the window, then drop non-finite readings and duplicate
 	// timestamps.
 	n := 0
 	var first, last float64
-	for i, w := range log.W {
-		k := log.K[i]
+	prev := ^uint32(0)
+	for _, w := range log.W {
+		k := cur.Next()
 		t := ts.at(k)
 		if t < ts.from {
 			continue
@@ -189,13 +205,19 @@ func (opts RepairOpts) clean(log Steps, ts *stamps) (clean Steps, start, end flo
 		if n == 0 {
 			first = t
 		}
-		log.K[n], log.W[n], last = k, w, t
+		if k != prev+1 {
+			if !moved && len(out) == len(jumps)-len(cur.j) {
+				out, moved = append(make([]Jump, 0, 2*len(jumps)+1), out...), true
+			}
+			out = append(out, Jump{I: uint32(n), K: k})
+		}
+		log.W[n], last, prev = w, t, k
 		n++
 	}
 	if n == 0 {
 		return Steps{}, 0, 0, rep
 	}
-	clean = Steps{K: log.K[:n], W: log.W[:n]}
+	clean = Steps{W: log.W[:n], J: out}
 
 	// Pass 2: clip spikes against the median/MAD band. The trim step drops
 	// the ramp transients positionally, so clipping a ramp sample to the

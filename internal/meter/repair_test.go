@@ -282,7 +282,7 @@ func TestRepairSummaryAllocs(t *testing.T) {
 	ts := recordedStamps(log)
 	// The repair compacts its step log; each call gets a fresh copy.
 	summarize := func() (Summary, RepairReport) {
-		copy(buf.K, steps.K)
+		buf.J = append(buf.J[:0], steps.J...)
 		copy(buf.W, steps.W)
 		return opts.repair(buf, ts, 0.10)
 	}

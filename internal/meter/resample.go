@@ -29,20 +29,22 @@ func gridLen(n int, start, end, interval float64) int {
 func walkGrid(log Steps, ts *stamps, start, interval float64, n int, visit func(Sample)) {
 	// b is entry i, the first with T ≥ t (none once i reaches the end),
 	// and a the entry before it.
-	// entries is read once: log.Len() inside the loops copies all of log,
-	// 48 B, from its stack slot on every call, and in one build those
-	// copies made the walk three times slower with its machine code
-	// unchanged, only the callers' frames differing.
+	// The readings and the cursor are taken out of log once: log.Len()
+	// inside the loops copies all of log, 48 B, from its stack slot on
+	// every call, and in one build those copies made the walk three times
+	// slower with its machine code unchanged, only the callers' frames
+	// differing.
 	var a, b Sample
-	i, t, entries := 0, start, log.Len()
+	w, cur := log.W, log.Cursor()
+	i, t, entries := 0, start, len(w)
 	if entries > 0 {
-		b = Sample{T: ts.at(log.K[0]), Watts: log.W[0]}
+		b = Sample{T: ts.at(cur.Next()), Watts: w[0]}
 	}
 	for j := 0; j < n; j++ {
 		for i < entries && b.T < t {
 			a = b
 			if i++; i < entries {
-				b = Sample{T: ts.at(log.K[i]), Watts: log.W[i]}
+				b = Sample{T: ts.at(cur.Next()), Watts: w[i]}
 			}
 		}
 		visit(Sample{T: t, Watts: interpolate(a, b, i, entries, t)})

@@ -46,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("x").Add(1)
 	o.Gauge("x").Set(1)
 	o.Histogram("x", nil).Observe(1)
-	o.Span("s", "c").End()
+	o.SpanJoin("", "s", "c").End()
 	o.Infof("hello %d", 1)
 	o.Debugf("debug")
 

@@ -106,13 +106,15 @@ func (o *Obs) Histogram(name string, buckets []float64, labels ...Label) *Histog
 	return o.Metrics.Histogram(name, buckets, o.mergeAttrs(labels)...)
 }
 
-// Span starts a root span on the tracer, or returns a no-op nil span. Only
-// core's evaluate and green500 roots call it (see Tracer).
-func (o *Obs) Span(name, cat string) *Span {
+// SpanJoin starts a root span named prefix+name on the tracer, or returns
+// a no-op nil span. The name is built only when a tracer takes it, so an
+// Obs without one costs nothing. Only core's evaluate and green500 roots
+// call it (see Tracer).
+func (o *Obs) SpanJoin(prefix, name, cat string) *Span {
 	if o == nil || o.Tracer == nil {
 		return nil
 	}
-	return o.Tracer.Start(name, cat)
+	return o.Tracer.Start(prefix+name, cat)
 }
 
 // Infof logs a progress event (shown with -v).

@@ -26,7 +26,7 @@ func WrapCounters(f *Features, m float64) bool {
 	for _, p := range counterFields(f) {
 		if *p >= m {
 			k := float64(int64(*p / m))
-			*p -= k * m
+			*p -= float64(k * m)
 			changed = true
 		}
 	}

@@ -13,8 +13,9 @@
 // RunResult.Power under the paper's trim (meter.TrimFrac) as the meter
 // takes the readings, and sums its PMU windows into RunResult.PMUTotals as
 // the sampler draws them. A fault injector corrupts each reading as the
-// meter takes it into a step log (meter.Steps, 12 B a reading), the run's
-// one copy; the run then repairs its window of that log and folds the
+// meter takes it into a step log (meter.Steps: 8 B a reading, plus a short
+// list of the entries whose step breaks the sequence), the run's one
+// copy; the run then repairs its window of that log and folds the
 // repaired grid into Power, with the repairs in RunResult.Repair. It wraps
 // each PMU window as it is drawn, before the sum. No run keeps a meter log
 // or a window. A caller that reads a raw log — the §VI-A2 training, which
@@ -226,11 +227,11 @@ func (p *Draw) At(t float64) float64 {
 	case rel > dur-ramp:
 		return idle + (steady-idle)*(dur-rel)/ramp
 	default:
-		w := idle + (steady-idle)*p.m.PhaseIntensityAt(rel/dur)
+		w := idle + float64((steady-idle)*p.m.PhaseIntensityAt(rel/dur))
 		if p.wiggle == 0 || steady == idle {
 			return w
 		}
-		return w + (steady-idle)*p.wiggle*math.Sin(2*math.Pi*rel/37)
+		return w + float64((steady-idle)*p.wiggle*math.Sin(2*math.Pi*rel/37))
 	}
 }
 

@@ -8,53 +8,19 @@ import (
 var nan = math.NaN()
 var inf = math.Inf(1)
 
-func TestCountAndDropNonFinite(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []float64
-		bad  int
-		kept []float64
-	}{
-		{"empty", nil, 0, nil},
-		{"clean", []float64{1, 2, 3}, 0, []float64{1, 2, 3}},
-		{"one nan", []float64{1, nan, 3}, 1, []float64{1, 3}},
-		{"pos and neg inf", []float64{-inf, 2, inf}, 2, []float64{2}},
-		{"all bad", []float64{nan, inf, -inf}, 3, []float64{}},
-		{"zeros are finite", []float64{0, -0.0}, 0, []float64{0, -0.0}},
+// finiteOnly returns the finite elements of xs, in order, and how many
+// others it dropped.
+func finiteOnly(xs []float64) ([]float64, int) {
+	var kept []float64
+	for _, x := range xs {
+		if IsFinite(x) {
+			kept = append(kept, x)
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := CountNonFinite(tc.in); got != tc.bad {
-				t.Errorf("CountNonFinite = %d, want %d", got, tc.bad)
-			}
-			kept, bad := DropNonFinite(tc.in)
-			if bad != tc.bad {
-				t.Errorf("DropNonFinite bad = %d, want %d", bad, tc.bad)
-			}
-			if len(kept) != len(tc.kept) {
-				t.Fatalf("DropNonFinite kept %v, want %v", kept, tc.kept)
-			}
-			for i := range kept {
-				if kept[i] != tc.kept[i] {
-					t.Errorf("kept[%d] = %v, want %v", i, kept[i], tc.kept[i])
-				}
-			}
-		})
-	}
+	return kept, len(xs) - len(kept)
 }
 
-func TestDropNonFiniteCleanNoCopy(t *testing.T) {
-	in := []float64{1, 2, 3}
-	out, bad := DropNonFinite(in)
-	if bad != 0 {
-		t.Fatalf("bad = %d", bad)
-	}
-	if &out[0] != &in[0] {
-		t.Error("clean input should be returned without copying")
-	}
-}
-
-// Statistics over DropNonFinite's output skip the non-finite samples and
+// Statistics over a trace's finite samples match the clean trace's and
 // are finite themselves.
 func TestFiniteStatistics(t *testing.T) {
 	cases := []struct {
@@ -71,9 +37,9 @@ func TestFiniteStatistics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clean, bad := DropNonFinite(tc.in)
+			clean, bad := finiteOnly(tc.in)
 			if bad != tc.bad {
-				t.Errorf("DropNonFinite dropped %d, want %d", bad, tc.bad)
+				t.Errorf("dropped %d, want %d", bad, tc.bad)
 			}
 			m, sd := Mean(clean), StdDev(clean)
 			if math.Abs(m-tc.mean) > 1e-12 {
@@ -95,7 +61,7 @@ func TestFiniteTrimmedMean(t *testing.T) {
 	// removed before the positional trim, so the trim still drops the
 	// transients and the mean stays on the steady level.
 	in := []float64{1000, 200, 200, 200, nan, 200, 200, 200, 200, 0}
-	clean, bad := DropNonFinite(in)
+	clean, bad := finiteOnly(in)
 	if bad != 1 {
 		t.Errorf("bad = %d, want 1", bad)
 	}
@@ -103,7 +69,7 @@ func TestFiniteTrimmedMean(t *testing.T) {
 		t.Errorf("TrimmedMean over the finite samples = %v, want 200 (transients trimmed, NaN dropped)", got)
 	}
 
-	clean, bad = DropNonFinite(nil)
+	clean, bad = finiteOnly(nil)
 	if got := TrimmedMean(clean, 0.1); got != 0 || bad != 0 {
 		t.Errorf("empty input: %v, %d", got, bad)
 	}
