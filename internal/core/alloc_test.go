@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
 	"powerbench/internal/fault"
 	"powerbench/internal/flight"
 	"powerbench/internal/obs"
+	"powerbench/internal/sched"
 	"powerbench/internal/server"
 )
 
@@ -184,12 +186,12 @@ func TestHardenedGreen500BytesPerMeterSample(t *testing.T) {
 }
 
 // maxQuietEvaluateAllocs bounds the allocations of a warm Xeon-4870
-// evaluation with no Obs and no trace: 46 when set (47 under the race
+// evaluation with no Obs and no trace: 24 when set (also under the race
 // detector), plus about 10% headroom. Boxing the arguments of log lines
-// no logger takes costs 37 more, and a fork that allocates its meter,
-// sampler and their streams one by one costs 7 more per run; either
-// fails here.
-const maxQuietEvaluateAllocs = 52
+// no logger takes costs 37 more, a fork that allocates its meter, sampler
+// and their streams one by one costs 7 more per run, and rebuilding the
+// built-in plan costs 21 more; each fails here.
+const maxQuietEvaluateAllocs = 27
 
 // TestQuietEvaluateAllocs: a warm, Obs-less, untraced Xeon-4870 evaluation
 // allocates at most maxQuietEvaluateAllocs times.
@@ -210,9 +212,9 @@ func TestQuietEvaluateAllocs(t *testing.T) {
 
 // maxRecordedEvaluateAllocs bounds the allocations of a warm Xeon-4870
 // evaluation as the daemon runs it, on a pool and with a flight recorder:
-// 57 when set, plus about 10% headroom. Its ten runs fork one engine each,
-// one allocation a fork.
-const maxRecordedEvaluateAllocs = 64
+// 35 when set, plus about 10% headroom. Its ten runs fork one engine each,
+// one allocation a fork, and share the server's memoized plan.
+const maxRecordedEvaluateAllocs = 39
 
 // TestRecordedEvaluateAllocs: a warm, untraced Xeon-4870 evaluation with a
 // pool and a flight recorder allocates at most maxRecordedEvaluateAllocs
@@ -227,5 +229,41 @@ func TestRecordedEvaluateAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per evaluation", allocs)
 	if allocs > maxRecordedEvaluateAllocs {
 		t.Errorf("recorded evaluation allocates %.0f times, want <= %d", allocs, maxRecordedEvaluateAllocs)
+	}
+}
+
+// maxCLIEvaluateAllocs bounds the allocations of a warm evaluation as a
+// quiet `powerbench` run makes it, each with a fresh obs.CLI Obs: 58 for
+// either server when set, plus about 10% headroom. Everything above the
+// quiet evaluation's 24 is the Obs itself (registry, build info, tracer,
+// logger), the pool and the series a fresh registry creates. Keeping an
+// event history nobody exports (47–54 more), a labelled gauge per run
+// (33), a plan rebuilt per evaluation (21) or a copied key per unlabelled
+// series (8) fails here.
+const maxCLIEvaluateAllocs = 64
+
+// TestCLIEvaluateAllocs: a warm Xeon-E5462 and Xeon-4870 evaluation, each
+// with a fresh quiet obs.CLI Obs (no -metrics-out, no -v), on a one-worker
+// pool, allocates at most maxCLIEvaluateAllocs times.
+func TestCLIEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	for _, spec := range []*server.Spec{server.XeonE5462(), server.Xeon4870()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			evaluate := func() {
+				o := (&obs.CLI{Quiet: true}).NewObs(io.Discard, io.Discard)
+				opts := EvalOptions{Obs: o, Pool: sched.New(1, o), Ledger: fault.NewLedger()}
+				if _, err := EvaluateCtx(context.Background(), spec, 3, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			evaluate()
+			allocs := testing.AllocsPerRun(5, evaluate)
+			t.Logf("%.0f allocs per evaluation", allocs)
+			if allocs > maxCLIEvaluateAllocs {
+				t.Errorf("CLI evaluation allocates %.0f times, want <= %d", allocs, maxCLIEvaluateAllocs)
+			}
+		})
 	}
 }

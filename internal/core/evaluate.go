@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -74,7 +75,8 @@ func AveragePower(log []meter.Sample, start, end float64) float64 {
 // PlanStates returns the method's workload list for a server (Table III):
 // idle, then EP.C and HPL (half and full memory) at one/half/full cores.
 // For the three paper servers, the process counts are those of the
-// published Tables IV-VI (the Opteron table uses EP at 1/4/8).
+// published Tables IV-VI (the Opteron table uses EP at 1/4/8). The
+// returned plan is the caller's own: nothing else holds it.
 func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 	refs := server.ReferencePoints(spec.Name)
 	var models []workload.Model
@@ -137,6 +139,21 @@ func PlanStates(spec *server.Spec) ([]workload.Model, error) {
 	return models, nil
 }
 
+// plan returns the plan EvaluateCtx runs. A spec whose canonical rendering
+// equals a built-in server's shares that server's memoized plan;
+// matching the rendering, not the name, keeps a custom spec that borrows
+// a built-in's name on a plan of its own. Any other spec's plan is
+// computed afresh.
+func plan(spec *server.Spec) ([]workload.Model, error) {
+	if b := builtinNamed(spec.Name); b != nil && b.plan != nil {
+		var buf [1024]byte
+		if bytes.Equal(appendSpec(buf[:0], spec), b.spec) {
+			return b.plan, nil
+		}
+	}
+	return PlanStates(spec)
+}
+
 // EvaluateCtx runs the complete method on a server: execute the Table III
 // plan on the simulation engine (meter sampling throughout), run the
 // analysis pipeline per program — window, trim, average — and compute the
@@ -194,7 +211,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 		}
 	}
 
-	models, err := PlanStates(spec)
+	models, err := plan(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"powerbench/internal/cache"
 	"powerbench/internal/server"
+	"powerbench/internal/workload"
 )
 
 // HashOpts names the evaluation variant a CanonicalHash key covers. Only
@@ -94,7 +95,7 @@ func ResultKey(method string, seed float64, profile string, specs ...*server.Spe
 // empty), or -1.
 func BuiltinResultKey(method string, seed float64, profile string, names ...string) (key string, unknown int) {
 	for i, name := range names {
-		if builtinSpec(name) == nil {
+		if builtinNamed(name) == nil {
 			return "", i
 		}
 	}
@@ -103,7 +104,7 @@ func BuiltinResultKey(method string, seed float64, profile string, names ...stri
 	var k strings.Builder
 	startKey(&k, method, len(names))
 	for i, name := range names {
-		joinKey(&k, i, append(prefix, builtinSpec(name)...))
+		joinKey(&k, i, append(prefix, builtinNamed(name).spec...))
 	}
 	return k.String(), -1
 }
@@ -127,29 +128,35 @@ func joinKey(key *strings.Builder, i int, rendering []byte) {
 	key.Write(hx[:])
 }
 
-// builtin is the spec part of one built-in server's canonical rendering.
+// builtin is what is memoized of one built-in server: the spec part of
+// its canonical rendering, and its plan, which no one may modify.
 type builtin struct {
 	name string
 	spec []byte
+	plan []workload.Model
 }
 
 // builtins renders the spec part of each built-in server once per
-// process, about 2 KB for all three.
+// process, about 2 KB for all three, and plans its states. A built-in's
+// plan never fails (TestPlanStates); a nil plan would leave the server to
+// PlanStates.
 var builtins = sync.OnceValue(func() []builtin {
 	all := server.All()
 	out := make([]builtin, len(all))
 	for i, sp := range all {
-		out[i] = builtin{name: sp.Name, spec: appendSpec(nil, sp)}
+		states, _ := PlanStates(sp)
+		out[i] = builtin{name: sp.Name, spec: appendSpec(nil, sp), plan: states}
 	}
 	return out
 })
 
-// builtinSpec returns the memoized spec part of the named built-in server,
-// or nil for any other name.
-func builtinSpec(name string) []byte {
-	for _, b := range builtins() {
-		if b.name == name {
-			return b.spec
+// builtinNamed returns the memoized material of the named built-in
+// server, or nil for any other name.
+func builtinNamed(name string) *builtin {
+	all := builtins()
+	for i := range all {
+		if all[i].name == name {
+			return &all[i]
 		}
 	}
 	return nil

@@ -58,10 +58,13 @@ func (c *CLI) Trace(ctx context.Context, root, identity string) context.Context 
 
 // NewObs builds the run's telemetry from the parsed flags. Report output
 // goes to stdout exactly as fmt.Print would (unless -q); Infof/Debugf
-// diagnostics go to stderr under -v/-vv.
+// diagnostics go to stderr under -v/-vv. The event history is kept only
+// under -metrics-out, the one exporter that reads it, so a quiet run
+// without it formats no event at all.
 func (c *CLI) NewObs(stdout, stderr io.Writer) *Obs {
 	log := NewLogger(stdout, stderr, c.Verbosity)
 	log.SetQuiet(c.Quiet)
+	log.history = c.MetricsOut != ""
 	reg := NewRegistry()
 	PublishBuildInfo(reg)
 	return &Obs{

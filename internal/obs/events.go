@@ -45,14 +45,16 @@ type Event struct {
 // Logger is a leveled event log. Report events go to out; info/debug
 // diagnostics go to diag with a level prefix. Verbosity selects what is
 // written: -1 (quiet) drops report lines, 0 is the historical default,
-// 1 adds info, 2 adds debug. Every emitted event is also retained in memory
-// (capped) so exporters can include the event history in JSON snapshots.
-// A nil Logger discards everything.
+// 1 adds info, 2 adds debug. A logger built by NewLogger also retains every
+// emitted event in memory (capped) so exporters can include the event
+// history in JSON snapshots; CLI.NewObs keeps that history only when
+// -metrics-out will export it. A nil Logger discards everything.
 type Logger struct {
 	mu        sync.Mutex
 	out, diag io.Writer
 	verbosity int
 	quiet     bool
+	history   bool // retain events for Events
 	seq       int
 	events    []Event
 }
@@ -61,9 +63,9 @@ type Logger struct {
 const maxRetainedEvents = 4096
 
 // NewLogger returns a logger writing report lines to out and diagnostics to
-// diag at the given verbosity.
+// diag at the given verbosity, retaining its event history.
 func NewLogger(out, diag io.Writer, verbosity int) *Logger {
-	return &Logger{out: out, diag: diag, verbosity: verbosity, quiet: verbosity < 0}
+	return &Logger{out: out, diag: diag, verbosity: verbosity, quiet: verbosity < 0, history: true}
 }
 
 // SetQuiet suppresses report output without changing the diagnostic level,
@@ -78,7 +80,7 @@ func (l *Logger) SetQuiet(quiet bool) {
 }
 
 func (l *Logger) record(level Level, msg string) {
-	if len(l.events) < maxRetainedEvents {
+	if l.retains() {
 		l.seq++
 		l.events = append(l.events, Event{Seq: l.seq, Wall: time.Now(), Level: level.String(), Msg: msg})
 	}
@@ -114,8 +116,8 @@ func (l *Logger) diagf(level Level, format string, args ...any) {
 }
 
 // wants reports whether an event at level would be retained or written.
-// An event that would be neither is not formatted: once the history is
-// full, a daemon's unwritten info and debug events cost nothing. A nil
+// An event that would be neither is not formatted: without a history, or
+// once it is full, unwritten info and debug events cost nothing. A nil
 // logger wants nothing.
 func (l *Logger) wants(level Level) bool {
 	if l == nil {
@@ -123,7 +125,13 @@ func (l *Logger) wants(level Level) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events) < maxRetainedEvents || l.writes(level)
+	return l.retains() || l.writes(level)
+}
+
+// retains reports whether the next event joins the history; the caller
+// holds l.mu.
+func (l *Logger) retains() bool {
+	return l.history && len(l.events) < maxRetainedEvents
 }
 
 // writes reports whether an event at level is written; the caller holds

@@ -85,6 +85,16 @@ func appendMetricKey(dst []byte, name string, labels []Label) []byte {
 	return dst
 }
 
+// seriesKey returns the map key a new series is stored under, given its
+// rendered key kb: an unlabelled series' key is its name, which needs no
+// copy.
+func seriesKey(name string, labels []Label, kb []byte) string {
+	if len(labels) == 0 {
+		return name
+	}
+	return string(kb)
+}
+
 // normalize validates a label set and returns it sorted by key, copied
 // into dst's storage (a caller's stack array, or nil for a fresh slice).
 // Invalid names and labels panic: they are programmer errors at the
@@ -374,7 +384,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[string(kb)]
 	if !ok {
-		ls, key := append([]Label(nil), sorted...), string(kb)
+		ls, key := append([]Label(nil), sorted...), seriesKey(name, sorted, kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if c, ok = r.counters[key]; ok {
@@ -401,7 +411,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[string(kb)]
 	if !ok {
-		ls, key := append([]Label(nil), sorted...), string(kb)
+		ls, key := append([]Label(nil), sorted...), seriesKey(name, sorted, kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if g, ok = r.gauges[key]; ok {
@@ -429,7 +439,7 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	defer r.mu.Unlock()
 	h, ok := r.histograms[string(kb)]
 	if !ok {
-		ls, key := append([]Label(nil), sorted...), string(kb)
+		ls, key := append([]Label(nil), sorted...), seriesKey(name, sorted, kb)
 		if !r.admit(name, ls) {
 			ls, key = nil, name
 			if h, ok = r.histograms[key]; ok {

@@ -304,7 +304,6 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	e.Obs.Counter("sim_runs_total").Inc()
 	e.Obs.Counter("sim_meter_samples_total").Add(int64(logged))
 	e.Obs.Counter("sim_pmu_windows_total").Add(int64(totals.Windows))
-	e.Obs.Gauge("sim_last_run_steady_watts", obs.L("program", m.Name)).Set(p.SteadyWatts)
 
 	return RunResult{
 		Model:       m,
