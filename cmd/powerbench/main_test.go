@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -205,6 +206,52 @@ func TestRunJobsOutputIdentical(t *testing.T) {
 	for _, want := range []string{"Table IV", "Table V", "Table VI", "Method comparison"} {
 		if !strings.Contains(outputs["1"], want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestRunCompareNarrationOrder: at -jobs 8 the -compare legs run
+// concurrently, yet -v narrates each leg's lines in plan order, so every
+// run writes the same stderr and the -metrics-out snapshot lists the same
+// events in the same order.
+func TestRunCompareNarrationOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five three-server comparisons")
+	}
+	dir := t.TempDir()
+	stderrs, events := map[string]int{}, map[string]int{}
+	for i := range 5 {
+		path := filepath.Join(dir, "m"+strconv.Itoa(i)+".json")
+		var stdout, stderr bytes.Buffer
+		if rc := run([]string{"-compare", "-v", "-q", "-jobs", "8", "-seed", "7", "-metrics-out", path}, &stdout, &stderr); rc != 0 {
+			t.Fatalf("rc=%d: %s", rc, stderr.String())
+		}
+		stderrs[stderr.String()]++
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Events []struct{ Level, Msg string } `json:"events"`
+		}
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range snap.Events {
+			b.WriteString(e.Level + ": " + e.Msg + "\n")
+		}
+		events[b.String()]++
+	}
+	if len(stderrs) != 1 {
+		t.Errorf("5 runs wrote %d different stderr streams", len(stderrs))
+	}
+	if len(events) != 1 {
+		t.Errorf("5 runs exported %d different event lists", len(events))
+	}
+	for s := range stderrs {
+		if want := "info: comparing methods on Xeon-E5462\ninfo: evaluating Xeon-E5462 (seed 107, 8 jobs)\n"; !strings.Contains(s, want) {
+			t.Errorf("stderr lacks the first leg's lines in order:\n%s", s)
 		}
 	}
 }

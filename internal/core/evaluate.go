@@ -272,7 +272,7 @@ func EvaluateCtx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 			// the record describes the trace the analysis consumed.
 			ph := flightPhase(spec, r, power)
 			if o != nil {
-				emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
+				emitEnergyMetrics(o, state, spec.Name, ph.Energy)
 			}
 			runEnergy.Add(ph.Energy)
 			phases = append(phases, ph)
@@ -394,7 +394,7 @@ func Green500Ctx(ctx context.Context, spec *server.Spec, seed float64, opts Eval
 	if opts.Flight != nil {
 		ph := flightPhase(spec, run, power)
 		if o != nil {
-			emitEnergyMetrics(o, tr.Ref(), spec.Name, ph.Energy)
+			emitEnergyMetrics(o, tr, spec.Name, ph.Energy)
 		}
 		opts.record("green500", spec, seed, res.PPW, 1, []flight.Phase{ph}, ph.Energy, &res.Quality, runLedger)
 	}
@@ -441,14 +441,25 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		ssj float64
 	}
 	legs := make([]leg, len(specs))
+	// Concurrent legs narrate into held logs, released in plan order after
+	// the join, so the lines come out as a sequential run writes them.
+	held := make([]*obs.Obs, len(specs))
+	for i := range held {
+		held[i] = o
+		if p.Workers() > 1 {
+			held[i] = o.Hold()
+		}
+	}
 	err := p.Run(ctx, "compare", len(specs), func(jctx context.Context, i int) error {
 		spec := specs[i]
-		o.Infof("comparing methods on %s", spec.Name)
-		ev, err := EvaluateCtx(jctx, spec, seed+float64(i), opts)
+		legOpts := opts
+		legOpts.Obs = held[i]
+		legOpts.Obs.Infof("comparing methods on %s", spec.Name)
+		ev, err := EvaluateCtx(jctx, spec, seed+float64(i), legOpts)
 		if err != nil {
 			return fmt.Errorf("core: evaluating %s: %w", spec.Name, err)
 		}
-		g, err := Green500Ctx(jctx, spec, seed+float64(i)+0.5, opts)
+		g, err := Green500Ctx(jctx, spec, seed+float64(i)+0.5, legOpts)
 		if err != nil {
 			return err
 		}
@@ -459,6 +470,9 @@ func CompareCtx(ctx context.Context, specs []*server.Spec, seed float64, opts Ev
 		legs[i] = leg{ev: ev, g: g, ssj: sp.Score}
 		return nil
 	})
+	for _, h := range held {
+		h.Release()
+	}
 	if err != nil {
 		return nil, err
 	}

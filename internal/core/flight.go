@@ -8,6 +8,7 @@ import (
 	"powerbench/internal/pmu"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
+	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
 
@@ -58,7 +59,7 @@ func pmuDelta(t pmu.Totals) flight.PMUDelta {
 // emitEnergyMetrics publishes a phase's attribution to the metrics registry,
 // linking each observation to its state span (the exemplar answers "which
 // run put this value in the tail bucket?").
-func emitEnergyMetrics(o *obs.Obs, spanRef string, server string, e flight.Energy) {
+func emitEnergyMetrics(o *obs.Obs, span *tracectx.Span, server string, e flight.Energy) {
 	for _, c := range []struct {
 		component string
 		joules    float64
@@ -67,7 +68,7 @@ func emitEnergyMetrics(o *obs.Obs, spanRef string, server string, e flight.Energ
 		{"memory", e.MemoryJ}, {"other", e.OtherJ},
 	} {
 		o.Histogram("core_phase_energy_joules", energyBuckets,
-			obs.L("component", c.component)).ObserveExemplar(c.joules, spanRef)
+			obs.L("component", c.component)).ObserveExemplar(c.joules, span.TraceID(), span.ID())
 	}
 	o.Gauge("core_run_energy_joules", obs.L("server", server)).Add(e.TotalJ)
 }

@@ -49,6 +49,9 @@ type Event struct {
 // emitted event in memory (capped) so exporters can include the event
 // history in JSON snapshots; CLI.NewObs keeps that history only when
 // -metrics-out will export it. A nil Logger discards everything.
+//
+// A logger built by Hold writes nothing itself: it holds the events its
+// parent would take, in order, until Release hands them to the parent.
 type Logger struct {
 	mu        sync.Mutex
 	out, diag io.Writer
@@ -57,6 +60,14 @@ type Logger struct {
 	history   bool // retain events for Events
 	seq       int
 	events    []Event
+	parent    *Logger
+	held      []heldEvent
+}
+
+// heldEvent is one event a held logger keeps for its parent.
+type heldEvent struct {
+	level Level
+	msg   string
 }
 
 // maxRetainedEvents caps the in-memory event history.
@@ -90,38 +101,75 @@ func (l *Logger) record(level Level, msg string) {
 // out exactly as fmt.Printf would have written it (call sites keep their own
 // newlines), unless the logger is quiet.
 func (l *Logger) Reportf(format string, args ...any) {
-	if !l.wants(LevelReport) {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.record(LevelReport, msg)
-	if l.writes(LevelReport) {
-		io.WriteString(l.out, msg)
+	if l.wants(LevelReport) {
+		l.emit(LevelReport, fmt.Sprintf(format, args...))
 	}
 }
 
 func (l *Logger) diagf(level Level, format string, args ...any) {
-	if !l.wants(level) {
-		return
+	if l.wants(level) {
+		l.emit(level, fmt.Sprintf(format, args...))
 	}
-	msg := fmt.Sprintf(format, args...)
+}
+
+// emit retains and writes one formatted event, or holds it for a held
+// logger's parent.
+func (l *Logger) emit(level Level, msg string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.parent != nil {
+		l.held = append(l.held, heldEvent{level, msg})
+		return
+	}
 	l.record(level, msg)
-	if l.writes(level) {
+	if !l.writes(level) {
+		return
+	}
+	if level == LevelReport {
+		io.WriteString(l.out, msg)
+	} else {
 		fmt.Fprintf(l.diag, "%s: %s\n", level, msg)
+	}
+}
+
+// Hold returns a logger that takes the events l would take but holds
+// them, in the order they came, until Release passes them on to l. Work
+// running concurrently narrates through one held logger each and is
+// released in a fixed order, so its lines come out in that order however
+// the work interleaved. A nil l holds nothing.
+func (l *Logger) Hold() *Logger {
+	if l == nil {
+		return nil
+	}
+	return &Logger{parent: l}
+}
+
+// Release passes the held events on to the logger Hold was called on,
+// which retains and writes them as if they were emitted now, and empties
+// the hold. It does nothing on a logger Hold did not return.
+func (l *Logger) Release() {
+	if l == nil || l.parent == nil {
+		return
+	}
+	l.mu.Lock()
+	held := l.held
+	l.held = nil
+	l.mu.Unlock()
+	for _, e := range held {
+		l.parent.emit(e.level, e.msg)
 	}
 }
 
 // wants reports whether an event at level would be retained or written.
 // An event that would be neither is not formatted: without a history, or
 // once it is full, unwritten info and debug events cost nothing. A nil
-// logger wants nothing.
+// logger wants nothing; a held logger wants what its parent wants.
 func (l *Logger) wants(level Level) bool {
 	if l == nil {
 		return false
+	}
+	if l.parent != nil {
+		return l.parent.wants(level)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -85,3 +85,43 @@ func TestLoggerSkipsUnkeptEvents(t *testing.T) {
 		}
 	}
 }
+
+// Held loggers write and retain nothing until released; released in a
+// fixed order, their events reach the parent in that order whatever order
+// they were emitted in, and a hold formats only what the parent takes.
+func TestLoggerHoldReleasesInOrder(t *testing.T) {
+	var out, diag bytes.Buffer
+	parent := NewLogger(&out, &diag, 1)
+	a, b := parent.Hold(), parent.Hold()
+	b.Infof("b one")
+	a.Reportf("a report\n")
+	a.Infof("a one")
+	n := 0
+	b.Debugf("b debug %v", formatted{&n})
+	if out.Len() != 0 || diag.Len() != 0 || len(parent.Events()) != 0 {
+		t.Fatalf("held events leaked before release: out %q diag %q events %v", out.String(), diag.String(), parent.Events())
+	}
+	a.Release()
+	b.Release()
+	b.Release()
+	if got, want := diag.String(), "info: a one\ninfo: b one\n"; got != want {
+		t.Errorf("diag = %q, want %q", got, want)
+	}
+	if out.String() != "a report\n" {
+		t.Errorf("out = %q", out.String())
+	}
+	var msgs []string
+	for _, e := range parent.Events() {
+		msgs = append(msgs, e.Level+" "+e.Msg)
+	}
+	if got := fmt.Sprint(msgs); got != "[report a report\n info a one info b one debug b debug x]" {
+		t.Errorf("events = %q", got)
+	}
+	if n != 1 {
+		t.Errorf("debug argument formatted %d times, want 1 (the parent retains history)", n)
+	}
+	var nilLogger *Logger
+	if nilLogger.Hold() != nil {
+		t.Error("nil logger's hold is not nil")
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"powerbench/internal/tracectx"
 )
 
 func TestSeriesLimitCapsCardinality(t *testing.T) {
@@ -88,9 +90,10 @@ func TestWithAttrs(t *testing.T) {
 
 func TestExemplarExport(t *testing.T) {
 	o := New()
-	const ref = "trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"
+	sp := tracectx.New(tracectx.DeriveID("exemplar export"), "request", "serve").Root().Child("state ep.C.8")
+	ref := tracectx.FormatRef(sp.TraceID(), sp.ID())
 	h := o.Histogram("core_phase_energy_joules", []float64{10, 100}, L("component", "cpu"))
-	h.ObserveExemplar(42.5, ref)
+	h.ObserveExemplar(42.5, sp.TraceID(), sp.ID())
 
 	ex := h.Exemplar()
 	if ex == nil || ex.Value != 42.5 || ex.Ref != ref {
@@ -117,9 +120,10 @@ func TestExemplarExport(t *testing.T) {
 		t.Fatalf("prometheus output lacks exemplar:\n%s", b.String())
 	}
 
-	// An empty ref (an untraced run) observes without an exemplar.
+	// A nil span (an untraced run) observes without an exemplar.
+	var untraced *tracectx.Span
 	u := o.Histogram("untraced", []float64{1})
-	u.ObserveExemplar(0.5, "")
+	u.ObserveExemplar(0.5, untraced.TraceID(), untraced.ID())
 	if u.Count() != 1 || u.Exemplar() != nil {
 		t.Fatalf("untraced observation: count %d, exemplar %+v", u.Count(), u.Exemplar())
 	}

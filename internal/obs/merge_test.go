@@ -3,6 +3,8 @@ package obs
 import (
 	"reflect"
 	"testing"
+
+	"powerbench/internal/tracectx"
 )
 
 func snapOf(r *Registry) Snapshot { return r.Snapshot() }
@@ -54,10 +56,12 @@ func TestMergeSnapshotHistograms(t *testing.T) {
 	bounds := []float64{0.1, 1, 10}
 	ha := a.Histogram("lat_seconds", bounds)
 	hb := b.Histogram("lat_seconds", bounds)
+	root := tracectx.New(tracectx.DeriveID("merge"), "request", "serve").Root()
+	spanA, spanB := root.Child("a"), root.Child("b")
 	ha.Observe(0.05) // bucket 0
-	ha.ObserveExemplar(5, "span-a")
+	ha.ObserveExemplar(5, spanA.TraceID(), spanA.ID())
 	hb.Observe(0.5) // bucket 1
-	hb.ObserveExemplar(7, "span-b")
+	hb.ObserveExemplar(7, spanB.TraceID(), spanB.ID())
 
 	merged := MergeSnapshot(map[string]Snapshot{"s0": snapOf(a), "s1": snapOf(b)})
 	if len(merged.Metrics) != 1 {
@@ -71,8 +75,8 @@ func TestMergeSnapshotHistograms(t *testing.T) {
 	if !reflect.DeepEqual(m.Buckets, wantBuckets) {
 		t.Errorf("merged buckets = %+v, want %+v", m.Buckets, wantBuckets)
 	}
-	if m.Exemplar == nil || m.Exemplar.Value != 7 || m.Exemplar.Ref != "span-b" {
-		t.Errorf("exemplar = %+v, want the larger (7, span-b)", m.Exemplar)
+	if want := tracectx.FormatRef(spanB.TraceID(), spanB.ID()); m.Exemplar == nil || m.Exemplar.Value != 7 || m.Exemplar.Ref != want {
+		t.Errorf("exemplar = %+v, want the larger (7, %s)", m.Exemplar, want)
 	}
 }
 

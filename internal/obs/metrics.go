@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"powerbench/internal/tracectx"
 )
 
 // Label is one dimension of a metric, e.g. {op, bcast}.
@@ -196,7 +198,7 @@ func (g *Gauge) Value() float64 {
 // Only the latest exemplar is kept: it is a debugging breadcrumb ("which run
 // produced this tail value?"), not a statistic.
 type Exemplar struct {
-	// Ref identifies the originating span (Span.Ref).
+	// Ref identifies the originating trace or span (tracectx.FormatRef).
 	Ref string `json:"ref"`
 	// Value is the observed value the exemplar annotates.
 	Value float64 `json:"value"`
@@ -211,11 +213,14 @@ type Histogram struct {
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 
-	// The latest exemplar, by value so recording one allocates nothing.
-	// ObserveExemplar never records an empty Ref, so an empty Ref means
-	// none was recorded.
-	exmu     sync.Mutex
-	exemplar Exemplar
+	// The latest exemplar, kept as ids by value so recording one
+	// allocates nothing; its Ref is rendered only when Exemplar is read.
+	// ObserveExemplar never records a zero trace id, so a zero exTrace
+	// means none was recorded.
+	exmu    sync.Mutex
+	exTrace tracectx.ID
+	exSpan  tracectx.SpanID
+	exValue float64
 }
 
 // DefaultLatencyBuckets suit sub-millisecond to multi-second spans (seconds).
@@ -243,33 +248,36 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records v and attaches a span reference as the
-// histogram's latest exemplar. An empty ref degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, ref string) {
+// ObserveExemplar records v and attaches the trace, or with a non-zero
+// span id the span of that trace, as the histogram's latest exemplar. A
+// zero trace id (an untraced run: a nil span's TraceID) degrades to a
+// plain Observe.
+func (h *Histogram) ObserveExemplar(v float64, trace tracectx.ID, span tracectx.SpanID) {
 	if h == nil {
 		return
 	}
 	h.Observe(v)
-	if ref == "" {
+	if trace.IsZero() {
 		return
 	}
 	h.exmu.Lock()
-	h.exemplar = Exemplar{Ref: ref, Value: v}
+	h.exTrace, h.exSpan, h.exValue = trace, span, v
 	h.exmu.Unlock()
 }
 
-// Exemplar returns the latest exemplar, or nil when none was recorded.
+// Exemplar returns the latest exemplar, its Ref rendered now, or nil when
+// none was recorded.
 func (h *Histogram) Exemplar() *Exemplar {
 	if h == nil {
 		return nil
 	}
 	h.exmu.Lock()
-	defer h.exmu.Unlock()
-	if h.exemplar.Ref == "" {
+	trace, span, v := h.exTrace, h.exSpan, h.exValue
+	h.exmu.Unlock()
+	if trace.IsZero() {
 		return nil
 	}
-	e := h.exemplar
-	return &e
+	return &Exemplar{Ref: tracectx.FormatRef(trace, span), Value: v}
 }
 
 // Count returns the number of observations (zero on nil).

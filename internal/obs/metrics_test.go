@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"powerbench/internal/tracectx"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -174,23 +176,35 @@ func TestLookupPanicsWithSeriesPresent(t *testing.T) {
 	}
 }
 
-// Recording an exemplar on a series that already exists allocates
-// nothing: the lookup renders on the stack and the exemplar is stored by
-// value. The exposition carries the latest exemplar only, on the +Inf
-// bucket line, with the bytes the exporters have always written.
+// Recording an exemplar from a span, on a series that already exists,
+// allocates nothing: the lookup renders on the stack and the exemplar is
+// stored as the span's ids by value, its ref rendered only at scrape. The
+// exposition carries the latest exemplar only, on the +Inf bucket line,
+// with the bytes the exporters have always written.
 func TestObserveExemplarAllocs(t *testing.T) {
 	r := NewRegistry()
-	const ref = "trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"
+	p, err := tracectx.Parse("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracectx.New(p.Trace, "request", "serve")
+	sp := tr.Root().Child("state ep.C.8")
 	buckets := []float64{1e3, 1e4}
 	r.Histogram("core_phase_energy_joules", buckets, L("component", "cpu"))
 	r.Histogram("untraced_seconds", nil)
+	r.Histogram("serve_compute_seconds", nil)
 	v := 0.0
 	n := testing.AllocsPerRun(100, func() {
 		v += 250
-		r.Histogram("core_phase_energy_joules", buckets, L("component", "cpu")).ObserveExemplar(v, ref)
+		r.Histogram("core_phase_energy_joules", buckets, L("component", "cpu")).ObserveExemplar(v, sp.TraceID(), sp.ID())
 	})
 	if n != 0 {
-		t.Errorf("ObserveExemplar on an existing series: %.0f allocs, want 0", n)
+		t.Errorf("ObserveExemplar from a span on an existing series: %.0f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Histogram("serve_compute_seconds", nil).ObserveExemplar(0.25, tr.ID(), tracectx.SpanID{})
+	}); n != 0 {
+		t.Errorf("ObserveExemplar from a trace on an existing series: %.0f allocs, want 0", n)
 	}
 	r.Histogram("untraced_seconds", nil).Observe(0.25)
 
@@ -198,12 +212,24 @@ func TestObserveExemplarAllocs(t *testing.T) {
 	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)
 	}
-	const want = `# TYPE core_phase_energy_joules histogram
+	want := `# TYPE core_phase_energy_joules histogram
 core_phase_energy_joules_bucket{component="cpu",le="1000"} 4
 core_phase_energy_joules_bucket{component="cpu",le="10000"} 40
-core_phase_energy_joules_bucket{component="cpu",le="+Inf"} 101 # {span="trace:4bf92f3577b34da6a3ce929d0e0e4736/00f067aa0ba902b7"} 25250
+core_phase_energy_joules_bucket{component="cpu",le="+Inf"} 101 # {span="trace:4bf92f3577b34da6a3ce929d0e0e4736/` + sp.ID().String() + `"} 25250
 core_phase_energy_joules_sum{component="cpu"} 1.28775e+06
 core_phase_energy_joules_count{component="cpu"} 101
+# TYPE serve_compute_seconds histogram
+serve_compute_seconds_bucket{le="0.0001"} 0
+serve_compute_seconds_bucket{le="0.001"} 0
+serve_compute_seconds_bucket{le="0.01"} 0
+serve_compute_seconds_bucket{le="0.1"} 0
+serve_compute_seconds_bucket{le="0.5"} 101
+serve_compute_seconds_bucket{le="1"} 101
+serve_compute_seconds_bucket{le="5"} 101
+serve_compute_seconds_bucket{le="30"} 101
+serve_compute_seconds_bucket{le="+Inf"} 101 # {span="trace:4bf92f3577b34da6a3ce929d0e0e4736"} 0.25
+serve_compute_seconds_sum 25.25
+serve_compute_seconds_count 101
 # TYPE untraced_seconds histogram
 untraced_seconds_bucket{le="0.0001"} 0
 untraced_seconds_bucket{le="0.001"} 0

@@ -117,6 +117,25 @@ func (o *Obs) SpanJoin(prefix, name, cat string) *Span {
 	return o.Tracer.Start(prefix+name, cat)
 }
 
+// Hold returns a shallow copy of o whose log holds its events until
+// Release (Logger.Hold); metrics and the tracer are shared. A nil o, or
+// one without a logger, returns o.
+func (o *Obs) Hold() *Obs {
+	if o == nil || o.Log == nil {
+		return o
+	}
+	c := *o
+	c.Log = o.Log.Hold()
+	return &c
+}
+
+// Release passes the events a Hold copy held on to the original log.
+func (o *Obs) Release() {
+	if o != nil {
+		o.Log.Release()
+	}
+}
+
 // Infof logs a progress event (shown with -v).
 func (o *Obs) Infof(format string, args ...any) {
 	if o != nil {

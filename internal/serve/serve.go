@@ -218,7 +218,7 @@ type Server struct {
 	g500Fn func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Green500Result, error)
 	cmpFn  func(ctx context.Context, specs []*server.Spec, seed float64, opts core.EvalOptions) (*core.Comparison, error)
 	// traceStored, when set, sees every trace the store keeps with the
-	// metadata and body it was stored with.
+	// metadata it was stored with and the body a read renders.
 	traceStored func(tr *tracectx.Trace, m tracectx.Meta, body []byte)
 }
 
@@ -670,9 +670,9 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	dur := time.Since(start)
 	// The exemplar cross-links this latency observation to its trace, the
 	// metrics-to-forensics hop (histogram bucket → exact request).
-	// Campaign flights have no trace to link: a nil trace's empty ref
+	// Campaign flights have no trace to link: a nil trace's zero id
 	// observes without an exemplar.
-	s.obs.Histogram("serve_compute_seconds", nil).ObserveExemplar(dur.Seconds(), t.tr.Ref())
+	s.obs.Histogram("serve_compute_seconds", nil).ObserveExemplar(dur.Seconds(), t.tr.ID(), tracectx.SpanID{})
 
 	status := http.StatusOK
 	var body []byte

@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -314,5 +316,153 @@ func TestSampledHitKeepsStoredTrace(t *testing.T) {
 	send(2, "hit")
 	if got := rec.check(t); len(got) != 1 || got[0].m.Reason != "sampled" || stored("sampled") != 1 {
 		t.Errorf("sampled hit with no stored trace: %d hook calls, %d counted; want 1 sampled and 1", len(got), stored("sampled"))
+	}
+}
+
+// A stored trace is frozen: a goroutine that still holds its spans and
+// ends one, sets attrs or opens children after the store leaves every
+// read (the public route, the peer route and the listing row) equal to
+// the document exportBody gives at store time.
+func TestStoredTraceIsFrozen(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := recordStored(s)
+	late := make(chan struct{})
+	wrote := make(chan struct{})
+	s.evalFn = func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
+		compute := tracectx.FromContext(ctx)
+		open := compute.Child("evaluate "+spec.Name).Str("server", spec.Name)
+		go func() {
+			defer close(wrote)
+			<-late
+			open.Str("server", "changed").Int("late", 1).Attr("boxed", "x").SetVirtual(1, 2)
+			open.Child("late child").End()
+			compute.ChildIndex("sim", " job ", 9).End()
+			open.End()
+			compute.End()
+		}()
+		return stubEval(ctx, spec, seed, opts)
+	}
+	r := do(s, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":5}`)
+	if r.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", r.Code, r.Body.String())
+	}
+	stored := rec.check(t)
+	if len(stored) != 1 {
+		t.Fatalf("%d traces stored, want 1", len(stored))
+	}
+	want, err := exportBody(stored[0].tr, stored[0].m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.Header().Get(traceHeader)
+	listing := do(s, "GET", "/v1/traces", "").Body.String()
+
+	time.Sleep(2 * time.Millisecond)
+	close(late)
+	<-wrote
+	for _, path := range []string{"/v1/traces/" + id, "/v1/peer/traces/" + id} {
+		got := do(s, "GET", path, "")
+		if got.Code != http.StatusOK || got.Body.String() != string(want) {
+			t.Errorf("GET %s after late writes: status %d\n got %s\nwant %s", path, got.Code, got.Body.String(), want)
+		}
+	}
+	if got := do(s, "GET", "/v1/traces", "").Body.String(); got != listing {
+		t.Errorf("listing changed after late writes:\n got %s\nwant %s", got, listing)
+	}
+	doc, err := tracectx.ParseDoc(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := s.traceList()[0]; row.DurationUS != doc.DurationUS || row.Spans != len(doc.Spans) {
+		t.Errorf("listing row %+v, document duration_us %d over %d spans", row, doc.DurationUS, len(doc.Spans))
+	}
+}
+
+// A trace whose Attr value cannot render (NaN) is not stored: a read of
+// its id is a 404, not a failed render, and the hook never sees it.
+func TestUnrenderableTraceNotStored(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := recordStored(s)
+	s.evalFn = func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
+		tracectx.FromContext(ctx).Attr("watts", math.NaN())
+		return stubEval(ctx, spec, seed, opts)
+	}
+	r := do(s, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":6}`)
+	if r.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", r.Code, r.Body.String())
+	}
+	if got := rec.check(t); len(got) != 0 {
+		t.Errorf("an unrenderable trace reached the store hook %d times", len(got))
+	}
+	id := r.Header().Get(traceHeader)
+	for _, path := range []string{"/v1/traces/" + id, "/v1/peer/traces/" + id} {
+		if got := do(s, "GET", path, ""); got.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404: %s", path, got.Code, got.Body.String())
+		}
+	}
+	if n := s.traces.Len(); n != 0 {
+		t.Errorf("store holds %d traces, want 0", n)
+	}
+}
+
+// Storing a newly recorded trace costs a fixed handful of allocations and
+// bytes (the id string and the store entry), the same for a 3-server
+// compare trace as for a single evaluate: the document is rendered only
+// when someone reads it.
+func TestStoreFreshTraceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, so allocation counts vary")
+	}
+	const runs = 50
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	type cost struct{ allocs, bytes float64 }
+	var costs []cost
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"server":"Xeon-E5462","seed":3}`},
+		{"/v1/compare", `{"seed":3}`},
+	} {
+		s := newTestServer(t, Config{})
+		rec := recordStored(s)
+		if r := do(s, "POST", tc.path, tc.body); r.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, r.Code, r.Body.String())
+		}
+		got := rec.check(t)
+		if len(got) != 1 {
+			t.Fatalf("%s: %d traces stored, want 1", tc.path, len(got))
+		}
+		c := got[0]
+		s.traceStored = nil
+		// Each store goes into a store that has never held the trace.
+		stores := make([]*lru[storedTrace], runs+1)
+		for i := range stores {
+			stores[i] = newTraceStore(4)
+		}
+		store := func(i int) {
+			s.traces = stores[i]
+			s.storeTrace(c.tr, tc.path, c.m.Key, c.m.Flight, c.m.Status, false, "miss", 0)
+		}
+		store(runs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range runs {
+			store(i)
+		}
+		runtime.ReadMemStats(&after)
+		k := cost{
+			allocs: float64(after.Mallocs-before.Mallocs) / runs,
+			bytes:  float64(after.TotalAlloc-before.TotalAlloc) / runs,
+		}
+		t.Logf("%s: %d spans, %.1f allocs and %.0f bytes per store", tc.path, c.tr.Len(), k.allocs, k.bytes)
+		// Measured: 4 allocations, 480 bytes.
+		if k.allocs > 6 || k.bytes > 768 {
+			t.Errorf("%s: %.1f allocs and %.0f bytes per stored trace, want <= 6 and <= 768", tc.path, k.allocs, k.bytes)
+		}
+		costs = append(costs, k)
+	}
+	if costs[1].allocs > costs[0].allocs+0.5 || costs[1].bytes > costs[0].bytes+64 {
+		t.Errorf("storing grows with span count: compare %+v, evaluate %+v", costs[1], costs[0])
 	}
 }

@@ -172,11 +172,11 @@ func itoa(i int) string {
 }
 
 // The trace store honors its entry bound, tracks bytes, and never replaces
-// a richer document with a poorer one for the same id.
+// a richer trace with a poorer one for the same id.
 func TestTraceStoreBounds(t *testing.T) {
 	ts := newTraceStore(2)
 	put := func(id, doc string, spans int) int {
-		return ts.Put(id, storedTrace{doc: []byte(doc), meta: fleet.TraceSummary{Trace: id, Spans: spans}})
+		return ts.Put(id, storedTrace{size: len(doc), meta: fleet.TraceSummary{Trace: id, Spans: spans}})
 	}
 	if put("a", "aaaa", 5) != 0 || put("b", "bb", 1) != 0 {
 		t.Fatalf("unexpected eviction while under bound")
@@ -188,13 +188,13 @@ func TestTraceStoreBounds(t *testing.T) {
 	if put("a", "x", 2) != 0 {
 		t.Fatalf("same-id put evicted")
 	}
-	if got, _ := ts.Get("a"); string(got.doc) != "aaaa" {
-		t.Fatalf("richer doc clobbered: %q", got)
+	if got, _ := ts.Get("a"); got.size != 4 {
+		t.Fatalf("richer trace clobbered: %+v", got)
 	}
-	// A richer doc replaces, adjusting bytes.
+	// A richer trace replaces, adjusting bytes.
 	put("a", "aaaaaaaa", 9)
-	if got, _ := ts.Get("a"); string(got.doc) != "aaaaaaaa" {
-		t.Fatalf("richer doc not stored: %q", got)
+	if got, _ := ts.Get("a"); got.size != 8 {
+		t.Fatalf("richer trace not stored: %+v", got)
 	}
 	if ts.Bytes() != 10 {
 		t.Fatalf("bytes = %d, want 10", ts.Bytes())

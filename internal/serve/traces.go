@@ -68,27 +68,41 @@ func sumKey(prefix, key string) [sha256.Size]byte {
 	return sha256.Sum256(append(append(buf[:0], prefix...), key...))
 }
 
-// storedTrace is one trace-store entry: the exported document and its
-// listing row.
+// storedTrace is one trace-store entry: the frozen trace, the request
+// metadata its document renders with, its listing row and the heap bytes
+// the trace holds. The document is rendered only when someone reads it.
 type storedTrace struct {
-	doc  []byte
+	tr   *tracectx.Trace
+	m    tracectx.Meta
 	meta fleet.TraceSummary
+	size int
 }
 
 // newTraceStore returns the bounded trace repository, LRU-evicted by entry
-// count with byte accounting for the health surface. Because trace ids are
-// content addresses, a hit and a later miss of the same request share an
-// id; a richer document (more spans) replaces a poorer one, so a full
-// compute trace is never clobbered by the stub trace of a later cache hit.
+// count with byte accounting (the stored traces' Size) for the health
+// surface. Because trace ids are content addresses, a hit and a later miss
+// of the same request share an id; a richer trace (more spans) replaces a
+// poorer one, so a full compute trace is never clobbered by the stub trace
+// of a later cache hit.
 func newTraceStore(capacity int) *lru[storedTrace] {
-	return newLRU(capacity, func(t storedTrace) int { return len(t.doc) },
+	return newLRU(capacity, func(t storedTrace) int { return t.size },
 		func(old, t storedTrace) bool { return t.meta.Spans > old.meta.Spans })
 }
 
-// localTrace returns the trace document this shard stored under id.
+// localTrace renders the trace document this shard stored under id. A
+// stored trace is frozen and passed Freeze's check, so its render does
+// not fail; if it did, the trace is reported absent.
 func (s *Server) localTrace(id string) ([]byte, bool) {
 	t, ok := s.traces.Get(id)
-	return t.doc, ok
+	if !ok {
+		return nil, false
+	}
+	st, err := t.tr.Render(t.m)
+	if err != nil {
+		s.obs.Infof("trace %s not rendered: %v", id, err)
+		return nil, false
+	}
+	return st.Body, true
 }
 
 // traceList returns the stored traces' listing rows sorted by trace id.
@@ -124,10 +138,10 @@ func newRequestTrace(req *http.Request, route, key string) *tracectx.Trace {
 const traceparentKey = "Traceparent"
 
 // storeTrace applies the tail-sampling policy to a settled request's
-// trace and publishes the kept document, rendered straight from the spans
-// with the request's key, status, retention reason and flight id. Drops
-// are counted, and the documents the store keeps are labeled by rule, so
-// the sampler's behavior is observable.
+// trace and keeps it frozen, with the request's key, status, retention
+// reason and flight id its document renders with on read. Drops are
+// counted, and the traces the store keeps are labeled by rule, so the
+// sampler's behavior is observable.
 func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, status int, faulted bool, how string, dur time.Duration) {
 	if tr == nil {
 		return
@@ -137,28 +151,31 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, statu
 		s.ctr.tracesDropped.Inc()
 		return
 	}
-	// The store keeps the richer of two documents under one id, so a
-	// trace with no more spans than the stored one (a sampled hit's stub
-	// after its miss's full trace) would be rendered only to be declined.
-	// The lookup still marks the stored document most recently used.
-	if old, ok := s.traces.Get(tr.ID().String()); ok && old.meta.Spans >= tr.Len() {
+	// The store keeps the richer of two traces under one id, so a trace
+	// with no more spans than the stored one (a sampled hit's stub after
+	// its miss's full trace) would be frozen only to be declined. The
+	// lookup still marks the stored trace most recently used.
+	id := tr.ID().String()
+	if old, ok := s.traces.Get(id); ok && old.meta.Spans >= tr.Len() {
+		return
+	}
+	// Freezing fixes the document every later read renders: a goroutine
+	// still holding one of its spans can no longer change it.
+	if err := tr.Freeze(); err != nil {
+		s.obs.Infof("trace %s not stored: %v", id, err)
 		return
 	}
 	m := tracectx.Meta{Key: key, Status: status, Reason: reason, Flight: flight}
-	st, err := tr.Render(m)
-	if err != nil {
-		s.obs.Infof("trace %s not stored: %v", tr.ID(), err)
-		return
-	}
-	evicted, kept := s.traces.put(st.Trace, storedTrace{doc: st.Body, meta: fleet.TraceSummary{
-		Trace: st.Trace, Root: route, Status: status, Reason: reason,
-		DurationUS: st.DurationUS, Flight: flight, Spans: st.Spans,
+	evicted, kept := s.traces.put(id, storedTrace{tr: tr, m: m, size: tr.Size(), meta: fleet.TraceSummary{
+		Trace: id, Root: route, Status: status, Reason: reason,
+		DurationUS: tr.DurationUS(), Flight: flight, Spans: tr.Len(),
 		Shard: s.cluster.Self(),
 	}})
 	if !kept {
 		return
 	}
 	if s.traceStored != nil {
+		st, _ := tr.Render(m) // Freeze accepted the trace, so it renders
 		s.traceStored(tr, m, st.Body)
 	}
 	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Schema identifies the trace document format served by /v1/traces and
@@ -73,14 +72,15 @@ type Doc struct {
 }
 
 // snapshot copies the trace's span list under t.mu, together with the
-// instant un-ended spans close at and the origin header, and orders the
-// copy by path. Export and Render both read spans through it, so they list
-// them in the same order, ties included.
+// instant un-ended spans close at (the freeze instant of a frozen trace)
+// and the origin header, and orders the copy by path. Export and Render
+// both read spans through it, so they list them in the same order, ties
+// included.
 func (t *Trace) snapshot() (spans []*Span, now int64, origin string) {
 	t.mu.Lock()
 	spans = make([]*Span, len(t.spans))
 	copy(spans, t.spans)
-	now = int64(time.Since(t.epoch))
+	now = t.closeNS()
 	origin = t.origin
 	t.mu.Unlock()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].path < spans[j].path })

@@ -1,0 +1,150 @@
+package tracectx
+
+import (
+	"math"
+	"sync"
+	"testing"
+	"time"
+)
+
+// After Freeze nothing a span holder does changes the trace: open spans
+// close at the freeze instant, and a later child, attr, virtual clock, End
+// or origin is dropped, so every Render and Export matches the first.
+func TestFreezeFixesTheDocument(t *testing.T) {
+	tr := New(DeriveID("freeze"), "/v1/evaluate", "serve")
+	root := tr.Root()
+	open := root.Child("compute").Str("server", "Xeon-E5462")
+	root.Child("cache").Str("result", "miss").End()
+	if err := tr.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	m := Meta{Key: "evaluate|k", Status: 200, Reason: "cache-miss", Flight: "f"}
+	before, err := tr.Render(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, size := tr.Len(), tr.Size()
+	exported := tr.Export()
+
+	time.Sleep(2 * time.Millisecond)
+	if c := open.Child("late"); c != nil {
+		t.Error("Child on a frozen trace returned a span")
+	}
+	if c := root.ChildIndex("sim", " job ", 1); c != nil {
+		t.Error("ChildIndex on a frozen trace returned a span")
+	}
+	open.Str("server", "changed").Int("late", 1).Float("watts", 1).Bool("b", true).Attr("any", "x")
+	open.SetVirtual(1, 2)
+	open.End()
+	root.End()
+	tr.SetOrigin("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if err := tr.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := tr.Render(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after.Body) != string(before.Body) {
+		t.Errorf("render changed after freeze:\n got %s\nwant %s", after.Body, before.Body)
+	}
+	if tr.Len() != spans || tr.Size() != size {
+		t.Errorf("frozen trace grew: %d spans %d bytes, was %d and %d", tr.Len(), tr.Size(), spans, size)
+	}
+	if got := tr.Export(); got.TreeHash != exported.TreeHash || got.DurationUS != exported.DurationUS ||
+		got.Spans[1].DurUS != exported.Spans[1].DurUS || got.Origin != "" {
+		t.Errorf("export changed after freeze: %+v, was %+v", got, exported)
+	}
+	if d := tr.DurationUS(); d != before.DurationUS {
+		t.Errorf("DurationUS = %d, Render's duration_us = %d", d, before.DurationUS)
+	}
+}
+
+// Freeze reports a value passed through Attr that cannot render, as
+// Render does; typed non-finite floats render, so they freeze.
+func TestFreezeRejectsUnrenderableAttr(t *testing.T) {
+	tr := New(DeriveID("freeze nan"), "request", "serve")
+	tr.Root().Child("state").Float("watts", math.NaN()).Attr("bad", math.NaN())
+	if err := tr.Freeze(); err == nil {
+		t.Error("Freeze accepted a NaN passed through Attr")
+	}
+	if _, err := tr.Render(Meta{}); err == nil {
+		t.Error("Render accepted a NaN passed through Attr")
+	}
+
+	ok := New(DeriveID("freeze typed"), "request", "serve")
+	ok.Root().Float("watts", math.Inf(1)).Attr("n", 3).Attr("s", "x")
+	if err := ok.Freeze(); err != nil {
+		t.Errorf("Freeze rejected renderable attrs: %v", err)
+	}
+}
+
+// Writers racing a freeze either land before it or are dropped: once
+// Freeze returns, renders agree byte for byte while the writers go on.
+func TestFreezeDuringWrites(t *testing.T) {
+	tr := New(DeriveID("freeze race"), "request", "serve")
+	root := tr.Root()
+	busy := make([]*Span, 4)
+	for i := range busy {
+		busy[i] = root.ChildIndex("busy", " ", i)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, sp := range busy {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sp.Int("n", n).Float("f", float64(n)).Str("s", "v")
+				sp.SetVirtual(float64(n), float64(n+1))
+				sp.ChildIndex("sub", " ", n%8).Int("i", i).End()
+			}
+		}()
+	}
+	time.Sleep(time.Millisecond)
+	if err := tr.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := tr.Render(Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		st, err := tr.Render(Meta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(st.Body) != string(first.Body) {
+			t.Fatal("render of a frozen trace changed while writers ran")
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// Size counts the chunks a trace adds as it grows, and nothing a
+// fixed-size trace does not hold.
+func TestTraceSize(t *testing.T) {
+	var nilTrace *Trace
+	if nilTrace.Size() != 0 || nilTrace.DurationUS() != 0 || nilTrace.Freeze() != nil {
+		t.Fatal("nil trace has a size, a duration or a freeze error")
+	}
+	tr := New(DeriveID("size"), "request", "serve")
+	small := tr.Size()
+	tr.Root().Child("cache")
+	if tr.Size() != small {
+		t.Errorf("the inline span chunk grew the size: %d, was %d", tr.Size(), small)
+	}
+	for i := range 40 {
+		tr.Root().ChildIndex("job", " ", i).Str("a", "x").Int("b", i)
+	}
+	if tr.Size() <= small {
+		t.Errorf("41 spans: size %d, no more than the inline %d", tr.Size(), small)
+	}
+}

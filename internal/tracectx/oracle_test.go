@@ -347,12 +347,15 @@ func TestIdentityMatchesOracle(t *testing.T) {
 	}
 	tr := New(DeriveID("k"), "request", "serve")
 	c := tr.Root().Child("cache")
-	if got, want := c.Ref(), "trace:"+hex.EncodeToString(tr.id[:])+"/"+hex.EncodeToString(c.id[:]); got != want {
-		t.Fatalf("Ref = %s, want %s", got, want)
+	if got, want := FormatRef(c.TraceID(), c.ID()), "trace:"+hex.EncodeToString(tr.id[:])+"/"+hex.EncodeToString(c.id[:]); got != want {
+		t.Fatalf("FormatRef of a span = %s, want %s", got, want)
+	}
+	if got, want := FormatRef(tr.ID(), SpanID{}), "trace:"+hex.EncodeToString(tr.id[:]); got != want {
+		t.Fatalf("FormatRef of a trace = %s, want %s", got, want)
 	}
 	var nilSpan *Span
-	if nilSpan.Ref() != "" {
-		t.Fatal("nil span has a Ref")
+	if FormatRef(nilSpan.TraceID(), nilSpan.ID()) != "" {
+		t.Fatal("nil span has a ref")
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -111,11 +112,22 @@ const CatCluster = "cluster"
 // past a span's inline one in per-trace attr chunks. The root, the first
 // span chunk and the first arena chunk are inline, so a short trace (a
 // cache hit: the root and one child) is one allocation.
+//
+// Freeze ends a trace's recording, so a trace store can keep the spans
+// and render the document only when someone reads it.
 type Trace struct {
 	mu     sync.Mutex
 	id     ID
 	epoch  time.Time
 	origin string // the incoming W3C traceparent, non-canonical metadata
+	// frozen is set once by Freeze, under mu; endNS is the instant its
+	// un-ended spans close at. Span writers read frozen under their
+	// span's lock.
+	frozen atomic.Bool
+	endNS  int64
+	// held counts the heap bytes of the span chunks, arena chunks and
+	// attr chunks added so far (Size).
+	held int
 	// spans indexes every span, the root first. It grows with the span
 	// chunks, so it reallocates at most when a chunk is added.
 	spans []*Span
@@ -170,6 +182,7 @@ func (t *Trace) newSpan() *Span {
 	if len(t.free) == 0 {
 		t.chunk = min(max(2*t.chunk, 8), maxSpans)
 		t.free = make([]Span, t.chunk)
+		t.held += t.chunk * int(unsafe.Sizeof(Span{}))
 		if need := len(t.spans) + t.chunk; cap(t.spans) < need {
 			idx := make([]*Span, len(t.spans), max(2*cap(t.spans), need))
 			copy(idx, t.spans)
@@ -188,6 +201,7 @@ func (t *Trace) intern(p []byte) string {
 	if cap(t.arena)-len(t.arena) < len(p) {
 		n := min(max(2*cap(t.arena), minArena), maxArena)
 		t.arena = make([]byte, 0, max(n, len(p)))
+		t.held += cap(t.arena)
 	}
 	at := len(t.arena)
 	t.arena = append(t.arena, p...)
@@ -199,6 +213,7 @@ func (t *Trace) intern(p []byte) string {
 func (t *Trace) carveAttrs(n int) []attr {
 	if len(t.attrFree) < n {
 		t.attrFree = make([]attr, max(attrChunk, n))
+		t.held += len(t.attrFree) * int(unsafe.Sizeof(attr{}))
 	}
 	blk := t.attrFree[:0:n]
 	t.attrFree = t.attrFree[n:]
@@ -224,17 +239,103 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
-// Ref returns the trace's exemplar reference, "trace:<trace id>", which
-// names the document served by /v1/traces/<trace id>; it renders in one
-// stack buffer, as Span.Ref does. A nil trace returns "".
-func (t *Trace) Ref() string {
+// Freeze ends the trace's recording: spans still open close at this
+// instant, and every later Child, ChildCat, ChildJoin or ChildIndex
+// (which return nil), attr, SetVirtual, End and SetOrigin is dropped. So
+// every Render and Export after it is byte-identical, whatever goroutines
+// still hold the trace's spans. Freezing again changes nothing.
+//
+// It reports an error, as Render would, when a value passed through Attr
+// cannot render (NaN, ±Inf, a channel): a trace Freeze accepted always
+// renders. A nil trace freezes trivially.
+func (t *Trace) Freeze() error {
 	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	if !t.frozen.Load() {
+		t.endNS = int64(time.Since(t.epoch))
+		t.frozen.Store(true)
+	}
+	spans := t.spans
+	t.mu.Unlock()
+	// A writer that took its span's lock before the freeze finishes before
+	// this visit does; one that takes it after sees frozen and drops.
+	var err error
+	for _, s := range spans {
+		s.mu.Lock()
+		for i := range s.attrs {
+			if a := &s.attrs[i]; a.kind == kindAny && err == nil {
+				_, err = appendValue(nil, a.val)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// DurationUS returns the root span's wall duration in microseconds, the
+// duration_us Render reports: an un-ended root closes at the freeze
+// instant, or now if the trace is not frozen. A nil trace returns 0.
+func (t *Trace) DurationUS() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	now := t.closeNS()
+	t.mu.Unlock()
+	r := &t.root
+	r.mu.Lock()
+	end := r.endNS
+	if !r.ended {
+		end = now
+	}
+	r.mu.Unlock()
+	return (end - r.startNS) / 1e3
+}
+
+// closeNS returns the instant un-ended spans close at: the freeze
+// instant, or the current time since the epoch. The caller holds t.mu.
+func (t *Trace) closeNS() int64 {
+	if t.frozen.Load() {
+		return t.endNS
+	}
+	return int64(time.Since(t.epoch))
+}
+
+// Size returns the heap bytes the trace holds for its spans: the Trace
+// itself, its span chunks and index, and its path arena and attr chunks.
+// Strings an attr refers to and values boxed through Attr are not
+// counted. A nil trace holds none.
+func (t *Trace) Size() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := int(unsafe.Sizeof(*t)) + t.held
+	if cap(t.spans) > len(t.index) {
+		n += cap(t.spans) * int(unsafe.Sizeof(t.spans[0]))
+	}
+	return n
+}
+
+// FormatRef renders an exemplar reference in one stack buffer:
+// "trace:<trace id>", which names the document served by
+// /v1/traces/<trace id>, followed by "/<span id>" for a non-zero span id,
+// which names the span inside it. A zero trace id renders "".
+func FormatRef(trace ID, span SpanID) string {
+	if trace.IsZero() {
 		return ""
 	}
-	var b [len("trace:") + 2*len(ID{})]byte
+	var b [len("trace:") + 2*len(ID{}) + 1 + 2*len(SpanID{})]byte
 	n := copy(b[:], "trace:")
-	hex.Encode(b[n:], t.id[:])
-	return string(b[:])
+	n += hex.Encode(b[n:], trace[:])
+	if !span.IsZero() {
+		b[n] = '/'
+		n += 1 + hex.Encode(b[n+1:], span[:])
+	}
+	return string(b[:n])
 }
 
 // Root returns the root span; a nil trace returns a nil (no-op) span.
@@ -252,7 +353,9 @@ func (t *Trace) SetOrigin(traceparent string) {
 		return
 	}
 	t.mu.Lock()
-	t.origin = traceparent
+	if !t.frozen.Load() {
+		t.origin = traceparent
+	}
 	t.mu.Unlock()
 }
 
@@ -360,6 +463,10 @@ func (s *Span) child(cat, a, b, c string, indexed bool, i int) *Span {
 	}
 	sum := sha256.Sum256(p)
 	t.mu.Lock()
+	if t.frozen.Load() {
+		t.mu.Unlock()
+		return nil
+	}
 	sp := t.newSpan()
 	sp.t = t
 	copy(sp.id[:], sum[:])
@@ -415,6 +522,10 @@ func (s *Span) set(a attr) *Span {
 		return nil
 	}
 	s.mu.Lock()
+	if s.t.frozen.Load() {
+		s.mu.Unlock()
+		return s
+	}
 	switch {
 	case s.virt&virtT0 != 0 && a.key == keyT0:
 		s.virt &^= virtT0
@@ -450,6 +561,10 @@ func (s *Span) SetVirtual(t0, t1 float64) *Span {
 		return nil
 	}
 	s.mu.Lock()
+	if s.t.frozen.Load() {
+		s.mu.Unlock()
+		return s
+	}
 	if len(s.attrs) > 0 {
 		kept := s.attrs[:0]
 		for _, a := range s.attrs {
@@ -466,13 +581,14 @@ func (s *Span) SetVirtual(t0, t1 float64) *Span {
 }
 
 // End closes the span; ending twice is a no-op so defer composes with early
-// ends. An un-ended span renders with the trace's final timestamp.
+// ends. An un-ended span renders with the trace's final timestamp: the
+// freeze instant, or the render's.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if !s.ended {
+	if !s.ended && !s.t.frozen.Load() {
 		s.ended = true
 		s.endNS = int64(time.Since(s.t.epoch))
 	}
@@ -487,19 +603,13 @@ func (s *Span) ID() SpanID {
 	return s.id
 }
 
-// Ref returns the span's exemplar reference, "trace:<trace id>/<span id>",
-// which names the span inside the document served by /v1/traces/<trace
-// id>. A nil span returns "", so an untraced run records no exemplar.
-func (s *Span) Ref() string {
+// TraceID returns the id of the span's trace; nil spans return the zero
+// id.
+func (s *Span) TraceID() ID {
 	if s == nil {
-		return ""
+		return ID{}
 	}
-	var b [len("trace:") + 2*len(ID{}) + 1 + 2*len(SpanID{})]byte
-	n := copy(b[:], "trace:")
-	n += hex.Encode(b[n:], s.t.id[:])
-	b[n] = '/'
-	hex.Encode(b[n+1:], s.id[:])
-	return string(b[:])
+	return s.t.id
 }
 
 // --- context plumbing ---
