@@ -9,16 +9,18 @@ import (
 )
 
 // fuseFreeSymbols matches the functions of the packages that compute a
-// run's readings, PMU windows and faults, where no floating-point
+// run's readings, PMU windows and faults, the random streams they draw
+// from and the cache profiles behind the PMU, where no floating-point
 // operation may be fused: the same bytes on every platform.
-const fuseFreeSymbols = `^powerbench/internal/(meter|fault|pmu|sim)\.`
+const fuseFreeSymbols = `^powerbench/internal/(meter|fault|pmu|sim|rng|cache)\.`
 
 // TestNoFusedMultiplyAdd cross-compiles powerbench for arm64, whose
 // compiler fuses x*y + z unless a float64(...) conversion forbids it, and
 // fails on any fused instruction (FMADD, FMSUB, FNM*) in a function of
-// the meter, fault, pmu or sim packages. A fused product rounds once
-// where amd64 rounds twice, so an arm64 run would log other readings. It
-// needs the go tool and takes a few seconds, so -short skips it.
+// the meter, fault, pmu, sim, rng or cache packages. A fused product
+// rounds once where amd64 rounds twice, so an arm64 run would log other
+// readings. It needs the go tool and takes a few seconds, so -short skips
+// it.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-compiles and disassembles the binary")

@@ -9,11 +9,10 @@ import (
 	"powerbench/internal/rng"
 )
 
-// TestRunFastPathOutputByteIdentical is the CLI end of the hot-path
-// byte-identity gate: the default report must be byte-for-byte the output
-// of the reference paths (per-access cache simulator, float LCG — the seed
-// revision's hot path) for jobs ∈ {1, 2, 8} and fault profiles
-// {none, light}.
+// TestRunFastPathOutputByteIdentical is the CLI end of the LCG
+// byte-identity gate: the default report on the integer LCG must be
+// byte-for-byte the output of the float LCG for jobs ∈ {1, 2, 8} and fault
+// profiles {none, light}.
 func TestRunFastPathOutputByteIdentical(t *testing.T) {
 	for _, profile := range []string{"none", "light"} {
 		t.Run(profile, func(t *testing.T) {
@@ -22,15 +21,13 @@ func TestRunFastPathOutputByteIdentical(t *testing.T) {
 					"-jobs", fmt.Sprint(jobs)}
 			}
 
-			prevProfile := cache.SetFastProfile(false)
 			prevLCG := rng.SetFastLCG(false)
 			cache.ResetProfileMemo()
 			var want, stderr bytes.Buffer
 			rc := run(args(1), &want, &stderr)
-			cache.SetFastProfile(prevProfile)
 			rng.SetFastLCG(prevLCG)
 			if rc != 0 {
-				t.Fatalf("reference run failed rc=%d: %s", rc, stderr.String())
+				t.Fatalf("float-LCG run failed rc=%d: %s", rc, stderr.String())
 			}
 
 			for _, jobs := range []int{1, 2, 8} {
@@ -41,7 +38,7 @@ func TestRunFastPathOutputByteIdentical(t *testing.T) {
 					t.Fatalf("fast run jobs=%d failed rc=%d: %s", jobs, rc, stderr.String())
 				}
 				if got.String() != want.String() {
-					t.Errorf("jobs=%d: fast-path report differs from reference:\n--- fast ---\n%s\n--- reference ---\n%s",
+					t.Errorf("jobs=%d: integer-LCG report differs from float-LCG:\n--- integer ---\n%s\n--- float ---\n%s",
 						jobs, got.String(), want.String())
 				}
 			}

@@ -1,17 +1,17 @@
 package cache
 
 import (
+	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"powerbench/internal/rng"
 )
 
-// This file is the batched steady-state profiler: the fast path behind
-// Profile. It computes exactly the quantity the per-access reference
-// simulator (ProfileReference) measures — same RNG stream, same LRU
-// semantics, same counters, bit for bit — but restructured so the common
-// shapes of the synthetic access streams cost far less:
+// This file is the batched steady-state profiler: the one route behind
+// Profile. It computes exactly the quantity a per-access reference
+// simulator measures — same RNG stream, same LRU semantics, same counters,
+// bit for bit — but restructured so the common shapes of the synthetic
+// access streams cost far less:
 //
 //   - levels store their LRU ways as flat uint32 tag arrays with an
 //     empty-slot sentinel, so one probe touches one or two host cache lines
@@ -36,32 +36,18 @@ import (
 //     dominate a serial walk.
 //
 // Each shortcut preserves the simulated machine's observable behaviour
-// exactly; TestProfileMatchesReference and FuzzProfileDifferential pin the
-// fast path to the oracle over the pattern grid and under fuzzing.
-
-// fastProfileEnabled selects between the batched profiler (default) and the
-// per-access reference simulator inside Profile. Tests and the CI
-// before/after benchmark flip it to measure or A/B the two paths.
-var fastProfileEnabled atomic.Bool
-
-func init() { fastProfileEnabled.Store(true) }
-
-// SetFastProfile enables or disables the batched fast path behind Profile,
-// returning the previous setting. A disabled Profile runs the reference
-// computation; the memo keys the route, so it still serves repeats of it
-// and never hands one route's result to the other.
-func SetFastProfile(enabled bool) bool {
-	return fastProfileEnabled.Swap(enabled)
-}
+// exactly. The reference simulator lives in the package's tests:
+// TestProfileMatchesReference and FuzzProfileDifferential pin the profiler
+// to it over the pattern grid and under fuzzing, and
+// TestRequestedProfileMatchesReference over every profile real evaluations
+// ask for.
 
 // profileKey identifies a memoized Profile computation: the pattern, the
-// stream length and seed, the full hierarchy geometry and the route (the
-// batched profiler or the reference simulator) that computed it.
+// stream length and seed, and the full hierarchy geometry.
 type profileKey struct {
 	p      Pattern
 	n      int
 	seed   float64
-	ref    bool
 	levels int
 	cfgs   [4]Config
 }
@@ -90,9 +76,8 @@ const emptyTag = ^uint32(0)
 
 // maxFastWorkingSet bounds the working sets the batched profiler handles
 // with 32-bit tags: every address stays below the working-set size, so line
-// ids fit a uint32 whenever the set is under 4 GiB. Larger sets — far past
-// the PMU's 1 GiB quantization ceiling — fall back to the reference
-// simulator.
+// ids fit a uint32 whenever the set is under 4 GiB. Larger sets, far past
+// the PMU's 1 GiB quantization ceiling, are an error.
 const maxFastWorkingSet = 1<<32 - 1
 
 // drawBlock is the RNG buffer size; one Stream.NextN fill serves ~680
@@ -109,9 +94,9 @@ const prefetchDist = 12
 // fastLevel is one cache level with its LRU ways stored flat: set s owns
 // tags[s*ways : (s+1)*ways], most recently used first, empty slots (always
 // trailing) holding emptyTag — the same ordering contract as the reference
-// level, without per-set slice headers or occupancy counters. Levels at and
-// behind the residency level keep tags nil: their behaviour is decided by
-// the bitmap, not by LRU state.
+// simulator's level, without per-set slice headers or occupancy counters.
+// Levels at and behind the residency level keep tags nil: their behaviour
+// is decided by the bitmap, not by LRU state.
 type fastLevel struct {
 	sets      uint64
 	lineSz    uint64
@@ -158,7 +143,7 @@ func (l *fastLevel) line(addr uint64) uint64 {
 	return addr / l.lineSz
 }
 
-// access replicates the reference level.access decision procedure on the
+// access replicates the reference simulator's decision procedure on the
 // flat layout: hit moves the tag to the front of its set's chunk; miss
 // installs it at the front, evicting the least recently used way. Empty
 // ways hold emptyTag, which no probe can match (real tags stay below it),
@@ -192,8 +177,8 @@ func (l *fastLevel) access(addr uint64) bool {
 	return false
 }
 
-// fastProfiler is the batched equivalent of a Hierarchy driven by
-// Pattern.Generate.
+// fastProfiler is the batched equivalent of the reference simulator's
+// hierarchy driven by its access generator.
 type fastProfiler struct {
 	levels    []fastLevel
 	memReads  int64
@@ -230,7 +215,7 @@ type fastProfiler struct {
 
 func newFastProfiler(p Pattern, seed float64, cfgs []Config) (*fastProfiler, error) {
 	if len(cfgs) == 0 {
-		return nil, errNoLevels()
+		return nil, errNoLevels
 	}
 	f := &fastProfiler{
 		stream:   rng.NewStream(seed, rng.A),
@@ -290,12 +275,6 @@ func newFastProfiler(p Pattern, seed float64, cfgs []Config) (*fastProfiler, err
 	return f, nil
 }
 
-// errNoLevels mirrors NewHierarchy's empty-hierarchy error.
-func errNoLevels() error {
-	_, err := NewHierarchy()
-	return err
-}
-
 // draw returns the next stream value from the block buffer.
 func (f *fastProfiler) draw() float64 {
 	if f.di == drawBlock {
@@ -312,8 +291,8 @@ func (f *fastProfiler) refill() {
 	f.di = 0
 }
 
-// resetStats clears counters but keeps contents and residency state,
-// mirroring Hierarchy.ResetStats between the warm-up and measured passes.
+// resetStats clears counters but keeps contents and residency state, as the
+// reference simulator does between the warm-up and measured passes.
 func (f *fastProfiler) resetStats() {
 	for i := range f.levels {
 		f.levels[i].stats = Stats{}
@@ -321,9 +300,9 @@ func (f *fastProfiler) resetStats() {
 	f.memReads, f.memWrites = 0, 0
 }
 
-// generate replicates Pattern.Generate draw for draw: the same RNG
-// consumption, cursor arithmetic and write accounting, issued into the
-// batched profiler instead of the per-access hierarchy. Working sets held
+// generate replicates the reference access generator draw for draw: the
+// same RNG consumption, cursor arithmetic and write accounting, issued into
+// the batched profiler instead of a per-access hierarchy. Working sets held
 // by some level run the bitmap regime; larger ones run the phased block
 // pipeline.
 func (f *fastProfiler) generate(p Pattern, n int) int {
@@ -588,10 +567,11 @@ func (f *fastProfiler) generateBlocked(p Pattern, n int, ws, stride, cursor uint
 
 // ProfileUncached runs the batched profiler without consulting or filling
 // the memo. It is the computation Profile memoizes; benchmarks call it
-// directly to time the cold path.
+// directly to time the cold path. A working set of 4 GiB or more is an
+// error.
 func ProfileUncached(p Pattern, n int, seed float64, cfgs ...Config) (ProfileResult, error) {
 	if p.WorkingSetBytes > maxFastWorkingSet {
-		return ProfileReference(p, n, seed, cfgs...)
+		return ProfileResult{}, fmt.Errorf("cache: working set of %d bytes is not under the profiler's 4 GiB bound", p.WorkingSetBytes)
 	}
 	f, err := newFastProfiler(p, seed, cfgs)
 	if err != nil {
@@ -618,14 +598,13 @@ func ProfileUncached(p Pattern, n int, seed float64, cfgs ...Config) (ProfileRes
 	return res, nil
 }
 
-// memoKey builds the memo key for a Profile call on the given route; ok
-// is false when the hierarchy is too deep to key (such profiles run
-// uncached).
-func memoKey(p Pattern, n int, seed float64, ref bool, cfgs []Config) (profileKey, bool) {
+// memoKey builds the memo key for a Profile call; ok is false when the
+// hierarchy is too deep to key (such profiles run uncached).
+func memoKey(p Pattern, n int, seed float64, cfgs []Config) (profileKey, bool) {
 	if len(cfgs) > len(profileKey{}.cfgs) {
 		return profileKey{}, false
 	}
-	k := profileKey{p: p, n: n, seed: seed, ref: ref, levels: len(cfgs)}
+	k := profileKey{p: p, n: n, seed: seed, levels: len(cfgs)}
 	copy(k.cfgs[:], cfgs)
 	return k, true
 }

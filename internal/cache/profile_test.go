@@ -149,26 +149,19 @@ func TestProfileMemoHit(t *testing.T) {
 	}
 }
 
-// TestProfileFastPathToggle verifies SetFastProfile routes Profile to the
-// reference computation and that both routes agree.
-func TestProfileFastPathToggle(t *testing.T) {
-	cfgs := testHierarchies()["SiFive"]
-	p := Pattern{WorkingSetBytes: 256 << 10, SequentialFrac: 0.7, StrideBytes: 8, WriteFrac: 0.3}
-	fast, err := Profile(p, 10_000, rng.DefaultSeed, cfgs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetFastProfile(false)
-	defer SetFastProfile(prev)
-	if !prev {
-		t.Fatalf("fast path unexpectedly disabled at test entry")
-	}
-	ref, err := Profile(p, 10_000, rng.DefaultSeed, cfgs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast != ref {
-		t.Errorf("fast %+v != reference %+v", fast, ref)
+// TestProfileRejectsHugeWorkingSet pins the profiler's bound: a working
+// set of 4 GiB or more has line ids past its 32-bit tags, so Profile
+// returns an error, not a result, and memoizes nothing.
+func TestProfileRejectsHugeWorkingSet(t *testing.T) {
+	cfgs := testHierarchies()["E5462"]
+	for _, ws := range []uint64{1 << 32, 1<<32 + 64, 1 << 40} {
+		p := Pattern{WorkingSetBytes: ws, SequentialFrac: 0.5, StrideBytes: 8, WriteFrac: 0.3}
+		for range 2 {
+			res, err := Profile(p, 1000, rng.DefaultSeed, cfgs...)
+			if err == nil || res != (ProfileResult{}) {
+				t.Errorf("working set %d: got %+v, %v; want an error", ws, res, err)
+			}
+		}
 	}
 }
 

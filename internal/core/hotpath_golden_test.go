@@ -13,25 +13,19 @@ import (
 	"powerbench/internal/server"
 )
 
-// withReferencePaths runs f with the batched profiler and the integer LCG
-// both disabled — the seed revision's exact hot path — and restores the
-// fast paths afterwards.
-func withReferencePaths(t *testing.T, f func()) {
-	t.Helper()
-	prevProfile := cache.SetFastProfile(false)
-	prevLCG := rng.SetFastLCG(false)
-	defer func() {
-		cache.SetFastProfile(prevProfile)
-		rng.SetFastLCG(prevLCG)
-	}()
+// withFloatLCG runs f with the integer LCG step disabled, so every stream
+// takes the float reference arithmetic, and restores it afterwards.
+func withFloatLCG(f func()) {
+	defer rng.SetFastLCG(rng.SetFastLCG(false))
 	f()
 }
 
-// TestFastPathGoldenAcrossJobsAndFaults is the tentpole's byte-identity
-// gate: for jobs ∈ {1, 2, 8} and fault profiles {none, light}, an
-// evaluation served by the fast paths (batched profiler, memo, integer LCG)
-// must equal — struct bit pattern and rendered table bytes — the evaluation
-// the reference paths produce.
+// TestFastPathGoldenAcrossJobsAndFaults is the LCG byte-identity gate: for
+// jobs ∈ {1, 2, 8} and fault profiles {none, light}, an evaluation on the
+// integer LCG must equal — struct bit pattern and rendered table bytes —
+// the evaluation the float LCG produces. (The cache profiler's reference
+// is test code in internal/cache, held to it by the differential tests
+// there.)
 func TestFastPathGoldenAcrossJobsAndFaults(t *testing.T) {
 	spec := server.XeonE5462()
 	profiles := map[string]*fault.Profile{
@@ -42,7 +36,7 @@ func TestFastPathGoldenAcrossJobsAndFaults(t *testing.T) {
 		prof := prof
 		t.Run(name, func(t *testing.T) {
 			var want *Evaluation
-			withReferencePaths(t, func() {
+			withFloatLCG(func() {
 				cache.ResetProfileMemo()
 				var err error
 				want, err = EvaluateCtx(context.Background(), spec, 7, EvalOptions{Fault: prof})
@@ -60,7 +54,7 @@ func TestFastPathGoldenAcrossJobsAndFaults(t *testing.T) {
 					t.Fatalf("fast evaluation jobs=%d: %v", jobs, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("jobs=%d: fast-path evaluation differs from reference:\n got %+v\nwant %+v", jobs, got, want)
+					t.Errorf("jobs=%d: integer-LCG evaluation differs from float-LCG:\n got %+v\nwant %+v", jobs, got, want)
 				}
 				if table := EvaluationTable(got, "golden").TSV(); table != wantTable {
 					t.Errorf("jobs=%d: rendered table not byte-identical:\n%s\n--- want ---\n%s", jobs, table, wantTable)

@@ -64,30 +64,6 @@ func TestSeriesLimitGuardsGaugesAndHistograms(t *testing.T) {
 	}
 }
 
-func TestWithAttrs(t *testing.T) {
-	o := New()
-	s := o.WithAttrs(L("subsystem", "serve"))
-	s.Counter("reqs_total").Inc()
-	if got := o.Metrics.Counter("reqs_total", L("subsystem", "serve")).Value(); got != 1 {
-		t.Fatalf("base attr not applied: %d", got)
-	}
-	// Call-site labels win on collision.
-	s.Counter("reqs_total", L("subsystem", "override")).Inc()
-	if got := o.Metrics.Counter("reqs_total", L("subsystem", "override")).Value(); got != 1 {
-		t.Fatal("call-site label did not override the base attr")
-	}
-	// Nested WithAttrs accumulates.
-	s2 := s.WithAttrs(L("route", "/v1/evaluate"))
-	s2.Gauge("depth").Set(1)
-	if got := o.Metrics.Gauge("depth", L("subsystem", "serve"), L("route", "/v1/evaluate")).Value(); got != 1 {
-		t.Fatal("nested attrs not merged")
-	}
-	var nilObs *Obs
-	if nilObs.WithAttrs(L("a", "b")) != nil {
-		t.Fatal("nil WithAttrs must stay nil")
-	}
-}
-
 func TestExemplarExport(t *testing.T) {
 	o := New()
 	sp := tracectx.New(tracectx.DeriveID("exemplar export"), "request", "serve").Root().Child("state ep.C.8")

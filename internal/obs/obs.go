@@ -27,47 +27,6 @@ type Obs struct {
 	Metrics *Registry
 	Tracer  *Tracer
 	Log     *Logger
-
-	// attrs are base labels merged into every metric lookup (WithAttrs);
-	// call-site labels win on key collision.
-	attrs []Label
-}
-
-// WithAttrs returns a shallow copy of o whose metric lookups carry the given
-// base labels in addition to the call-site labels (call-site values win on a
-// key collision). The underlying registry, tracer and logger are shared, so
-// a subsystem can stamp its identity — L("subsystem", "serve") — onto every
-// metric it touches without threading labels through each call. Nil o
-// returns nil.
-func (o *Obs) WithAttrs(labels ...Label) *Obs {
-	if o == nil || len(labels) == 0 {
-		return o
-	}
-	c := *o
-	c.attrs = append(append([]Label(nil), o.attrs...), labels...)
-	return &c
-}
-
-// mergeAttrs combines the base attrs with call-site labels; call-site keys
-// override base keys.
-func (o *Obs) mergeAttrs(labels []Label) []Label {
-	if len(o.attrs) == 0 {
-		return labels
-	}
-	out := make([]Label, 0, len(o.attrs)+len(labels))
-	for _, a := range o.attrs {
-		overridden := false
-		for _, l := range labels {
-			if l.Key == a.Key {
-				overridden = true
-				break
-			}
-		}
-		if !overridden {
-			out = append(out, a)
-		}
-	}
-	return append(out, labels...)
 }
 
 // New returns an Obs with a live registry and tracer and a discard logger,
@@ -87,7 +46,7 @@ func (o *Obs) Counter(name string, labels ...Label) *Counter {
 	if o == nil || o.Metrics == nil {
 		return nil
 	}
-	return o.Metrics.Counter(name, o.mergeAttrs(labels)...)
+	return o.Metrics.Counter(name, labels...)
 }
 
 // Gauge returns the named gauge, or a no-op nil gauge.
@@ -95,7 +54,7 @@ func (o *Obs) Gauge(name string, labels ...Label) *Gauge {
 	if o == nil || o.Metrics == nil {
 		return nil
 	}
-	return o.Metrics.Gauge(name, o.mergeAttrs(labels)...)
+	return o.Metrics.Gauge(name, labels...)
 }
 
 // Histogram returns the named histogram, or a no-op nil histogram.
@@ -103,7 +62,7 @@ func (o *Obs) Histogram(name string, buckets []float64, labels ...Label) *Histog
 	if o == nil || o.Metrics == nil {
 		return nil
 	}
-	return o.Metrics.Histogram(name, buckets, o.mergeAttrs(labels)...)
+	return o.Metrics.Histogram(name, buckets, labels...)
 }
 
 // SpanJoin starts a root span named prefix+name on the tracer, or returns

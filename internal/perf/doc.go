@@ -1,16 +1,12 @@
-// Package perf holds the hot-path proof layer: benchmarks comparing the
-// cold (cache-miss) evaluation path against the reference implementation
-// it replaced, and a scaling suite whose fitted log–log slopes assert that
-// the pipeline stays linear — not quadratic — in trace length, run count
-// and profiled access count. CI runs the suite with a pinned -benchtime
-// and gates on the cold-evaluation speedup ratio (≥ 3x) and the fitted
-// slopes (≤ 1.15); see the bench-hotpath job and BENCH_hotpath.json.
+// Package perf holds the hot path's scaling suite: benchmarks whose fitted
+// log–log slopes assert that the pipeline stays linear — not quadratic — in
+// trace length, run count and profiled access count. CI runs the suite with
+// a pinned -benchtime and gates the fitted slopes (≤ 1.15); see the
+// bench-hotpath job and BENCH_hotpath.json.
 //
-// The "reference" variants are not stale copies of old code: they run the
-// same binary with the batched cache profiler and the integer LCG step
-// switched off (cache.SetFastProfile(false), rng.SetFastLCG(false)), which
-// is exactly the seed revision's hot path. Both routes produce
-// bit-identical output — proven by the differential and golden tests in
-// internal/cache and internal/core — so the comparison times two
-// implementations of the same function.
+// The cold-evaluation speedup gate (≥ 3x) times BenchmarkColdEvaluation in
+// internal/cache, next to the per-access reference simulator its reference
+// variant runs. That simulator is test code: the production binary carries
+// only the batched profiler, and the differential tests in internal/cache
+// hold it to the reference bit for bit.
 package perf

@@ -7,41 +7,12 @@ import (
 
 	"powerbench/internal/cache"
 	"powerbench/internal/core"
-	"powerbench/internal/flight"
 	"powerbench/internal/meter"
 	"powerbench/internal/rng"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/workload"
 )
-
-// BenchmarkColdEvaluation times one full paper evaluation with every memo
-// cleared per iteration and a flight recorder attached — the daemon's
-// cache-miss path. The recorder reads the PMU deltas, so every run collects
-// counters and pays the cold cache profiler; an unrecorded evaluation
-// skips both. The fast variant is the shipped configuration; the reference
-// variant switches the batched profiler and the integer LCG off,
-// reproducing the seed revision's hot path in the same binary. CI's
-// bench-hotpath job gates fast ≤ reference/3.
-func BenchmarkColdEvaluation(b *testing.B) {
-	spec := server.XeonE5462()
-	bench := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cache.ResetProfileMemo()
-			opts := core.EvalOptions{Flight: flight.NewRecorder(0)}
-			if _, err := core.EvaluateCtx(context.Background(), spec, 1, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("fast", bench)
-	b.Run("reference", func(b *testing.B) {
-		defer cache.SetFastProfile(cache.SetFastProfile(false))
-		defer rng.SetFastLCG(rng.SetFastLCG(false))
-		bench(b)
-	})
-}
 
 // scalingTraceSizes are the trace lengths (samples) of the analysis-
 // pipeline scaling ladder; the largest is 16x the smallest so a fitted

@@ -70,26 +70,30 @@ func Randlc(x *float64, a float64) float64 {
 }
 
 // randlcFloat is the double-precision reference implementation of the NPB
-// randlc step, kept verbatim: it handles non-integer states (derived seeds
+// randlc step, kept in the reference form: it handles non-integer states (derived seeds
 // like seed+0.5 never re-enter the integer lattice) and anchors the
 // property test that proves the integer fast path exact.
+//
+// Every product is rounded on its own (float64(...)) before it is added,
+// so no platform fuses a multiply-add here and the float route gives the
+// same bits on arm64 as on amd64.
 func randlcFloat(x *float64, a float64) float64 {
 	// Split a = 2^23·a1 + a2 and x = 2^23·x1 + x2.
 	t1 := r23 * a
 	a1 := float64(int64(t1))
-	a2 := a - t23*a1
+	a2 := a - float64(t23*a1)
 
 	t1 = r23 * *x
 	x1 := float64(int64(t1))
-	x2 := *x - t23*x1
+	x2 := *x - float64(t23*x1)
 
 	// z = a1·x2 + a2·x1 (mod 2^23), then x = 2^23·z + a2·x2 (mod 2^46).
-	t1 = a1*x2 + a2*x1
+	t1 = float64(a1*x2) + float64(a2*x1)
 	t2 := float64(int64(r23 * t1))
-	z := t1 - t23*t2
-	t3 := t23*z + a2*x2
+	z := t1 - float64(t23*t2)
+	t3 := float64(t23*z) + float64(a2*x2)
 	t4 := float64(int64(r46 * t3))
-	*x = t3 - t46*t4
+	*x = t3 - float64(t46*t4)
 	return r46 * *x
 }
 

@@ -2,7 +2,6 @@ package ssj
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -183,71 +182,6 @@ func NativeCalibration(workers int, duration time.Duration) (float64, error) {
 			for time.Since(start) < duration {
 				sink += wh.RunBatch(256, s)
 				ops[id] += 256
-			}
-			_ = sink
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var total int64
-	for _, o := range ops {
-		total += o
-	}
-	return float64(total) / elapsed, nil
-}
-
-// NativeLadder runs the native engine through the ten target loads,
-// throttling to each level of the calibrated maximum, and returns achieved
-// ops/sec per level. It demonstrates the protocol end to end on real work.
-func NativeLadder(workers int, phaseDuration time.Duration) ([]PhaseResult, error) {
-	maxOps, err := NativeCalibration(workers, phaseDuration)
-	if err != nil {
-		return nil, err
-	}
-	var out []PhaseResult
-	for level := 10; level >= 1; level-- {
-		target := float64(level) / 10 * maxOps
-		achieved, err := nativeThrottled(workers, phaseDuration, target)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PhaseResult{
-			Label:      fmt.Sprintf("%d%%", level*10),
-			TargetLoad: float64(level) / 10,
-			Ops:        achieved,
-		})
-	}
-	return out, nil
-}
-
-// nativeThrottled runs the engine paced to the target ops/sec.
-func nativeThrottled(workers int, duration time.Duration, targetOps float64) (float64, error) {
-	var wg sync.WaitGroup
-	ops := make([]int64, workers)
-	perWorker := targetOps / float64(workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			wh := NewWarehouse(float64(id) + 1)
-			s := rng.NewStream(float64(id)+200, rng.A)
-			var sink float64
-			const batch = 256
-			for {
-				elapsed := time.Since(start)
-				if elapsed >= duration {
-					break
-				}
-				// Stay at or below the pace: if ahead of schedule, sleep a
-				// batch's worth of time (the think-time of a load driver).
-				due := perWorker * elapsed.Seconds()
-				if float64(ops[id]) > due {
-					time.Sleep(time.Duration(float64(batch) / math.Max(perWorker, 1) * float64(time.Second) / 4))
-					continue
-				}
-				sink += wh.RunBatch(batch, s)
-				ops[id] += batch
 			}
 			_ = sink
 		}(w)

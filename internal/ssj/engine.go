@@ -5,11 +5,11 @@
 // and the ssj_ops/watt summary score.
 //
 // The native engine below really executes transactions against in-memory
-// warehouses (a reduced TPC-C-like mix). The Benchmark type runs the full
-// graduated protocol either natively (wall-clock throughput) or as a
-// workload model on a simulated server, producing the memory- and
-// CPU-usage ladders of the paper's Figs. 1-2 and the comparison score of
-// §V-C3.
+// warehouses (a reduced TPC-C-like mix); NativeCalibration measures its
+// wall-clock throughput on this machine. Run plays the full graduated
+// protocol as a workload model on a simulated server, producing the
+// memory- and CPU-usage ladders of the paper's Figs. 1-2 and the
+// comparison score of §V-C3.
 package ssj
 
 import (
