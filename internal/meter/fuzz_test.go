@@ -68,7 +68,7 @@ func FuzzWindowSummary(f *testing.F) {
 		}
 		power := func(t float64) float64 { return 20 + 50*math.Sin(t/3) }
 		for _, frac := range []float64{0, 0.10, 0.5} {
-			streamed, logged := meter().RecordSummary(start, end, power, frac)
+			streamed, logged := meter().RecordSummary(new(Shared), nil, start, end, powerFunc(power), frac)
 			log := meter().Record(start, end, power)
 			window := Window(log, start, end)
 			folded := Summarize(window, start, end, frac)

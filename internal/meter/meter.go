@@ -19,6 +19,17 @@
 // repairs the run's window of it in place, recomputing each entry's
 // timestamp from the meter's grid, and folds the repaired grid instead of
 // storing it.
+//
+// A clean recording takes its readings in blocks of Block steps and folds
+// them strictly in step order. Block b starts at the server time the
+// sampling loop reaches by repeated addition, and its noise generator
+// starts at the b·Block-th deviate: the integer LCG state multiplied by
+// a^Block mod 2^46 per block, an exact jump, and Block is even, so no
+// Box-Muller pair straddles two blocks. Blocks can therefore be produced
+// in any order and on any goroutine: RecordSummary lets the idle workers of
+// the run's scheduler fan-out produce them beside the run, and the Summary,
+// the logged count and the meter's final generator state equal the serial
+// loop's, bit for bit.
 package meter
 
 import (
@@ -167,36 +178,6 @@ func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(k 
 		}
 		each(k, m.read(t, p(t)))
 	}
-}
-
-// RecordSummary returns Summarize(Window(log, start, end), start, end, frac)
-// and len(log), for log = Record(start, end, p), folded while the meter
-// samples: no log is kept. It steps t through Record's sequence twice,
-// first to count the window (the trim cut depends on its size) and then to
-// sample, so the noise draws, the readings and the fold's term order are
-// exactly the composed form's. A meter with dropout cannot count its window
-// before drawing each sample's fate, so it records the log and summarizes
-// that.
-func (m *Meter) RecordSummary(start, end float64, p func(t float64) float64, frac float64) (sum Summary, logged int) {
-	if m.DropoutFrac > 0 && m.seeded {
-		log := m.Record(start, end, p)
-		return Summarize(Window(log, start, end), start, end, frac), len(log)
-	}
-	lo, hi, interval := m.span(start, end)
-	n := 0
-	for t := lo; t <= hi+1e-9; t += interval {
-		logged++
-		if ts := t + m.ClockSkewSec; ts >= start && ts <= end {
-			n++
-		}
-	}
-	f := newFold(start, end, n, frac)
-	for t := lo; t <= hi+1e-9; t += interval {
-		if s := m.read(t, p(t)); s.T >= start && s.T <= end {
-			f.add(s)
-		}
-	}
-	return f.summary(), logged
 }
 
 // span orders a recording's bounds and resolves its sampling interval (≤ 0

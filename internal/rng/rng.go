@@ -208,6 +208,30 @@ func (s *Stream) SkipAhead(n int64) {
 	s.x = Skip(s.x, s.a, n)
 }
 
+// Leap returns the multiplier that moves an integer-form stream n steps in
+// one: a^n mod 2^46, formed on uint64s by square-and-multiply. ok is false
+// for a float-form stream: the reference step rounds a state off the
+// integer lattice, so no multiplier moves it exactly.
+func (s *Stream) Leap(n int64) (an uint64, ok bool) {
+	if !s.fast {
+		return 0, false
+	}
+	an, base := 1, s.ai
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			an = an * base & mask46
+		}
+		base = base * base & mask46
+	}
+	return an, true
+}
+
+// Jump moves an integer-form stream by the n steps an = Leap(n) stands
+// for: the state after n calls of Next, in one multiply.
+func (s *Stream) Jump(an uint64) {
+	s.xi = s.xi * an & mask46
+}
+
 // Uint64n maps the next value to an integer in [0, n) — used by IS key
 // generation and by synthetic address-trace construction. n must be > 0.
 func (s *Stream) Uint64n(n uint64) uint64 {

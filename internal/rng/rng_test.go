@@ -302,3 +302,28 @@ func TestSetFastLCGEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestLeapMatchesNext: a jump by Leap(n) lands where n calls of Next do,
+// for even, odd and block-sized n, and a float-form stream refuses to
+// jump.
+func TestLeapMatchesNext(t *testing.T) {
+	for _, n := range []int64{0, 1, 2, 511, 512, 1537} {
+		s := MakeStream(314159265, A)
+		want := s
+		for i := int64(0); i < n; i++ {
+			want.Next()
+		}
+		an, ok := s.Leap(n)
+		if !ok {
+			t.Fatal("integer-form stream refused to leap")
+		}
+		s.Jump(an)
+		if s.Seed() != want.Seed() || s.Next() != want.Next() {
+			t.Fatalf("Leap(%d) lands at %v, %d Next calls at %v", n, s.Seed(), n, want.Seed())
+		}
+	}
+	f := MakeStream(41.5, A)
+	if _, ok := f.Leap(512); ok {
+		t.Fatal("float-form stream offered a jump")
+	}
+}

@@ -21,6 +21,17 @@
 //     are reported by the lowest failing index, so even failure output is
 //     scheduling-independent.
 //
+// Idle workers help running jobs of their own fan-out. A worker that finds
+// no job left to dispatch does not exit: it joins the fan-out's Crew and
+// helps the jobs still running, by doing pieces of work a job offered
+// through its ctx (CrewOf, Crew.Offer), until every job has finished. A
+// run's meter offers the blocks of readings it has yet to take. The job
+// decides what a piece is and folds the pieces in its own order, so
+// helping moves work between workers without moving a byte of output.
+// Helpers open no span and bump no counter, -jobs still bounds the
+// fan-out's goroutines, a nil or one-worker pool never helps, and no
+// goroutine outlives RunRetry.
+//
 // The pool is instrumented through internal/obs — a queue-depth gauge and
 // counters for dispatched, failed, retried, given-up and "stolen" jobs
 // (jobs executed by a worker other than their round-robin home — a
@@ -206,6 +217,9 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 	attempts := r.attempts()
 	parent := tracectx.FromContext(ctx)
 	reports := make([]JobReport, n)
+	// A fan-out of more than one worker carries a crew in its jobs' ctx:
+	// a worker that finds no job left helps the jobs still running.
+	jctx, crew := withCrew(ctx, workers, n)
 	var next int64 = -1
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -215,6 +229,9 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
+					if crew != nil {
+						crew.help()
+					}
 					return
 				}
 				queue.Add(-1)
@@ -225,6 +242,9 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 					reports[i].Err = fmt.Errorf("%w: %w", ErrCancelled, cerr)
 					o.Counter("sched_jobs_cancelled_total").Inc()
 					ts.Bool("cancelled", true).End()
+					if crew != nil {
+						crew.done()
+					}
 					continue
 				}
 				o.Counter("sched_jobs_total").Inc()
@@ -252,7 +272,7 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 					if attempts > 1 {
 						as = ts.ChildIndex("attempt ", "", a)
 					}
-					err = job(tracectx.ContextWith(ctx, as), i, a)
+					err = job(tracectx.ContextWith(jctx, as), i, a)
 					reports[i].Attempts = a
 					if err != nil {
 						as.Str("error", err.Error())
@@ -272,6 +292,9 @@ func (p *Pool) RunRetry(ctx context.Context, label string, n int, r Retry, job f
 					}
 				}
 				ts.End()
+				if crew != nil {
+					crew.done()
+				}
 			}
 		}(w)
 	}

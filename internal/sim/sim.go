@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"powerbench/internal/fault"
 	"powerbench/internal/meter"
@@ -267,7 +268,7 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 	var repair meter.RepairReport
 	var logged int
 	if e.Fault == nil {
-		power, logged = e.Meter.RecordSummary(start, end, p.At, meter.TrimFrac)
+		power, logged = e.record(ctx, &p)
 		meterSpan.Int("samples", logged).End()
 	} else {
 		// Each reading is corrupted as the meter takes it, into the one
@@ -315,6 +316,56 @@ func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (R
 		RampSec:     ramp,
 		SteadyWatts: p.SteadyWatts,
 	}, nil
+}
+
+// record folds the meter's readings of p over the run's window into its
+// Summary. When the run is a job of a crewed fan-out (sched.CrewOf), the
+// idle workers of the fan-out produce blocks of readings beside it. The
+// draw is copied by value into a sharedDraw from the free list, where they
+// can reach it, and the run's own p stays on its stack.
+func (e *Engine) record(ctx context.Context, p *Draw) (meter.Summary, int) {
+	d := sharedDraws.get()
+	d.Draw = *p
+	sum, logged := e.Meter.RecordSummary(&d.rec, sched.CrewOf(ctx), p.Start, p.End, d, meter.TrimFrac)
+	sharedDraws.put(d)
+	return sum, logged
+}
+
+// sharedDraw is a recording's draw and its meter.Shared state, held
+// together and reused, so a run allocates neither.
+type sharedDraw struct {
+	Draw
+	rec  meter.Shared
+	next *sharedDraw
+}
+
+// sharedDraws is the free list of sharedDraws. It holds as many as were
+// ever recording at once, and no more: unlike a sync.Pool, which may keep
+// one per P beside the ones in use, it keeps no idle copy of a ring.
+var sharedDraws drawList
+
+type drawList struct {
+	mu   sync.Mutex
+	head *sharedDraw
+}
+
+func (l *drawList) get() *sharedDraw {
+	l.mu.Lock()
+	d := l.head
+	if d != nil {
+		l.head, d.next = d.next, nil
+	}
+	l.mu.Unlock()
+	if d == nil {
+		d = new(sharedDraw)
+	}
+	return d
+}
+
+func (l *drawList) put(d *sharedDraw) {
+	l.mu.Lock()
+	d.next, l.head = l.head, d
+	l.mu.Unlock()
 }
 
 // wrappedTotals draws gen's windows, has wrap wrap each as it is drawn,
