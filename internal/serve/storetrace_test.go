@@ -467,3 +467,48 @@ func TestStoreFreshTraceAllocs(t *testing.T) {
 		t.Errorf("storing grows with span count: compare %+v, evaluate %+v", costs[1], costs[0])
 	}
 }
+
+// liveHeap returns the heap bytes in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// serve_trace_bytes tells the truth: the stored traces' Size accounts for
+// at least 85% of the heap their entries hold, which is what dropping
+// them frees. A stored Xeon-E5462 evaluate miss trace holds at most
+// 20 KiB; measured: 12,304 B per entry, of which Size counts 11,568. As a
+// tree of 208-byte pointer-laden spans it held 32,592 B, Size 31,152.
+func TestTraceBytesMatchHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full pipeline")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, so heap deltas vary")
+	}
+	const n = 64
+	s := newTestServer(t, Config{})
+	for i := range n {
+		body := `{"server":"Xeon-E5462","seed":` + strconv.Itoa(i+1) + `}`
+		if r := do(s, "POST", "/v1/evaluate", body); r.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", i+1, r.Code, r.Body.String())
+		}
+	}
+	if s.traces.Len() != n {
+		t.Fatalf("%d traces stored, want %d", s.traces.Len(), n)
+	}
+	size := float64(s.traces.Bytes()) / n
+	held := liveHeap()
+	s.traces = newTraceStore(s.cfg.traceEntries())
+	heap := float64(held-liveHeap()) / n
+	t.Logf("%.0f B of heap per stored trace, Size %.0f B (%.0f%%)", heap, size, 100*size/heap)
+	if size < 0.85*heap {
+		t.Errorf("Size counts %.0f B of the %.0f B each stored trace holds, want >= 85%%", size, heap)
+	}
+	if heap > 20<<10 {
+		t.Errorf("a stored evaluate trace holds %.0f B of heap, want <= %d", heap, 20<<10)
+	}
+}

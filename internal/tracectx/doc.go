@@ -7,8 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -71,21 +70,34 @@ type Doc struct {
 	Spans  []SpanDoc `json:"spans"`
 }
 
-// snapshot copies the trace's span list under t.mu, together with the
-// instant un-ended spans close at (the freeze instant of a frozen trace)
-// and the origin header, and orders the copy by path. Export and Render
-// both read spans through it, so they list them in the same order, ties
-// included.
-func (t *Trace) snapshot() (spans []*Span, now int64, origin string) {
-	t.mu.Lock()
-	spans = make([]*Span, len(t.spans))
-	copy(spans, t.spans)
-	now = t.closeNS()
-	origin = t.origin
-	t.mu.Unlock()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].path < spans[j].path })
-	return spans, now, origin
+// row is one span of an ordered trace: its index and its path in the
+// scratch's path bytes.
+type row struct{ i, off, n uint32 }
+
+// order lays out every span's path in sc.paths and returns the spans'
+// rows sorted by path. Export and Render both read spans through it, so
+// they list them in the same order, ties included. The caller holds t.mu.
+func (t *Trace) order(sc *renderScratch) []row {
+	rows, paths := sc.rows[:0], sc.paths[:0]
+	for i := range uint32(t.n) {
+		s := t.spanAt(i)
+		at := len(paths)
+		if i > 0 {
+			p := rows[s.parent]
+			paths = append(append(paths, paths[p.off:p.off+p.n]...), '/')
+		}
+		paths = append(paths, t.bytes(s.name)...)
+		rows = append(rows, row{i, uint32(at), uint32(len(paths) - at)})
+	}
+	slices.SortFunc(rows, func(x, y row) int {
+		return bytes.Compare(paths[x.off:x.off+x.n], paths[y.off:y.off+y.n])
+	})
+	sc.rows, sc.paths = rows, paths
+	return rows
 }
+
+// path returns r's path in the scratch's path bytes.
+func (sc *renderScratch) path(r row) []byte { return sc.paths[r.off : r.off+r.n] }
 
 // Export snapshots the trace into its document form: spans sorted by path,
 // un-ended spans closed at the snapshot instant, and the tree hash computed
@@ -94,36 +106,39 @@ func (t *Trace) Export() *Doc {
 	if t == nil {
 		return nil
 	}
-	spans, now, origin := t.snapshot()
-	docs := make([]SpanDoc, 0, len(spans))
-	for _, s := range spans {
-		s.mu.Lock()
+	sc := renderPool.Get().(*renderScratch)
+	defer renderPool.Put(sc)
+	t.mu.Lock()
+	rows := t.order(sc)
+	now := t.closeNS()
+	docs := make([]SpanDoc, 0, len(rows))
+	for _, r := range rows {
+		s := t.spanAt(r.i)
 		end := s.endNS
 		if !s.ended {
 			end = now
 		}
 		d := SpanDoc{
 			ID:      s.id.String(),
-			Path:    s.path,
-			Name:    s.name,
-			Cat:     s.cat,
+			Path:    string(sc.path(r)),
+			Name:    t.str(s.name),
+			Cat:     t.str(s.cat),
 			StartUS: s.startNS / 1e3,
 			DurUS:   (end - s.startNS) / 1e3,
 			Attrs:   s.exportAttrs(),
 		}
-		if !s.parent.IsZero() {
-			d.Parent = s.parent.String()
+		if r.i != 0 {
+			d.Parent = t.spanAt(s.parent).id.String()
 		}
-		s.mu.Unlock()
 		docs = append(docs, d)
 	}
-
 	doc := &Doc{
 		Schema: Schema,
 		Trace:  t.id.String(),
-		Origin: origin,
+		Origin: t.origin,
 		Spans:  docs,
 	}
+	t.mu.Unlock()
 	for _, d := range docs {
 		if d.Parent == "" {
 			doc.DurationUS = d.DurUS
@@ -135,15 +150,16 @@ func (t *Trace) Export() *Doc {
 }
 
 // exportAttrs returns the span's attrs as a SpanDoc carries them, nil when
-// it has none. The caller holds s.mu.
+// it has none. The caller holds the trace's lock.
 func (s *Span) exportAttrs() map[string]any {
-	n := len(s.attrs) + bits.OnesCount8(s.virt)
-	if n == 0 {
+	if s.attrs == 0 && s.virt == 0 {
 		return nil
 	}
-	attrs := make(map[string]any, n)
-	for i := range s.attrs {
-		attrs[s.attrs[i].key] = s.attrs[i].exported()
+	t := s.t
+	attrs := make(map[string]any)
+	for i := s.attrs; i != 0; i = t.attrs[i-1].next {
+		a := &t.attrs[i-1]
+		attrs[t.str(a.key)] = t.exported(a)
 	}
 	if s.virt&virtT0 != 0 {
 		attrs[keyT0] = typedFloat(s.t0)
@@ -157,10 +173,10 @@ func (s *Span) exportAttrs() map[string]any {
 // exported is an attr's value as Export puts it in a SpanDoc: the value
 // Attr was given, or the typed value in its Go type (a non-finite float as
 // its string).
-func (a *attr) exported() any {
+func (t *Trace) exported(a *attr) any {
 	switch a.kind {
 	case kindString:
-		return a.str
+		return t.str(a.strRef())
 	case kindInt:
 		return int(int64(a.num))
 	case kindFloat:
@@ -168,7 +184,7 @@ func (a *attr) exported() any {
 	case kindBool:
 		return a.num != 0
 	}
-	return a.val
+	return t.vals[a.num]
 }
 
 // typedFloat is a typed float as Export puts it in a SpanDoc.
@@ -199,94 +215,40 @@ type Stored struct {
 	Spans      int
 }
 
-// renderScratch holds Render's working buffers between calls.
+// renderScratch holds the working buffers of Render and Export between
+// calls.
 type renderScratch struct {
-	canon, pipe, spans, doc []byte
-	indent                  bytes.Buffer
+	canon, pipe, spans, doc, paths []byte
+	rows                           []row
+	indent                         bytes.Buffer
 }
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
 
 // Render snapshots the trace and renders its stored document with m's
-// metadata in one pass over the spans, without building a Doc. Each span
-// is read once under its own lock, and in that visit its canonical form is
-// appended to the tree-hash rendering and its full form to the document,
-// so a span still being written cannot make the hashes disagree with the
-// body. A value passed through Attr that encoding/json cannot render (NaN,
-// ±Inf) is an error, as it is for json.MarshalIndent; typed attrs always
-// render. A nil trace renders nothing.
+// metadata in one pass over the spans, without building a Doc. The spans
+// are read under the trace's lock, and in that visit each span's canonical
+// form is appended to the tree-hash rendering and its full form to the
+// document, so a span still being written cannot make the hashes disagree
+// with the body. A value passed through Attr that encoding/json cannot
+// render (NaN, ±Inf) is an error, as it is for json.MarshalIndent; typed
+// attrs always render. A nil trace renders nothing.
 func (t *Trace) Render(m Meta) (Stored, error) {
 	if t == nil {
 		return Stored{}, nil
 	}
-	spans, now, origin := t.snapshot()
 	sc := renderPool.Get().(*renderScratch)
 	defer renderPool.Put(sc)
-
-	// canon is the tree-hash rendering; pipe, started at the first cluster
-	// span, is the same rendering without cluster spans.
-	canon := appendCanonicalHead(sc.canon[:0], "")
-	var pipe []byte
-	pipeSpans := 0
-	body := sc.spans[:0]
-	var durUS int64
-	rooted := false
-	var idHex, parentHex [2 * len(SpanID{})]byte
-	for i, s := range spans {
-		hex.Encode(idHex[:], s.id[:])
-		parent := parentHex[:0]
-		if !s.parent.IsZero() {
-			hex.Encode(parentHex[:], s.parent[:])
-			parent = parentHex[:]
-		}
-		mark := len(canon)
-		if i > 0 {
-			canon = append(canon, ',')
-			body = append(body, ',')
-		}
-		at := len(canon)
-
-		s.mu.Lock()
-		end := s.endNS
-		if !s.ended {
-			end = now
-		}
-		cat := s.cat
-		canon = appendSpanHead(canon, idHex[:], parent, s.path, s.name, cat)
-		head := len(canon)
-		var err error
-		canon, err = appendAttrs(canon, s.attrs, s.virt, s.t0, s.t1)
-		startUS, spanUS := s.startNS/1e3, (end-s.startNS)/1e3
-		s.mu.Unlock()
-		if err != nil {
-			return Stored{}, err
-		}
-
-		body = append(body, canon[at:head]...)
-		body = appendSpanTimes(body, startUS, spanUS)
-		body = append(body, canon[head:]...)
-		if !rooted && len(parent) == 0 {
-			durUS, rooted = spanUS, true
-		}
-		switch {
-		case cat == CatCluster:
-			if pipe == nil {
-				pipe = append(sc.pipe[:0], canon[:mark]...)
-				pipeSpans = i
-			}
-		case pipe != nil:
-			if pipeSpans > 0 {
-				pipe = append(pipe, ',')
-			}
-			pipe = append(pipe, canon[at:]...)
-			pipeSpans++
-		}
+	t.mu.Lock()
+	durUS, spans, pipe, err := t.renderSpans(sc)
+	origin := t.origin
+	t.mu.Unlock()
+	if err != nil {
+		return Stored{}, err
 	}
-	canon = append(canon, "]}"...)
-	tree := sha256.Sum256(canon)
+	tree := sha256.Sum256(sc.canon)
 	pipeline := tree
 	if pipe != nil {
-		pipe = append(pipe, "]}"...)
 		pipeline = sha256.Sum256(pipe)
 	}
 
@@ -308,10 +270,10 @@ func (t *Trace) Render(m Meta) (Stored, error) {
 	doc = append(doc, `","pipeline_hash":"`...)
 	doc = hex.AppendEncode(doc, pipeline[:])
 	doc = append(doc, `","spans":[`...)
-	doc = append(doc, body...)
+	doc = append(doc, sc.spans...)
 	doc = append(doc, "]}"...)
 
-	sc.canon, sc.pipe, sc.spans, sc.doc = canon, pipe, body, doc
+	sc.doc = doc
 	sc.indent.Reset()
 	if err := json.Indent(&sc.indent, doc, "", "  "); err != nil {
 		return Stored{}, err
@@ -319,7 +281,72 @@ func (t *Trace) Render(m Meta) (Stored, error) {
 	out := make([]byte, sc.indent.Len()+1)
 	copy(out, sc.indent.Bytes())
 	out[len(out)-1] = '\n'
-	return Stored{Body: out, Trace: t.id.String(), DurationUS: durUS, Spans: len(spans)}, nil
+	return Stored{Body: out, Trace: t.id.String(), DurationUS: durUS, Spans: spans}, nil
+}
+
+// renderSpans renders every span in path order: the tree-hash rendering
+// into sc.canon and the document's span list into sc.spans. It returns the
+// root's duration, the span count and, when a cluster span exists, the
+// tree-hash rendering without cluster spans. The caller holds t.mu.
+func (t *Trace) renderSpans(sc *renderScratch) (durUS int64, spans int, pipe []byte, err error) {
+	rows := t.order(sc)
+	now := t.closeNS()
+	canon := appendCanonicalHead(sc.canon[:0], "")
+	pipeSpans := 0
+	body := sc.spans[:0]
+	var idHex, parentHex [2 * len(SpanID{})]byte
+	for k, r := range rows {
+		s := t.spanAt(r.i)
+		hex.Encode(idHex[:], s.id[:])
+		parent := parentHex[:0]
+		if r.i != 0 {
+			hex.Encode(parentHex[:], t.spanAt(s.parent).id[:])
+			parent = parentHex[:]
+		}
+		mark := len(canon)
+		if k > 0 {
+			canon = append(canon, ',')
+			body = append(body, ',')
+		}
+		at := len(canon)
+		cat := t.bytes(s.cat)
+		canon = appendSpanHead(canon, idHex[:], parent, sc.path(r), t.bytes(s.name), cat)
+		head := len(canon)
+		if canon, err = t.appendAttrs(canon, s); err != nil {
+			return 0, 0, nil, err
+		}
+		end := s.endNS
+		if !s.ended {
+			end = now
+		}
+		startUS, spanUS := s.startNS/1e3, (end-s.startNS)/1e3
+		body = append(body, canon[at:head]...)
+		body = appendSpanTimes(body, startUS, spanUS)
+		body = append(body, canon[head:]...)
+		if r.i == 0 {
+			durUS = spanUS
+		}
+		switch {
+		case string(cat) == CatCluster:
+			if pipe == nil {
+				pipe = append(sc.pipe[:0], canon[:mark]...)
+				pipeSpans = k
+			}
+		case pipe != nil:
+			if pipeSpans > 0 {
+				pipe = append(pipe, ',')
+			}
+			pipe = append(pipe, canon[at:]...)
+			pipeSpans++
+		}
+	}
+	canon = append(canon, "]}"...)
+	if pipe != nil {
+		pipe = append(pipe, "]}"...)
+		sc.pipe = pipe
+	}
+	sc.canon, sc.spans = canon, body
+	return durUS, len(rows), pipe, nil
 }
 
 // appendMember appends an omitempty string member: name (with its leading

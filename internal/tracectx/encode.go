@@ -18,8 +18,8 @@ import (
 // appendSpanHead opens a span object and appends its identity fields: id,
 // parent (omitted when empty), path, name and cat (omitted when empty). The
 // caller may append the wall-time members before closing the object with
-// appendSpanAttrs.
-func appendSpanHead[T string | []byte](b []byte, id, parent T, path, name, cat string) []byte {
+// appendSpanAttrs or appendAttrs.
+func appendSpanHead[T string | []byte](b []byte, id, parent, path, name, cat T) []byte {
 	b = append(b, `{"id":`...)
 	b = appendString(b, id)
 	if len(parent) > 0 {
@@ -30,7 +30,7 @@ func appendSpanHead[T string | []byte](b []byte, id, parent T, path, name, cat s
 	b = appendString(b, path)
 	b = append(b, `,"name":`...)
 	b = appendString(b, name)
-	if cat != "" {
+	if len(cat) > 0 {
 		b = append(b, `,"cat":`...)
 		b = appendString(b, cat)
 	}
@@ -46,18 +46,34 @@ func appendSpanTimes(b []byte, startUS, durUS int64) []byte {
 	return b
 }
 
-// appendSpanAttrs appends a document span's attrs member and closes the
-// span object, as appendAttrs does for a recorded span.
+// appendSpanAttrs appends a document span's attrs member (omitted when
+// empty), its keys in bytewise order as encoding/json sorts them, and
+// closes the span object, as appendAttrs does for a recorded span.
 func appendSpanAttrs(b []byte, attrs map[string]any) ([]byte, error) {
-	var abuf [16]attr
-	list := abuf[:0]
-	for k, v := range attrs {
-		list = append(list, attr{key: k, kind: kindAny, val: v})
+	if len(attrs) == 0 {
+		return append(b, '}'), nil
 	}
-	return appendAttrs(b, list, 0, 0, 0)
+	var kbuf [16]string
+	keys := kbuf[:0]
+	for k := range attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, `,"attrs":{`...)
+	for n, k := range keys {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendString(b, k), ':')
+		var err error
+		if b, err = appendValue(b, attrs[k]); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "}}"...), nil
 }
 
-// attrRef names one attr to render: attrs[i], or for i < 0 the virtual
+// attrRef names one attr to render: t.attrs[i], or for i < 0 the virtual
 // clock value t0 (refT0) or t1 (refT1).
 type attrRef struct {
 	key string
@@ -69,20 +85,21 @@ const (
 	refT1
 )
 
-// appendAttrs appends the attrs member (omitted when empty) of attrs and
-// the virtual-clock values virt marks, its keys in bytewise order as
-// encoding/json sorts them, and closes the span object. A value json.Marshal
-// rejects (NaN, ±Inf or a channel passed through Attr) is an error.
-func appendAttrs(b []byte, attrs []attr, virt uint8, t0, t1 float64) ([]byte, error) {
+// appendAttrs appends the attrs member (omitted when empty) of span s:
+// its attrs and the virtual-clock values s.virt marks, keys in bytewise
+// order as encoding/json sorts them, and closes the span object. A value
+// json.Marshal rejects (NaN, ±Inf or a channel passed through Attr) is an
+// error. The caller holds t.mu.
+func (t *Trace) appendAttrs(b []byte, s *Span) ([]byte, error) {
 	var rbuf [16]attrRef
 	refs := rbuf[:0]
-	for i := range attrs {
-		refs = append(refs, attrRef{attrs[i].key, i})
+	for i := s.attrs; i != 0; i = t.attrs[i-1].next {
+		refs = append(refs, attrRef{t.str(t.attrs[i-1].key), int(i - 1)})
 	}
-	if virt&virtT0 != 0 {
+	if s.virt&virtT0 != 0 {
 		refs = append(refs, attrRef{keyT0, refT0})
 	}
-	if virt&virtT1 != 0 {
+	if s.virt&virtT1 != 0 {
 		refs = append(refs, attrRef{keyT1, refT1})
 	}
 	if len(refs) == 0 {
@@ -98,12 +115,12 @@ func appendAttrs(b []byte, attrs []attr, virt uint8, t0, t1 float64) ([]byte, er
 		b = append(b, ':')
 		switch r.i {
 		case refT0:
-			b = appendTypedFloat(b, t0)
+			b = appendTypedFloat(b, s.t0)
 		case refT1:
-			b = appendTypedFloat(b, t1)
+			b = appendTypedFloat(b, s.t1)
 		default:
 			var err error
-			if b, err = appendAttr(b, &attrs[r.i]); err != nil {
+			if b, err = t.appendAttr(b, &t.attrs[r.i]); err != nil {
 				return nil, err
 			}
 		}
@@ -112,10 +129,10 @@ func appendAttrs(b []byte, attrs []attr, virt uint8, t0, t1 float64) ([]byte, er
 }
 
 // appendAttr appends one recorded attr's value.
-func appendAttr(b []byte, a *attr) ([]byte, error) {
+func (t *Trace) appendAttr(b []byte, a *attr) ([]byte, error) {
 	switch a.kind {
 	case kindString:
-		return appendString(b, a.str), nil
+		return appendString(b, t.bytes(a.strRef())), nil
 	case kindInt:
 		return strconv.AppendInt(b, int64(a.num), 10), nil
 	case kindFloat:
@@ -123,7 +140,7 @@ func appendAttr(b []byte, a *attr) ([]byte, error) {
 	case kindBool:
 		return strconv.AppendBool(b, a.num != 0), nil
 	}
-	return appendValue(b, a.val)
+	return appendValue(b, t.vals[a.num])
 }
 
 // appendTypedFloat appends a float recorded through Float or SetVirtual:

@@ -2,6 +2,7 @@ package tracectx
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,5 +147,12 @@ func TestTraceSize(t *testing.T) {
 	}
 	if tr.Size() <= small {
 		t.Errorf("41 spans: size %d, no more than the inline %d", tr.Size(), small)
+	}
+	// Keys and string values are copied into the arena, so they count: the
+	// arena grows past both, less the arena it replaces.
+	before := tr.Size()
+	tr.Root().Str(strings.Repeat("k", 1024), strings.Repeat("v", 4096))
+	if grew := tr.Size() - before; grew < 4096 {
+		t.Errorf("a 1 KiB key and a 4 KiB value grew the size by %d bytes, want >= 4096", grew)
 	}
 }

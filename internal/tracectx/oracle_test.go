@@ -73,15 +73,11 @@ func oracleRehash(d *Doc) error {
 // with hex-encoded ids, sorted by path, hashed through oracleRehash.
 func oracleExport(t *Trace) (*Doc, error) {
 	t.mu.Lock()
-	spans := make([]*Span, len(t.spans))
-	copy(spans, t.spans)
 	now := int64(time.Since(t.epoch))
 	origin := t.origin
-	t.mu.Unlock()
-
-	docs := make([]SpanDoc, 0, len(spans))
-	for _, s := range spans {
-		s.mu.Lock()
+	docs := make([]SpanDoc, 0, t.n)
+	for i := range uint32(t.n) {
+		s := t.spanAt(i)
 		end := s.endNS
 		if !s.ended {
 			end = now
@@ -89,19 +85,20 @@ func oracleExport(t *Trace) (*Doc, error) {
 		attrs := s.exportAttrs()
 		d := SpanDoc{
 			ID:      hex.EncodeToString(s.id[:]),
-			Path:    s.path,
-			Name:    s.name,
-			Cat:     s.cat,
+			Path:    oraclePath(t, s),
+			Name:    string(t.bytes(s.name)),
+			Cat:     string(t.bytes(s.cat)),
 			StartUS: s.startNS / 1e3,
 			DurUS:   (end - s.startNS) / 1e3,
 			Attrs:   attrs,
 		}
-		if !s.parent.IsZero() {
-			d.Parent = hex.EncodeToString(s.parent[:])
+		if i != 0 {
+			p := t.spanAt(s.parent)
+			d.Parent = hex.EncodeToString(p.id[:])
 		}
-		s.mu.Unlock()
 		docs = append(docs, d)
 	}
+	t.mu.Unlock()
 	sort.Slice(docs, func(i, j int) bool { return docs[i].Path < docs[j].Path })
 	doc := &Doc{Schema: Schema, Trace: hex.EncodeToString(t.id[:]), Origin: origin, Spans: docs}
 	for _, d := range docs {
@@ -111,6 +108,14 @@ func oracleExport(t *Trace) (*Doc, error) {
 		}
 	}
 	return doc, oracleRehash(doc)
+}
+
+// oraclePath joins the names from the root down to s.
+func oraclePath(t *Trace, s *Span) string {
+	if s.index == 0 {
+		return string(t.bytes(s.name))
+	}
+	return oraclePath(t, t.spanAt(s.parent)) + "/" + string(t.bytes(s.name))
 }
 
 // oracleBody is the stored body the reflection path produced.
@@ -168,7 +173,10 @@ func checkRender(t *testing.T, tr *Trace, m Meta) {
 // render the same durations.
 func endAll(tr *Trace) {
 	tr.mu.Lock()
-	spans := append([]*Span(nil), tr.spans...)
+	spans := make([]*Span, tr.n)
+	for i := range spans {
+		spans[i] = tr.spanAt(uint32(i))
+	}
 	tr.mu.Unlock()
 	for _, s := range spans {
 		s.End()
@@ -272,6 +280,11 @@ func FuzzTraceRender(f *testing.F) {
 	f.Add("sub", "s", " ", 5e-324, int64(42), false, "k", byte(1))
 	f.Add("edge", "e", "y", 1e-6, int64(7), true, "k", byte(0))
 	f.Add("edge", "e", "y", 999999999999999999999.0, int64(7), true, "k", byte(0))
+	// A path at the hash buffer's limit, strings that outgrow the arena's
+	// doubling, and keys and values that need escaping.
+	f.Add(strings.Repeat("n", derivBuf-len(ID{})-len("POST /v1/evaluate/")), "k", "v", 1.5, int64(1), true, "k", byte(1))
+	f.Add("run", strings.Repeat("k", 300), strings.Repeat("v", 600), 2.5, int64(65537), false, "k", byte(7))
+	f.Add("ü<>", "é\t<>&", "\x01\x7f\xffü", -0.5, int64(-300), true, "é", byte(5))
 	f.Fuzz(func(t *testing.T, name, key, sval string, fval float64, ival int64, bval bool, reqKey string, shape byte) {
 		tr := New(DeriveID(reqKey), "POST /v1/evaluate", "serve")
 		if shape&2 != 0 {

@@ -23,6 +23,11 @@
 // payload: where did the time go), they are just quarantined to the
 // non-canonical fields of the exported document.
 //
+// A trace is compact and nearly pointer-free: an 80-byte Span whose only
+// pointer is its trace, and every span name, category, attr key and string
+// value copied into one per-trace byte arena. Paths are not stored; they
+// are rebuilt from the names when a child is opened or the trace renders.
+//
 // Every entry point is nil-safe the way internal/obs is: a nil *Trace or
 // nil *Span turns the layer into a no-op costing one pointer comparison, so
 // instrumented pipeline code needs no conditional wiring. For an untraced
@@ -36,9 +41,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -104,120 +109,157 @@ const derivBuf = 256
 // computed locally hash to the same pipeline identity.
 const CatCluster = "cluster"
 
-// Trace collects the spans of one request. Spans may be created and ended
-// from any goroutine; the trace serializes its span list under a mutex.
+// Trace collects the spans of one request. Spans may be created, written
+// and ended from any goroutine; the trace's mutex guards every span write.
 //
-// A trace owns the storage of its spans. Spans live in per-trace chunks
-// that grow geometrically, their paths in a per-trace byte arena, and attrs
-// past a span's inline one in per-trace attr chunks. The root, the first
-// span chunk and the first arena chunk are inline, so a short trace (a
-// cache hit: the root and one child) is one allocation.
+// A trace owns the storage of its spans, and all of it but the span chunks
+// and the boxed Attr values is pointer-free. Spans live in per-trace chunks
+// that grow geometrically and never move, so a *Span stays valid. Names,
+// categories, attr keys and string values live in a byte arena, and attrs
+// in an attr slice; both grow by doubling and are addressed by offset, so
+// growing them moves nothing a span refers to. Values boxed through Attr
+// go to a side slice. The first two spans, the first attr and the first
+// arena bytes are inline, so a short trace (a cache hit: the root and one
+// child with one attr) is one allocation.
 //
 // Freeze ends a trace's recording, so a trace store can keep the spans
 // and render the document only when someone reads it.
 type Trace struct {
 	mu     sync.Mutex
+	frozen bool // set once by Freeze
 	id     ID
 	epoch  time.Time
+	endNS  int64  // the instant Freeze closed un-ended spans at
 	origin string // the incoming W3C traceparent, non-canonical metadata
-	// frozen is set once by Freeze, under mu; endNS is the instant its
-	// un-ended spans close at. Span writers read frozen under their
-	// span's lock.
-	frozen atomic.Bool
-	endNS  int64
-	// held counts the heap bytes of the span chunks, arena chunks and
-	// attr chunks added so far (Size).
-	held int
-	// spans indexes every span, the root first. It grows with the span
-	// chunks, so it reallocates at most when a chunk is added.
-	spans []*Span
-	// free, arena and attrFree are the unused tails of the current span
-	// chunk, path arena chunk and attr chunk; chunk is the size of the
-	// last span chunk.
-	free     []Span
-	chunk    int
-	arena    []byte
-	attrFree []attr
-	root     Span
-	first    [firstSpans]Span
-	index    [1 + firstSpans]*Span
-	pathBuf  [firstArena]byte
+	// n counts the spans, root included. Span i < firstSpans is first[i];
+	// later ones are in chunks (chunkOf).
+	n      int
+	chunks [][]Span
+	arena  []byte
+	attrs  []attr
+	vals   []any
+	first  [firstSpans]Span
+	attr0  [firstAttrs]attr
+	bytes0 [firstArena]byte
 }
 
-// Chunk sizes. The inline first chunk and arena fit a cache-hit trace;
-// later span chunks double from 8 up to maxSpans spans, arena chunks from
-// minArena up to maxArena bytes, and attr chunks hold attrChunk attrs.
+// Storage sizes. The inline spans, attrs and arena fit a cache-hit trace;
+// later span chunks double from minSpans up to maxSpans spans, and the
+// arena and attr slice double from minArena bytes and minAttrs attrs.
 const (
-	firstSpans = 1
-	firstArena = 32
+	firstSpans = 2
+	firstAttrs = 1
+	firstArena = 64
+	minSpans   = 4
 	maxSpans   = 32
-	minArena   = 1024
-	maxArena   = 8192
-	attrChunk  = 32
-	// spillAttrs is the capacity a span's attrs move to, carved from the
-	// trace's attr chunk, when its inline attr is taken.
-	spillAttrs = 4
+	minArena   = 256
+	minAttrs   = 8
+	// firstChunks is the chunk list's first capacity: an evaluation's
+	// 83–104 spans fill 5 or 6 chunks.
+	firstChunks = 8
+	// growChunks is the number of doubling span chunks, and growSpans the
+	// spans they hold.
+	growChunks = 4
+	growSpans  = minSpans<<growChunks - minSpans
 )
+
+// chunkOf maps span firstSpans+j to its chunk and its offset there.
+func chunkOf(j int) (k, off int) {
+	if j >= growSpans {
+		j -= growSpans
+		return growChunks + j/maxSpans, j % maxSpans
+	}
+	k = bits.Len(uint(j/minSpans+1)) - 1
+	return k, j - minSpans*(1<<k-1)
+}
+
+// chunkLen is the number of spans chunk k holds.
+func chunkLen(k int) int {
+	if k >= growChunks {
+		return maxSpans
+	}
+	return minSpans << k
+}
 
 // New starts a trace with the given id and a root span. The root's id is
 // DeriveSpanID(id, rootName), so it is reproducible from the outside — the
 // serve layer emits it in the response traceparent before the request has
 // even computed.
 func New(id ID, rootName, cat string) *Trace {
-	t := &Trace{id: id, epoch: time.Now()}
-	t.root.t = t
-	t.root.id = DeriveSpanID(id, rootName)
-	t.root.path = rootName
-	t.root.name = rootName
-	t.root.cat = cat
-	t.spans = append(t.index[:0], &t.root)
-	t.free = t.first[:]
-	t.arena = t.pathBuf[:0]
+	t := &Trace{id: id, epoch: time.Now(), n: 1}
+	t.arena = t.bytes0[:0]
+	t.attrs = t.attr0[:0]
+	r := &t.first[0]
+	r.t = t
+	r.id = DeriveSpanID(id, rootName)
+	r.name = put(t, rootName)
+	r.cat = put(t, cat)
 	return t
+}
+
+// spanAt returns span i. The caller holds t.mu.
+func (t *Trace) spanAt(i uint32) *Span {
+	if i < firstSpans {
+		return &t.first[i]
+	}
+	k, off := chunkOf(int(i) - firstSpans)
+	return &t.chunks[k][off]
 }
 
 // newSpan takes the next span slot, adding a chunk when the current one is
 // full. The caller holds t.mu.
 func (t *Trace) newSpan() *Span {
-	if len(t.free) == 0 {
-		t.chunk = min(max(2*t.chunk, 8), maxSpans)
-		t.free = make([]Span, t.chunk)
-		t.held += t.chunk * int(unsafe.Sizeof(Span{}))
-		if need := len(t.spans) + t.chunk; cap(t.spans) < need {
-			idx := make([]*Span, len(t.spans), max(2*cap(t.spans), need))
-			copy(idx, t.spans)
-			t.spans = idx
+	i := t.n
+	t.n++
+	if i < firstSpans {
+		t.first[i].index = uint32(i)
+		return &t.first[i]
+	}
+	k, off := chunkOf(i - firstSpans)
+	if off == 0 {
+		if t.chunks == nil {
+			t.chunks = make([][]Span, 0, firstChunks)
 		}
+		t.chunks = append(t.chunks, make([]Span, chunkLen(k)))
 	}
-	c := &t.free[0]
-	t.free = t.free[1:]
-	return c
+	sp := &t.chunks[k][off]
+	sp.index = uint32(i)
+	return sp
 }
 
-// intern copies p into the trace's path arena and returns it as a string
-// over the arena's bytes, which are never written again. The caller holds
-// t.mu.
-func (t *Trace) intern(p []byte) string {
-	if cap(t.arena)-len(t.arena) < len(p) {
-		n := min(max(2*cap(t.arena), minArena), maxArena)
-		t.arena = make([]byte, 0, max(n, len(p)))
-		t.held += cap(t.arena)
+// ref names a run of bytes in the trace's arena.
+type ref struct{ off, n uint32 }
+
+// put copies b into the trace's arena, doubling it when it is full, and
+// returns its ref. Bytes in the arena are never written again. The caller
+// holds t.mu.
+func put[T string | []byte](t *Trace, b T) ref {
+	if len(t.arena)+len(b) > cap(t.arena) {
+		grown := make([]byte, len(t.arena), max(2*cap(t.arena), minArena, len(t.arena)+len(b)))
+		copy(grown, t.arena)
+		t.arena = grown
 	}
-	at := len(t.arena)
-	t.arena = append(t.arena, p...)
-	return unsafe.String(&t.arena[at], len(p))
+	r := ref{uint32(len(t.arena)), uint32(len(b))}
+	t.arena = append(t.arena, b...)
+	return r
 }
 
-// carveAttrs returns an empty attr slice of capacity n from the trace's
-// attr chunk. The caller holds t.mu.
-func (t *Trace) carveAttrs(n int) []attr {
-	if len(t.attrFree) < n {
-		t.attrFree = make([]attr, max(attrChunk, n))
-		t.held += len(t.attrFree) * int(unsafe.Sizeof(attr{}))
+// bytes returns the arena bytes r names. The caller holds t.mu.
+func (t *Trace) bytes(r ref) []byte { return t.arena[r.off : r.off+r.n : r.off+r.n] }
+
+// str returns the arena bytes r names as a string that shares them, which
+// is safe because arena bytes are never written again.
+func (t *Trace) str(r ref) string {
+	return unsafe.String(unsafe.SliceData(t.arena[r.off:]), r.n)
+}
+
+// appendPath appends span s's path, the /-joined names from the root. The
+// caller holds t.mu.
+func (t *Trace) appendPath(b []byte, s *Span) []byte {
+	if s.index != 0 {
+		b = append(t.appendPath(b, t.spanAt(s.parent)), '/')
 	}
-	blk := t.attrFree[:0:n]
-	t.attrFree = t.attrFree[n:]
-	return blk
+	return append(b, t.bytes(s.name)...)
 }
 
 // ID returns the trace id; a nil trace returns the zero id.
@@ -236,14 +278,16 @@ func (t *Trace) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.n
 }
 
 // Freeze ends the trace's recording: spans still open close at this
 // instant, and every later Child, ChildCat, ChildJoin or ChildIndex
 // (which return nil), attr, SetVirtual, End and SetOrigin is dropped. So
 // every Render and Export after it is byte-identical, whatever goroutines
-// still hold the trace's spans. Freezing again changes nothing.
+// still hold the trace's spans. Freezing again changes nothing. Every span
+// write takes the trace's lock and checks the flag, so setting it under
+// that lock is all a freeze takes.
 //
 // It reports an error, as Render would, when a value passed through Attr
 // cannot render (NaN, ±Inf, a channel): a trace Freeze accepted always
@@ -253,25 +297,20 @@ func (t *Trace) Freeze() error {
 		return nil
 	}
 	t.mu.Lock()
-	if !t.frozen.Load() {
+	if !t.frozen {
 		t.endNS = int64(time.Since(t.epoch))
-		t.frozen.Store(true)
+		t.frozen = true
 	}
-	spans := t.spans
+	vals := t.vals
 	t.mu.Unlock()
-	// A writer that took its span's lock before the freeze finishes before
-	// this visit does; one that takes it after sees frozen and drops.
-	var err error
-	for _, s := range spans {
-		s.mu.Lock()
-		for i := range s.attrs {
-			if a := &s.attrs[i]; a.kind == kindAny && err == nil {
-				_, err = appendValue(nil, a.val)
-			}
+	// Nothing writes vals once the trace is frozen; a replaced value was
+	// cleared to nil, so each entry is an attr Render writes.
+	for _, v := range vals {
+		if _, err := appendValue(nil, v); err != nil {
+			return err
 		}
-		s.mu.Unlock()
 	}
-	return err
+	return nil
 }
 
 // DurationUS returns the root span's wall duration in microseconds, the
@@ -282,42 +321,45 @@ func (t *Trace) DurationUS() int64 {
 		return 0
 	}
 	t.mu.Lock()
-	now := t.closeNS()
-	t.mu.Unlock()
-	r := &t.root
-	r.mu.Lock()
+	defer t.mu.Unlock()
+	r := &t.first[0]
 	end := r.endNS
 	if !r.ended {
-		end = now
+		end = t.closeNS()
 	}
-	r.mu.Unlock()
 	return (end - r.startNS) / 1e3
 }
 
 // closeNS returns the instant un-ended spans close at: the freeze
 // instant, or the current time since the epoch. The caller holds t.mu.
 func (t *Trace) closeNS() int64 {
-	if t.frozen.Load() {
+	if t.frozen {
 		return t.endNS
 	}
 	return int64(time.Since(t.epoch))
 }
 
-// Size returns the heap bytes the trace holds for its spans: the Trace
-// itself, its span chunks and index, and its path arena and attr chunks.
-// Strings an attr refers to and values boxed through Attr are not
-// counted. A nil trace holds none.
+// Size returns the heap bytes the trace holds: the Trace itself, its span
+// chunks and their list, the arena with every name, category, attr key
+// and string value, the attr slice, and the side slice of Attr values
+// (not the values it boxes). A nil trace holds none.
 func (t *Trace) Size() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := int(unsafe.Sizeof(*t)) + t.held
-	if cap(t.spans) > len(t.index) {
-		n += cap(t.spans) * int(unsafe.Sizeof(t.spans[0]))
+	n := int(unsafe.Sizeof(*t)) + cap(t.chunks)*int(unsafe.Sizeof(t.chunks[0]))
+	for _, c := range t.chunks {
+		n += cap(c) * int(unsafe.Sizeof(c[0]))
 	}
-	return n
+	if cap(t.arena) > firstArena {
+		n += cap(t.arena)
+	}
+	if cap(t.attrs) > firstAttrs {
+		n += cap(t.attrs) * int(unsafe.Sizeof(attr{}))
+	}
+	return n + cap(t.vals)*int(unsafe.Sizeof(t.vals[0]))
 }
 
 // FormatRef renders an exemplar reference in one stack buffer:
@@ -343,7 +385,7 @@ func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return &t.root
+	return &t.first[0]
 }
 
 // SetOrigin records the incoming W3C traceparent header (metadata only; it
@@ -353,32 +395,33 @@ func (t *Trace) SetOrigin(traceparent string) {
 		return
 	}
 	t.mu.Lock()
-	if !t.frozen.Load() {
+	if !t.frozen {
 		t.origin = traceparent
 	}
 	t.mu.Unlock()
 }
 
-// Span is one node of the trace tree. A nil span is a no-op.
+// Span is one node of the trace tree. A nil span is a no-op. Its trace's
+// lock guards every field but t, id, index, parent and name, which are set
+// when the span opens.
 type Span struct {
-	t      *Trace
-	id     SpanID
-	parent SpanID
-	path   string // in the trace's arena; the root's is its name
-	name   string // the last element of path, sharing its bytes
-	cat    string
-
-	mu      sync.Mutex
+	t     *Trace
+	id    SpanID
+	index uint32 // in the trace; the root is 0
+	// parent is the parent's index; name and cat are in the arena.
+	parent  uint32
+	name    ref
+	cat     ref
 	startNS int64 // relative to the trace epoch
 	endNS   int64
-	ended   bool
+	t0, t1  float64
+	// attrs is 1 + the index of the span's latest new attr in the trace's
+	// attr slice, 0 when it has none; each attr links to the one before.
+	attrs uint32
+	ended bool
 	// virt marks which of the virtual-clock attrs sim_t0 (t0) and sim_t1
 	// (t1) are set; they render among attrs under those keys.
-	virt   uint8
-	t0, t1 float64
-	// attrs starts in inline and moves to a carved chunk when it fills.
-	attrs  []attr
-	inline [1]attr
+	virt uint8
 }
 
 // The virt bits and the keys they render under.
@@ -402,15 +445,19 @@ const (
 	kindBool
 )
 
-// attr is one recorded key/value pair: a typed value in num (int64 or
-// float64 bits, or 0/1) or str, or an Attr value in val.
+// attr is one recorded key/value pair, with its key in the arena. num holds
+// the value: int64 or float64 bits, 0 or 1, a string's arena ref (offset in
+// the high half, length in the low), or an Attr value's index in the
+// trace's vals.
 type attr struct {
-	key  string
+	key  ref
+	next uint32 // 1 + the index of the span's previous attr; 0 ends the list
 	kind attrKind
 	num  uint64
-	str  string
-	val  any
 }
+
+// strRef is a string attr's value.
+func (a *attr) strRef() ref { return ref{uint32(a.num >> 32), uint32(a.num)} }
 
 // Child opens a sub-span. The child's id derives from the parent's path
 // plus the child's name; give siblings distinct names (the pipeline bakes
@@ -419,7 +466,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.child(s.cat, "", "", name, false, 0)
+	return s.child("", false, "", "", name, false, 0)
 }
 
 // ChildCat opens a sub-span with an explicit category instead of inheriting
@@ -429,7 +476,7 @@ func (s *Span) ChildCat(name, cat string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.child(cat, "", "", name, false, 0)
+	return s.child(cat, true, "", "", name, false, 0)
 }
 
 // ChildJoin opens a sub-span named prefix+name ("run "+model, "state "+
@@ -438,7 +485,7 @@ func (s *Span) ChildJoin(prefix, name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.child(s.cat, prefix, "", name, false, 0)
+	return s.child("", false, prefix, "", name, false, 0)
 }
 
 // ChildIndex opens a sub-span named prefix+infix+i, i in decimal ("sim"+
@@ -447,35 +494,38 @@ func (s *Span) ChildIndex(prefix, infix string, i int) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.child(s.cat, prefix, infix, "", true, i)
+	return s.child("", false, prefix, infix, "", true, i)
 }
 
-// child opens the sub-span named a+b+c, then i in decimal when indexed.
-// The path is built behind the trace id in the buffer its id hashes from,
-// as DeriveSpanID does, and copied into the arena under the trace's lock.
-func (s *Span) child(cat, a, b, c string, indexed bool, i int) *Span {
+// child opens the sub-span named a+b+c, then i in decimal when indexed, in
+// category cat when setCat is set and the parent's otherwise. The path is
+// built behind the trace id in the buffer its id hashes from, as
+// DeriveSpanID does; only the name is copied into the arena.
+func (s *Span) child(cat string, setCat bool, a, b, c string, indexed bool, i int) *Span {
 	t := s.t
 	var buf [derivBuf]byte
-	p := append(append(buf[:0], t.id[:]...), s.path...)
-	p = append(append(append(append(p, '/'), a...), b...), c...)
+	t.mu.Lock()
+	if t.frozen {
+		t.mu.Unlock()
+		return nil
+	}
+	p := append(t.appendPath(append(buf[:0], t.id[:]...), s), '/')
+	at := len(p)
+	p = append(append(append(p, a...), b...), c...)
 	if indexed {
 		p = strconv.AppendInt(p, int64(i), 10)
 	}
 	sum := sha256.Sum256(p)
-	t.mu.Lock()
-	if t.frozen.Load() {
-		t.mu.Unlock()
-		return nil
-	}
 	sp := t.newSpan()
 	sp.t = t
 	copy(sp.id[:], sum[:])
-	sp.parent = s.id
-	sp.path = t.intern(p[len(t.id):])
-	sp.name = sp.path[len(s.path)+1:]
-	sp.cat = cat
+	sp.parent = s.index
+	sp.name = put(t, p[at:])
+	sp.cat = s.cat
+	if setCat && cat != t.str(s.cat) {
+		sp.cat = put(t, cat)
+	}
 	sp.startNS = int64(time.Since(t.epoch))
-	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 	return sp
 }
@@ -488,69 +538,99 @@ func (s *Span) child(cat, a, b, c string, indexed bool, i int) *Span {
 // Pipeline code uses the typed setters, which do not box. Nil spans
 // discard.
 func (s *Span) Attr(key string, value any) *Span {
-	return s.set(attr{key: key, kind: kindAny, val: value})
+	return s.set(key, kindAny, 0, "", value)
 }
 
 // Str attaches a string attr.
 func (s *Span) Str(key, v string) *Span {
-	return s.set(attr{key: key, kind: kindString, str: v})
+	return s.set(key, kindString, 0, v, nil)
 }
 
 // Int attaches an integer attr.
 func (s *Span) Int(key string, v int) *Span {
-	return s.set(attr{key: key, kind: kindInt, num: uint64(v)})
+	return s.set(key, kindInt, uint64(v), "", nil)
 }
 
 // Float attaches a float attr. A finite value renders as encoding/json
 // renders it; NaN and ±Inf render as the strings "NaN", "+Inf" and "-Inf",
 // so a recorded trace always renders.
 func (s *Span) Float(key string, v float64) *Span {
-	return s.set(attr{key: key, kind: kindFloat, num: math.Float64bits(v)})
+	return s.set(key, kindFloat, math.Float64bits(v), "", nil)
 }
 
 // Bool attaches a boolean attr.
 func (s *Span) Bool(key string, v bool) *Span {
-	a := attr{key: key, kind: kindBool}
+	var num uint64
 	if v {
-		a.num = 1
+		num = 1
 	}
-	return s.set(a)
+	return s.set(key, kindBool, num, "", nil)
 }
 
-func (s *Span) set(a attr) *Span {
+// set records key's value: num for a typed scalar, str for a string, val
+// for a value passed through Attr.
+func (s *Span) set(key string, kind attrKind, num uint64, str string, val any) *Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	if s.t.frozen.Load() {
-		s.mu.Unlock()
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.frozen {
 		return s
 	}
 	switch {
-	case s.virt&virtT0 != 0 && a.key == keyT0:
+	case s.virt&virtT0 != 0 && key == keyT0:
 		s.virt &^= virtT0
-	case s.virt&virtT1 != 0 && a.key == keyT1:
+	case s.virt&virtT1 != 0 && key == keyT1:
 		s.virt &^= virtT1
 	}
-	for i := range s.attrs {
-		if s.attrs[i].key == a.key {
-			s.attrs[i] = a
-			s.mu.Unlock()
+	a := t.lookup(s, key)
+	if a == nil {
+		a = t.newAttr(s, key)
+	} else if a.kind == kindAny {
+		// A boxed value is replaced in its slot, or cleared for a typed one.
+		if kind == kindAny {
+			t.vals[a.num] = val
 			return s
 		}
+		t.vals[a.num] = nil
 	}
-	switch {
-	case s.attrs == nil:
-		s.attrs = s.inline[:0]
-	case len(s.attrs) == len(s.inline) && cap(s.attrs) == len(s.inline):
-		s.t.mu.Lock()
-		spill := s.t.carveAttrs(spillAttrs)
-		s.t.mu.Unlock()
-		s.attrs = append(spill, s.attrs...)
+	switch kind {
+	case kindString:
+		r := put(t, str)
+		num = uint64(r.off)<<32 | uint64(r.n)
+	case kindAny:
+		num = uint64(len(t.vals))
+		t.vals = append(t.vals, val)
 	}
-	s.attrs = append(s.attrs, a)
-	s.mu.Unlock()
+	a.kind, a.num = kind, num
 	return s
+}
+
+// lookup returns s's attr under key, or nil. The caller holds t.mu.
+func (t *Trace) lookup(s *Span, key string) *attr {
+	for i := s.attrs; i != 0; {
+		a := &t.attrs[i-1]
+		if string(t.bytes(a.key)) == key {
+			return a
+		}
+		i = a.next
+	}
+	return nil
+}
+
+// newAttr adds an attr under key to s's list, doubling the attr slice
+// when it is full. The caller holds t.mu.
+func (t *Trace) newAttr(s *Span, key string) *attr {
+	if len(t.attrs) == cap(t.attrs) {
+		grown := make([]attr, len(t.attrs), max(2*cap(t.attrs), minAttrs))
+		copy(grown, t.attrs)
+		t.attrs = grown
+	}
+	t.attrs = append(t.attrs, attr{key: put(t, key), next: s.attrs})
+	s.attrs = uint32(len(t.attrs))
+	return &t.attrs[len(t.attrs)-1]
 }
 
 // SetVirtual records the span's interval on the simulation's virtual clock
@@ -560,23 +640,25 @@ func (s *Span) SetVirtual(t0, t1 float64) *Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	if s.t.frozen.Load() {
-		s.mu.Unlock()
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.frozen {
 		return s
 	}
-	if len(s.attrs) > 0 {
-		kept := s.attrs[:0]
-		for _, a := range s.attrs {
-			if a.key != keyT0 && a.key != keyT1 {
-				kept = append(kept, a)
+	// Unlink attrs written under the virtual-clock keys.
+	for next := &s.attrs; *next != 0; {
+		a := &t.attrs[*next-1]
+		if k := t.str(a.key); k == keyT0 || k == keyT1 {
+			if a.kind == kindAny {
+				t.vals[a.num] = nil
 			}
+			*next = a.next
+			continue
 		}
-		clear(s.attrs[len(kept):])
-		s.attrs = kept
+		next = &a.next
 	}
 	s.t0, s.t1, s.virt = t0, t1, virtT0|virtT1
-	s.mu.Unlock()
 	return s
 }
 
@@ -587,12 +669,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended && !s.t.frozen.Load() {
+	t := s.t
+	t.mu.Lock()
+	if !s.ended && !t.frozen {
 		s.ended = true
-		s.endNS = int64(time.Since(s.t.epoch))
+		s.endNS = int64(time.Since(t.epoch))
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // ID returns the span's identity-derived id; nil spans return the zero id.

@@ -13,10 +13,9 @@ import (
 func settle(tr *Trace) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for _, s := range tr.spans {
-		s.mu.Lock()
+	for i := range uint32(tr.n) {
+		s := tr.spanAt(i)
 		s.startNS, s.endNS, s.ended = 1000, 3000, true
-		s.mu.Unlock()
 	}
 }
 
@@ -111,6 +110,12 @@ func FuzzSpanAttrs(f *testing.F) {
 	f.Add([]byte{2, 4}, "f", "x", "y", "y", 999999999999999999999.0, int64(7), true)
 	f.Add([]byte{2, 4, 20}, "nan", "x", "y", "NaN", math.NaN(), int64(3), true)
 	f.Add([]byte{2, 4}, "inf", "x", "y", "", math.Inf(-1), int64(3), true)
+	// A key rewritten by each setter in turn, SetVirtual after a sim_t0
+	// attr and a sim_t1 attr after SetVirtual, strings that outgrow the
+	// arena's doubling, and keys and values that need escaping.
+	f.Add([]byte{0, 1, 2, 3, 0, 16, 4, 24}, "k", "run ", "x", "s", 2.5, int64(9), true)
+	f.Add([]byte{0, 8, 1, 9, 16, 4}, strings.Repeat("k", 300), "", strings.Repeat("n", 200), strings.Repeat("s", 700), 1e-7, int64(1), false)
+	f.Add([]byte{0, 8, 3}, "é\t<>&", "ü", "\x01", "\x7f\xff<&>", -0.5, int64(-2), true)
 	f.Fuzz(func(t *testing.T, script []byte, key, prefix, name, str string, fv float64, iv int64, bv bool) {
 		typed, boxed := twinTraces(script, key, prefix, name, str, fv, iv, bv)
 		m := Meta{Key: key, Status: 200, Reason: "sampled", Flight: str}
