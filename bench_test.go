@@ -187,7 +187,10 @@ func BenchmarkOrderings(b *testing.B) {
 // 0.6× the sequential wall time and on the flight-recorded and traced runs
 // each costing at most 3% over jobs=4 (BENCH_sched.json); determinism of
 // the parallel result is asserted by TestCompareDeterministicAcrossJobs,
-// so this benchmark only checks shape.
+// so this benchmark only checks shape. The traced variant times span
+// recording, as the daemon does per request; it exports the first and
+// last traces once, after the timer stops, to check they hold the same
+// tree.
 func BenchmarkEvaluateParallel(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -202,6 +205,7 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var score float64
+			var first, last *tracectx.Trace
 			for i := 0; i < b.N; i++ {
 				opts := core.EvalOptions{Pool: bc.pool}
 				if bc.flight {
@@ -225,11 +229,23 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 				}
 				if bc.trace {
 					tr.Root().End()
-					if doc := tr.Export(); len(doc.Spans) < 10 {
-						b.Fatalf("trace captured only %d spans", len(doc.Spans))
+					if n := tr.Len(); n < 10 {
+						b.Fatalf("trace captured only %d spans", n)
 					}
+					if first == nil {
+						first = tr
+					}
+					last = tr
 				}
 				score = c.Ours[0]
+			}
+			b.StopTimer()
+			if bc.trace {
+				want, doc := first.Export(), last.Export()
+				if len(doc.Spans) != last.Len() || doc.TreeHash != want.TreeHash {
+					b.Fatalf("last trace exports %d of %d spans, tree_hash %s, first trace %s",
+						len(doc.Spans), last.Len(), doc.TreeHash, want.TreeHash)
+				}
 			}
 			b.ReportMetric(score, "score-E5462")
 		})

@@ -19,7 +19,7 @@ func sampleTraceDoc(t *testing.T) []byte {
 	tr := tracectx.New(tracectx.DeriveID("tracecmd-test"), "request", "serve")
 	root := tr.Root()
 	c := root.Child("compute")
-	c.Child("sim job 0").Attr("server", "X").End()
+	c.Child("sim job 0").Str("server", "X").End()
 	c.End()
 	root.End()
 	doc := tr.Export()

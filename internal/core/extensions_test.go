@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"powerbench/internal/fault"
 	"powerbench/internal/npb"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
@@ -217,22 +218,26 @@ func TestPhasedHPLPowerTapers(t *testing.T) {
 	}
 }
 
-// TestPipelineSurvivesMeterDropout injects 10% sample loss and checks the
-// analysis still recovers per-program power.
+// TestPipelineSurvivesMeterDropout loses 10% of the meter's readings
+// through the fault layer's drop model and checks the analysis still
+// recovers per-program power.
 func TestPipelineSurvivesMeterDropout(t *testing.T) {
 	spec := server.XeonE5462()
 	engine := sim.New(spec, 11)
-	engine.Meter.DropoutFrac = 0.10
+	led := fault.NewLedger()
+	engine.Fault = fault.New(&fault.Profile{Name: "dropout", Drop: 0.10}, 11, led)
 	m, err := npb.NewModel(spec, npb.EP, npb.ClassC, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, log := recordLog(t, engine, m, 0)
-	if got, want := len(log), int(m.DurationSec); got >= want {
-		t.Errorf("dropout should lose samples: %d of %d", got, want)
+	run, err := engine.Run(m, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	avg := AveragePower(log, run.Start, run.End)
-	if math.Abs(avg-run.SteadyWatts) > 0.02*run.SteadyWatts {
+	if got := led.Count(fault.KindDropped); got == 0 {
+		t.Errorf("dropout should lose samples: %d of %.0f lost", got, m.DurationSec)
+	}
+	if avg := run.Power.MeanWatts; math.Abs(avg-run.SteadyWatts) > 0.02*run.SteadyWatts {
 		t.Errorf("average with dropout %.1f W vs steady %.1f W", avg, run.SteadyWatts)
 	}
 }

@@ -11,9 +11,9 @@ import (
 func ownerDoc() *tracectx.Doc {
 	tr := tracectx.New(tracectx.DeriveID("evaluate|abc"), "/v1/evaluate", "serve")
 	root := tr.Root()
-	root.Attr("route", "/v1/evaluate")
+	root.Str("route", "/v1/evaluate")
 	c := root.Child("compute")
-	c.Attr("jobs", 4)
+	c.Int("jobs", 4)
 	c.Child("run-0").End()
 	c.End()
 	root.End()
@@ -30,9 +30,9 @@ func ownerDoc() *tracectx.Doc {
 func requesterDoc() *tracectx.Doc {
 	tr := tracectx.New(tracectx.DeriveID("evaluate|abc"), "/v1/evaluate", "serve")
 	root := tr.Root()
-	root.Attr("route", "/v1/evaluate")
+	root.Str("route", "/v1/evaluate")
 	p := root.ChildCat("peer", tracectx.CatCluster)
-	p.Attr("owner", "s1")
+	p.Str("owner", "s1")
 	p.End()
 	root.End()
 	d := tr.Export()

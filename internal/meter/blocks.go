@@ -147,14 +147,8 @@ type ringSlot struct {
 // beside the workers that help. A nil crew, and a meter whose generator
 // runs the float form of the LCG, which no jump moves exactly, produce
 // every block on the caller's goroutine, one after another. r is busy,
-// and p is kept, until RecordSummary returns. A meter with dropout cannot
-// count its window before drawing each sample's fate, so it records the
-// log and summarizes that.
+// and p is kept, until RecordSummary returns.
 func (m *Meter) RecordSummary(r *Shared, crew *sched.Crew, start, end float64, p Power, frac float64) (Summary, int) {
-	if m.DropoutFrac > 0 && m.seeded {
-		log := m.Record(start, end, p.At)
-		return Summarize(Window(log, start, end), start, end, frac), len(log)
-	}
 	r.cond.L = &r.mu
 	r.lay, r.p, r.m = m.layout(start, end), p, *m
 	if most := m.SampleCap(start, end)/Block + 2; cap(r.starts) < most {

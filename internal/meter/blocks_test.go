@@ -48,31 +48,31 @@ func sameGenerator(a, b gaussSource) bool {
 // whose generator runs the integer or the float form of the LCG, and on
 // meters that hold a cached deviate when the recording starts.
 func FuzzRecordSummaryBlocks(f *testing.F) {
-	// seed, start, steps, interval, noiseSD, quantize, skew, cached, helpers
-	f.Add(1.0, 0.0, uint16(0), 1.0, 0.5, 0.0, 0.0, false, uint8(1))
-	f.Add(2.0, 5.0, uint16(1), 1.0, 0.5, 0.0, 0.0, false, uint8(1))
-	f.Add(3.0, 0.0, uint16(Block-1), 1.0, 0.5, 0.0, 0.0, false, uint8(1))
-	f.Add(4.0, 0.0, uint16(Block), 1.0, 0.5, 0.0, 0.0, true, uint8(1))
-	f.Add(5.0, 0.0, uint16(Block+1), 1.0, 0.5, 0.0, 0.0, true, uint8(2))
-	f.Add(6.0, 120.0, uint16(2*Block+1), 1.0, 0.5, 0.25, 1.5, true, uint8(3))
-	f.Add(7.0, -40.0, uint16(5*Block+37), 0.25, 30.0, 2.0, 3.5, false, uint8(3))
-	f.Add(41.5, 10.0, uint16(3*Block), 1.0, 0.5, 0.0, 0.0, true, uint8(2))   // float-form LCG
-	f.Add(8.0, 0.0, uint16(4*Block+3), 0.3, 0.0, 0.0, -4.75, true, uint8(1)) // no noise
-	f.Add(9.0, 3.0, uint16(6000), 1.0, 0.5, 0.0, 700.0, false, uint8(0))     // skew past the window
-	f.Fuzz(func(t *testing.T, seed, start float64, steps uint16, interval, noiseSD, quantize, skew float64, cached bool, helpers uint8) {
-		for _, v := range []float64{seed, start, interval, noiseSD, quantize, skew} {
+	// seed, start, steps, interval, noiseSD, skew, cached, helpers
+	f.Add(1.0, 0.0, uint16(0), 1.0, 0.5, 0.0, false, uint8(1))
+	f.Add(2.0, 5.0, uint16(1), 1.0, 0.5, 0.0, false, uint8(1))
+	f.Add(3.0, 0.0, uint16(Block-1), 1.0, 0.5, 0.0, false, uint8(1))
+	f.Add(4.0, 0.0, uint16(Block), 1.0, 0.5, 0.0, true, uint8(1))
+	f.Add(5.0, 0.0, uint16(Block+1), 1.0, 0.5, 0.0, true, uint8(2))
+	f.Add(6.0, 120.0, uint16(2*Block+1), 1.0, 0.5, 1.5, true, uint8(3))
+	f.Add(7.0, -40.0, uint16(5*Block+37), 0.25, 30.0, 3.5, false, uint8(3))
+	f.Add(41.5, 10.0, uint16(3*Block), 1.0, 0.5, 0.0, true, uint8(2))   // float-form LCG
+	f.Add(8.0, 0.0, uint16(4*Block+3), 0.3, 0.0, -4.75, true, uint8(1)) // no noise
+	f.Add(9.0, 3.0, uint16(6000), 1.0, 0.5, 700.0, false, uint8(0))     // skew past the window
+	f.Fuzz(func(t *testing.T, seed, start float64, steps uint16, interval, noiseSD, skew float64, cached bool, helpers uint8) {
+		for _, v := range []float64{seed, start, interval, noiseSD, skew} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
 			}
 		}
 		if math.Abs(start) > 1e6 || interval < 1e-3 || interval > 1e3 || math.Abs(skew) > 1e4 ||
-			math.Abs(noiseSD) > 1e4 || quantize < 0 || quantize > 1e3 || steps > 6000 {
+			math.Abs(noiseSD) > 1e4 || steps > 6000 {
 			t.Skip()
 		}
 		end := start + float64(steps)*interval
 		meter := func() *Meter {
 			m := New(seed)
-			m.IntervalSec, m.NoiseSD, m.Quantize, m.ClockSkewSec = interval, noiseSD, quantize, skew
+			m.IntervalSec, m.NoiseSD, m.ClockSkewSec = interval, noiseSD, skew
 			if cached {
 				m.noise.next() // the next reading takes the cached deviate
 			}

@@ -34,21 +34,21 @@ func FuzzUnmarshalCSV(f *testing.F) {
 // bit: the streaming RecordSummary, Summarize over Window(Record(...)), and
 // the reference forms — stats.TrimmedMean over the power column, the
 // trapezoid integral as a separate loop (integrate), and a min/max scan —
-// agree on every field, under noise, quantization, clock skew and dropout.
+// agree on every field, under noise and clock skew.
 func FuzzWindowSummary(f *testing.F) {
-	// seed, start, duration, interval, noiseSD, quantize, skew, dropout
-	f.Add(1.0, 0.0, 10.0, 1.0, 0.0, 0.0, 100.0, 0.0) // window of 0 samples
-	f.Add(2.0, 5.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0)    // 1 sample
-	f.Add(3.0, 5.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0)    // 2 samples
-	f.Add(4.0, 5.0, 2.0, 1.0, 0.5, 0.25, 0.0, 0.0)   // 3 samples
-	f.Add(5.0, 0.0, 0.3, 0.1, 0.5, 0.0, 0.0, 0.0)    // a sample at End+1e-9
-	f.Add(6.0, 120.0, 600.0, 1.0, 0.5, 0.0, 0.0, 0.0)
-	f.Add(7.0, -40.0, 300.0, 0.25, 30.0, 2.0, 3.5, 0.0)
-	f.Add(8.0, 10.0, 100.0, 0.0, 1.0, 0.0, -4.75, 0.0)
-	f.Add(9.0, 0.0, 200.0, 1.0, 0.5, 0.0, 0.0, 0.2)
-	f.Add(10.0, 0.0, 60.0, 0.3, 0.5, 0.0, 1.5, 0.2) // dropout, skew, End+1e-9
-	f.Fuzz(func(t *testing.T, seed, start, duration, interval, noiseSD, quantize, skew, dropout float64) {
-		for _, v := range []float64{seed, start, duration, interval, noiseSD, quantize, skew, dropout} {
+	// seed, start, duration, interval, noiseSD, skew
+	f.Add(1.0, 0.0, 10.0, 1.0, 0.0, 100.0) // window of 0 samples
+	f.Add(2.0, 5.0, 0.0, 1.0, 0.5, 0.0)    // 1 sample
+	f.Add(3.0, 5.0, 1.0, 1.0, 0.5, 0.0)    // 2 samples
+	f.Add(4.0, 5.0, 2.0, 1.0, 0.5, 0.0)    // 3 samples
+	f.Add(5.0, 0.0, 0.3, 0.1, 0.5, 0.0)    // a sample at End+1e-9
+	f.Add(6.0, 120.0, 600.0, 1.0, 0.5, 0.0)
+	f.Add(7.0, -40.0, 300.0, 0.25, 30.0, 3.5)
+	f.Add(8.0, 10.0, 100.0, 0.0, 1.0, -4.75)
+	f.Add(9.0, 0.0, 200.0, 1.0, 0.5, 0.0)
+	f.Add(10.0, 0.0, 60.0, 0.3, 0.5, 1.5) // skew, End+1e-9
+	f.Fuzz(func(t *testing.T, seed, start, duration, interval, noiseSD, skew float64) {
+		for _, v := range []float64{seed, start, duration, interval, noiseSD, skew} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
 			}
@@ -56,14 +56,14 @@ func FuzzWindowSummary(f *testing.F) {
 		// Keep every loop short and every t += interval step exact enough
 		// to advance: |start| ≤ 1e6 and a step of at least 1 ms.
 		if math.Abs(start) > 1e6 || duration < 0 || duration > 1e4 || math.Abs(skew) > 1e4 ||
-			math.Abs(noiseSD) > 1e4 || quantize < 0 || quantize > 1e3 || dropout < 0 || dropout > 1 ||
+			math.Abs(noiseSD) > 1e4 ||
 			(interval > 0 && (interval < 1e-3 || duration/interval > 5000)) {
 			t.Skip()
 		}
 		end := start + duration
 		meter := func() *Meter {
 			m := New(seed)
-			m.IntervalSec, m.NoiseSD, m.Quantize, m.ClockSkewSec, m.DropoutFrac = interval, noiseSD, quantize, skew, dropout
+			m.IntervalSec, m.NoiseSD, m.ClockSkewSec = interval, noiseSD, skew
 			return m
 		}
 		power := func(t float64) float64 { return 20 + 50*math.Sin(t/3) }

@@ -64,19 +64,11 @@ type Meter struct {
 	// ClockSkewSec is the constant offset of the logging PC's clock ahead
 	// of the server's clock. Synchronize (test-procedure step 3) removes it.
 	ClockSkewSec float64
-	// Quantize rounds readings to this many watts (0 disables); real meters
-	// report finite resolution.
-	Quantize float64
-	// DropoutFrac is the probability that any individual sample is lost
-	// (serial-link glitches between the WT210 and the logging PC). The
-	// analysis pipeline must tolerate the resulting gaps.
-	DropoutFrac float64
 
-	// noise and drop are the meter's generators, held in place: copying a
-	// meter copies their state. A meter that New or Clone did not seed
-	// (seeded false) adds no noise and drops no reading.
+	// noise is the meter's generator, held in place: copying a meter
+	// copies its state. A meter that New or Clone did not seed (seeded
+	// false) adds no noise.
 	noise  gaussSource
-	drop   rng.Stream
 	seeded bool
 }
 
@@ -96,23 +88,21 @@ func Make(seed float64) Meter {
 }
 
 // Clone returns a meter with m's configuration (interval, noise level,
-// skew, quantization, dropout) but fresh RNG streams seeded at seed. The
-// parallel scheduler forks one meter per concurrently executing run, so no
-// generator state is shared across goroutines and a run's noise depends
-// only on its own seed, never on which runs came before it. The clone is a
-// value, so a caller can hold it in place (sim.Engine.Fork allocates a run's
-// meter with its engine).
+// skew) but a fresh noise stream seeded at seed. The parallel scheduler
+// forks one meter per concurrently executing run, so no generator state is
+// shared across goroutines and a run's noise depends only on its own seed,
+// never on which runs came before it. The clone is a value, so a caller
+// can hold it in place (sim.Engine.Fork allocates a run's meter with its
+// engine).
 func (m *Meter) Clone(seed float64) Meter {
 	c := *m
 	c.seed(seed)
 	return c
 }
 
-// seed restarts m's generators at seed: the noise stream at seed, the
-// dropout stream at seed+0.5.
+// seed restarts m's noise stream at seed.
 func (m *Meter) seed(seed float64) {
 	m.noise = newGaussSource(seed)
-	m.drop = rng.MakeStream(seed+0.5, rng.A)
 	m.seeded = true
 }
 
@@ -147,8 +137,8 @@ func (g *gaussSource) next() float64 {
 
 // Record samples the power function p(t) (server-clock seconds) from start
 // to end and returns the log with timestamps in the logging PC's clock
-// (server time + skew), noise and quantization applied. It is Take
-// appending each reading to a log of SampleCap(start, end) capacity.
+// (server time + skew) and noise applied. It is Take appending each
+// reading to a log of SampleCap(start, end) capacity.
 func (m *Meter) Record(start, end float64, p func(t float64) float64) []Sample {
 	out := make([]Sample, 0, m.SampleCap(start, end))
 	m.Take(start, end, p, func(_ int, s Sample) { out = append(out, s) })
@@ -163,19 +153,15 @@ func (m *Meter) SampleCap(start, end float64) int {
 }
 
 // Take is the meter's sampling loop: it samples p(t) from start to end,
-// as Record does, and hands each reading that survives dropout to each, in
-// time order, with its step k, instead of keeping a log. k counts the
-// loop's iterations, dropped ones included: step k is taken at server
-// time t = min(start, end) with the interval added k times, one addition
-// at a time. A consumer that transforms the readings (the fault layer's
+// as Record does, and hands each reading to each, in time order, with its
+// step k, instead of keeping a log. Step k is taken at server time
+// t = min(start, end) with the interval added k times, one addition at a
+// time. A consumer that transforms the readings (the fault layer's
 // trace corruptor) keeps one buffer this way, not a recorded log plus its
 // transformed copy.
 func (m *Meter) Take(start, end float64, p func(t float64) float64, each func(k int, s Sample)) {
 	lo, hi, interval := m.span(start, end)
 	for t, k := lo, 0; t <= hi+1e-9; t, k = t+interval, k+1 {
-		if m.DropoutFrac > 0 && m.seeded && m.drop.Next() < m.DropoutFrac {
-			continue
-		}
 		each(k, m.read(t, p(t)))
 	}
 }
@@ -194,14 +180,11 @@ func (m *Meter) span(start, end float64) (lo, hi, interval float64) {
 }
 
 // read is the per-sample step of every sampling loop: the true power w at
-// server time t becomes the logged reading — sensor noise, quantization,
-// the clamp at zero, and the logging PC's clock skew.
+// server time t becomes the logged reading — sensor noise, the clamp at
+// zero, and the logging PC's clock skew.
 func (m *Meter) read(t, w float64) Sample {
 	if m.NoiseSD > 0 && m.seeded {
 		w += float64(m.noise.next() * m.NoiseSD)
-	}
-	if m.Quantize > 0 {
-		w = math.Round(w/m.Quantize) * m.Quantize
 	}
 	if w < 0 {
 		w = 0

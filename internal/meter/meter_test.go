@@ -80,17 +80,6 @@ func TestNoiseReproducible(t *testing.T) {
 	}
 }
 
-func TestQuantize(t *testing.T) {
-	m := noiselessMeter()
-	m.Quantize = 0.5
-	log := m.Record(0, 5, func(t float64) float64 { return 100.26 })
-	for _, s := range log {
-		if s.Watts != 100.5 {
-			t.Errorf("quantized reading %v, want 100.5", s.Watts)
-		}
-	}
-}
-
 func TestNegativeClamped(t *testing.T) {
 	m := noiselessMeter()
 	log := m.Record(0, 2, func(t float64) float64 { return -5 })

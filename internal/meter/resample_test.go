@@ -3,6 +3,8 @@ package meter
 import (
 	"math"
 	"testing"
+
+	"powerbench/internal/rng"
 )
 
 // resample rebuilds log, whose timestamps ts gives, onto the grid start,
@@ -69,14 +71,19 @@ func TestResampleDegenerate(t *testing.T) {
 }
 
 func TestResampleRecoversDroppedLog(t *testing.T) {
-	// A meter with heavy dropout, resampled back to 1 Hz, must preserve
-	// the trace's mean within the noise.
+	// A log that lost 30% of its readings at random, resampled back to
+	// 1 Hz, must preserve the trace's mean within the noise.
 	m := New(13)
 	m.NoiseSD = 0
-	m.DropoutFrac = 0.3
-	log := m.Record(0, 500, func(t float64) float64 { return 300 })
+	lost := rng.MakeStream(13.5, rng.A)
+	var log []Sample
+	for _, s := range m.Record(0, 500, func(t float64) float64 { return 300 }) {
+		if lost.Next() >= 0.3 {
+			log = append(log, s)
+		}
+	}
 	if len(log) >= 500 {
-		t.Fatalf("dropout did not drop: %d samples", len(log))
+		t.Fatalf("the draw lost nothing: %d samples", len(log))
 	}
 	re := resampleLog(log, 0, 500, 1)
 	if len(re) != 501 {

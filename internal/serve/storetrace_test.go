@@ -335,7 +335,7 @@ func TestStoredTraceIsFrozen(t *testing.T) {
 		go func() {
 			defer close(wrote)
 			<-late
-			open.Str("server", "changed").Int("late", 1).Attr("boxed", "x").SetVirtual(1, 2)
+			open.Str("server", "changed").Int("late", 1).Float("watts", 2).SetVirtual(1, 2)
 			open.Child("late child").End()
 			compute.ChildIndex("sim", " job ", 9).End()
 			open.End()
@@ -379,30 +379,42 @@ func TestStoredTraceIsFrozen(t *testing.T) {
 	}
 }
 
-// A trace whose Attr value cannot render (NaN) is not stored: a read of
-// its id is a 404, not a failed render, and the hook never sees it.
-func TestUnrenderableTraceNotStored(t *testing.T) {
+// A trace with non-finite floats is stored like any other: both reads of
+// its id serve the document with the values as strings, and its tree hash
+// is the one Export computes.
+func TestNonFiniteTraceStored(t *testing.T) {
 	s := newTestServer(t, Config{})
 	rec := recordStored(s)
 	s.evalFn = func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
-		tracectx.FromContext(ctx).Attr("watts", math.NaN())
+		tracectx.FromContext(ctx).Float("watts", math.NaN()).Float("x", math.Inf(1))
 		return stubEval(ctx, spec, seed, opts)
 	}
 	r := do(s, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":6}`)
 	if r.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", r.Code, r.Body.String())
 	}
-	if got := rec.check(t); len(got) != 0 {
-		t.Errorf("an unrenderable trace reached the store hook %d times", len(got))
+	stored := rec.check(t)
+	if len(stored) != 1 {
+		t.Fatalf("%d traces stored, want 1", len(stored))
 	}
+	exported := stored[0].tr.Export()
 	id := r.Header().Get(traceHeader)
 	for _, path := range []string{"/v1/traces/" + id, "/v1/peer/traces/" + id} {
-		if got := do(s, "GET", path, ""); got.Code != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404: %s", path, got.Code, got.Body.String())
+		got := do(s, "GET", path, "")
+		if got.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, got.Code, got.Body.String())
 		}
-	}
-	if n := s.traces.Len(); n != 0 {
-		t.Errorf("store holds %d traces, want 0", n)
+		body := got.Body.String()
+		if !strings.Contains(body, `"watts": "NaN"`) || !strings.Contains(body, `"x": "+Inf"`) {
+			t.Errorf("GET %s: non-finite attrs not rendered as strings:\n%s", path, body)
+		}
+		doc, err := tracectx.ParseDoc(got.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.TreeHash != exported.TreeHash {
+			t.Errorf("GET %s: tree_hash %s, Export's %s", path, doc.TreeHash, exported.TreeHash)
+		}
 	}
 }
 

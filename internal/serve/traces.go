@@ -89,20 +89,13 @@ func newTraceStore(capacity int) *lru[storedTrace] {
 		func(old, t storedTrace) bool { return t.meta.Spans > old.meta.Spans })
 }
 
-// localTrace renders the trace document this shard stored under id. A
-// stored trace is frozen and passed Freeze's check, so its render does
-// not fail; if it did, the trace is reported absent.
+// localTrace renders the trace document this shard stored under id.
 func (s *Server) localTrace(id string) ([]byte, bool) {
 	t, ok := s.traces.Get(id)
 	if !ok {
 		return nil, false
 	}
-	st, err := t.tr.Render(t.m)
-	if err != nil {
-		s.obs.Infof("trace %s not rendered: %v", id, err)
-		return nil, false
-	}
-	return st.Body, true
+	return t.tr.Render(t.m).Body, true
 }
 
 // traceList returns the stored traces' listing rows sorted by trace id.
@@ -161,10 +154,7 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, statu
 	}
 	// Freezing fixes the document every later read renders: a goroutine
 	// still holding one of its spans can no longer change it.
-	if err := tr.Freeze(); err != nil {
-		s.obs.Infof("trace %s not stored: %v", id, err)
-		return
-	}
+	tr.Freeze()
 	m := tracectx.Meta{Key: key, Status: status, Reason: reason, Flight: flight}
 	evicted, kept := s.traces.put(id, storedTrace{tr: tr, m: m, size: tr.Size(), meta: fleet.TraceSummary{
 		Trace: id, Root: route, Status: status, Reason: reason,
@@ -175,8 +165,7 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key, flight string, statu
 		return
 	}
 	if s.traceStored != nil {
-		st, _ := tr.Render(m) // Freeze accepted the trace, so it renders
-		s.traceStored(tr, m, st.Body)
+		s.traceStored(tr, m, tr.Render(m).Body)
 	}
 	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()
 	s.ctr.traceEvictions.Add(int64(evicted))

@@ -47,12 +47,12 @@ func TestForkAllocs(t *testing.T) {
 	}
 }
 
-// TestForkDrawsMatchPointerForm: a fork's first meter noise, dropout, PMU
-// jitter and fault draws equal those of streams built the way forks built
-// them when every generator sat behind its own pointer: rng.NewStream at
-// the identity seed sched.DeriveSeed(base, server, parts...), the meter's
-// noise at seed and dropout at seed+0.5, the PMU jitter at seed+1, and the
-// injector's surfaces under DeriveSeed(seed, "fault").
+// TestForkDrawsMatchPointerForm: a fork's first meter noise, PMU jitter
+// and fault draws equal those of streams built the way forks built them
+// when every generator sat behind its own pointer: rng.NewStream at the
+// identity seed sched.DeriveSeed(base, server, parts...), the meter's
+// noise at seed, the PMU jitter at seed+1, and the injector's surfaces
+// under DeriveSeed(seed, "fault").
 func TestForkDrawsMatchPointerForm(t *testing.T) {
 	spec := server.Xeon4870()
 	prof := &fault.Profile{Name: "fork-draws", Spike: 1, Wrap: 0.5, RunFail: 0.5}
@@ -74,26 +74,6 @@ func TestForkDrawsMatchPointerForm(t *testing.T) {
 		want := 100 + float64(math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)*f.Meter.NoiseSD)
 		if got := f.Meter.Record(0, 0, func(float64) float64 { return 100 }); len(got) != 1 || math.Float64bits(got[0].Watts) != math.Float64bits(want) {
 			t.Errorf("%q: first meter reading %v, pointer form %v", parts, got, want)
-		}
-
-		// Dropout: step k survives when the stream at seed+0.5, which the
-		// reading above did not touch, draws at least DropoutFrac.
-		drop := rng.NewStream(seed+0.5, rng.A)
-		f.Meter.NoiseSD, f.Meter.DropoutFrac = 0, 0.5
-		kept := f.Meter.Record(0, 31, func(float64) float64 { return 100 })
-		var wantT []float64
-		for k := 0; k <= 31; k++ {
-			if drop.Next() >= 0.5 {
-				wantT = append(wantT, float64(k))
-			}
-		}
-		if len(kept) != len(wantT) {
-			t.Fatalf("%q: dropout kept %d readings, pointer form %d", parts, len(kept), len(wantT))
-		}
-		for i := range kept {
-			if kept[i].T != wantT[i] {
-				t.Fatalf("%q: kept reading %d at %v, pointer form %v", parts, i, kept[i].T, wantT[i])
-			}
 		}
 
 		// PMU jitter: the first window's first wide counter, from the

@@ -80,31 +80,31 @@ func FuzzPMUWrap(f *testing.F) {
 	})
 }
 
-// FuzzFaultedRun: for any fault rates, meter interval, clock skew, dropout
-// and start time, a faulted run's folded Power (bit for bit), its Repair,
+// FuzzFaultedRun: for any fault rates, meter interval, clock skew and
+// start time, a faulted run's folded Power (bit for bit), its Repair,
 // its ledger and its logged count equal what the slice form gives over a
 // pristine twin's log: RepairSummary(Window(CorruptTrace(Record))), as
 // checkFaultedRun holds them. The run recomputes each entry's timestamp
 // from its step; the slice form reads the recorded one.
 func FuzzFaultedRun(f *testing.F) {
-	// seed, fault seed, drop, dup, spike, stuck, nan, zero, truncate, interval, skew, dropout, start
-	f.Add(uint16(1), uint32(3), uint8(5), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(5), 1.0, 0.0, 0.0, 0.0) // ≈ heavy
-	f.Add(uint16(2), uint32(4), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), 1.0, 2.5, 0.0, 120.0)
-	f.Add(uint16(3), uint32(5), uint8(8), uint8(8), uint8(5), uint8(5), uint8(5), uint8(5), uint8(255), 0.3, 0.0, 0.05, 12.5)
-	f.Add(uint16(4), uint32(6), uint8(20), uint8(20), uint8(20), uint8(20), uint8(20), uint8(20), uint8(0), 0.0, -4.75, 0.2, -40.0)
-	f.Add(uint16(5), uint32(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), 2.0, 0.7, 0.0, 1e5)
-	f.Add(uint16(6), uint32(8), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), 1.0, 0.0, 0.0, 0.0)
-	f.Add(uint16(7), uint32(9), uint8(0), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), 0.25, 0.1, 0.0, 3.3)
-	f.Add(uint16(8), uint32(1), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), 1.0, 400.0, 0.0, 0.0) // skew past the run: empty window
-	f.Fuzz(func(t *testing.T, seed uint16, fseed uint32, drop, dup, spike, stuck, nan, zero, truncate uint8, interval, skew, dropout, start float64) {
-		for _, v := range []float64{interval, skew, dropout, start} {
+	// seed, fault seed, drop, dup, spike, stuck, nan, zero, truncate, interval, skew, start
+	f.Add(uint16(1), uint32(3), uint8(5), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(5), 1.0, 0.0, 0.0) // ≈ heavy
+	f.Add(uint16(2), uint32(4), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), 1.0, 2.5, 120.0)
+	f.Add(uint16(3), uint32(5), uint8(8), uint8(8), uint8(5), uint8(5), uint8(5), uint8(5), uint8(255), 0.3, 0.0, 12.5)
+	f.Add(uint16(4), uint32(6), uint8(20), uint8(20), uint8(20), uint8(20), uint8(20), uint8(20), uint8(0), 0.0, -4.75, -40.0)
+	f.Add(uint16(5), uint32(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), 2.0, 0.7, 1e5)
+	f.Add(uint16(6), uint32(8), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), uint8(200), 1.0, 0.0, 0.0)
+	f.Add(uint16(7), uint32(9), uint8(0), uint8(40), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), 0.25, 0.1, 3.3)
+	f.Add(uint16(8), uint32(1), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), uint8(5), 1.0, 400.0, 0.0) // skew past the run: empty window
+	f.Fuzz(func(t *testing.T, seed uint16, fseed uint32, drop, dup, spike, stuck, nan, zero, truncate uint8, interval, skew, start float64) {
+		for _, v := range []float64{interval, skew, start} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
 			}
 		}
 		// At most 6,000 meter steps over the 300 s run, each able to
 		// advance t.
-		if math.Abs(start) > 1e6 || math.Abs(skew) > 1e4 || dropout < 0 || dropout > 1 ||
+		if math.Abs(start) > 1e6 || math.Abs(skew) > 1e4 ||
 			interval > 300 || (interval > 0 && interval < 0.05) {
 			t.Skip()
 		}
@@ -117,7 +117,7 @@ func FuzzFaultedRun(f *testing.F) {
 		engine := func() *Engine {
 			e := New(server.XeonE5462(), float64(seed)+1)
 			e.PMU = nil
-			e.Meter.IntervalSec, e.Meter.ClockSkewSec, e.Meter.DropoutFrac = interval, skew, dropout
+			e.Meter.IntervalSec, e.Meter.ClockSkewSec = interval, skew
 			return e
 		}
 		checkFaultedRun(t, engine, prof, float64(fseed), epModel(4, 300), start)

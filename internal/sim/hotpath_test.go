@@ -26,10 +26,9 @@ func TestGapRecordingAllocs(t *testing.T) {
 }
 
 // TestRecordAllocs pins the preallocation of the general recorder: one run's
-// trace costs one slice, even with noise and quantization active.
+// trace costs one slice, even with noise active.
 func TestRecordAllocs(t *testing.T) {
 	m := meter.New(17)
-	m.Quantize = 0.1
 	p := func(t float64) float64 { return 200 + t }
 	var sink []meter.Sample
 	allocs := testing.AllocsPerRun(50, func() {

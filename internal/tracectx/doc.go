@@ -170,9 +170,8 @@ func (s *Span) exportAttrs() map[string]any {
 	return attrs
 }
 
-// exported is an attr's value as Export puts it in a SpanDoc: the value
-// Attr was given, or the typed value in its Go type (a non-finite float as
-// its string).
+// exported is an attr's value as Export puts it in a SpanDoc: its Go type,
+// with a non-finite float as its string.
 func (t *Trace) exported(a *attr) any {
 	switch a.kind {
 	case kindString:
@@ -181,10 +180,8 @@ func (t *Trace) exported(a *attr) any {
 		return int(int64(a.num))
 	case kindFloat:
 		return typedFloat(math.Float64frombits(a.num))
-	case kindBool:
-		return a.num != 0
 	}
-	return t.vals[a.num]
+	return a.num != 0
 }
 
 // typedFloat is a typed float as Export puts it in a SpanDoc.
@@ -230,22 +227,18 @@ var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
 // are read under the trace's lock, and in that visit each span's canonical
 // form is appended to the tree-hash rendering and its full form to the
 // document, so a span still being written cannot make the hashes disagree
-// with the body. A value passed through Attr that encoding/json cannot
-// render (NaN, ±Inf) is an error, as it is for json.MarshalIndent; typed
-// attrs always render. A nil trace renders nothing.
-func (t *Trace) Render(m Meta) (Stored, error) {
+// with the body. Every recorded trace renders: a non-finite float renders
+// as a string. A nil trace renders nothing.
+func (t *Trace) Render(m Meta) Stored {
 	if t == nil {
-		return Stored{}, nil
+		return Stored{}
 	}
 	sc := renderPool.Get().(*renderScratch)
 	defer renderPool.Put(sc)
 	t.mu.Lock()
-	durUS, spans, pipe, err := t.renderSpans(sc)
+	durUS, spans, pipe := t.renderSpans(sc)
 	origin := t.origin
 	t.mu.Unlock()
-	if err != nil {
-		return Stored{}, err
-	}
 	tree := sha256.Sum256(sc.canon)
 	pipeline := tree
 	if pipe != nil {
@@ -275,20 +268,22 @@ func (t *Trace) Render(m Meta) (Stored, error) {
 
 	sc.doc = doc
 	sc.indent.Reset()
+	// json.Indent fails only on malformed JSON, which the appender never
+	// writes.
 	if err := json.Indent(&sc.indent, doc, "", "  "); err != nil {
-		return Stored{}, err
+		panic(fmt.Sprintf("tracectx: render: %v", err))
 	}
 	out := make([]byte, sc.indent.Len()+1)
 	copy(out, sc.indent.Bytes())
 	out[len(out)-1] = '\n'
-	return Stored{Body: out, Trace: t.id.String(), DurationUS: durUS, Spans: spans}, nil
+	return Stored{Body: out, Trace: t.id.String(), DurationUS: durUS, Spans: spans}
 }
 
 // renderSpans renders every span in path order: the tree-hash rendering
 // into sc.canon and the document's span list into sc.spans. It returns the
 // root's duration, the span count and, when a cluster span exists, the
 // tree-hash rendering without cluster spans. The caller holds t.mu.
-func (t *Trace) renderSpans(sc *renderScratch) (durUS int64, spans int, pipe []byte, err error) {
+func (t *Trace) renderSpans(sc *renderScratch) (durUS int64, spans int, pipe []byte) {
 	rows := t.order(sc)
 	now := t.closeNS()
 	canon := appendCanonicalHead(sc.canon[:0], "")
@@ -312,9 +307,7 @@ func (t *Trace) renderSpans(sc *renderScratch) (durUS int64, spans int, pipe []b
 		cat := t.bytes(s.cat)
 		canon = appendSpanHead(canon, idHex[:], parent, sc.path(r), t.bytes(s.name), cat)
 		head := len(canon)
-		if canon, err = t.appendAttrs(canon, s); err != nil {
-			return 0, 0, nil, err
-		}
+		canon = t.appendAttrs(canon, s)
 		end := s.endNS
 		if !s.ended {
 			end = now
@@ -346,7 +339,7 @@ func (t *Trace) renderSpans(sc *renderScratch) (durUS int64, spans int, pipe []b
 		sc.pipe = pipe
 	}
 	sc.canon, sc.spans = canon, body
-	return durUS, len(rows), pipe, nil
+	return durUS, len(rows), pipe
 }
 
 // appendMember appends an omitempty string member: name (with its leading

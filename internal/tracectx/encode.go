@@ -11,9 +11,10 @@ import (
 // This file is the span appender: the one writer of span JSON, shared by
 // Render (the daemon's stored documents and their hashes) and by
 // Doc.CanonicalJSON/Rehash (exports and stitched fleet documents). It
-// writes exactly the bytes encoding/json writes for a SpanDoc, handling
-// typed attrs and Attr values of type string, int, int64, float64 and bool
-// by hand and handing any other value to json.Marshal.
+// writes exactly the bytes encoding/json writes for a SpanDoc: recorded
+// attrs and document attrs of type string, int, int64, float64 and bool by
+// hand, and any other document attr (as ParseDoc decodes it) through
+// json.Marshal.
 
 // appendSpanHead opens a span object and appends its identity fields: id,
 // parent (omitted when empty), path, name and cat (omitted when empty). The
@@ -87,10 +88,9 @@ const (
 
 // appendAttrs appends the attrs member (omitted when empty) of span s:
 // its attrs and the virtual-clock values s.virt marks, keys in bytewise
-// order as encoding/json sorts them, and closes the span object. A value
-// json.Marshal rejects (NaN, ±Inf or a channel passed through Attr) is an
-// error. The caller holds t.mu.
-func (t *Trace) appendAttrs(b []byte, s *Span) ([]byte, error) {
+// order as encoding/json sorts them, and closes the span object. The
+// caller holds t.mu.
+func (t *Trace) appendAttrs(b []byte, s *Span) []byte {
 	var rbuf [16]attrRef
 	refs := rbuf[:0]
 	for i := s.attrs; i != 0; i = t.attrs[i-1].next {
@@ -103,7 +103,7 @@ func (t *Trace) appendAttrs(b []byte, s *Span) ([]byte, error) {
 		refs = append(refs, attrRef{keyT1, refT1})
 	}
 	if len(refs) == 0 {
-		return append(b, '}'), nil
+		return append(b, '}')
 	}
 	slices.SortFunc(refs, func(x, y attrRef) int { return strings.Compare(x.key, y.key) })
 	b = append(b, `,"attrs":{`...)
@@ -119,28 +119,23 @@ func (t *Trace) appendAttrs(b []byte, s *Span) ([]byte, error) {
 		case refT1:
 			b = appendTypedFloat(b, s.t1)
 		default:
-			var err error
-			if b, err = t.appendAttr(b, &t.attrs[r.i]); err != nil {
-				return nil, err
-			}
+			b = t.appendAttr(b, &t.attrs[r.i])
 		}
 	}
-	return append(b, "}}"...), nil
+	return append(b, "}}"...)
 }
 
 // appendAttr appends one recorded attr's value.
-func (t *Trace) appendAttr(b []byte, a *attr) ([]byte, error) {
+func (t *Trace) appendAttr(b []byte, a *attr) []byte {
 	switch a.kind {
 	case kindString:
-		return appendString(b, t.bytes(a.strRef())), nil
+		return appendString(b, t.bytes(a.strRef()))
 	case kindInt:
-		return strconv.AppendInt(b, int64(a.num), 10), nil
+		return strconv.AppendInt(b, int64(a.num), 10)
 	case kindFloat:
-		return appendTypedFloat(b, math.Float64frombits(a.num)), nil
-	case kindBool:
-		return strconv.AppendBool(b, a.num != 0), nil
+		return appendTypedFloat(b, math.Float64frombits(a.num))
 	}
-	return appendValue(b, t.vals[a.num])
+	return strconv.AppendBool(b, a.num != 0)
 }
 
 // appendTypedFloat appends a float recorded through Float or SetVirtual:

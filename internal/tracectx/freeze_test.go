@@ -16,14 +16,9 @@ func TestFreezeFixesTheDocument(t *testing.T) {
 	root := tr.Root()
 	open := root.Child("compute").Str("server", "Xeon-E5462")
 	root.Child("cache").Str("result", "miss").End()
-	if err := tr.Freeze(); err != nil {
-		t.Fatal(err)
-	}
+	tr.Freeze()
 	m := Meta{Key: "evaluate|k", Status: 200, Reason: "cache-miss", Flight: "f"}
-	before, err := tr.Render(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := tr.Render(m)
 	spans, size := tr.Len(), tr.Size()
 	exported := tr.Export()
 
@@ -34,19 +29,14 @@ func TestFreezeFixesTheDocument(t *testing.T) {
 	if c := root.ChildIndex("sim", " job ", 1); c != nil {
 		t.Error("ChildIndex on a frozen trace returned a span")
 	}
-	open.Str("server", "changed").Int("late", 1).Float("watts", 1).Bool("b", true).Attr("any", "x")
+	open.Str("server", "changed").Int("late", 1).Float("watts", 1).Bool("b", true)
 	open.SetVirtual(1, 2)
 	open.End()
 	root.End()
 	tr.SetOrigin("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	if err := tr.Freeze(); err != nil {
-		t.Fatal(err)
-	}
+	tr.Freeze()
 
-	after, err := tr.Render(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := tr.Render(m)
 	if string(after.Body) != string(before.Body) {
 		t.Errorf("render changed after freeze:\n got %s\nwant %s", after.Body, before.Body)
 	}
@@ -62,23 +52,18 @@ func TestFreezeFixesTheDocument(t *testing.T) {
 	}
 }
 
-// Freeze reports a value passed through Attr that cannot render, as
-// Render does; typed non-finite floats render, so they freeze.
-func TestFreezeRejectsUnrenderableAttr(t *testing.T) {
-	tr := New(DeriveID("freeze nan"), "request", "serve")
-	tr.Root().Child("state").Float("watts", math.NaN()).Attr("bad", math.NaN())
-	if err := tr.Freeze(); err == nil {
-		t.Error("Freeze accepted a NaN passed through Attr")
+// A frozen trace with non-finite floats renders them as strings, as the
+// reflection oracle does.
+func TestFrozenNonFiniteRenders(t *testing.T) {
+	tr := New(DeriveID("freeze typed"), "request", "serve")
+	tr.Root().Float("watts", math.Inf(1)).Int("n", 3).Str("s", "x")
+	tr.Root().Child("state").Float("watts", math.NaN()).Float("min", math.Inf(-1)).End()
+	endAll(tr)
+	tr.Freeze()
+	if body := string(tr.Render(Meta{}).Body); !strings.Contains(body, `"watts": "+Inf"`) || !strings.Contains(body, `"watts": "NaN"`) {
+		t.Errorf("non-finite floats not rendered as strings:\n%s", body)
 	}
-	if _, err := tr.Render(Meta{}); err == nil {
-		t.Error("Render accepted a NaN passed through Attr")
-	}
-
-	ok := New(DeriveID("freeze typed"), "request", "serve")
-	ok.Root().Float("watts", math.Inf(1)).Attr("n", 3).Attr("s", "x")
-	if err := ok.Freeze(); err != nil {
-		t.Errorf("Freeze rejected renderable attrs: %v", err)
-	}
+	checkRender(t, tr, Meta{})
 }
 
 // Writers racing a freeze either land before it or are dropped: once
@@ -109,19 +94,10 @@ func TestFreezeDuringWrites(t *testing.T) {
 		}()
 	}
 	time.Sleep(time.Millisecond)
-	if err := tr.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	first, err := tr.Render(Meta{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr.Freeze()
+	first := tr.Render(Meta{})
 	for range 5 {
-		st, err := tr.Render(Meta{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(st.Body) != string(first.Body) {
+		if st := tr.Render(Meta{}); string(st.Body) != string(first.Body) {
 			t.Fatal("render of a frozen trace changed while writers ran")
 		}
 	}
@@ -133,8 +109,9 @@ func TestFreezeDuringWrites(t *testing.T) {
 // fixed-size trace does not hold.
 func TestTraceSize(t *testing.T) {
 	var nilTrace *Trace
-	if nilTrace.Size() != 0 || nilTrace.DurationUS() != 0 || nilTrace.Freeze() != nil {
-		t.Fatal("nil trace has a size, a duration or a freeze error")
+	nilTrace.Freeze()
+	if nilTrace.Size() != 0 || nilTrace.DurationUS() != 0 {
+		t.Fatal("nil trace has a size or a duration")
 	}
 	tr := New(DeriveID("size"), "request", "serve")
 	small := tr.Size()

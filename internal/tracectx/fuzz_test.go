@@ -46,10 +46,10 @@ func FuzzTraceparent(f *testing.F) {
 func FuzzTraceDoc(f *testing.F) {
 	tr := New(DeriveID("fuzz"), "request", "serve")
 	ctx := ContextWith(context.Background(), tr.Root())
-	job := FromContext(ctx).Child("sim job 0").Attr("index", 0)
+	job := FromContext(ctx).Child("sim job 0").Int("index", 0)
 	job.Child("run Idle").SetVirtual(0, 120).End()
 	job.End()
-	tr.Root().ChildCat("peer fetch", CatCluster).Attr("peer", "s1").End()
+	tr.Root().ChildCat("peer fetch", CatCluster).Str("peer", "s1").End()
 	valid, err := json.Marshal(tr.Export())
 	if err != nil {
 		f.Fatal(err)

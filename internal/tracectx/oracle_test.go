@@ -133,17 +133,14 @@ func oracleBody(t *Trace, m Meta) ([]byte, error) {
 }
 
 // checkRender compares Render against the oracle on one settled trace:
-// the same bytes and listing fields, or an error from both.
+// the same bytes and listing fields.
 func checkRender(t *testing.T, tr *Trace, m Meta) {
 	t.Helper()
-	want, werr := oracleBody(tr, m)
-	got, gerr := tr.Render(m)
-	if (werr != nil) != (gerr != nil) {
-		t.Fatalf("oracle error %v, Render error %v", werr, gerr)
+	want, err := oracleBody(tr, m)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
-	if werr != nil {
-		return
-	}
+	got := tr.Render(m)
 	if string(got.Body) != string(want) {
 		t.Fatalf("Render differs from the oracle:\n got %s\nwant %s", got.Body, want)
 	}
@@ -183,24 +180,26 @@ func endAll(tr *Trace) {
 	}
 }
 
-// edgeTrace builds a trace whose attrs cover every value shape the
-// appender writes by hand or hands to json.Marshal.
+// edgeTrace builds a trace whose attrs cover every value shape a
+// recorded span renders: strings the appender escapes by hand or hands to
+// json.Marshal, integers at their limits, floats at encoding/json's format
+// boundaries and non-finite ones, and both bools.
 func edgeTrace(cluster bool) *Trace {
 	tr := New(DeriveID("edge"), "POST /v1/compare", "serve")
 	tr.SetOrigin("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	root := tr.Root().Attr("capacity", 16).Attr("html", "<a href=\"x\">&</a>").Attr("utf8", "é ").Attr("ctl", "a\tb\x00")
-	root.Attr("lt", "a<b").Attr("gt", "a>b").Attr("amp", "a&b").Attr("del", "a\x7fb").Attr("bad", "a\xffb")
-	job := root.Child("sim job 0").Attr("tiny", 1e-7).Attr("huge", 1e21).Attr("edge", 1e-6).Attr("below", 999999999999999999999.0)
-	job.Attr("negzero", math.Copysign(0, -1)).Attr("max", int64(math.MaxInt64)).Attr("min", int64(math.MinInt64))
-	job.Attr("list", []int{1, 2, 3}).Attr("nested", map[string]any{"b": 1.5, "a": []any{"<", nil, true}})
-	job.Attr("ok", true).Attr("no", false).Attr("nil", nil).Attr("u8", uint8(7)).Attr("f32", float32(0.1))
+	root := tr.Root().Int("capacity", 16).Str("html", "<a href=\"x\">&</a>").Str("utf8", "é ").Str("ctl", "a\tb\x00")
+	root.Str("lt", "a<b").Str("gt", "a>b").Str("amp", "a&b").Str("del", "a\x7fb").Str("bad", "a\xffb")
+	job := root.Child("sim job 0").Float("tiny", 1e-7).Float("huge", 1e21).Float("edge", 1e-6).Float("below", 999999999999999999999.0)
+	job.Float("negzero", math.Copysign(0, -1)).Int("max", math.MaxInt64).Int("min", math.MinInt64)
+	job.Float("nan", math.NaN()).Float("inf", math.Inf(1)).Float("ninf", math.Inf(-1))
+	job.Bool("ok", true).Bool("no", false).Int("u8", 7)
 	job.Child("run Idle").SetVirtual(0, 120).End()
 	job.End()
-	root.Child("cache").Attr("result", "miss").End()
+	root.Child("cache").Str("result", "miss").End()
 	if cluster {
 		// "a peer" sorts right after the root, "zz peer" last.
 		root.ChildCat("a peer", CatCluster).End()
-		root.ChildCat("peer", CatCluster).Attr("owner", "s1").Attr("result", "hit").End()
+		root.ChildCat("peer", CatCluster).Str("owner", "s1").Str("result", "hit").End()
 		root.ChildCat("zz peer", CatCluster).End()
 	}
 	root.End()
@@ -221,18 +220,13 @@ func TestRenderMatchesOracle(t *testing.T) {
 	endAll(tr)
 	checkRender(t, tr, Meta{Status: 429, Reason: "error"})
 
-	// An attr encoding/json rejects fails the render instead of panicking.
-	bad := New(DeriveID("nan"), "request", "serve")
-	bad.Root().Attr("x", math.NaN()).End()
-	if _, err := bad.Render(Meta{}); err == nil {
-		t.Fatal("Render accepted a NaN attr")
-	}
-	if _, err := oracleBody(bad, Meta{}); err == nil {
-		t.Fatal("oracle accepted a NaN attr")
-	}
+	// A NaN renders as the string both paths export it as.
+	nan := New(DeriveID("nan"), "request", "serve")
+	nan.Root().Float("x", math.NaN()).End()
+	checkRender(t, nan, Meta{})
 	var nilTrace *Trace
-	if st, err := nilTrace.Render(Meta{}); err != nil || st.Body != nil {
-		t.Fatalf("nil trace rendered %q, %v", st.Body, err)
+	if st := nilTrace.Render(Meta{}); st.Body != nil {
+		t.Fatalf("nil trace rendered %q", st.Body)
 	}
 }
 
@@ -270,7 +264,7 @@ func TestRehashMatchesOracleOnParsedDocs(t *testing.T) {
 
 // FuzzTraceRender holds Render to the reflection oracle over fuzzed span
 // names, attr keys and values, request metadata and an optional cluster
-// span: both produce the same bytes, or both fail.
+// span: both produce the same bytes.
 func FuzzTraceRender(f *testing.F) {
 	f.Add("state Idle", "power_w", "<&>é ", 1e-7, int64(math.MaxInt64), true, "evaluate|k", byte(1))
 	f.Add("", "", "\x00\xff", 1e21, int64(math.MinInt64), false, "", byte(0))
@@ -290,14 +284,14 @@ func FuzzTraceRender(f *testing.F) {
 		if shape&2 != 0 {
 			tr.SetOrigin(sval)
 		}
-		root := tr.Root().Attr(key, sval)
-		sp := root.Child(name).Attr(key, fval).Attr(key+"i", ival).Attr(key+"b", bval).Attr(sval, int(ival))
+		root := tr.Root().Str(key, sval)
+		sp := root.Child(name).Float(key, fval).Int(key+"i", int(ival)).Bool(key+"b", bval).Int(sval, int(ival))
 		if shape&4 != 0 {
-			sp.Attr("nested", map[string]any{sval: []any{fval, ival, bval, nil}, key: map[string]any{}})
+			sp.SetVirtual(fval, float64(ival))
 		}
-		sp.Child(sval).Attr("f", -fval).End()
+		sp.Child(sval).Float("f", -fval).End()
 		if shape&1 != 0 {
-			root.ChildCat(name, CatCluster).Attr("owner", key).End()
+			root.ChildCat(name, CatCluster).Str("owner", key).End()
 		}
 		root.Child(key)
 		endAll(tr)
@@ -407,16 +401,12 @@ func TestRenderDuringWrites(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			sp.Attr(fmt.Sprint("k", i%7), i)
+			sp.Int(fmt.Sprint("k", i%7), i)
 		}
 		sp.End()
 	}()
 	for i := 0; i < 20; i++ {
-		st, err := tr.Render(Meta{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := ParseDoc(st.Body)
+		d, err := ParseDoc(tr.Render(Meta{}).Body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,8 +32,9 @@
 // nil *Span turns the layer into a no-op costing one pointer comparison, so
 // instrumented pipeline code needs no conditional wiring. For an untraced
 // request to allocate nothing, callers pass span names in parts (ChildJoin,
-// ChildIndex) rather than concatenated, and attr values through the typed
-// setters (Str, Int, Float, Bool) rather than boxed into Attr's any.
+// ChildIndex) rather than concatenated. Attr values are typed (Str, Int,
+// Float, Bool, SetVirtual), never boxed, so every recorded trace renders:
+// a non-finite float renders as a string.
 package tracectx
 
 import (
@@ -113,14 +114,13 @@ const CatCluster = "cluster"
 // and ended from any goroutine; the trace's mutex guards every span write.
 //
 // A trace owns the storage of its spans, and all of it but the span chunks
-// and the boxed Attr values is pointer-free. Spans live in per-trace chunks
-// that grow geometrically and never move, so a *Span stays valid. Names,
-// categories, attr keys and string values live in a byte arena, and attrs
-// in an attr slice; both grow by doubling and are addressed by offset, so
-// growing them moves nothing a span refers to. Values boxed through Attr
-// go to a side slice. The first two spans, the first attr and the first
-// arena bytes are inline, so a short trace (a cache hit: the root and one
-// child with one attr) is one allocation.
+// is pointer-free. Spans live in per-trace chunks that grow geometrically
+// and never move, so a *Span stays valid. Names, categories, attr keys and
+// string values live in a byte arena, and attrs in an attr slice; both
+// grow by doubling and are addressed by offset, so growing them moves
+// nothing a span refers to. The first two spans, the first attr and the
+// first arena bytes are inline, so a short trace (a cache hit: the root
+// and one child with one attr) is one allocation.
 //
 // Freeze ends a trace's recording, so a trace store can keep the spans
 // and render the document only when someone reads it.
@@ -137,7 +137,6 @@ type Trace struct {
 	chunks [][]Span
 	arena  []byte
 	attrs  []attr
-	vals   []any
 	first  [firstSpans]Span
 	attr0  [firstAttrs]attr
 	bytes0 [firstArena]byte
@@ -287,30 +286,17 @@ func (t *Trace) Len() int {
 // every Render and Export after it is byte-identical, whatever goroutines
 // still hold the trace's spans. Freezing again changes nothing. Every span
 // write takes the trace's lock and checks the flag, so setting it under
-// that lock is all a freeze takes.
-//
-// It reports an error, as Render would, when a value passed through Attr
-// cannot render (NaN, ±Inf, a channel): a trace Freeze accepted always
-// renders. A nil trace freezes trivially.
-func (t *Trace) Freeze() error {
+// that lock is all a freeze takes. A nil trace freezes trivially.
+func (t *Trace) Freeze() {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
 	if !t.frozen {
 		t.endNS = int64(time.Since(t.epoch))
 		t.frozen = true
 	}
-	vals := t.vals
 	t.mu.Unlock()
-	// Nothing writes vals once the trace is frozen; a replaced value was
-	// cleared to nil, so each entry is an attr Render writes.
-	for _, v := range vals {
-		if _, err := appendValue(nil, v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DurationUS returns the root span's wall duration in microseconds, the
@@ -341,8 +327,7 @@ func (t *Trace) closeNS() int64 {
 
 // Size returns the heap bytes the trace holds: the Trace itself, its span
 // chunks and their list, the arena with every name, category, attr key
-// and string value, the attr slice, and the side slice of Attr values
-// (not the values it boxes). A nil trace holds none.
+// and string value, and the attr slice. A nil trace holds none.
 func (t *Trace) Size() int {
 	if t == nil {
 		return 0
@@ -359,7 +344,7 @@ func (t *Trace) Size() int {
 	if cap(t.attrs) > firstAttrs {
 		n += cap(t.attrs) * int(unsafe.Sizeof(attr{}))
 	}
-	return n + cap(t.vals)*int(unsafe.Sizeof(t.vals[0]))
+	return n
 }
 
 // FormatRef renders an exemplar reference in one stack buffer:
@@ -436,19 +421,15 @@ const (
 type attrKind uint8
 
 const (
-	// kindAny holds a value passed through Attr, rendered as encoding/json
-	// renders it.
-	kindAny attrKind = iota
-	kindString
+	kindString attrKind = iota
 	kindInt
 	kindFloat
 	kindBool
 )
 
 // attr is one recorded key/value pair, with its key in the arena. num holds
-// the value: int64 or float64 bits, 0 or 1, a string's arena ref (offset in
-// the high half, length in the low), or an Attr value's index in the
-// trace's vals.
+// the value: int64 or float64 bits, 0 or 1, or a string's arena ref (offset
+// in the high half, length in the low).
 type attr struct {
 	key  ref
 	next uint32 // 1 + the index of the span's previous attr; 0 ends the list
@@ -530,32 +511,24 @@ func (s *Span) child(cat string, setCat bool, a, b, c string, indexed bool, i in
 	return sp
 }
 
-// Attr attaches a key/value pair to the span, replacing the key's earlier
-// value. Values must marshal to JSON deterministically (numbers, strings,
-// bools); pipeline attrs are all pure functions of the request identity,
-// which is what keeps the canonical tree byte-identical across worker
-// counts. A value encoding/json rejects (NaN, ±Inf) makes Render fail.
-// Pipeline code uses the typed setters, which do not box. Nil spans
-// discard.
-func (s *Span) Attr(key string, value any) *Span {
-	return s.set(key, kindAny, 0, "", value)
-}
-
-// Str attaches a string attr.
+// Str attaches a string attr, replacing the key's earlier value whatever
+// setter wrote it. Pipeline attrs are all pure functions of the request
+// identity, which is what keeps the canonical tree byte-identical across
+// worker counts. Nil spans discard, as they do for every setter.
 func (s *Span) Str(key, v string) *Span {
-	return s.set(key, kindString, 0, v, nil)
+	return s.set(key, kindString, 0, v)
 }
 
 // Int attaches an integer attr.
 func (s *Span) Int(key string, v int) *Span {
-	return s.set(key, kindInt, uint64(v), "", nil)
+	return s.set(key, kindInt, uint64(v), "")
 }
 
 // Float attaches a float attr. A finite value renders as encoding/json
 // renders it; NaN and ±Inf render as the strings "NaN", "+Inf" and "-Inf",
 // so a recorded trace always renders.
 func (s *Span) Float(key string, v float64) *Span {
-	return s.set(key, kindFloat, math.Float64bits(v), "", nil)
+	return s.set(key, kindFloat, math.Float64bits(v), "")
 }
 
 // Bool attaches a boolean attr.
@@ -564,12 +537,11 @@ func (s *Span) Bool(key string, v bool) *Span {
 	if v {
 		num = 1
 	}
-	return s.set(key, kindBool, num, "", nil)
+	return s.set(key, kindBool, num, "")
 }
 
-// set records key's value: num for a typed scalar, str for a string, val
-// for a value passed through Attr.
-func (s *Span) set(key string, kind attrKind, num uint64, str string, val any) *Span {
+// set records key's value: num for a scalar, str for a string.
+func (s *Span) set(key string, kind attrKind, num uint64, str string) *Span {
 	if s == nil {
 		return nil
 	}
@@ -588,21 +560,10 @@ func (s *Span) set(key string, kind attrKind, num uint64, str string, val any) *
 	a := t.lookup(s, key)
 	if a == nil {
 		a = t.newAttr(s, key)
-	} else if a.kind == kindAny {
-		// A boxed value is replaced in its slot, or cleared for a typed one.
-		if kind == kindAny {
-			t.vals[a.num] = val
-			return s
-		}
-		t.vals[a.num] = nil
 	}
-	switch kind {
-	case kindString:
+	if kind == kindString {
 		r := put(t, str)
 		num = uint64(r.off)<<32 | uint64(r.n)
-	case kindAny:
-		num = uint64(len(t.vals))
-		t.vals = append(t.vals, val)
 	}
 	a.kind, a.num = kind, num
 	return s
@@ -650,9 +611,6 @@ func (s *Span) SetVirtual(t0, t1 float64) *Span {
 	for next := &s.attrs; *next != 0; {
 		a := &t.attrs[*next-1]
 		if k := t.str(a.key); k == keyT0 || k == keyT1 {
-			if a.kind == kindAny {
-				t.vals[a.num] = nil
-			}
 			*next = a.next
 			continue
 		}

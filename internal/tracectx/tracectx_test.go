@@ -57,7 +57,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil trace root != nil")
 	}
 	// All span ops on nil must be no-ops.
-	sp.Attr("k", 1).SetVirtual(0, 1).Child("c").End()
+	sp.Int("k", 1).SetVirtual(0, 1).Child("c").End()
 	sp.End()
 	if !sp.ID().IsZero() {
 		t.Fatalf("nil span id not zero")
@@ -137,10 +137,10 @@ func TestW3CParseRejects(t *testing.T) {
 func buildSample(childFirst bool) *Doc {
 	tr := New(DeriveID("sample"), "request", "serve")
 	root := tr.Root()
-	root.Attr("route", "/v1/evaluate")
+	root.Str("route", "/v1/evaluate")
 	mk := func(name string, attr int) {
 		c := root.Child(name)
-		c.Attr("i", attr)
+		c.Int("i", attr)
 		c.Child("leaf").End()
 		c.End()
 	}
@@ -179,13 +179,13 @@ func TestChildCatAndPipelineHash(t *testing.T) {
 	build := func(withPeer bool) *Doc {
 		tr := New(DeriveID("k"), "request", "serve")
 		root := tr.Root()
-		root.Attr("route", "/v1/evaluate")
+		root.Str("route", "/v1/evaluate")
 		c := root.Child("compute")
-		c.Attr("state", "miss")
+		c.Str("state", "miss")
 		c.End()
 		if withPeer {
 			p := root.ChildCat("peer", CatCluster)
-			p.Attr("owner", "s1")
+			p.Str("owner", "s1")
 			p.End()
 		}
 		root.End()
